@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .core import (
     AmbientSpace,
     BudgetError,
+    IdentityError,
     PointSet,
     build_point_set,
     decode,
@@ -57,6 +58,7 @@ from .projections import (
     census_at_scales,
     census_fractional_image,
     census_small_image,
+    coset_counts,
     coset_profile,
     project,
     project_onto,

@@ -6,8 +6,8 @@ hash are embedded in every report so runs are reproducible byte-for-byte
 apart from the wall-clock field.
 
 Exit codes: 0 success or statistical report, 1 assertion failure (an exact
-identity or proven bound failed, witness printed), 2 usage, input, or budget
-error.
+identity or proven bound failed, or an internal self-check did; witness
+printed), 2 usage, input, or budget error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import AmbientSpace, BudgetError, load_point_set
+from .core import AmbientSpace, BudgetError, IdentityError, load_point_set
 from .energy import verify_energy_identity, verify_energy_identity_fourier
 from .fourier import (
     TOLERANCE,
@@ -61,6 +61,10 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 
 BUDGET_ENV = "FFPROJ_BUDGET"
+
+# --threads is still parsed and recorded because it is part of the hashed
+# census and percolate configs; every sweep runs in one thread.
+_THREADS_HELP = "recorded in the config only; sweeps run in one thread"
 
 
 def _fraction(text: str) -> Fraction:
@@ -216,24 +220,18 @@ def cmd_project(args) -> int:
 
 def _census_reports(E, cfg) -> list:
     kind = cfg["kind"]
-    threads = cfg.get("threads") or 1
     if kind == "small":
         _require(cfg, "N")
-        return [
-            census_small_image(E, cfg["m"], cfg["N"], keep_sizes=True, threads=threads)
-        ]
+        return [census_small_image(E, cfg["m"], cfg["N"], keep_sizes=True)]
     if kind == "large":
         _require(cfg, "delta")
         return [
-            census_fractional_image(
-                E, cfg["m"], Fraction(cfg["delta"]), keep_sizes=True, threads=threads
-            )
+            census_fractional_image(E, cfg["m"], Fraction(cfg["delta"]), keep_sizes=True)
         ]
     if kind == "scales":
         _require(cfg, "s", "t")
         reports = census_at_scales(
-            E, cfg["m"], Fraction(cfg["s"]), Fraction(cfg["t"]),
-            keep_sizes=True, threads=threads,
+            E, cfg["m"], Fraction(cfg["s"]), Fraction(cfg["t"]), keep_sizes=True
         )
         return [reports["scale_t"], reports["scale_m"], reports["full_image"]]
     raise ValueError(f"unknown census kind {kind!r}")
@@ -352,7 +350,7 @@ def cmd_percolate(args) -> int:
         raise ValueError(f"unknown regime {cfg['regime']!r}")
     report = runner(
         cfg["p"], cfg["n"], cfg["m"], float(Fraction(cfg["s"])),
-        trials=cfg["trials"], seed=cfg["seed"], threads=cfg["threads"],
+        trials=cfg["trials"], seed=cfg["seed"],
     )
     if cfg["dump"]:
         with open(cfg["dump"], "w", newline="", encoding="ascii") as fh:
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", help="declared size exponent for kind=scales")
     sp.add_argument("--t", help="scale exponent for kind=scales")
     sp.add_argument("--sizes-csv", dest="sizes_csv", help="dump per-direction sizes")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(sp)
     sp.set_defaults(func=cmd_census)
 
@@ -475,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", help="size exponent (delta = p^(s-n))")
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--dump", help="write per-trial results as CSV")
     _add_common(sp)
     sp.set_defaults(func=cmd_percolate)
@@ -500,6 +498,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except IdentityError as exc:
+        print(f"IDENTITY FAILED: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_POINT_BUDGET",
     "BudgetError",
+    "IdentityError",
     "is_prime",
     "AmbientSpace",
     "encode",
@@ -42,6 +43,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class BudgetError(RuntimeError):
     """An enumeration or transform would exceed its configured budget."""
+
+
+class IdentityError(ArithmeticError):
+    """An internal self-check found an exact identity violated."""
 
 
 def is_prime(p: int) -> bool:

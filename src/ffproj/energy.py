@@ -24,14 +24,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet, digits_of
+from .core import AmbientSpace, PointSet
 from .fourier import Spectrum, dft
+from .projections import coset_counts
 from .subspaces import (
     AffinePlane,
     Subspace,
     all_cosets,
     binom_at_most_twice_power,
-    coset_labels,
     enumerate_grassmannian,
     gaussian_binomial_or_zero,
     perp,
@@ -69,15 +69,10 @@ def energy(E: PointSet, planes: Sequence[AffinePlane]) -> int:
         if plane.dim != dim:
             raise ValueError("plane family mixes dimensions")
         by_direction.setdefault(plane.direction, []).append(plane)
-    idx = E.indices()
-    digits = digits_of(E.space, idx)
     total = 0
-    for direction, group in by_direction.items():
-        counts = np.bincount(
-            coset_labels(direction, idx, digits=digits),
-            minlength=E.space.p ** (E.space.n - direction.dim),
-        )
-        total += int(sum(int(counts[plane.label()]) ** 2 for plane in group))
+    for counts, group in zip(coset_counts(E, by_direction), by_direction.values()):
+        hits = counts[[plane.label() for plane in group]]
+        total += int(hits @ hits)
     return total
 
 
@@ -97,16 +92,9 @@ def coset_expansion(directions: Iterable[Subspace]) -> list[AffinePlane]:
 
 def energy_over_all_planes(E: PointSet, m: int) -> int:
     """energy(E, A(n,m)) without materializing the planes."""
-    space = E.space
-    if not 0 <= m <= space.n:
+    if not 0 <= m <= E.space.n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
-    idx = E.indices()
-    digits = digits_of(space, idx)
-    total = 0
-    for V in enumerate_grassmannian(space, m):
-        counts = np.bincount(coset_labels(V, idx, digits=digits))
-        total += int((counts.astype(object) ** 2).sum())
-    return total
+    return sum(int(h @ h) for h in coset_counts(E, enumerate_grassmannian(E.space, m)))
 
 
 def energy_identity_closed_form(space: AmbientSpace, size: int, m: int) -> int:
@@ -226,12 +214,7 @@ def key_lemma_check(E: PointSet, directions: Sequence[Subspace]) -> KeyLemmaChec
         m = n - dims.pop()
         if not 1 <= m <= n - 1:
             raise ValueError("directions must be proper nontrivial subspaces")
-    idx = E.indices()
-    digits = digits_of(space, idx)
-    total = 0
-    for W in directions:
-        counts = np.bincount(coset_labels(W, idx, digits=digits))
-        total += int((counts.astype(object) ** 2).sum())
+    total = sum(int(h @ h) for h in coset_counts(E, directions))
     size, theta = E.cardinality, len(directions)
     bound_pairs = Fraction(size * theta + 2 * size**2 * p ** ((n - m - 1) * m))
     bound_fourier = 2 * size * p ** ((n - m) * m) + Fraction(size**2 * theta, p**m)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AmbientSpace, BudgetError, PointSet, decode, digits_of, encode
+from .core import AmbientSpace, BudgetError, IdentityError, PointSet, decode, digits_of, encode
 from .projections import coset_profile, projection_sizes
 from .subspaces import Subspace, perp
 
@@ -100,7 +100,7 @@ def dft(E: PointSet) -> Spectrum:
     spectrum = Spectrum(space, values, E.cardinality)
     lhs, rhs, ok = plancherel_check(spectrum)
     if not ok:  # accumulated error beyond tolerance would be a transform bug
-        raise ArithmeticError(f"Plancherel violated: {lhs} vs {rhs}")
+        raise IdentityError(f"Plancherel violated: {lhs} vs {rhs}")
     return spectrum
 
 
@@ -137,13 +137,43 @@ def subspace_plancherel(
     return lhs, rhs, ok
 
 
-def character_sum(V: Subspace, x) -> complex:
-    """sum_{y in Per(V)} e(-x.y): equals |Per(V)| for x in V, vanishes for x outside."""
+# entries of one character-sum phase block (int64 phases, complex terms)
+_PHASE_BLOCK = 1 << 20
+
+
+def character_sum(V: Subspace, x) -> complex | np.ndarray:
+    """sum_{y in Per(V)} e(-x.y): equals |Per(V)| for x in V, vanishes for x outside.
+
+    x is one vector, or an (N, n) array of residues for which the N sums are
+    returned as a complex array; Per(V) is computed once either way.
+    """
     space = V.space
-    x = space.validate_vector(x)
-    dual = perp(V)
-    phases = digits_of(space, dual.point_indices()) @ np.array(x, dtype=np.int64) % space.p
-    return complex(np.exp(-2j * np.pi * phases / space.p).sum())
+    p = space.p
+    batch = np.ndim(x) == 2
+    if batch:
+        xs = np.asarray(x, dtype=np.int64)
+        if xs.shape[1] != space.n or ((xs < 0) | (xs >= p)).any():
+            raise ValueError(f"expected an (N, {space.n}) array of residues mod {p}")
+    else:
+        xs = np.array([space.validate_vector(x)], dtype=np.int64)
+    dual = digits_of(space, perp(V).point_indices()).T
+    roots = _character_matrix(p)[1]
+    sums = np.empty(len(xs), dtype=np.complex128)
+    step = max(1, _PHASE_BLOCK // dual.shape[1])
+    for lo in range(0, len(xs), step):
+        sums[lo : lo + step] = roots[xs[lo : lo + step] @ dual % p].sum(axis=1)
+    return sums if batch else complex(sums[0])
+
+
+def _norms(p: int, width: int) -> np.ndarray:
+    """x.x mod p for every x in F_p^width in index order, one base-p digit at a time."""
+    rem = np.arange(p**width, dtype=np.int64)
+    total = np.zeros_like(rem)
+    for _ in range(width):
+        digit = rem % p
+        total += digit * digit
+        rem //= p
+    return total % p
 
 
 def paraboloid(space: AmbientSpace) -> PointSet:
@@ -152,13 +182,7 @@ def paraboloid(space: AmbientSpace) -> PointSet:
     if n < 2:
         raise ValueError("paraboloid needs ambient dimension >= 2")
     base = np.arange(p ** (n - 1), dtype=np.int64)
-    digits = np.empty((p ** (n - 1), n - 1), dtype=np.int64)
-    rem = base.copy()
-    for i in range(n - 1):
-        digits[:, i] = rem % p
-        rem //= p
-    last = (digits**2).sum(axis=1) % p
-    return PointSet.from_indices(space, base + last * p ** (n - 1))
+    return PointSet.from_indices(space, base + _norms(p, n - 1) * p ** (n - 1))
 
 
 def sphere(space: AmbientSpace, r: int) -> PointSet:
@@ -168,9 +192,7 @@ def sphere(space: AmbientSpace, r: int) -> PointSet:
         raise ValueError("sphere needs ambient dimension >= 2")
     if not 0 <= r < p:
         raise ValueError(f"radius parameter {r} out of range [0, {p})")
-    digits = digits_of(space, np.arange(space.point_count))
-    mask = (digits**2).sum(axis=1) % p == r
-    return PointSet(space, mask)
+    return PointSet(space, _norms(p, n) == r)
 
 
 def sphere_size_window(space: AmbientSpace) -> tuple[float, float]:
@@ -243,7 +265,7 @@ def salem_deficiency(E: PointSet, spectrum: Spectrum | None = None) -> DecayRepo
         max(0.0, (space.point_count * size - size**2) / (space.point_count - 1))
     )
     if max_mod < floor * (1.0 - TOLERANCE):  # averaging Plancherel forbids this
-        raise ArithmeticError(f"max modulus {max_mod} below spectral floor {floor}")
+        raise IdentityError(f"max modulus {max_mod} below spectral floor {floor}")
     return DecayReport(
         p=space.p,
         n=space.n,

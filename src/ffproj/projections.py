@@ -13,19 +13,16 @@ so satisfaction is decided by integer arithmetic, never by floats.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import PointSet, digits_of
 from .subspaces import (
     DEFAULT_ENUM_BUDGET,
-    AffinePlane,
     Subspace,
-    all_cosets,
     binom_at_most_twice_power,
     coset_labels,
     enumerate_grassmannian,
@@ -39,6 +36,7 @@ __all__ = [
     "CensusReport",
     "project",
     "project_onto",
+    "coset_counts",
     "coset_profile",
     "projection_sizes",
     "census_small_image",
@@ -61,10 +59,6 @@ class ProjectionImage:
     def size(self) -> int:
         return len(self.labels)
 
-    def planes(self) -> list[AffinePlane]:
-        by_label = {plane.label(): plane for plane in all_cosets(self.direction)}
-        return [by_label[lab] for lab in self.labels]
-
 
 @dataclass(frozen=True)
 class CosetProfile:
@@ -80,7 +74,7 @@ class CosetProfile:
 
     def second_moment(self) -> int:
         """Sum of squared coset counts = number of pairs of E in a common coset."""
-        return int((self.counts.astype(object) ** 2).sum())
+        return int(self.counts @ self.counts)
 
     def cauchy_schwarz_ok(self) -> bool:
         """|E|^2 <= |image| * sum_j |E n (x_j+W)|^2."""
@@ -101,13 +95,25 @@ def project_onto(E: PointSet, V: Subspace) -> ProjectionImage:
     return project(E, perp(V))
 
 
+def coset_counts(E: PointSet, directions: Iterable[Subspace]) -> Iterator[np.ndarray]:
+    """|E n (x_j + W)| for every coset x_j + W of each direction W, in order.
+
+    Each histogram is int64, indexed by coset label, of length p^(n - dim W).
+    The points of E are decoded once for the whole sweep.  A direction's sum
+    of squared counts is at most |E|^2 <= 2^52, so int64 reductions are exact.
+    """
+    space = E.space
+    idx = E.indices()
+    digits = digits_of(space, idx)
+    for W in directions:
+        if W.space != space:
+            raise ValueError("point set and direction live in different spaces")
+        labels = coset_labels(W, idx, digits=digits)
+        yield np.bincount(labels, minlength=space.p ** (space.n - W.dim))
+
+
 def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
-    if E.space != W.space:
-        raise ValueError("point set and direction live in different spaces")
-    n_cosets = W.space.p ** (W.space.n - W.dim)
-    labels = coset_labels(W, E.indices())
-    counts = np.bincount(labels, minlength=n_cosets)
-    return CosetProfile(W, counts, E.cardinality)
+    return CosetProfile(W, next(coset_counts(E, [W])), E.cardinality)
 
 
 def projection_sizes(
@@ -115,30 +121,20 @@ def projection_sizes(
     m: int,
     directions: Sequence[Subspace] | None = None,
     budget: int | None = DEFAULT_ENUM_BUDGET,
-    threads: int = 1,
 ) -> tuple[list[Subspace], np.ndarray]:
-    """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order.
-
-    The sweep may fan out over ``threads`` workers; results are reduced in
-    enumeration order regardless of schedule.
-    """
+    """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order."""
     space = E.space
     if not 1 <= m <= space.n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     if directions is None:
-        directions = list(enumerate_grassmannian(space, space.n - m, budget=budget))
-    idx = E.indices()
-    digits = digits_of(space, idx)
-
-    def image_size(W: Subspace) -> int:
-        return len(np.unique(coset_labels(W, idx, digits=digits)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sizes = np.fromiter(pool.map(image_size, directions), dtype=np.int64)
-    else:
-        sizes = np.fromiter(map(image_size, directions), dtype=np.int64)
-    return list(directions), sizes
+        directions = enumerate_grassmannian(space, space.n - m, budget=budget)
+    directions = list(directions)
+    sizes = np.fromiter(
+        (np.count_nonzero(h) for h in coset_counts(E, directions)),
+        dtype=np.int64,
+        count=len(directions),
+    )
+    return directions, sizes
 
 
 def compare_to_power(value: Fraction, base: int, exponent: Fraction) -> int:
@@ -244,7 +240,6 @@ def census_small_image(
     N: int,
     keep_sizes: bool = False,
     budget: int | None = DEFAULT_ENUM_BUDGET,
-    threads: int = 1,
 ) -> CensusReport:
     """Count directions with image size <= N against the bound 4 p^(m(n-m)-m) N.
 
@@ -256,7 +251,7 @@ def census_small_image(
     p, n = space.p, space.n
     if N < 0:
         raise ValueError("threshold N must be nonnegative")
-    _, sizes = projection_sizes(E, m, budget=budget, threads=threads)
+    _, sizes = projection_sizes(E, m, budget=budget)
     observed = int((sizes <= N).sum())
     bound = ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m))
     report = CensusReport(
@@ -282,7 +277,6 @@ def census_fractional_image(
     delta: Fraction,
     keep_sizes: bool = False,
     budget: int | None = DEFAULT_ENUM_BUDGET,
-    threads: int = 1,
 ) -> CensusReport:
     """Count directions with image <= delta p^m against 2 (delta/(1-delta)) p^(m(n-m)+m) / |E|."""
     space = E.space
@@ -291,7 +285,7 @@ def census_fractional_image(
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
     threshold = delta * p**m
-    _, sizes = projection_sizes(E, m, budget=budget, threads=threads)
+    _, sizes = projection_sizes(E, m, budget=budget)
     observed = int(
         (sizes * threshold.denominator <= threshold.numerator).sum()
     )
@@ -326,7 +320,6 @@ def census_at_scales(
     t: Fraction,
     keep_sizes: bool = False,
     budget: int | None = DEFAULT_ENUM_BUDGET,
-    threads: int = 1,
 ) -> dict[str, CensusReport]:
     """Three graded censuses for a set of declared exponent s (|E| ~ p^s).
 
@@ -340,7 +333,7 @@ def census_at_scales(
     space = E.space
     p, n = space.p, space.n
     s, t = Fraction(s), Fraction(t)
-    _, sizes = projection_sizes(E, m, budget=budget, threads=threads)
+    _, sizes = projection_sizes(E, m, budget=budget)
     size = E.cardinality
     size_ok = (
         size > 0

@@ -15,7 +15,6 @@ min_W |image| >= |E|/24 (s <= m) or "every projection full" (s > m).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -197,42 +196,23 @@ def _size_window(p: int, s: float, size: int) -> bool:
 
 
 def _sweep(
-    model: PercolationModel,
-    m: int,
-    trials: int,
-    directions: list[Subspace],
-    threads: int = 1,
+    model: PercolationModel, m: int, trials: int, directions: list[Subspace]
 ) -> tuple[list[int], list[int], list[bool], int]:
-    """Per-trial (|E|, min image, all-full flag) plus total empty-coset count.
-
-    Trials may run on a thread pool; results reduce by trial index either way.
-    """
+    """Per-trial (|E|, min image, all-full flag) plus total empty-coset count."""
     p_m = model.space.p**m
-
-    def one_trial(t: int) -> tuple[int, int, bool, int]:
+    sizes, mins, fulls, empty = [], [], [], 0
+    for t in range(trials):
         E = percolation_sample(model, t)
         _, image_sizes = projection_sizes(E, m, directions=directions)
-        return (
-            E.cardinality,
-            int(image_sizes.min()),
-            bool((image_sizes == p_m).all()),
-            int((p_m - image_sizes).sum()),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_trial, range(trials)))
-    else:
-        rows = [one_trial(t) for t in range(trials)]
-    sizes = [r[0] for r in rows]
-    mins = [r[1] for r in rows]
-    fulls = [r[2] for r in rows]
-    empty = sum(r[3] for r in rows)
+        sizes.append(E.cardinality)
+        mins.append(int(image_sizes.min()))
+        fulls.append(bool((image_sizes == p_m).all()))
+        empty += int((p_m - image_sizes).sum())
     return sizes, mins, fulls, empty
 
 
 def verify_small_regime(
-    p: int, n: int, m: int, s: float, trials: int, seed: int = 0, threads: int = 1
+    p: int, n: int, m: int, s: float, trials: int, seed: int = 0
 ) -> PercolationReport:
     """Sample sets of exponent s <= m; success = size window and min image >= |E|/24."""
     if not 0 < s <= m:
@@ -240,7 +220,7 @@ def verify_small_regime(
     space = AmbientSpace(p, n)
     model = PercolationModel.from_exponent(space, s, seed)
     directions = list(enumerate_grassmannian(space, n - m))
-    sizes, mins, fulls, _ = _sweep(model, m, trials, directions, threads=threads)
+    sizes, mins, fulls, _ = _sweep(model, m, trials, directions)
     chain = mu_lower_bound(p, n, m, s)
     window = [_size_window(p, s, sz) for sz in sizes]
     success = [
@@ -267,7 +247,7 @@ def verify_small_regime(
 
 
 def verify_large_regime(
-    p: int, n: int, m: int, s: float, trials: int, seed: int = 0, threads: int = 1
+    p: int, n: int, m: int, s: float, trials: int, seed: int = 0
 ) -> PercolationReport:
     """Sample sets of exponent s > m; success = every projection image is full."""
     if not m < s <= n:
@@ -276,9 +256,7 @@ def verify_large_regime(
     model = PercolationModel.from_exponent(space, s, seed)
     directions = list(enumerate_grassmannian(space, n - m))
     p_m = p**m
-    sizes, mins, fulls, empty_cosets = _sweep(
-        model, m, trials, directions, threads=threads
-    )
+    sizes, mins, fulls, empty_cosets = _sweep(model, m, trials, directions)
     window = [_size_window(p, s, sz) for sz in sizes]
     total_planes = trials * len(directions) * p_m
     return PercolationReport(

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, BudgetError, PointSet, base_p_digits, digits_of
+from .core import AmbientSpace, BudgetError, IdentityError, PointSet, base_p_digits, digits_of
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -67,7 +67,7 @@ def gaussian_binomial(n: int, m: int, p: int) -> int:
         num *= p**n - p**i
         den *= p**m - p**i
     if num % den:  # cannot happen; the quotient counts subspaces
-        raise ArithmeticError(f"non-exact division for C({n},{m})_{p}")
+        raise IdentityError(f"non-exact division for C({n},{m})_{p}")
     return num // den
 
 
@@ -323,7 +323,7 @@ def perp(W: Subspace) -> Subspace:
         vecs.append(v)
     out = Subspace.from_rows(space, vecs)
     if out.dim != n - W.dim:  # rank-nullity; cannot fail
-        raise ArithmeticError("nullspace dimension mismatch")
+        raise IdentityError("nullspace dimension mismatch")
     return out
 
 
@@ -390,7 +390,7 @@ def count_subspaces_containing(
             1 for V in enumerate_grassmannian(space, m) if V.contains(xi)
         )
         if observed != value:
-            raise ArithmeticError(
+            raise IdentityError(
                 f"containment count {observed} != closed form {value} for xi={xi}"
             )
     return value
@@ -412,7 +412,7 @@ def count_subspaces_with_perp_containing(
             if V.dim == 0 or not (V.matrix @ np.array(xi) % space.p).any():
                 observed += 1
         if observed != value:
-            raise ArithmeticError(
+            raise IdentityError(
                 f"dual containment count {observed} != closed form {value} for xi={xi}"
             )
     return value

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet, decode
+from .core import AmbientSpace, PointSet, digits_of
 from .energy import (
     energy_identity_closed_form,
     energy_over_all_planes,
@@ -183,17 +183,13 @@ def _perp_duality(space, grassmannians, checks) -> None:
 
 def _character_sums(space, grassmannians, checks) -> None:
     p, n = space.p, space.n
+    points = digits_of(space, np.arange(space.point_count))
     for k in range(n):
         for V in grassmannians[k]:
-            inside = set(int(i) for i in V.point_indices())
             dual_size = p ** (n - k)
-            worst = 0.0
-            for idx in range(space.point_count):
-                value = character_sum(V, decode(space, idx))
-                if idx in inside:
-                    worst = max(worst, abs(value - dual_size))
-                else:
-                    worst = max(worst, abs(value))
+            expected = np.zeros(space.point_count)
+            expected[V.point_indices()] = dual_size
+            worst = float(np.abs(character_sum(V, points) - expected).max())
             checks["character_sums"].record(
                 worst <= TOLERANCE * dual_size, p=p, n=n, dim=k,
                 subspace=V.basis, worst=worst,

@@ -135,7 +135,7 @@ def test_census_failure_exits_one(workdir, monkeypatch, capsys):
 
     from ffproj.projections import CensusReport, ExactBound
 
-    def fake_census(E, m, N, keep_sizes=False, threads=1):
+    def fake_census(E, m, N, keep_sizes=False):
         return CensusReport(
             kind="small_image", p=3, n=2, m=m, threshold=Fraction(N),
             observed=99, bound=ExactBound(Fraction(1), 3, Fraction(0)),
@@ -148,6 +148,21 @@ def test_census_failure_exits_one(workdir, monkeypatch, capsys):
                      "--kind", "small", "--N", "1"])
     assert code == 1
     assert "BOUND FAILED" in capsys.readouterr().err
+
+
+def test_internal_identity_failure_exits_one(workdir, monkeypatch, capsys):
+    from ffproj.core import IdentityError
+
+    def broken_dft(E):
+        raise IdentityError("Plancherel violated: 1.0 vs 2.0")
+
+    monkeypatch.setattr(cli, "dft", broken_dft)
+    monkeypatch.chdir(workdir)
+    code = cli.main(["spectrum", "--builtin", "paraboloid", "--p", "5", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "IDENTITY FAILED: Plancherel violated" in captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_malformed_pointset_exits_two(workdir):

@@ -170,6 +170,35 @@ def test_character_sum_exhaustive(p, n):
                     assert abs(value) < 1e-9 * dual_size
 
 
+@pytest.mark.parametrize("block", [None, 7])  # 7: many phase blocks per call
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_character_sum_array_matches_scalar_calls(p, n, block, monkeypatch):
+    from ffproj import fourier
+    from ffproj.core import decode
+
+    if block is not None:
+        monkeypatch.setattr(fourier, "_PHASE_BLOCK", block)
+    space = AmbientSpace(p, n)
+    rows = np.array([decode(space, idx) for idx in range(space.point_count)])
+    for k in range(n + 1):
+        for V in enumerate_grassmannian(space, k):
+            values = character_sum(V, rows)
+            assert values.shape == (space.point_count,)
+            for row, value in zip(rows, values):
+                assert abs(value - character_sum(V, tuple(row))) <= 1e-12 * p**n
+
+
+def test_character_sum_array_validation():
+    V = Subspace.from_rows(AmbientSpace(3, 2), [(1, 0)])
+    assert character_sum(V, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError):
+        character_sum(V, [(0, 0, 0)])
+    with pytest.raises(ValueError):
+        character_sum(V, [(0, 3)])
+    with pytest.raises(ValueError):
+        character_sum(V, [(-1, 0)])
+
+
 def test_character_sum_over_brute_dual():
     # the summation set itself agrees with the brute-force dual
     space = AmbientSpace(3, 2)

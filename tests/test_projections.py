@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ffproj.core import AmbientSpace, PointSet, build_point_set
 from ffproj.projections import (
@@ -11,6 +13,7 @@ from ffproj.projections import (
     census_fractional_image,
     census_small_image,
     compare_to_power,
+    coset_counts,
     coset_profile,
     floor_power_quotient,
     project,
@@ -19,7 +22,7 @@ from ffproj.projections import (
 )
 from ffproj.subspaces import Subspace, enumerate_grassmannian, perp
 
-from oracles import brute_coset_counts, brute_cosets_hit
+from oracles import brute_coset_counts, brute_cosets_hit, span_points
 
 F32 = AmbientSpace(3, 2)
 F32_DIRECTIONS = list(enumerate_grassmannian(F32, 1))
@@ -89,6 +92,40 @@ def test_profile_matches_brute_counts():
                 E.vectors(), W.point_set().vectors(), 5, 2
             )
             assert sorted(prof.counts.tolist()) == oracle
+
+
+@st.composite
+def _sweep_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(0, n))
+    mask = draw(st.lists(st.booleans(), min_size=p**n, max_size=p**n))
+    return p, n, dim, mask
+
+
+@given(_sweep_cases())
+@example((3, 2, 1, [False] * 9))  # empty E
+@example((2, 3, 0, [True, False] * 4))  # dim W = 0: one coset per point
+@example((3, 2, 2, [True, False, True] * 3))  # dim W = n: a single coset
+@settings(max_examples=60, deadline=None)
+def test_coset_counts_match_brute_force(case):
+    p, n, dim, mask = case
+    space = AmbientSpace(p, n)
+    E = PointSet(space, np.array(mask))
+    directions = list(enumerate_grassmannian(space, dim))
+    histograms = list(coset_counts(E, directions))
+    assert len(histograms) == len(directions)
+    for W, counts in zip(directions, histograms):
+        assert counts.dtype == np.int64 and counts.size == p ** (n - dim)
+        oracle = brute_coset_counts(E.vectors(), span_points(W.basis, p, n), p, n)
+        assert sorted(counts.tolist()) == oracle
+
+
+def test_coset_counts_rejects_foreign_direction():
+    E = PointSet.full(F32)
+    W = next(enumerate_grassmannian(AmbientSpace(5, 2), 1))
+    with pytest.raises(ValueError):
+        next(coset_counts(E, [W]))
 
 
 def test_exhaustive_f32_invariants():

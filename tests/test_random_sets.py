@@ -189,22 +189,6 @@ def test_chebyshev_degenerate_density():
     assert result.empirical_rate == 0.0 and result.ok
 
 
-def test_threaded_sweeps_match_single_threaded():
-    # reports must not depend on the worker schedule
-    from ffproj.projections import projection_sizes
-
-    rng = np.random.default_rng(5)
-    space = AmbientSpace(7, 2)
-    for _ in range(10):
-        E = percolation_sample(PercolationModel(space, 0.5, seed=int(rng.integers(99))))
-        _, s1 = projection_sizes(E, 1, threads=1)
-        _, s4 = projection_sizes(E, 1, threads=4)
-        assert np.array_equal(s1, s4)
-    a = verify_small_regime(13, 2, 1, 1.0, trials=30, seed=3, threads=1)
-    b = verify_small_regime(13, 2, 1, 1.0, trials=30, seed=3, threads=4)
-    assert a.to_json_dict() == b.to_json_dict() and a.sizes == b.sizes
-
-
 def test_sampled_sets_respect_projection_invariants():
     # piggyback: the projection module's cap holds on every sampled set
     from ffproj.projections import projection_sizes
