@@ -16,7 +16,6 @@ from .core import (
     BudgetError,
     IdentityError,
     PointSet,
-    build_point_set,
     decode,
     dot,
     encode,

@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -45,11 +44,12 @@ from .projections import (
 )
 from .random_sets import verify_large_regime, verify_small_regime
 from .subspaces import (
-    DEFAULT_ENUM_BUDGET,
+    BUDGET_ENV,
     Subspace,
     affine_count,
     enumerate_affine,
     enumerate_grassmannian,
+    enumeration_budget,
     gaussian_binomial,
     load_subspace,
     serialize_subspace,
@@ -60,20 +60,9 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 
-BUDGET_ENV = "FFPROJ_BUDGET"
-
 # --threads is still parsed and recorded because it is part of the hashed
 # census and percolate configs; every sweep runs in one thread.
 _THREADS_HELP = "recorded in the config only; sweeps run in one thread"
-
-
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _default_budget() -> int:
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_ENUM_BUDGET
 
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -137,10 +126,6 @@ def _emit(envelope: dict, out_path: str | None, to_stdout: bool = True) -> None:
         sys.stdout.write(text)
 
 
-def _load_pointset_arg(path: str):
-    return load_point_set(path)
-
-
 def _subspace_from_cfg(space: AmbientSpace, cfg: dict) -> Subspace:
     if cfg.get("subspace"):
         return load_subspace(cfg["subspace"], space=space)
@@ -161,7 +146,7 @@ def _subspace_from_cfg(space: AmbientSpace, cfg: dict) -> Subspace:
 def cmd_enumerate(args) -> int:
     defaults = {
         "p": None, "n": None, "m": None, "affine": False,
-        "dump": None, "out": None, "budget": _default_budget(),
+        "dump": None, "out": None, "budget": enumeration_budget(),
     }
     cfg = _resolve_config(args, defaults)
     _require(cfg, "p", "n", "m")
@@ -200,7 +185,7 @@ def cmd_project(args) -> int:
     cfg = _resolve_config(args, defaults)
     _require(cfg, "pointset")
     started = time.time()
-    E = _load_pointset_arg(cfg["pointset"])
+    E = load_point_set(cfg["pointset"])
     W = _subspace_from_cfg(E.space, cfg)
     image = project_onto(E, W) if cfg["onto"] else project(E, W)
     report = {
@@ -222,17 +207,13 @@ def _census_reports(E, cfg) -> list:
     kind = cfg["kind"]
     if kind == "small":
         _require(cfg, "N")
-        return [census_small_image(E, cfg["m"], cfg["N"], keep_sizes=True)]
+        return [census_small_image(E, cfg["m"], cfg["N"])]
     if kind == "large":
         _require(cfg, "delta")
-        return [
-            census_fractional_image(E, cfg["m"], Fraction(cfg["delta"]), keep_sizes=True)
-        ]
+        return [census_fractional_image(E, cfg["m"], Fraction(cfg["delta"]))]
     if kind == "scales":
         _require(cfg, "s", "t")
-        reports = census_at_scales(
-            E, cfg["m"], Fraction(cfg["s"]), Fraction(cfg["t"]), keep_sizes=True
-        )
+        reports = census_at_scales(E, cfg["m"], Fraction(cfg["s"]), Fraction(cfg["t"]))
         return [reports["scale_t"], reports["scale_m"], reports["full_image"]]
     raise ValueError(f"unknown census kind {kind!r}")
 
@@ -245,15 +226,13 @@ def cmd_census(args) -> int:
     cfg = _resolve_config(args, defaults)
     _require(cfg, "pointset", "m", "kind")
     started = time.time()
-    E = _load_pointset_arg(cfg["pointset"])
+    E = load_point_set(cfg["pointset"])
     reports = _census_reports(E, cfg)
     if cfg["sizes_csv"]:
-        sizes = reports[0].sizes
-        directions = list(enumerate_grassmannian(E.space, E.space.n - cfg["m"]))
         with open(cfg["sizes_csv"], "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["direction_index", "basis", "image_size"])
-            for i, (W, sz) in enumerate(zip(directions, sizes)):
+            for i, (W, sz) in enumerate(zip(reports[0].directions, reports[0].sizes)):
                 basis = ";".join(",".join(str(c) for c in row) for row in W.basis)
                 writer.writerow([i, basis, int(sz)])
     payload = [r.to_json_dict() for r in reports]
@@ -276,7 +255,7 @@ def cmd_energy(args) -> int:
     cfg = _resolve_config(args, defaults)
     _require(cfg, "pointset", "m")
     started = time.time()
-    E = _load_pointset_arg(cfg["pointset"])
+    E = load_point_set(cfg["pointset"])
     lhs, rhs, equal = verify_energy_identity(E, cfg["m"])
     spectral, rhs2, diff = verify_energy_identity_fourier(E, cfg["m"])
     spectral_ok = diff <= TOLERANCE * max(1.0, rhs2)
@@ -319,7 +298,7 @@ def cmd_spectrum(args) -> int:
             raise ValueError(f"unknown builtin {cfg['builtin']!r}")
     else:
         _require(cfg, "pointset")
-        E = _load_pointset_arg(cfg["pointset"])
+        E = load_point_set(cfg["pointset"])
     spectrum = dft(E)
     decay = salem_deficiency(E, spectrum=spectrum)
     report = {"decay": decay.to_json_dict()}

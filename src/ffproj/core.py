@@ -30,7 +30,6 @@ __all__ = [
     "base_p_digits",
     "dot",
     "PointSet",
-    "build_point_set",
     "save_point_set",
     "load_point_set",
 ]
@@ -186,9 +185,11 @@ class PointSet:
         return cls(space, np.ones(space.point_count, dtype=bool))
 
     @classmethod
-    def from_indices(cls, space: AmbientSpace, indices: Iterable[int]) -> "PointSet":
+    def from_indices(
+        cls, space: AmbientSpace, indices: np.ndarray | Sequence[int]
+    ) -> "PointSet":
         mask = np.zeros(space.point_count, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size:
             if idx.min() < 0 or idx.max() >= space.point_count:
                 raise ValueError("point index out of range")
@@ -199,19 +200,15 @@ class PointSet:
     def from_vectors(
         cls, space: AmbientSpace, vectors: Iterable[Sequence[int]]
     ) -> "PointSet":
-        return cls.from_indices(space, (encode(space, v) for v in vectors))
+        return cls.from_indices(
+            space, np.fromiter((encode(space, v) for v in vectors), dtype=np.int64)
+        )
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [decode(self.space, int(i)) for i in self.indices()]
-
-    def contains_index(self, idx: int) -> bool:
-        return bool(self.mask[idx])
-
-    def contains_vector(self, v: Sequence[int]) -> bool:
-        return bool(self.mask[encode(self.space, v)])
 
     def __len__(self) -> int:
         return self.cardinality
@@ -228,13 +225,6 @@ class PointSet:
             f"PointSet(p={self.space.p}, n={self.space.n}, "
             f"cardinality={self.cardinality})"
         )
-
-
-def build_point_set(
-    space: AmbientSpace, points: Iterable[Sequence[int]]
-) -> PointSet:
-    """Assemble a point set from vectors; duplicates collapse."""
-    return PointSet.from_vectors(space, points)
 
 
 _POINTSET_HEADER = re.compile(r"^ffpointset 1 p=(\d+) n=(\d+)$")

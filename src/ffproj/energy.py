@@ -78,11 +78,7 @@ def energy(E: PointSet, planes: Sequence[AffinePlane]) -> int:
 
 def all_planes(space: AmbientSpace, m: int) -> list[AffinePlane]:
     """The full family A(n,m), ordered by direction then coset label."""
-    return [
-        plane
-        for W in enumerate_grassmannian(space, m)
-        for plane in all_cosets(W)
-    ]
+    return coset_expansion(enumerate_grassmannian(space, m))
 
 
 def coset_expansion(directions: Iterable[Subspace]) -> list[AffinePlane]:

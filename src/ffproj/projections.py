@@ -13,6 +13,7 @@ so satisfaction is decided by integer arithmetic, never by floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -21,7 +22,6 @@ import numpy as np
 
 from .core import PointSet, digits_of
 from .subspaces import (
-    DEFAULT_ENUM_BUDGET,
     Subspace,
     binom_at_most_twice_power,
     coset_labels,
@@ -117,17 +117,14 @@ def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
 
 
 def projection_sizes(
-    E: PointSet,
-    m: int,
-    directions: Sequence[Subspace] | None = None,
-    budget: int | None = DEFAULT_ENUM_BUDGET,
+    E: PointSet, m: int, directions: Sequence[Subspace] | None = None
 ) -> tuple[list[Subspace], np.ndarray]:
     """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order."""
     space = E.space
     if not 1 <= m <= space.n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     if directions is None:
-        directions = enumerate_grassmannian(space, space.n - m, budget=budget)
+        directions = enumerate_grassmannian(space, space.n - m)
     directions = list(directions)
     sizes = np.fromiter(
         (np.count_nonzero(h) for h in coset_counts(E, directions)),
@@ -201,7 +198,8 @@ class CensusReport:
     hypothesis_ok: bool
     range_condition_ok: bool
     params: dict = field(default_factory=dict)
-    sizes: np.ndarray | None = None
+    directions: list[Subspace] | None = None  # the sweep: every W in G(n, n-m)
+    sizes: np.ndarray | None = None  # |image(E, W)| for each of ``directions``
 
     def to_json_dict(self) -> dict:
         frac = self.bound.as_fraction() if self.bound is not None else None
@@ -234,92 +232,88 @@ class CensusReport:
         return out
 
 
-def census_small_image(
+def _census_report(
     E: PointSet,
     m: int,
-    N: int,
-    keep_sizes: bool = False,
-    budget: int | None = DEFAULT_ENUM_BUDGET,
+    sweep: tuple[list[Subspace], np.ndarray],
+    *,
+    kind: str,
+    threshold: int | Fraction,
+    bound: ExactBound | None,
+    hypothesis_ok: bool,
+    range_k: int,
+    params: dict,
 ) -> CensusReport:
-    """Count directions with image size <= N against the bound 4 p^(m(n-m)-m) N.
+    """Count the directions of ``sweep`` with image size <= threshold against ``bound``.
 
-    The bound is asserted under the hypothesis N < |E|/2 and requires the
-    range condition instance C(n-1, n-m-1)_p <= 2 p^((n-m-1)m); both are
-    reported as flags rather than raised.
+    The range condition checked is C(n-1, range_k)_p <= 2 p^(range_k (n-1-range_k)).
     """
-    space = E.space
-    p, n = space.p, space.n
-    if N < 0:
-        raise ValueError("threshold N must be nonnegative")
-    _, sizes = projection_sizes(E, m, budget=budget)
-    observed = int((sizes <= N).sum())
-    bound = ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m))
-    report = CensusReport(
-        kind="small_image",
-        p=p,
-        n=n,
-        m=m,
-        threshold=Fraction(N),
-        observed=observed,
-        bound=bound,
-        satisfied=bound.satisfied_by(observed),
-        hypothesis_ok=2 * N < E.cardinality,
-        range_condition_ok=binom_at_most_twice_power(n - 1, n - m - 1, p),
-        params={"N": N, "set_size": E.cardinality},
-        sizes=sizes if keep_sizes else None,
-    )
-    return report
-
-
-def census_fractional_image(
-    E: PointSet,
-    m: int,
-    delta: Fraction,
-    keep_sizes: bool = False,
-    budget: int | None = DEFAULT_ENUM_BUDGET,
-) -> CensusReport:
-    """Count directions with image <= delta p^m against 2 (delta/(1-delta)) p^(m(n-m)+m) / |E|."""
-    space = E.space
-    p, n = space.p, space.n
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    threshold = delta * p**m
-    _, sizes = projection_sizes(E, m, budget=budget)
-    observed = int(
-        (sizes * threshold.denominator <= threshold.numerator).sum()
-    )
-    size = E.cardinality
-    if size > 0:
-        bound = ExactBound(
-            2 * delta / (1 - delta) / size, p, Fraction(m * (n - m) + m)
-        )
-        satisfied = bound.satisfied_by(observed)
-    else:
-        bound, satisfied = None, None
+    directions, sizes = sweep
+    p, n = E.space.p, E.space.n
+    threshold = Fraction(threshold)
+    observed = int((sizes <= math.floor(threshold)).sum())
     return CensusReport(
-        kind="fractional_image",
+        kind=kind,
         p=p,
         n=n,
         m=m,
         threshold=threshold,
         observed=observed,
         bound=bound,
-        satisfied=satisfied,
+        satisfied=bound.satisfied_by(observed) if bound is not None else None,
+        hypothesis_ok=hypothesis_ok,
+        range_condition_ok=binom_at_most_twice_power(n - 1, range_k, p),
+        params=params,
+        directions=directions,
+        sizes=sizes,
+    )
+
+
+def census_small_image(E: PointSet, m: int, N: int) -> CensusReport:
+    """Count directions with image size <= N against the bound 4 p^(m(n-m)-m) N.
+
+    The bound is asserted under the hypothesis N < |E|/2 and requires the
+    range condition instance C(n-1, n-m-1)_p <= 2 p^((n-m-1)m); both are
+    reported as flags rather than raised.
+    """
+    p, n = E.space.p, E.space.n
+    if N < 0:
+        raise ValueError("threshold N must be nonnegative")
+    return _census_report(
+        E, m, projection_sizes(E, m),
+        kind="small_image",
+        threshold=N,
+        bound=ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m)),
+        hypothesis_ok=2 * N < E.cardinality,
+        range_k=n - m - 1,
+        params={"N": N, "set_size": E.cardinality},
+    )
+
+
+def census_fractional_image(E: PointSet, m: int, delta: Fraction) -> CensusReport:
+    """Count directions with image <= delta p^m against 2 (delta/(1-delta)) p^(m(n-m)+m) / |E|."""
+    p, n = E.space.p, E.space.n
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie strictly between 0 and 1")
+    size = E.cardinality
+    return _census_report(
+        E, m, projection_sizes(E, m),
+        kind="fractional_image",
+        threshold=delta * p**m,
+        bound=(
+            ExactBound(2 * delta / (1 - delta) / size, p, Fraction(m * (n - m) + m))
+            if size > 0
+            else None
+        ),
         hypothesis_ok=size > 0,
-        range_condition_ok=binom_at_most_twice_power(n - 1, m - 1, p),
+        range_k=m - 1,
         params={"delta": delta, "set_size": size},
-        sizes=sizes if keep_sizes else None,
     )
 
 
 def census_at_scales(
-    E: PointSet,
-    m: int,
-    s: Fraction,
-    t: Fraction,
-    keep_sizes: bool = False,
-    budget: int | None = DEFAULT_ENUM_BUDGET,
+    E: PointSet, m: int, s: Fraction, t: Fraction
 ) -> dict[str, CensusReport]:
     """Three graded censuses for a set of declared exponent s (|E| ~ p^s).
 
@@ -327,71 +321,47 @@ def census_at_scales(
     scale_m:    image <= floor(p^m/10)   vs (1/2) p^(m(n-m)-(s-m)), for s > m
     full_image: image != p^m             vs   4   p^(m(n-m)-(s-2m)), for s > 2m
 
-    Every report is computed; hypothesis flags mark which bounds are asserted.
-    The size window p^s/2 <= |E| <= 2 p^s is part of every hypothesis.
+    Every report is computed from one sweep; hypothesis flags mark which
+    bounds are asserted.  The size window p^s/2 <= |E| <= 2 p^s is part of
+    every hypothesis.
     """
-    space = E.space
-    p, n = space.p, space.n
+    p, n = E.space.p, E.space.n
     s, t = Fraction(s), Fraction(t)
-    _, sizes = projection_sizes(E, m, budget=budget)
+    sweep = projection_sizes(E, m)
     size = E.cardinality
     size_ok = (
         size > 0
         and compare_to_power(Fraction(2 * size), p, s) >= 0
         and compare_to_power(Fraction(size, 2), p, s) <= 0
     )
-    kept = sizes if keep_sizes else None
-
-    n_t = floor_power_quotient(p, t, 10)
-    observed_t = int((sizes <= n_t).sum())
-    bound_t = ExactBound(Fraction(1, 2), p, Fraction(m * (n - m)) - (m - t))
-    report_t = CensusReport(
-        kind="scale_t",
-        p=p,
-        n=n,
-        m=m,
-        threshold=Fraction(n_t),
-        observed=observed_t,
-        bound=bound_t,
-        satisfied=bound_t.satisfied_by(observed_t),
-        hypothesis_ok=size_ok and s <= m and 0 < t <= s,
-        range_condition_ok=binom_at_most_twice_power(n - 1, n - m - 1, p),
-        params={"s": s, "t": t, "set_size": size},
-        sizes=kept,
-    )
-
-    n_m = p**m // 10
-    observed_m = int((sizes <= n_m).sum())
-    bound_m = ExactBound(Fraction(1, 2), p, Fraction(m * (n - m)) - (s - m))
-    report_m = CensusReport(
-        kind="scale_m",
-        p=p,
-        n=n,
-        m=m,
-        threshold=Fraction(n_m),
-        observed=observed_m,
-        bound=bound_m,
-        satisfied=bound_m.satisfied_by(observed_m),
-        hypothesis_ok=size_ok and s > m,
-        range_condition_ok=binom_at_most_twice_power(n - 1, m - 1, p),
-        params={"s": s, "set_size": size},
-        sizes=kept,
-    )
-
-    observed_f = int((sizes != p**m).sum())
-    bound_f = ExactBound(Fraction(4), p, Fraction(m * (n - m)) - (s - 2 * m))
-    report_f = CensusReport(
-        kind="full_image",
-        p=p,
-        n=n,
-        m=m,
-        threshold=Fraction(p**m - 1),
-        observed=observed_f,
-        bound=bound_f,
-        satisfied=bound_f.satisfied_by(observed_f),
-        hypothesis_ok=size_ok and s > 2 * m,
-        range_condition_ok=binom_at_most_twice_power(n - 1, m - 1, p),
-        params={"s": s, "set_size": size},
-        sizes=kept,
-    )
-    return {"scale_t": report_t, "scale_m": report_m, "full_image": report_f}
+    grade = Fraction(m * (n - m))
+    return {
+        "scale_t": _census_report(
+            E, m, sweep,
+            kind="scale_t",
+            threshold=floor_power_quotient(p, t, 10),
+            bound=ExactBound(Fraction(1, 2), p, grade - (m - t)),
+            hypothesis_ok=size_ok and s <= m and 0 < t <= s,
+            range_k=n - m - 1,
+            params={"s": s, "t": t, "set_size": size},
+        ),
+        "scale_m": _census_report(
+            E, m, sweep,
+            kind="scale_m",
+            threshold=p**m // 10,
+            bound=ExactBound(Fraction(1, 2), p, grade - (s - m)),
+            hypothesis_ok=size_ok and s > m,
+            range_k=m - 1,
+            params={"s": s, "set_size": size},
+        ),
+        # an image has at most p^m cosets, so "image != p^m" is "image <= p^m - 1"
+        "full_image": _census_report(
+            E, m, sweep,
+            kind="full_image",
+            threshold=p**m - 1,
+            bound=ExactBound(Fraction(4), p, grade - (s - 2 * m)),
+            hypothesis_ok=size_ok and s > 2 * m,
+            range_k=m - 1,
+            params={"s": s, "set_size": size},
+        ),
+    }

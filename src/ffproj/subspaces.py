@@ -21,6 +21,7 @@ Per(W) may intersect nontrivially (span{(1,1)} in F_2^2 is self-dual).
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +32,8 @@ from .core import AmbientSpace, BudgetError, IdentityError, PointSet, base_p_dig
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
+    "BUDGET_ENV",
+    "enumeration_budget",
     "gaussian_binomial",
     "gaussian_binomial_or_zero",
     "check_range_condition",
@@ -54,6 +57,13 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 10**7
+BUDGET_ENV = "FFPROJ_BUDGET"
+
+
+def enumeration_budget() -> int:
+    """Most objects one enumeration may stream: $FFPROJ_BUDGET, else DEFAULT_ENUM_BUDGET."""
+    env = os.environ.get(BUDGET_ENV)
+    return int(env) if env else DEFAULT_ENUM_BUDGET
 
 
 def gaussian_binomial(n: int, m: int, p: int) -> int:
@@ -259,18 +269,21 @@ class AffinePlane:
 
 
 def enumerate_grassmannian(
-    space: AmbientSpace, m: int, budget: int | None = DEFAULT_ENUM_BUDGET
+    space: AmbientSpace, m: int, budget: int | None = None
 ) -> Iterator[Subspace]:
     """Stream all m-dimensional subspaces in canonical RREF form.
 
     Order is deterministic: lexicographic over pivot-column patterns, then
-    over the free entries (row-major, least significant last).
+    over the free entries (row-major, least significant last).  ``budget``
+    defaults to :func:`enumeration_budget`.
     """
     p, n = space.p, space.n
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
+    if budget is None:
+        budget = enumeration_budget()
     total = gaussian_binomial(n, m, p)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetError(
             f"G({n},{m}) over F_{p} has {total} elements, over budget {budget}"
         )
@@ -297,15 +310,17 @@ def affine_count(space: AmbientSpace, m: int) -> int:
 
 
 def enumerate_affine(
-    space: AmbientSpace, m: int, budget: int | None = DEFAULT_ENUM_BUDGET
+    space: AmbientSpace, m: int, budget: int | None = None
 ) -> Iterator[AffinePlane]:
     """Stream all m-dimensional planes (every coset of every direction)."""
+    if budget is None:
+        budget = enumeration_budget()
     total = affine_count(space, m)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetError(
             f"A({space.n},{m}) over F_{space.p} has {total} elements, over budget {budget}"
         )
-    for W in enumerate_grassmannian(space, m, budget=None):
+    for W in enumerate_grassmannian(space, m, budget=budget):
         for rep in coset_reps(W):
             yield AffinePlane(W, rep)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ffproj import cli
-from ffproj.core import AmbientSpace, save_point_set
+from ffproj import cli, projections
+from ffproj.core import AmbientSpace, load_point_set, save_point_set
 from ffproj.subspaces import Subspace
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,6 +131,32 @@ def test_census_scales_and_sizes_csv(workdir):
     assert len(lines) == 5  # four directions
 
 
+def test_sizes_csv_is_the_census_sweep(workdir, monkeypatch):
+    expected_dirs, expected_sizes = projections.projection_sizes(
+        load_point_set(workdir / "line.pts"), 1
+    )
+    calls = []
+    real = projections.enumerate_grassmannian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(projections, "enumerate_grassmannian", counting)
+    monkeypatch.setattr(cli, "enumerate_grassmannian", counting)
+    monkeypatch.chdir(workdir)
+    code = cli.main(["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
+                     "--s", "1", "--t", "1", "--sizes-csv", "sizes.csv", "--out", "r.json"])
+    assert code == 0
+    assert len(calls) == 1
+    with open(workdir / "sizes.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [
+        [str(i), ";".join(",".join(map(str, r)) for r in W.basis), str(sz)]
+        for i, (W, sz) in enumerate(zip(expected_dirs, expected_sizes))
+    ]
+
+
 def test_census_failure_exits_one(workdir, monkeypatch, capsys):
     from fractions import Fraction
 
@@ -199,6 +226,28 @@ def test_budget_env_variable(workdir):
         workdir, env_extra={"FFPROJ_BUDGET": "3"},
     )
     assert result.returncode == 0  # explicit flag wins over the environment
+
+
+@pytest.mark.parametrize("args", [
+    ["census", "--pointset", "f53.pts", "--m", "1", "--kind", "small", "--N", "1"],
+    ["energy", "--pointset", "f53.pts", "--m", "1"],
+    ["percolate", "--regime", "small", "--p", "5", "--n", "3", "--m", "1",
+     "--s", "1", "--trials", "2"],
+    ["verify", "--p", "5", "--n", "3"],
+    ["spectrum", "--builtin", "paraboloid", "--p", "5", "--n", "3",
+     "--C", "1", "--alpha", "0.5", "--m", "1"],
+], ids=lambda args: args[0])
+def test_budget_env_binds_every_sweep(workdir, monkeypatch, capsys, args):
+    # G(3,1) and G(3,2) over F_5 have 31 elements each
+    save_point_set(Subspace.from_rows(AmbientSpace(5, 3), [(1, 0, 0)]).point_set(),
+                   workdir / "f53.pts")
+    monkeypatch.setenv("FFPROJ_BUDGET", "5")
+    monkeypatch.chdir(workdir)
+    assert cli.main([*args, "--out", "report.json"]) == 2
+    captured = capsys.readouterr()
+    assert "budget error: G(3," in captured.err and "over budget 5" in captured.err
+    assert "CHECK" not in captured.out
+    assert not (workdir / "report.json").exists()
 
 
 def test_config_file_merge(workdir):

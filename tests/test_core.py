@@ -5,7 +5,6 @@ from ffproj.core import (
     AmbientSpace,
     BudgetError,
     PointSet,
-    build_point_set,
     decode,
     dot,
     encode,
@@ -86,7 +85,7 @@ def test_space_budget():
 
 def test_point_set_dedup_and_cardinality():
     space = AmbientSpace(3, 2)
-    E = build_point_set(space, [(0, 0), (0, 0), (1, 1)])
+    E = PointSet.from_vectors(space, [(0, 0), (0, 0), (1, 1)])
     assert E.cardinality == 2
     assert E.cardinality == int(np.sum(E.mask))
     assert PointSet.empty(space).cardinality == 0
@@ -114,14 +113,14 @@ def test_point_set_immutable():
 def test_point_set_rejects_outside_points():
     space = AmbientSpace(3, 2)
     with pytest.raises(ValueError):
-        build_point_set(space, [(3, 0)])
+        PointSet.from_vectors(space, [(3, 0)])
     with pytest.raises(ValueError):
         PointSet.from_indices(space, [9])
 
 
 def test_point_set_file_roundtrip(tmp_path):
     space = AmbientSpace(5, 2)
-    E = build_point_set(space, [(0, 0), (4, 3), (2, 2)])
+    E = PointSet.from_vectors(space, [(0, 0), (4, 3), (2, 2)])
     path = tmp_path / "set.pts"
     save_point_set(E, path)
     back = load_point_set(path)
@@ -132,7 +131,7 @@ def test_point_set_file_roundtrip(tmp_path):
 def test_point_set_file_format(tmp_path):
     space = AmbientSpace(3, 2)
     path = tmp_path / "set.pts"
-    save_point_set(build_point_set(space, [(1, 0)]), path)
+    save_point_set(PointSet.from_vectors(space, [(1, 0)]), path)
     assert path.read_text() == "ffpointset 1 p=3 n=2\n1,0\n"
 
 

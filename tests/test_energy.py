@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffproj.core import AmbientSpace, PointSet, build_point_set
+from ffproj.core import AmbientSpace, PointSet
 from ffproj.energy import (
     additive_energy,
     all_planes,
@@ -35,7 +35,7 @@ def test_energy_singleton_counts_planes_through_point():
 
 
 def test_energy_two_points_f32():
-    E = build_point_set(F32, [(0, 0), (1, 2)])
+    E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
     assert energy(E, all_planes(F32, 1)) == 10
     assert energy_over_all_planes(E, 1) == 10
 
@@ -88,7 +88,7 @@ def test_identity_random_draws(p, n):
 def test_identity_closed_form_edges():
     # m = 0: planes are single points, energy = |E|; m = n: one plane, |E|^2
     space = AmbientSpace(3, 2)
-    E = build_point_set(space, [(0, 0), (1, 1), (2, 0)])
+    E = PointSet.from_vectors(space, [(0, 0), (1, 1), (2, 0)])
     assert energy_identity_closed_form(space, 3, 0) == 3
     assert energy_over_all_planes(E, 0) == 3
     assert energy_identity_closed_form(space, 3, 2) == 9
@@ -96,7 +96,7 @@ def test_identity_closed_form_edges():
 
 
 def test_identity_fourier_path():
-    E = build_point_set(F32, [(0, 0), (1, 2)])
+    E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
     lhs, rhs, diff = verify_energy_identity_fourier(E, 1)
     assert rhs == 10 and diff <= 1e-9 * 10
 

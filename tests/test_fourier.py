@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ffproj.core import AmbientSpace, BudgetError, PointSet, build_point_set, encode
+from ffproj.core import AmbientSpace, BudgetError, PointSet, encode
 from ffproj.fourier import (
     FULL_SPECTRUM_BUDGET,
     SalemProfile,
@@ -36,7 +36,7 @@ def test_dft_singleton_and_full():
 
 def test_dft_two_point_example():
     space = AmbientSpace(3, 1)
-    E = build_point_set(space, [(0,), (1,)])
+    E = PointSet.from_vectors(space, [(0,), (1,)])
     S = dft(E)
     expected = 1 + np.exp(-2j * np.pi / 3)
     assert abs(S.values[1] - expected) < 1e-12
@@ -320,7 +320,7 @@ def test_projection_bounds_paraboloid_sweep(p):
 
 def test_spectrum_csv_roundtrip(tmp_path):
     space = AmbientSpace(3, 2)
-    E = build_point_set(space, [(0, 0), (1, 2), (2, 2)])
+    E = PointSet.from_vectors(space, [(0, 0), (1, 2), (2, 2)])
     S = dft(E)
     path = tmp_path / "spec.csv"
     save_spectrum_csv(S, path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffproj.core import AmbientSpace, PointSet, build_point_set
+from ffproj.core import AmbientSpace, BudgetError, PointSet
 from ffproj.projections import (
     ExactBound,
     census_at_scales,
@@ -46,7 +46,7 @@ def test_project_line_directions():
 
 
 def test_project_degenerate_directions():
-    E = build_point_set(F32, [(0, 0), (1, 2)])
+    E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
     img_zero = project(E, Subspace.zero(F32))
     assert img_zero.degenerate and img_zero.size == E.cardinality
     img_full = project(E, Subspace.full(F32))
@@ -57,14 +57,14 @@ def test_project_matches_brute_cosets_exhaustive():
     vectors = [tuple(v) for v in itertools.product(range(3), repeat=2)]
     for bits in range(0, 512, 7):  # a spread of subsets, endpoints included
         E_vectors = [v for i, v in enumerate(vectors) if bits >> i & 1]
-        E = build_point_set(F32, E_vectors)
+        E = PointSet.from_vectors(F32, E_vectors)
         for W in F32_DIRECTIONS:
             pts = W.point_set().vectors()
             assert project(E, W).size == len(brute_cosets_hit(E_vectors, pts, 3))
 
 
 def test_profile_example():
-    E = build_point_set(F32, [(0, 0), (1, 0), (0, 1)])
+    E = PointSet.from_vectors(F32, [(0, 0), (1, 0), (0, 1)])
     W = Subspace.from_rows(F32, [(0, 1)])  # cosets are the columns x1 = const
     prof = coset_profile(E, W)
     assert sorted(prof.counts.tolist()) == [0, 1, 2]
@@ -240,6 +240,28 @@ def test_census_at_scales_line():
     assert reports["scale_t"].threshold == 0
     assert reports["scale_t"].observed == 0
     assert reports["scale_t"].hypothesis_ok
+
+
+def test_census_reports_carry_their_sweep():
+    space = AmbientSpace(3, 3)
+    E = PointSet.from_indices(space, [0, 1, 5, 13, 26])
+    directions, sizes = projection_sizes(E, 1)
+    reports = [
+        census_small_image(E, 1, 2),
+        census_fractional_image(E, 1, Fraction(1, 2)),
+        *census_at_scales(E, 1, Fraction(3, 2), Fraction(1)).values(),
+    ]
+    for r in reports:
+        assert r.directions == directions
+        assert np.array_equal(r.sizes, sizes)
+        assert r.observed == int((sizes <= r.threshold).sum())
+
+
+def test_projection_sizes_obeys_budget_env(monkeypatch):
+    monkeypatch.setenv("FFPROJ_BUDGET", "5")
+    E = PointSet.full(AmbientSpace(5, 3))  # G(3,2) over F_5 has 31 elements
+    with pytest.raises(BudgetError, match="over budget 5"):
+        projection_sizes(E, 1)
 
 
 def test_census_at_scales_case_b_example():
