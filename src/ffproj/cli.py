@@ -26,6 +26,7 @@ from .energy import verify_energy_identity, verify_energy_identity_fourier
 from .fourier import (
     TOLERANCE,
     SalemProfile,
+    check_spectrum_budget,
     dft,
     paraboloid,
     projection_bound_report,
@@ -158,8 +159,6 @@ def cmd_enumerate(args) -> int:
     else:
         count = gaussian_binomial(cfg["n"], cfg["m"], cfg["p"])
         stream = enumerate_grassmannian(space, cfg["m"], budget=cfg["budget"])
-    if count > cfg["budget"]:
-        raise BudgetError(f"{count} elements exceed budget {cfg['budget']}")
     if cfg["dump"]:
         with open(cfg["dump"], "w", encoding="ascii") as fh:
             if cfg["affine"]:
@@ -289,6 +288,7 @@ def cmd_spectrum(args) -> int:
     if cfg["builtin"]:
         _require(cfg, "p", "n")
         space = AmbientSpace(cfg["p"], cfg["n"])
+        check_spectrum_budget(space)  # before the set is built
         if cfg["builtin"] == "paraboloid":
             E = paraboloid(space)
         elif cfg["builtin"] == "sphere":

@@ -238,14 +238,14 @@ def save_point_set(E: PointSet, path) -> None:
             fh.write(",".join(str(c) for c in v) + "\n")
 
 
-def load_point_set(path, max_points: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def load_point_set(path) -> PointSet:
     """Parse the ``ffpointset v1`` text format; strict round-trip with save."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         m = _POINTSET_HEADER.match(header)
         if not m:
             raise ValueError(f"bad ffpointset header: {header!r}")
-        space = AmbientSpace(int(m.group(1)), int(m.group(2)), max_points=max_points)
+        space = AmbientSpace(int(m.group(1)), int(m.group(2)))
         vectors = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

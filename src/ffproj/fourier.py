@@ -29,6 +29,7 @@ __all__ = [
     "TOLERANCE",
     "FULL_SPECTRUM_BUDGET",
     "Spectrum",
+    "check_spectrum_budget",
     "dft",
     "pointwise_coefficient",
     "plancherel_check",
@@ -81,15 +82,20 @@ class Spectrum:
         return complex(self.values[encode(self.space, xi)])
 
 
-def dft(E: PointSet) -> Spectrum:
-    """Full spectrum of the indicator of E, via n axis-wise length-p transforms."""
-    space = E.space
-    p, n = space.p, space.n
+def check_spectrum_budget(space: AmbientSpace) -> None:
+    """Raise BudgetError if a full spectrum over the space exceeds FULL_SPECTRUM_BUDGET."""
     if space.point_count > FULL_SPECTRUM_BUDGET:
         raise BudgetError(
             f"p^n = {space.point_count} exceeds the full-spectrum budget "
             f"{FULL_SPECTRUM_BUDGET}; use pointwise_coefficient for single xi"
         )
+
+
+def dft(E: PointSet) -> Spectrum:
+    """Full spectrum of the indicator of E, via n axis-wise length-p transforms."""
+    space = E.space
+    p, n = space.p, space.n
+    check_spectrum_budget(space)
     F = _character_matrix(p)
     # axis k of the (p,)*n view is coordinate k+1 under the little-endian codec
     arr = E.mask.astype(np.complex128).reshape((p,) * n, order="F")

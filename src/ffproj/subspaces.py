@@ -63,7 +63,11 @@ BUDGET_ENV = "FFPROJ_BUDGET"
 def enumeration_budget() -> int:
     """Most objects one enumeration may stream: $FFPROJ_BUDGET, else DEFAULT_ENUM_BUDGET."""
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_ENUM_BUDGET
+    if not env:
+        return DEFAULT_ENUM_BUDGET
+    if not env.isdecimal():
+        raise ValueError(f"{BUDGET_ENV} must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 def gaussian_binomial(n: int, m: int, p: int) -> int:
@@ -275,7 +279,8 @@ def enumerate_grassmannian(
 
     Order is deterministic: lexicographic over pivot-column patterns, then
     over the free entries (row-major, least significant last).  ``budget``
-    defaults to :func:`enumeration_budget`.
+    defaults to :func:`enumeration_budget` and is checked at the call, before
+    the stream starts.
     """
     p, n = space.p, space.n
     if not 0 <= m <= n:
@@ -287,6 +292,11 @@ def enumerate_grassmannian(
         raise BudgetError(
             f"G({n},{m}) over F_{p} has {total} elements, over budget {budget}"
         )
+    return _grassmannian_stream(space, m)
+
+
+def _grassmannian_stream(space: AmbientSpace, m: int) -> Iterator[Subspace]:
+    p, n = space.p, space.n
     for pivots in itertools.combinations(range(n), m):
         free = [
             (i, j)
@@ -312,7 +322,10 @@ def affine_count(space: AmbientSpace, m: int) -> int:
 def enumerate_affine(
     space: AmbientSpace, m: int, budget: int | None = None
 ) -> Iterator[AffinePlane]:
-    """Stream all m-dimensional planes (every coset of every direction)."""
+    """Stream all m-dimensional planes (every coset of every direction).
+
+    The budget is checked at the call, as in :func:`enumerate_grassmannian`.
+    """
     if budget is None:
         budget = enumeration_budget()
     total = affine_count(space, m)
@@ -320,9 +333,11 @@ def enumerate_affine(
         raise BudgetError(
             f"A({space.n},{m}) over F_{space.p} has {total} elements, over budget {budget}"
         )
-    for W in enumerate_grassmannian(space, m, budget=budget):
-        for rep in coset_reps(W):
-            yield AffinePlane(W, rep)
+    return (
+        AffinePlane(W, rep)
+        for W in enumerate_grassmannian(space, m, budget=budget)
+        for rep in coset_reps(W)
+    )
 
 
 def perp(W: Subspace) -> Subspace:

@@ -15,17 +15,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet, digits_of
-from .energy import (
-    energy_identity_closed_form,
-    energy_over_all_planes,
-    key_lemma_check,
-    verify_energy_identity_fourier,
-)
+from .energy import energy_identity_closed_form, key_lemma_check
 from .fourier import TOLERANCE, character_sum, dft, plancherel_check, subspace_plancherel
 from .projections import (
+    CosetProfile,
     census_fractional_image,
     census_small_image,
-    coset_profile,
+    coset_counts,
     project,
     project_onto,
 )
@@ -105,6 +101,7 @@ def run_identity_suite(
             grassmannians = {
                 d: list(enumerate_grassmannian(space, d)) for d in range(n + 1)
             }
+            duals = {d: [perp(W) for W in Gs] for d, Gs in grassmannians.items()}
 
             for m in range(n + 1):
                 observed = len(grassmannians[m])
@@ -124,12 +121,12 @@ def run_identity_suite(
                     value=g, recurrence_low=low, recurrence_high=high, symmetric=sym,
                 )
 
-            _containment_counts(space, grassmannians, binomial, checks)
-            _perp_duality(space, grassmannians, checks)
+            _containment_counts(space, grassmannians, duals, binomial, checks)
+            _perp_duality(space, grassmannians, duals, checks)
             _character_sums(space, grassmannians, checks)
 
             for set_name, E in _test_sets(space, seed):
-                _per_set_checks(space, grassmannians, E, set_name, binomial, checks)
+                _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks)
 
     summaries = [c.summary() for c in checks.values()]
     return {
@@ -141,16 +138,16 @@ def run_identity_suite(
     }
 
 
-def _containment_counts(space, grassmannians, binomial, checks) -> None:
+def _containment_counts(space, grassmannians, duals, binomial, checks) -> None:
     p, n = space.p, space.n
     contain = {m: np.zeros(space.point_count, dtype=np.int64) for m in range(1, n + 1)}
     dual = {m: np.zeros(space.point_count, dtype=np.int64) for m in range(n)}
     for m, Gs in grassmannians.items():
-        for V in Gs:
+        for V, P in zip(Gs, duals[m]):
             if 1 <= m <= n:
                 contain[m][V.point_indices()] += 1
             if m <= n - 1:
-                dual[m][perp(V).point_indices()] += 1
+                dual[m][P.point_indices()] += 1
     for m in range(1, n + 1):
         expected = binomial(n - 1, m - 1, p)
         bad = np.flatnonzero(contain[m][1:] != expected)
@@ -169,10 +166,10 @@ def _containment_counts(space, grassmannians, binomial, checks) -> None:
         )
 
 
-def _perp_duality(space, grassmannians, checks) -> None:
+def _perp_duality(space, grassmannians, duals, checks) -> None:
     p, n = space.p, space.n
     for m, Gs in grassmannians.items():
-        perps = [perp(W) for W in Gs]
+        perps = duals[m]
         involutive = all(perp(P) == W for W, P in zip(Gs, perps))
         bijective = len(set(perps)) == len(Gs) and all(P.dim == n - m for P in perps)
         checks["perp_duality"].record(
@@ -196,15 +193,17 @@ def _character_sums(space, grassmannians, checks) -> None:
             )
 
 
-def _per_set_checks(space, grassmannians, E, set_name, binomial, checks) -> None:
+def _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks) -> None:
     p, n = space.p, space.n
     spectrum = dft(E)
     lhs, rhs, ok = plancherel_check(spectrum)
     checks["plancherel"].record(ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
 
     for d in range(n + 1):
-        for W in grassmannians[d]:
-            profile = coset_profile(E, W)
+        energy, spectral = 0, 0.0  # energy(E, A(n,d)), summed over the directions W
+        Gs = grassmannians[d]
+        for W, P, counts in zip(Gs, duals[d], coset_counts(E, Gs)):
+            profile = CosetProfile(W, counts, E.cardinality)
             image = project(E, W)
             n_cosets = p ** (n - d)
             decomposed = int(profile.counts.sum()) == E.cardinality
@@ -225,27 +224,27 @@ def _per_set_checks(space, grassmannians, E, set_name, binomial, checks) -> None
             checks["subspace_plancherel"].record(
                 ok, p=p, n=n, set=set_name, subspace=W.basis, lhs=lhs, rhs=rhs,
             )
+            energy += profile.second_moment()
+            spectral += rhs
             if 1 <= d <= n - 1:
-                dual_image = project_onto(E, perp(W))
+                dual_image = project_onto(E, P)
                 checks["projection_duality"].record(
                     dual_image.size == image.size and dual_image.labels == image.labels,
                     p=p, n=n, set=set_name, subspace=W.basis,
                 )
 
-    for m in range(n + 1):
-        lhs = energy_over_all_planes(E, m)
-        rhs = energy_identity_closed_form(space, E.cardinality, m)
-        rhs_injected = E.cardinality * p**m * _or_zero(binomial, n - 1, m, p) + (
-            E.cardinality**2 * _or_zero(binomial, n - 1, m - 1, p)
+        rhs = energy_identity_closed_form(space, E.cardinality, d)
+        rhs_injected = E.cardinality * p**d * _or_zero(binomial, n - 1, d, p) + (
+            E.cardinality**2 * _or_zero(binomial, n - 1, d - 1, p)
         )
         checks["energy_identity"].record(
-            lhs == rhs == rhs_injected, p=p, n=n, m=m, set=set_name,
-            combinatorial=lhs, closed_form=rhs_injected,
+            energy == rhs == rhs_injected, p=p, n=n, m=d, set=set_name,
+            combinatorial=energy, closed_form=rhs_injected,
         )
-        spectral, rhs2, diff = verify_energy_identity_fourier(E, m, spectrum=spectrum)
+        diff = abs(spectral - rhs)
         checks["energy_identity_spectral"].record(
-            diff <= TOLERANCE * max(1.0, rhs2), p=p, n=n, m=m, set=set_name,
-            spectral=spectral, closed_form=rhs2, diff=diff,
+            diff <= TOLERANCE * max(1.0, rhs), p=p, n=n, m=d, set=set_name,
+            spectral=spectral, closed_form=rhs, diff=diff,
         )
 
     for m in range(1, n):

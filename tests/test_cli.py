@@ -250,6 +250,57 @@ def test_budget_env_binds_every_sweep(workdir, monkeypatch, capsys, args):
     assert not (workdir / "report.json").exists()
 
 
+@pytest.mark.parametrize("value,args", [
+    ("abc", ["verify", "--p", "2", "--n", "2"]),
+    ("-1", ["enumerate", "--p", "2", "--n", "2", "--m", "0"]),
+])
+def test_malformed_budget_env_names_the_variable(workdir, value, args):
+    result = run_cli(args, workdir, env_extra={"FFPROJ_BUDGET": value})
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"error: FFPROJ_BUDGET must be a nonnegative integer, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["stream", "dump"])
+def test_enumerate_budget_has_one_message(workdir, monkeypatch, capsys, dump):
+    monkeypatch.chdir(workdir)
+    extra = ["--dump", "subspaces.txt"] if dump else []
+    assert cli.main(["enumerate", "--p", "3", "--n", "2", "--m", "1",
+                     "--budget", "3", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "budget error: G(2,1) over F_3 has 4 elements, over budget 3\n"
+    assert captured.out == ""
+    assert not (workdir / "subspaces.txt").exists()
+
+
+def test_enumerate_affine_budget_names_the_family(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    assert cli.main(["enumerate", "--p", "3", "--n", "2", "--m", "1", "--affine",
+                     "--budget", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "budget error: A(2,1) over F_3 has 12 elements, over budget 5\n"
+    )
+
+
+@pytest.mark.parametrize("builtin", [["paraboloid"], ["sphere", "--r", "1"]],
+                         ids=lambda b: b[0])
+def test_spectrum_over_cap_is_refused_before_the_set_is_built(
+    workdir, monkeypatch, capsys, builtin
+):
+    def never(*args):
+        raise AssertionError("the set was built")
+
+    monkeypatch.setattr(cli, "paraboloid", never)
+    monkeypatch.setattr(cli, "sphere", never)
+    monkeypatch.chdir(workdir)
+    # 2^23 points fit the point budget but not the 2^22 full-spectrum budget
+    code = cli.main(["spectrum", "--builtin", builtin[0], "--p", "2", "--n", "23",
+                     *builtin[1:]])
+    assert code == 2
+    assert "full-spectrum budget" in capsys.readouterr().err
+
+
 def test_config_file_merge(workdir):
     (workdir / "cfg.json").write_text(json.dumps({"m": 1, "kind": "small", "N": 1}))
     result = run_cli(

@@ -77,6 +77,16 @@ def test_enumeration_budget_refusal():
         list(enumerate_grassmannian(space, 1, budget=10))
 
 
+def test_enumeration_budget_is_checked_at_the_call():
+    space = AmbientSpace(3, 2)
+    # no next(): the call itself refuses, so a lazy caller cannot slip past
+    with pytest.raises(BudgetError, match=r"G\(2,1\) over F_3 has 4 elements, over budget 3"):
+        enumerate_grassmannian(space, 1, budget=3)
+    with pytest.raises(BudgetError, match=r"A\(2,1\) over F_3 has 12 elements, over budget 5"):
+        enumerate_affine(space, 1, budget=5)
+    assert len(list(enumerate_affine(space, 1, budget=12))) == 12
+
+
 def test_range_condition_examples():
     assert check_range_condition(2, 1, 3)
     assert check_range_condition(2, 1, 2)

@@ -1,3 +1,7 @@
+import pytest
+
+from ffproj import suite
+from ffproj.fourier import TOLERANCE
 from ffproj.subspaces import gaussian_binomial
 from ffproj.suite import run_identity_suite
 
@@ -19,3 +23,49 @@ def test_injected_binomial_fault_is_caught_with_witnesses():
     assert checks["binomial_vs_enumeration"]["failures"][0] == {
         "p": 3, "n": 2, "m": 1, "observed": 4, "expected": 5,
     }
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2)])
+def test_instance_counts_follow_gaussian_binomials(p, n):
+    G = [gaussian_binomial(n, d, p) for d in range(n + 1)]
+    sets = 6  # empty, full, origin and three percolation samples
+    expected = {
+        "binomial_vs_enumeration": n + 1,
+        "pascal_identities": n - 1,
+        "containment_counts": 2 * n,
+        "perp_duality": n + 1,
+        "character_sums": sum(G[:n]),
+        "coset_decomposition": sets * sum(G),
+        "cauchy_schwarz": sets * sum(G),
+        "plancherel": sets,
+        "subspace_plancherel": sets * sum(G),
+        "energy_identity": sets * (n + 1),
+        "energy_identity_spectral": sets * (n + 1),
+        "projection_duality": sets * sum(G[1:n]),
+    }
+    manifest = run_identity_suite(primes=(p,), dims=(n,))
+    assert manifest["all_pass"] is True
+    counts = {c["name"]: c["instances"] for c in manifest["checks"]}
+    assert {name: counts[name] for name in expected} == expected
+
+
+def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
+    real = suite.subspace_plancherel
+
+    def shifted(E, W, spectrum=None):
+        lhs, rhs, _ = real(E, W, spectrum=spectrum)
+        rhs += 1.0
+        return lhs, rhs, abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs)
+
+    monkeypatch.setattr(suite, "subspace_plancherel", shifted)
+    manifest = run_identity_suite(primes=(3,), dims=(2,))
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert manifest["all_pass"] is False
+    for name in ("subspace_plancherel", "energy_identity_spectral"):
+        assert not checks[name]["pass"]
+        assert checks[name]["failure_count"] == checks[name]["instances"]
+    witness = checks["energy_identity_spectral"]["failures"][0]
+    # G(2,0) is one direction, so its spectral side is off by exactly 1
+    assert witness["m"] == 0 and witness["diff"] == pytest.approx(1.0)
+    for name in ("energy_identity", "coset_decomposition", "plancherel"):
+        assert checks[name]["pass"]
