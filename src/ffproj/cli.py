@@ -147,10 +147,12 @@ def _subspace_from_cfg(space: AmbientSpace, cfg: dict) -> Subspace:
 def cmd_enumerate(args) -> int:
     defaults = {
         "p": None, "n": None, "m": None, "affine": False,
-        "dump": None, "out": None, "budget": enumeration_budget(),
+        "dump": None, "out": None, "budget": None,
     }
     cfg = _resolve_config(args, defaults)
     _require(cfg, "p", "n", "m")
+    if cfg["budget"] is None:  # read $FFPROJ_BUDGET only when --budget is absent
+        cfg["budget"] = enumeration_budget()
     started = time.time()
     space = AmbientSpace(cfg["p"], cfg["n"])
     if cfg["affine"]:

@@ -48,6 +48,7 @@ __all__ = [
 
 TOLERANCE = 1e-9
 FULL_SPECTRUM_BUDGET = 1 << 22
+_CSV_BLOCK = 1 << 16  # spectrum rows converted to Python lists at a time
 
 
 @lru_cache(maxsize=64)
@@ -416,9 +417,13 @@ def save_spectrum_csv(S: Spectrum, path) -> None:
         writer.writerow(
             [f"xi{i + 1}" for i in range(space.n)] + ["real", "imag", "modulus"]
         )
-        for idx in range(space.point_count):
-            v = S.values[idx]
-            writer.writerow(
-                list(decode(space, idx))
-                + [repr(float(v.real)), repr(float(v.imag)), repr(float(abs(v)))]
+        # rows are built in blocks from Python lists; the modulus is Python's
+        # abs(complex), which matches numpy's scalar abs where np.abs on an
+        # array can differ in the last ulp
+        for start in range(0, space.point_count, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, space.point_count)
+            coords = digits_of(space, np.arange(start, stop)).tolist()
+            writer.writerows(
+                c + [repr(v.real), repr(v.imag), repr(abs(v))]
+                for c, v in zip(coords, S.values[start:stop].tolist())
             )

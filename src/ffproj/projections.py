@@ -13,6 +13,7 @@ so satisfaction is decided by integer arithmetic, never by floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,21 +96,78 @@ def project_onto(E: PointSet, V: Subspace) -> ProjectionImage:
     return project(E, perp(V))
 
 
+# Working-memory cap of one kernel chunk (label products plus histograms).
+# Fixed, not a setting: it keeps each chunk's arrays cache-sized and the peak
+# memory of a sweep independent of its number of directions.
+_KERNEL_BYTES = 1 << 20
+
+
+def _chunk_bytes(points: int, r: int, ntags: int, p: int) -> int:
+    """Bytes one direction adds to a kernel chunk: labels of every point plus histograms."""
+    return 8 * (points * (r + 2) + ntags * p**r)
+
+
+def _fits_one_chunk(points: int, r: int, ntags: int, p: int) -> bool:
+    return _chunk_bytes(points, r, ntags, p) <= _KERNEL_BYTES
+
+
+def _coset_histograms(
+    digits: np.ndarray,
+    tags: np.ndarray,
+    ntags: int,
+    directions: Iterable[Subspace],
+    dim: int,
+    p: int,
+) -> Iterator[np.ndarray]:
+    """Histograms of tagged points over the cosets of each direction, chunk by chunk.
+
+    ``digits`` is the (N, n) coordinate matrix, ``tags`` gives each point a
+    tag in [0, ntags), and every direction has dimension ``dim`` = k.  Yields
+    one int64 block of shape (c, ntags, p^(n-k)) per chunk of c directions;
+    the blocks concatenate to the (directions, ntags, p^(n-k)) histogram.
+    Each chunk is one (N, n) @ (n, c (n-k)) product and one bincount, with c
+    chosen to keep the chunk under ``_KERNEL_BYTES``.
+    """
+    directions = iter(directions)
+    N, n = digits.shape
+    r = n - dim
+    cosets = p**r
+    per_direction = ntags * cosets
+    chunk = max(1, _KERNEL_BYTES // _chunk_bytes(N, r, ntags, p))
+    weights = p ** np.arange(r, dtype=np.int64)
+    base = tags * cosets
+    while group := list(itertools.islice(directions, chunk)):
+        c = len(group)
+        maps = np.concatenate([W.label_map for W in group], axis=1)
+        labels = ((digits @ maps) % p).reshape(N, c, r) @ weights
+        labels += base[:, None]
+        labels += np.arange(c, dtype=np.int64) * per_direction
+        counts = np.bincount(labels.ravel(), minlength=c * per_direction)
+        yield counts.reshape(c, ntags, cosets)
+
+
 def coset_counts(E: PointSet, directions: Iterable[Subspace]) -> Iterator[np.ndarray]:
     """|E n (x_j + W)| for every coset x_j + W of each direction W, in order.
 
     Each histogram is int64, indexed by coset label, of length p^(n - dim W).
-    The points of E are decoded once for the whole sweep.  A direction's sum
-    of squared counts is at most |E|^2 <= 2^52, so int64 reductions are exact.
+    The points of E are decoded once; each run of consecutive directions of
+    equal dimension goes through the chunked kernel ``_coset_histograms``.
+    A direction's sum of squared counts is at most |E|^2 <= 2^52, so int64
+    reductions are exact.
     """
     space = E.space
-    idx = E.indices()
-    digits = digits_of(space, idx)
-    for W in directions:
-        if W.space != space:
-            raise ValueError("point set and direction live in different spaces")
-        labels = coset_labels(W, idx, digits=digits)
-        yield np.bincount(labels, minlength=space.p ** (space.n - W.dim))
+    digits = digits_of(space, E.indices())
+    tags = np.zeros(len(digits), dtype=np.int64)
+
+    def checked():
+        for W in directions:
+            if W.space != space:
+                raise ValueError("point set and direction live in different spaces")
+            yield W
+
+    for dim, run in itertools.groupby(checked(), key=lambda W: W.dim):
+        for block in _coset_histograms(digits, tags, 1, run, dim, space.p):
+            yield from block[:, 0]
 
 
 def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
@@ -269,18 +327,21 @@ def _census_report(
     )
 
 
-def census_small_image(E: PointSet, m: int, N: int) -> CensusReport:
+def census_small_image(
+    E: PointSet, m: int, N: int, directions: Sequence[Subspace] | None = None
+) -> CensusReport:
     """Count directions with image size <= N against the bound 4 p^(m(n-m)-m) N.
 
     The bound is asserted under the hypothesis N < |E|/2 and requires the
     range condition instance C(n-1, n-m-1)_p <= 2 p^((n-m-1)m); both are
-    reported as flags rather than raised.
+    reported as flags rather than raised.  ``directions`` defaults to
+    G(n, n-m), as in :func:`projection_sizes`.
     """
     p, n = E.space.p, E.space.n
     if N < 0:
         raise ValueError("threshold N must be nonnegative")
     return _census_report(
-        E, m, projection_sizes(E, m),
+        E, m, projection_sizes(E, m, directions),
         kind="small_image",
         threshold=N,
         bound=ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m)),
@@ -290,15 +351,20 @@ def census_small_image(E: PointSet, m: int, N: int) -> CensusReport:
     )
 
 
-def census_fractional_image(E: PointSet, m: int, delta: Fraction) -> CensusReport:
-    """Count directions with image <= delta p^m against 2 (delta/(1-delta)) p^(m(n-m)+m) / |E|."""
+def census_fractional_image(
+    E: PointSet, m: int, delta: Fraction, directions: Sequence[Subspace] | None = None
+) -> CensusReport:
+    """Count directions with image <= delta p^m against 2 (delta/(1-delta)) p^(m(n-m)+m) / |E|.
+
+    ``directions`` defaults to G(n, n-m), as in :func:`projection_sizes`.
+    """
     p, n = E.space.p, E.space.n
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
     size = E.cardinality
     return _census_report(
-        E, m, projection_sizes(E, m),
+        E, m, projection_sizes(E, m, directions),
         kind="fractional_image",
         threshold=delta * p**m,
         bound=(

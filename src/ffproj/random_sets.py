@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet
-from .projections import projection_sizes
+from .core import AmbientSpace, PointSet, digits_of
+from .projections import _coset_histograms, _fits_one_chunk
 from .subspaces import Subspace, enumerate_grassmannian
 
 __all__ = [
@@ -195,19 +195,48 @@ def _size_window(p: int, s: float, size: int) -> bool:
     return p**s / 2.0 <= size <= 2.0 * p**s
 
 
+def _trial_groups(
+    model: PercolationModel, m: int, trials: int
+) -> Iterator[list[np.ndarray]]:
+    """Index arrays of consecutive trials, grouped so that each group fits one kernel chunk."""
+    p = model.space.p
+    group: list[np.ndarray] = []
+    points = 0
+    for t in range(trials):
+        idx = percolation_sample(model, t).indices()
+        if group and not _fits_one_chunk(points + idx.size, m, len(group) + 1, p):
+            yield group
+            group, points = [], 0
+        group.append(idx)
+        points += idx.size
+    if group:
+        yield group
+
+
 def _sweep(
     model: PercolationModel, m: int, trials: int, directions: list[Subspace]
 ) -> tuple[list[int], list[int], list[bool], int]:
-    """Per-trial (|E|, min image, all-full flag) plus total empty-coset count."""
-    p_m = model.space.p**m
+    """Per-trial (|E|, min image, all-full flag) plus total empty-coset count.
+
+    The trials of a group are labelled together: each point is tagged with
+    its trial, and one kernel call over the directions gives the image size
+    of every (direction, trial) pair.
+    """
+    space = model.space
+    p_m = space.p**m
     sizes, mins, fulls, empty = [], [], [], 0
-    for t in range(trials):
-        E = percolation_sample(model, t)
-        _, image_sizes = projection_sizes(E, m, directions=directions)
-        sizes.append(E.cardinality)
-        mins.append(int(image_sizes.min()))
-        fulls.append(bool((image_sizes == p_m).all()))
-        empty += int((p_m - image_sizes).sum())
+    for group in _trial_groups(model, m, trials):
+        counts = [idx.size for idx in group]
+        digits = digits_of(space, np.concatenate(group))
+        tags = np.repeat(np.arange(len(group), dtype=np.int64), counts)
+        blocks = _coset_histograms(
+            digits, tags, len(group), directions, space.n - m, space.p
+        )
+        image = np.concatenate([np.count_nonzero(b, axis=2) for b in blocks])
+        sizes += counts
+        mins += image.min(axis=0).tolist()
+        fulls += (image == p_m).all(axis=0).tolist()
+        empty += int((p_m - image).sum())
     return sizes, mins, fulls, empty
 
 

@@ -20,6 +20,7 @@ Per(W) may intersect nontrivially (span{(1,1)} in F_2^2 is self-dual).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -223,6 +224,24 @@ class Subspace:
 
     def nonpivot_columns(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.space.n) if j not in self.pivots)
+
+    @functools.cached_property
+    def label_map(self) -> np.ndarray:
+        """(n, n - dim) int64 matrix Q with ((x @ Q) % p) @ p^arange(n - dim) = coset label.
+
+        Column j reads the j-th non-pivot coordinate of the canonical coset
+        representative x - x[pivots] @ basis, so the labels are those of
+        :func:`coset_labels`.  Cached per object; not a dataclass field.
+        """
+        p, n = self.space.p, self.space.n
+        nonpiv = self.nonpivot_columns()
+        Q = np.zeros((n, len(nonpiv)), dtype=np.int64)
+        for j, col in enumerate(nonpiv):
+            Q[col, j] = 1
+            for row, piv in zip(self.basis, self.pivots):
+                Q[piv, j] = -row[col] % p
+        Q.flags.writeable = False
+        return Q
 
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(c) for c in row) for row in self.basis)

@@ -248,25 +248,25 @@ def _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks) 
         )
 
     for m in range(1, n):
+        directions = grassmannians[n - m]
         if E.cardinality:
             for N in sorted({1, E.cardinality // 4}):
                 if N < 1:
                     continue
-                report = census_small_image(E, m, N)
+                report = census_small_image(E, m, N, directions=directions)
                 if report.hypothesis_ok and report.range_condition_ok:
                     checks["census_bounds"].record(
                         bool(report.satisfied), p=p, n=n, m=m, set=set_name,
                         kind="small_image", N=N, observed=report.observed,
                     )
             for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                report = census_fractional_image(E, m, delta)
+                report = census_fractional_image(E, m, delta, directions=directions)
                 if report.hypothesis_ok and report.range_condition_ok:
                     checks["census_bounds"].record(
                         bool(report.satisfied), p=p, n=n, m=m, set=set_name,
                         kind="fractional_image", delta=str(delta),
                         observed=report.observed,
                     )
-        directions = grassmannians[n - m]
         for theta_name, theta in (
             ("all", directions),
             ("half", directions[: max(1, len(directions) // 2)]),

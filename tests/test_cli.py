@@ -262,6 +262,15 @@ def test_malformed_budget_env_names_the_variable(workdir, value, args):
     )
 
 
+def test_enumerate_budget_flag_ignores_malformed_env(workdir):
+    result = run_cli(
+        ["enumerate", "--p", "3", "--n", "2", "--m", "1", "--budget", "10"],
+        workdir, env_extra={"FFPROJ_BUDGET": "abc"},
+    )
+    assert result.returncode == 0
+    assert result.stdout == "4\n"
+
+
 @pytest.mark.parametrize("dump", [False, True], ids=["stream", "dump"])
 def test_enumerate_budget_has_one_message(workdir, monkeypatch, capsys, dump):
     monkeypatch.chdir(workdir)

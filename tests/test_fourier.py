@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ffproj import fourier
 from ffproj.core import AmbientSpace, BudgetError, PointSet, encode
 from ffproj.fourier import (
     FULL_SPECTRUM_BUDGET,
@@ -334,3 +335,33 @@ def test_spectrum_csv_roundtrip(tmp_path):
         assert complex(float(row[2]), float(row[3])) == pytest.approx(
             S.values[idx], abs=1e-15
         )
+
+
+def _row_by_row_spectrum_csv(S, path):
+    """The former writer: one decode and one numpy-scalar abs per row."""
+    from ffproj.core import decode
+
+    space = S.space
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [f"xi{i + 1}" for i in range(space.n)] + ["real", "imag", "modulus"]
+        )
+        for idx in range(space.point_count):
+            v = S.values[idx]
+            writer.writerow(
+                list(decode(space, idx))
+                + [repr(float(v.real)), repr(float(v.imag)), repr(float(abs(v)))]
+            )
+
+
+@pytest.mark.parametrize("p,n,block", [(2, 6, 7), (5, 3, 1 << 16), (31, 2, 100)])
+def test_spectrum_csv_bytes_match_row_by_row_writer(tmp_path, monkeypatch, p, n, block):
+    monkeypatch.setattr(fourier, "_CSV_BLOCK", block)
+    space = AmbientSpace(p, n)
+    rng = np.random.default_rng(p)
+    for E in (paraboloid(space), PointSet(space, rng.random(space.point_count) < 0.3)):
+        S = dft(E)
+        save_spectrum_csv(S, tmp_path / "bulk.csv")
+        _row_by_row_spectrum_csv(S, tmp_path / "rows.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

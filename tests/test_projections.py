@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ffproj import projections
 from ffproj.core import AmbientSpace, BudgetError, PointSet
+from ffproj.energy import all_planes, energy
 from ffproj.projections import (
     ExactBound,
     census_at_scales,
@@ -20,9 +22,9 @@ from ffproj.projections import (
     project_onto,
     projection_sizes,
 )
-from ffproj.subspaces import Subspace, enumerate_grassmannian, perp
+from ffproj.subspaces import Subspace, coset_labels, enumerate_grassmannian, perp
 
-from oracles import brute_coset_counts, brute_cosets_hit, span_points
+from oracles import brute_coset_counts, brute_cosets_hit, brute_energy, span_points, vec_add
 
 F32 = AmbientSpace(3, 2)
 F32_DIRECTIONS = list(enumerate_grassmannian(F32, 1))
@@ -100,25 +102,66 @@ def _sweep_cases(draw):
     n = draw(st.integers(1, 3))
     dim = draw(st.integers(0, n))
     mask = draw(st.lists(st.booleans(), min_size=p**n, max_size=p**n))
-    return p, n, dim, mask
+    cap = draw(st.sampled_from([0, 200, 1000, 1 << 20]))
+    return p, n, dim, mask, cap
 
 
 @given(_sweep_cases())
-@example((3, 2, 1, [False] * 9))  # empty E
-@example((2, 3, 0, [True, False] * 4))  # dim W = 0: one coset per point
-@example((3, 2, 2, [True, False, True] * 3))  # dim W = n: a single coset
+@example((3, 2, 1, [False] * 9, 0))  # empty E
+@example((2, 3, 0, [True, False] * 4, 0))  # dim W = 0: one coset per point
+@example((3, 2, 2, [True, False, True] * 3, 0))  # dim W = n: a single coset
+@example((3, 3, 1, [True, False, False] * 9, 600))  # chunks of 2 over 13 directions
 @settings(max_examples=60, deadline=None)
 def test_coset_counts_match_brute_force(case):
-    p, n, dim, mask = case
+    p, n, dim, mask, cap = case
     space = AmbientSpace(p, n)
     E = PointSet(space, np.array(mask))
+    idx = E.indices()
     directions = list(enumerate_grassmannian(space, dim))
-    histograms = list(coset_counts(E, directions))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projections, "_KERNEL_BYTES", cap)  # small caps split G(n, dim)
+        histograms = list(coset_counts(E, directions))
     assert len(histograms) == len(directions)
     for W, counts in zip(directions, histograms):
         assert counts.dtype == np.int64 and counts.size == p ** (n - dim)
+        expected = np.bincount(coset_labels(W, idx), minlength=p ** (n - dim))
+        assert np.array_equal(counts, expected)  # same counts in label order
         oracle = brute_coset_counts(E.vectors(), span_points(W.basis, p, n), p, n)
         assert sorted(counts.tolist()) == oracle
+
+
+def test_coset_counts_mixed_dimensions(monkeypatch):
+    monkeypatch.setattr(projections, "_KERNEL_BYTES", 500)
+    space = AmbientSpace(3, 3)
+    E = PointSet(space, np.random.default_rng(5).random(27) < 0.5)
+    G = {d: list(enumerate_grassmannian(space, d)) for d in range(4)}
+    directions = G[1][:5] + G[0] + G[1][5:] + G[2] + G[3] + G[2][:3] + G[0]
+    histograms = list(coset_counts(E, iter(directions)))
+    assert len(histograms) == len(directions)
+    for W, counts in zip(directions, histograms):
+        expected = np.bincount(coset_labels(W, E.indices()), minlength=3 ** (3 - W.dim))
+        assert np.array_equal(counts, expected)
+
+
+def _brute_plane(P):
+    p, n = P.space.p, P.space.n
+    return {vec_add(w, P.rep, p) for w in span_points(P.direction.basis, p, n)}
+
+
+def test_energy_spans_several_chunks(monkeypatch):
+    space = AmbientSpace(3, 3)
+    E = PointSet(space, np.random.default_rng(7).random(27) < 0.4)
+    planes = all_planes(space, 1)
+    expected = brute_energy(E.vectors(), [_brute_plane(P) for P in planes])
+    assert energy(E, planes) == expected
+    # two directions of G(3,1) per chunk: 13 directions make 7 chunks
+    cap = 2 * projections._chunk_bytes(E.cardinality, 2, 1, 3)
+    monkeypatch.setattr(projections, "_KERNEL_BYTES", cap)
+    assert energy(E, planes) == expected
+    subfamily = planes[::4]
+    assert energy(E, subfamily) == brute_energy(
+        E.vectors(), [_brute_plane(P) for P in subfamily]
+    )
 
 
 def test_coset_counts_rejects_foreign_direction():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ffproj import projections, random_sets
 from ffproj.core import AmbientSpace
+from ffproj.projections import projection_sizes
 from ffproj.random_sets import (
     PercolationModel,
     chebyshev_size_check,
@@ -14,6 +16,7 @@ from ffproj.random_sets import (
     verify_large_regime,
     verify_small_regime,
 )
+from ffproj.subspaces import enumerate_grassmannian
 
 
 def test_sample_determinism_bit_exact():
@@ -191,8 +194,6 @@ def test_chebyshev_degenerate_density():
 
 def test_sampled_sets_respect_projection_invariants():
     # piggyback: the projection module's cap holds on every sampled set
-    from ffproj.projections import projection_sizes
-
     model = PercolationModel.from_exponent(AmbientSpace(5, 2), 1.2, seed=8)
     for t in range(20):
         E = percolation_sample(model, t)
@@ -213,3 +214,43 @@ def test_small_regime_exists_direction_bound():
     bound = 2 * p ** (m * (n - m)) * math.exp(-(p**s) / 96)
     slack = 3 * math.sqrt(min(1.0, bound) * 1.0 / 200) if bound < 1 else 0.0
     assert freq <= bound + slack
+
+
+def _per_trial_sweep(model, m, trials, directions):
+    """Reference for the batched sweep: one projection_sizes call per trial."""
+    p_m = model.space.p**m
+    sizes, mins, fulls, empty = [], [], [], 0
+    for t in range(trials):
+        E = percolation_sample(model, t)
+        _, image_sizes = projection_sizes(E, m, directions=directions)
+        sizes.append(E.cardinality)
+        mins.append(int(image_sizes.min()))
+        fulls.append(bool((image_sizes == p_m).all()))
+        empty += int((p_m - image_sizes).sum())
+    return sizes, mins, fulls, empty
+
+
+@pytest.mark.parametrize("p,n,m,delta,trials", [
+    (5, 3, 1, 5.0 ** (1 - 3), 30),  # small regime, s = 1 <= m
+    (5, 3, 1, 5.0 ** (2.5 - 3), 30),  # large regime, s = 2.5 > m
+    (3, 4, 2, 3.0 ** (3 - 4), 12),  # large regime over G(4, 2)
+    (7, 2, 1, 0.01, 40),  # half a point per sample on average: some samples are empty
+    (5, 3, 1, 0.2, 0),  # no trials
+])
+@pytest.mark.parametrize("cap", [0, 1000, 1 << 20])
+def test_batched_sweep_matches_per_trial_loop(monkeypatch, p, n, m, delta, trials, cap):
+    monkeypatch.setattr(projections, "_KERNEL_BYTES", cap)
+    space = AmbientSpace(p, n)
+    model = PercolationModel(space, delta, seed=p * n + m)
+    directions = list(enumerate_grassmannian(space, n - m))
+    groups = list(random_sets._trial_groups(model, m, trials))
+    assert sum(len(g) for g in groups) == trials
+    if cap == 0:
+        assert len(groups) == trials  # a trial that does not fit is a group of its own
+    elif trials:
+        assert (len(groups) > 1) == (cap == 1000)
+    got = random_sets._sweep(model, m, trials, directions)
+    assert got == _per_trial_sweep(model, m, trials, directions)
+    if delta == 0.01:
+        assert 0 in got[0]
+

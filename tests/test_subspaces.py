@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffproj.core import AmbientSpace, BudgetError
+from ffproj.core import AmbientSpace, BudgetError, digits_of
 from ffproj.subspaces import (
     AffinePlane,
     Subspace,
@@ -23,7 +25,7 @@ from ffproj.subspaces import (
     verify_pascal_identities,
 )
 
-from oracles import all_vectors, brute_perp, brute_subspace_pointsets
+from oracles import all_vectors, brute_perp, brute_subspace_pointsets, span_points
 
 
 def test_gaussian_binomial_examples():
@@ -207,6 +209,61 @@ def test_coset_labels_consistent_with_plane_labels():
     for plane in all_cosets(W):
         for i in plane.point_indices():
             assert labels[int(i)] == plane.label()
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_label_map_gives_coset_labels(p, n):
+    space = AmbientSpace(p, n)
+    idx = np.arange(space.point_count)
+    digits = digits_of(space, idx)
+    for k in range(n + 1):
+        for W in enumerate_grassmannian(space, k):
+            Q = W.label_map
+            assert Q.shape == (n, n - k) and Q.dtype == np.int64
+            labels = ((digits @ Q) % p) @ p ** np.arange(n - k)
+            assert np.array_equal(labels, coset_labels(W, idx))
+
+
+def test_label_map_is_not_a_field():
+    space = AmbientSpace(3, 2)
+    W = Subspace.from_rows(space, [(1, 2)])
+    V = Subspace.from_rows(space, [(2, 1)])
+    before = (repr(W), hash(W))
+    assert W.label_map is W.label_map  # cached per object
+    assert not W.label_map.flags.writeable
+    assert (repr(W), hash(W)) == before and W == V and hash(W) == hash(V)
+
+
+@st.composite
+def _subspace_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    W = draw(st.sampled_from(list(enumerate_grassmannian(AmbientSpace(p, n), k))))
+    return p, n, W
+
+
+@given(_subspace_cases(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_rref_is_canonical_for_any_spanning_set(case, data):
+    p, n, W = case
+    # random combinations of the basis rows, plus each basis row scaled
+    coeffs = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=W.dim, max_size=W.dim), max_size=3
+    ))
+    rows = (np.array(coeffs, dtype=np.int64).reshape(len(coeffs), W.dim) @ W.matrix % p).tolist()
+    scales = data.draw(st.lists(st.integers(1, p - 1), min_size=W.dim, max_size=W.dim))
+    rows += [[c * x % p for x in row] for c, row in zip(scales, W.basis)]
+    rows = data.draw(st.permutations(rows))
+    assert Subspace.from_rows(W.space, rows) == W
+
+
+@given(_subspace_cases())
+@settings(max_examples=80, deadline=None)
+def test_perp_matches_brute_force_randomly(case):
+    p, n, W = case
+    expected = brute_perp(span_points(W.basis, p, n), p, n)
+    assert span_points(perp(W).basis, p, n) == expected
 
 
 def test_containment_count_examples():

@@ -69,3 +69,19 @@ def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
     assert witness["m"] == 0 and witness["diff"] == pytest.approx(1.0)
     for name in ("energy_identity", "coset_decomposition", "plancherel"):
         assert checks[name]["pass"]
+
+
+def test_cell_enumerates_each_grassmannian_once(monkeypatch):
+    from ffproj import subspaces
+
+    calls = []
+    real = subspaces._grassmannian_stream
+
+    def counted(space, m):
+        calls.append(m)
+        return real(space, m)
+
+    monkeypatch.setattr(subspaces, "_grassmannian_stream", counted)
+    manifest = run_identity_suite(primes=(2,), dims=(4,))
+    assert manifest["all_pass"] is True
+    assert sorted(calls) == [0, 1, 2, 3, 4]  # the census sweeps reuse the cell's G(4, d)
