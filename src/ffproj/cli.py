@@ -233,9 +233,10 @@ def cmd_census(args) -> int:
         with open(cfg["sizes_csv"], "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["direction_index", "basis", "image_size"])
-            for i, (W, sz) in enumerate(zip(reports[0].directions, reports[0].sizes)):
-                basis = ";".join(",".join(str(c) for c in row) for row in W.basis)
-                writer.writerow([i, basis, int(sz)])
+            bases = reports[0].directions.bases.tolist()
+            for i, (rows, sz) in enumerate(zip(bases, reports[0].sizes.tolist())):
+                basis = ";".join(",".join(map(str, row)) for row in rows)
+                writer.writerow([i, basis, sz])
     payload = [r.to_json_dict() for r in reports]
     _emit(_envelope("census", cfg, payload, started), cfg["out"])
     failed = [

@@ -246,14 +246,30 @@ def load_point_set(path) -> PointSet:
         if not m:
             raise ValueError(f"bad ffpointset header: {header!r}")
         space = AmbientSpace(int(m.group(1)), int(m.group(2)))
-        vectors = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                coords = tuple(int(c) for c in line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad coordinates {line!r}") from exc
-            vectors.append(space.validate_vector(coords))
-    return PointSet.from_vectors(space, vectors)
+        lines = [line.strip() for line in fh.read().split("\n")]
+
+    def coordinates():
+        for line in lines:
+            if line:
+                row = line.split(",")
+                if len(row) != space.n:
+                    raise ValueError("wrong coordinate count")
+                yield from map(int, row)
+
+    try:
+        coords = np.fromiter(coordinates(), dtype=np.int64)
+        valid = bool(((coords >= 0) & (coords < space.p)).all())
+    except (ValueError, OverflowError):
+        valid = False
+    if valid:
+        weights = space.p ** np.arange(space.n, dtype=np.int64)
+        return PointSet.from_indices(space, coords.reshape(-1, space.n) @ weights)
+    for lineno, line in enumerate(lines, start=2):  # the first bad line, as a line scan finds it
+        if not line:
+            continue
+        try:
+            coords = tuple(int(c) for c in line.split(","))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad coordinates {line!r}") from exc
+        space.validate_vector(coords)
+    raise IdentityError("no bad line found in a point file that failed to parse")

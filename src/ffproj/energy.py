@@ -24,17 +24,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet
+from .core import AmbientSpace, PointSet, base_p_digits
 from .fourier import Spectrum, dft
-from .projections import coset_counts
+from .projections import _histogram_blocks, coset_counts
 from .subspaces import (
     AffinePlane,
     Subspace,
+    _block_rows,
     all_cosets,
     binom_at_most_twice_power,
     enumerate_grassmannian,
     gaussian_binomial_or_zero,
-    perp,
+    grassmannian_blocks,
+    label_maps,
+    rref_stack,
 )
 
 __all__ = [
@@ -90,7 +93,7 @@ def energy_over_all_planes(E: PointSet, m: int) -> int:
     """energy(E, A(n,m)) without materializing the planes."""
     if not 0 <= m <= E.space.n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
-    return sum(int(h @ h) for h in coset_counts(E, enumerate_grassmannian(E.space, m)))
+    return sum(sum((h * h).sum(axis=1).tolist()) for h in _histogram_blocks(E, None, m))
 
 
 def energy_identity_closed_form(space: AmbientSpace, size: int, m: int) -> int:
@@ -116,15 +119,31 @@ def verify_energy_identity_fourier(
     Each direction's coset second moment is evaluated as
     p^(m-n) sum_{xi in Per(V)} |Ehat(xi)|^2 and accumulated over G(n,m);
     returns (spectral lhs, closed-form rhs, |difference|).
+
+    Per(V) is spanned by the columns of the label map Q_V, so a block of V's
+    is dualised with one :func:`rref_stack` of the stacked Q_V^T.  Each dual
+    is summed over its points in RREF-coefficient order, the order of
+    ``perp(V).point_indices()``, and the sums are added in V order, so the
+    float result does not depend on the blocking.
     """
-    space, p = E.space, E.space.p
+    space, p, n = E.space, E.space.p, E.space.n
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}")
+    r = n - m  # dim Per(V)
+    rows = _block_rows(8 * p**r * (n + 2))  # each dual's points, indices and powers
+    blocks = grassmannian_blocks(space, m, rows)
     if spectrum is None:
         spectrum = dft(E)
     power = np.abs(spectrum.values) ** 2
+    coeffs = base_p_digits(np.arange(p**r), p, r)
+    weights = p ** np.arange(n, dtype=np.int64)
     lhs = 0.0
-    for V in enumerate_grassmannian(space, m):
-        lhs += float(power[perp(V).point_indices()].sum())
-    lhs *= float(Fraction(p**m, p**space.n))
+    for bases, pivots in blocks:
+        duals, _ = rref_stack(label_maps(bases, pivots, p).transpose(0, 2, 1), p)
+        points = (coeffs @ duals % p) @ weights
+        for second_moment in power[points].sum(axis=1).tolist():
+            lhs += second_moment
+    lhs *= float(Fraction(p**m, p**n))
     rhs = energy_identity_closed_form(space, E.cardinality, m)
     return lhs, rhs, abs(lhs - rhs)
 

@@ -17,16 +17,19 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import PointSet, digits_of
+from .core import AmbientSpace, PointSet, digits_of
 from .subspaces import (
+    _KERNEL_BYTES,
     Subspace,
+    SubspaceArray,
     binom_at_most_twice_power,
     coset_labels,
-    enumerate_grassmannian,
+    grassmannian_blocks,
+    label_maps,
     perp,
 )
 
@@ -96,12 +99,6 @@ def project_onto(E: PointSet, V: Subspace) -> ProjectionImage:
     return project(E, perp(V))
 
 
-# Working-memory cap of one kernel chunk (label products plus histograms).
-# Fixed, not a setting: it keeps each chunk's arrays cache-sized and the peak
-# memory of a sweep independent of its number of directions.
-_KERNEL_BYTES = 1 << 20
-
-
 def _chunk_bytes(points: int, r: int, ntags: int, p: int) -> int:
     """Bytes one direction adds to a kernel chunk: labels of every point plus histograms."""
     return 8 * (points * (r + 2) + ntags * p**r)
@@ -111,42 +108,102 @@ def _fits_one_chunk(points: int, r: int, ntags: int, p: int) -> bool:
     return _chunk_bytes(points, r, ntags, p) <= _KERNEL_BYTES
 
 
+_MapSource = Callable[[int], Iterable[np.ndarray]]
+
+
 def _coset_histograms(
-    digits: np.ndarray,
-    tags: np.ndarray,
-    ntags: int,
-    directions: Iterable[Subspace],
-    dim: int,
-    p: int,
+    digits: np.ndarray, tags: np.ndarray, ntags: int, maps: _MapSource, r: int, p: int
 ) -> Iterator[np.ndarray]:
     """Histograms of tagged points over the cosets of each direction, chunk by chunk.
 
-    ``digits`` is the (N, n) coordinate matrix, ``tags`` gives each point a
-    tag in [0, ntags), and every direction has dimension ``dim`` = k.  Yields
-    one int64 block of shape (c, ntags, p^(n-k)) per chunk of c directions;
-    the blocks concatenate to the (directions, ntags, p^(n-k)) histogram.
-    Each chunk is one (N, n) @ (n, c (n-k)) product and one bincount, with c
-    chosen to keep the chunk under ``_KERNEL_BYTES``.
+    ``digits`` is the (N, n) coordinate matrix and ``tags`` gives each point
+    a tag in [0, ntags).  ``maps(rows)`` yields the label maps of the
+    directions, all of codimension ``r``, in (c, n, r) blocks of at most
+    ``rows`` directions; ``rows`` keeps each chunk under ``_KERNEL_BYTES``.
+    Yields one int64 block of shape (c, ntags, p^r) per map block; the blocks
+    concatenate to the (directions, ntags, p^r) histogram.  Each chunk is one
+    (N, n) @ (n, c r) product and one bincount.
     """
-    directions = iter(directions)
     N, n = digits.shape
-    r = n - dim
     cosets = p**r
     per_direction = ntags * cosets
-    chunk = max(1, _KERNEL_BYTES // _chunk_bytes(N, r, ntags, p))
     weights = p ** np.arange(r, dtype=np.int64)
     base = tags * cosets
-    while group := list(itertools.islice(directions, chunk)):
-        c = len(group)
-        maps = np.concatenate([W.label_map for W in group], axis=1)
-        labels = ((digits @ maps) % p).reshape(N, c, r) @ weights
+    for Q in maps(max(1, _KERNEL_BYTES // _chunk_bytes(N, r, ntags, p))):
+        c = len(Q)
+        maps_side_by_side = Q.transpose(1, 0, 2).reshape(n, c * r)
+        labels = ((digits @ maps_side_by_side) % p).reshape(N, c, r) @ weights
         labels += base[:, None]
         labels += np.arange(c, dtype=np.int64) * per_direction
         counts = np.bincount(labels.ravel(), minlength=c * per_direction)
         yield counts.reshape(c, ntags, cosets)
 
 
-def coset_counts(E: PointSet, directions: Iterable[Subspace]) -> Iterator[np.ndarray]:
+def _map_source(directions: Iterable[Subspace] | SubspaceArray) -> _MapSource:
+    """Label-map blocks of equal-dimension directions, for :func:`_coset_histograms`.
+
+    A :class:`SubspaceArray` builds them from its bases, block by block; any
+    other iterable stacks each direction's cached ``W.label_map``.
+    """
+    if isinstance(directions, SubspaceArray):
+        return directions.label_map_blocks
+
+    def stacked(rows: int) -> Iterator[np.ndarray]:
+        it = iter(directions)
+        while group := list(itertools.islice(it, rows)):
+            n, r = group[0].label_map.shape
+            side_by_side = np.concatenate([W.label_map for W in group], axis=1)
+            yield side_by_side.reshape(n, len(group), r).transpose(1, 0, 2)
+
+    return stacked
+
+
+def _grassmannian_source(space: AmbientSpace, dim: int) -> _MapSource:
+    """Label-map blocks of all of G(n, dim), streamed from RREF blocks."""
+
+    def streamed(rows: int) -> Iterator[np.ndarray]:
+        for bases, pivots in grassmannian_blocks(space, dim, rows):
+            yield label_maps(bases, pivots, space.p)
+
+    return streamed
+
+
+def _histogram_blocks(
+    E: PointSet, directions: Iterable[Subspace] | SubspaceArray | None, dim: int | None = None
+) -> Iterator[np.ndarray]:
+    """(c, p^(n - dim W)) histogram blocks of E over the directions, in order.
+
+    ``directions=None`` sweeps all of G(n, dim) from RREF blocks without
+    building a :class:`Subspace`.  Otherwise each run of consecutive
+    directions of equal dimension is one kernel sweep.
+    """
+    space = E.space
+    digits = digits_of(space, E.indices())
+    tags = np.zeros(len(digits), dtype=np.int64)
+    if directions is None:
+        runs = [(dim, _grassmannian_source(space, dim))]
+    elif isinstance(directions, SubspaceArray):
+        if directions.space != space:
+            raise ValueError("point set and direction live in different spaces")
+        runs = [(directions.dim, _map_source(directions))]
+    else:
+        def checked():
+            for W in directions:
+                if W.space != space:
+                    raise ValueError("point set and direction live in different spaces")
+                yield W
+
+        runs = (
+            (d, _map_source(run)) for d, run in itertools.groupby(checked(), key=lambda W: W.dim)
+        )
+    for d, maps in runs:
+        for block in _coset_histograms(digits, tags, 1, maps, space.n - d, space.p):
+            yield block[:, 0]
+
+
+def coset_counts(
+    E: PointSet, directions: Iterable[Subspace] | SubspaceArray
+) -> Iterator[np.ndarray]:
     """|E n (x_j + W)| for every coset x_j + W of each direction W, in order.
 
     Each histogram is int64, indexed by coset label, of length p^(n - dim W).
@@ -155,19 +212,7 @@ def coset_counts(E: PointSet, directions: Iterable[Subspace]) -> Iterator[np.nda
     A direction's sum of squared counts is at most |E|^2 <= 2^52, so int64
     reductions are exact.
     """
-    space = E.space
-    digits = digits_of(space, E.indices())
-    tags = np.zeros(len(digits), dtype=np.int64)
-
-    def checked():
-        for W in directions:
-            if W.space != space:
-                raise ValueError("point set and direction live in different spaces")
-            yield W
-
-    for dim, run in itertools.groupby(checked(), key=lambda W: W.dim):
-        for block in _coset_histograms(digits, tags, 1, run, dim, space.p):
-            yield from block[:, 0]
+    return itertools.chain.from_iterable(_histogram_blocks(E, directions))
 
 
 def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
@@ -176,20 +221,22 @@ def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
 
 def projection_sizes(
     E: PointSet, m: int, directions: Sequence[Subspace] | None = None
-) -> tuple[list[Subspace], np.ndarray]:
-    """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order."""
+) -> tuple[Sequence[Subspace], np.ndarray]:
+    """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order.
+
+    Returns the swept directions with the sizes: a :class:`SubspaceArray`
+    over G(n, n-m) by default, else the given directions as a list.
+    """
     space = E.space
     if not 1 <= m <= space.n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     if directions is None:
-        directions = enumerate_grassmannian(space, space.n - m)
-    directions = list(directions)
-    sizes = np.fromiter(
-        (np.count_nonzero(h) for h in coset_counts(E, directions)),
-        dtype=np.int64,
-        count=len(directions),
-    )
-    return directions, sizes
+        directions = SubspaceArray.grassmannian(space, space.n - m)
+    elif not isinstance(directions, SubspaceArray):
+        directions = list(directions)
+    blocks = [np.count_nonzero(h, axis=1) for h in _histogram_blocks(E, directions)]
+    sizes = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    return directions, sizes.astype(np.int64, copy=False)
 
 
 def compare_to_power(value: Fraction, base: int, exponent: Fraction) -> int:
@@ -256,7 +303,7 @@ class CensusReport:
     hypothesis_ok: bool
     range_condition_ok: bool
     params: dict = field(default_factory=dict)
-    directions: list[Subspace] | None = None  # the sweep: every W in G(n, n-m)
+    directions: Sequence[Subspace] | None = None  # the sweep: every W in G(n, n-m)
     sizes: np.ndarray | None = None  # |image(E, W)| for each of ``directions``
 
     def to_json_dict(self) -> dict:
@@ -293,7 +340,7 @@ class CensusReport:
 def _census_report(
     E: PointSet,
     m: int,
-    sweep: tuple[list[Subspace], np.ndarray],
+    sweep: tuple[Sequence[Subspace], np.ndarray],
     *,
     kind: str,
     threshold: int | Fraction,

@@ -21,8 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet, digits_of
-from .projections import _coset_histograms, _fits_one_chunk
-from .subspaces import Subspace, enumerate_grassmannian
+from .projections import _coset_histograms, _fits_one_chunk, _map_source
+from .subspaces import Subspace, SubspaceArray
 
 __all__ = [
     "PercolationModel",
@@ -214,13 +214,13 @@ def _trial_groups(
 
 
 def _sweep(
-    model: PercolationModel, m: int, trials: int, directions: list[Subspace]
+    model: PercolationModel, m: int, trials: int, directions: Sequence[Subspace]
 ) -> tuple[list[int], list[int], list[bool], int]:
     """Per-trial (|E|, min image, all-full flag) plus total empty-coset count.
 
     The trials of a group are labelled together: each point is tagged with
-    its trial, and one kernel call over the directions gives the image size
-    of every (direction, trial) pair.
+    its trial, and one kernel call over the directions' label-map blocks
+    gives the image size of every (direction, trial) pair.
     """
     space = model.space
     p_m = space.p**m
@@ -230,7 +230,7 @@ def _sweep(
         digits = digits_of(space, np.concatenate(group))
         tags = np.repeat(np.arange(len(group), dtype=np.int64), counts)
         blocks = _coset_histograms(
-            digits, tags, len(group), directions, space.n - m, space.p
+            digits, tags, len(group), _map_source(directions), m, space.p
         )
         image = np.concatenate([np.count_nonzero(b, axis=2) for b in blocks])
         sizes += counts
@@ -248,7 +248,7 @@ def verify_small_regime(
         raise ValueError(f"small regime needs 0 < s <= m, got s={s}, m={m}")
     space = AmbientSpace(p, n)
     model = PercolationModel.from_exponent(space, s, seed)
-    directions = list(enumerate_grassmannian(space, n - m))
+    directions = SubspaceArray.grassmannian(space, n - m)
     sizes, mins, fulls, _ = _sweep(model, m, trials, directions)
     chain = mu_lower_bound(p, n, m, s)
     window = [_size_window(p, s, sz) for sz in sizes]
@@ -283,7 +283,7 @@ def verify_large_regime(
         raise ValueError(f"large regime needs m < s <= n, got s={s}, m={m}")
     space = AmbientSpace(p, n)
     model = PercolationModel.from_exponent(space, s, seed)
-    directions = list(enumerate_grassmannian(space, n - m))
+    directions = SubspaceArray.grassmannian(space, n - m)
     p_m = p**m
     sizes, mins, fulls, empty_cosets = _sweep(model, m, trials, directions)
     window = [_size_window(p, s, sz) for sz in sizes]

@@ -24,6 +24,7 @@ import functools
 import itertools
 import os
 import re
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -41,9 +42,13 @@ __all__ = [
     "binom_at_most_twice_power",
     "verify_pascal_identities",
     "rref_mod_p",
+    "rref_stack",
     "Subspace",
+    "SubspaceArray",
     "AffinePlane",
+    "label_maps",
     "enumerate_grassmannian",
+    "grassmannian_blocks",
     "enumerate_affine",
     "affine_count",
     "perp",
@@ -59,6 +64,16 @@ __all__ = [
 
 DEFAULT_ENUM_BUDGET = 10**7
 BUDGET_ENV = "FFPROJ_BUDGET"
+
+# Working-memory cap of one array block (stacked bases, label maps, kernel
+# chunks).  Fixed, not a setting: it keeps each block cache-sized and the
+# peak memory of a sweep independent of its number of directions.
+_KERNEL_BYTES = 1 << 20
+
+
+def _block_rows(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes each one block holds (at least one)."""
+    return max(1, _KERNEL_BYTES // item_bytes)
 
 
 def enumeration_budget() -> int:
@@ -149,6 +164,57 @@ def rref_mod_p(
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def rref_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rref_mod_p` of a (c, r, n) stack of rank-r matrices at once.
+
+    Returns the (c, r, n) int64 RREF bases and their (c, r) pivot columns.
+    Each matrix picks its own pivot row per column; since the RREF is
+    canonical, the bases equal those of :func:`rref_mod_p` row for row.
+    """
+    mats = np.asarray(mats, dtype=np.int64) % p
+    c, r, n = mats.shape
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[1:] = [pow(a, -1, p) for a in range(1, p)]
+    pivots = np.zeros((c, r), dtype=np.int64)
+    rank = np.zeros(c, dtype=np.int64)
+    below = np.arange(r)
+    for col in range(n):
+        candidates = (mats[:, :, col] != 0) & (below >= rank[:, None])
+        g = np.flatnonzero(candidates.any(axis=1))
+        if not g.size:
+            continue
+        src, dst = candidates[g].argmax(axis=1), rank[g]
+        lead = mats[g, src]
+        mats[g, src] = mats[g, dst]
+        lead = lead * inverse[lead[:, col]][:, None] % p
+        factors = mats[g, :, col]
+        factors[np.arange(g.size), dst] = 0
+        block = (mats[g] - factors[:, :, None] * lead[:, None, :]) % p
+        block[np.arange(g.size), dst] = lead
+        mats[g] = block
+        pivots[g, dst] = col
+        rank[g] += 1
+    if (rank != r).any():  # callers pass bases of known rank; cannot fail
+        raise IdentityError("rank-deficient matrix in rref_stack")
+    return mats, pivots
+
+
+def label_maps(bases: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
+    """Label maps Q_W of a (c, k, n) stack of RREF bases sharing the pivot columns ``pivots``.
+
+    Returns one (c, n, n-k) int64 array: Q[nonpiv_j, j] = 1 and
+    Q[piv_i, j] = -B[i, nonpiv_j] mod p, so column j of x @ Q reads the j-th
+    non-pivot coordinate of the canonical coset representative x - x[piv] @ B
+    (see :attr:`Subspace.label_map`).
+    """
+    c, k, n = bases.shape
+    nonpiv = [j for j in range(n) if j not in pivots]
+    Q = np.zeros((c, n, n - k), dtype=np.int64)
+    Q[:, nonpiv, range(n - k)] = 1
+    Q[:, list(pivots), :] = -bases[:, :, nonpiv] % p
+    return Q
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace in canonical RREF form; equality is basis equality."""
@@ -233,13 +299,7 @@ class Subspace:
         representative x - x[pivots] @ basis, so the labels are those of
         :func:`coset_labels`.  Cached per object; not a dataclass field.
         """
-        p, n = self.space.p, self.space.n
-        nonpiv = self.nonpivot_columns()
-        Q = np.zeros((n, len(nonpiv)), dtype=np.int64)
-        for j, col in enumerate(nonpiv):
-            Q[col, j] = 1
-            for row, piv in zip(self.basis, self.pivots):
-                Q[piv, j] = -row[col] % p
+        Q = label_maps(self.matrix[None], self.pivots, self.space.p)[0]
         Q.flags.writeable = False
         return Q
 
@@ -291,16 +351,85 @@ class AffinePlane:
         return f"AffinePlane(rep={self.rep}, direction={self.direction!r})"
 
 
-def enumerate_grassmannian(
-    space: AmbientSpace, m: int, budget: int | None = None
-) -> Iterator[Subspace]:
-    """Stream all m-dimensional subspaces in canonical RREF form.
+class SubspaceArray(SequenceABC):
+    """Equal-dimension subspaces stored as stacked RREF bases; a read-only Sequence[Subspace].
 
-    Order is deterministic: lexicographic over pivot-column patterns, then
-    over the free entries (row-major, least significant last).  ``budget``
-    defaults to :func:`enumeration_budget` and is checked at the call, before
-    the stream starts.
+    ``bases`` is a (G, k, n) int64 array and ``pivots`` its (G, k) pivot
+    columns.  Sweeps read the arrays (:meth:`label_map_blocks`); a
+    :class:`Subspace` is built only when an element is indexed or iterated.
+    Two arrays are equal when their spaces and bases are.
     """
+
+    __slots__ = ("space", "bases", "pivots")
+
+    def __init__(self, space: AmbientSpace, bases: np.ndarray, pivots: np.ndarray):
+        bases = np.asarray(bases, dtype=np.int64)
+        if bases.ndim != 3 or bases.shape[2] != space.n:
+            raise ValueError(f"bases must have shape (G, k, {space.n}), got {bases.shape}")
+        pivots = np.broadcast_to(np.asarray(pivots, dtype=np.int64), bases.shape[:2])
+        bases.flags.writeable = False
+        self.space, self.bases, self.pivots = space, bases, pivots
+
+    @classmethod
+    def grassmannian(
+        cls, space: AmbientSpace, m: int, budget: int | None = None
+    ) -> "SubspaceArray":
+        """All of G(n, m), in enumeration order; the budget is checked first."""
+        blocks = list(grassmannian_blocks(space, m, budget=budget))
+        bases = np.concatenate([b for b, _ in blocks])
+        pivots = np.concatenate([np.broadcast_to(piv, (len(b), m)) for b, piv in blocks])
+        return cls(space, bases, pivots)
+
+    @property
+    def dim(self) -> int:
+        return self.bases.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def _subspace(self, basis: list, pivots: list) -> Subspace:
+        return Subspace(self.space, tuple(map(tuple, basis)), tuple(pivots))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SubspaceArray(self.space, self.bases[i], self.pivots[i])
+        return self._subspace(self.bases[i].tolist(), self.pivots[i].tolist())
+
+    def __iter__(self) -> Iterator[Subspace]:
+        for basis, pivots in zip(self.bases.tolist(), self.pivots.tolist()):
+            yield self._subspace(basis, pivots)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SubspaceArray):
+            return self.space == other.space and np.array_equal(self.bases, other.bases)
+        if isinstance(other, SequenceABC) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def label_map_blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """(c, n, n-k) label maps of consecutive runs of at most ``rows`` elements.
+
+        A run never spans two pivot patterns, so each block is one
+        :func:`label_maps` call.
+        """
+        pattern_starts = np.flatnonzero((self.pivots[1:] != self.pivots[:-1]).any(axis=1)) + 1
+        bounds = [0, *pattern_starts.tolist(), len(self)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            pivots = self.pivots[lo].tolist()
+            for start in range(lo, hi, rows):
+                yield label_maps(self.bases[start : min(start + rows, hi)], pivots, self.space.p)
+
+    def __repr__(self) -> str:
+        return (
+            f"SubspaceArray(p={self.space.p}, n={self.space.n}, "
+            f"dim={self.dim}, len={len(self)})"
+        )
+
+
+def _check_enumeration(space: AmbientSpace, m: int, budget: int | None) -> None:
+    """Refuse m outside [0, n], and a G(n, m) larger than the enumeration budget."""
     p, n = space.p, space.n
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
@@ -311,26 +440,62 @@ def enumerate_grassmannian(
         raise BudgetError(
             f"G({n},{m}) over F_{p} has {total} elements, over budget {budget}"
         )
+
+
+def enumerate_grassmannian(
+    space: AmbientSpace, m: int, budget: int | None = None
+) -> Iterator[Subspace]:
+    """Stream all m-dimensional subspaces in canonical RREF form.
+
+    Order is deterministic: lexicographic over pivot-column patterns, then
+    over the free entries (row-major, least significant last).  ``budget``
+    defaults to :func:`enumeration_budget` and is checked at the call, before
+    the stream starts.  The subspaces are built from :func:`grassmannian_blocks`.
+    """
+    _check_enumeration(space, m, budget)
     return _grassmannian_stream(space, m)
 
 
 def _grassmannian_stream(space: AmbientSpace, m: int) -> Iterator[Subspace]:
+    for bases, pivots in _pattern_blocks(space, m, None):
+        for basis in bases.tolist():
+            yield Subspace(space, tuple(map(tuple, basis)), pivots)
+
+
+def grassmannian_blocks(
+    space: AmbientSpace, m: int, rows: int | None = None, budget: int | None = None
+) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
+    """Stream G(n, m) as stacked RREF bases, in :func:`enumerate_grassmannian` order.
+
+    Yields (bases, pivots): a (c, m, n) int64 array of c <= ``rows`` bases
+    sharing the pivot columns ``pivots``.  ``rows`` defaults to what fits
+    ``_KERNEL_BYTES``; the budget is checked at the call.
+    """
+    _check_enumeration(space, m, budget)
+    return _pattern_blocks(space, m, rows)
+
+
+def _pattern_blocks(
+    space: AmbientSpace, m: int, rows: int | None
+) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     p, n = space.p, space.n
+    if rows is None:  # a basis and its free digits: under 2 n^2 int64 entries
+        rows = _block_rows(16 * n * n)
     for pivots in itertools.combinations(range(n), m):
-        free = [
-            (i, j)
-            for i in range(m)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        template = [[0] * n for _ in range(m)]
-        for i, piv in enumerate(pivots):
-            template[i][piv] = 1
-        for values in itertools.product(range(p), repeat=len(free)):
-            rows = [row[:] for row in template]
-            for (i, j), val in zip(free, values):
-                rows[i][j] = val
-            yield Subspace(space, tuple(tuple(r) for r in rows), tuple(pivots))
+        free_i, free_j = np.array(
+            [(i, j) for i in range(m) for j in range(n) if j > pivots[i] and j not in pivots],
+            dtype=np.int64,
+        ).reshape(-1, 2).T
+        template = np.zeros((m, n), dtype=np.int64)
+        template[np.arange(m), list(pivots)] = 1
+        total = p**free_i.size
+        for start in range(0, total, rows):
+            count = min(rows, total - start)
+            bases = np.repeat(template[None], count, axis=0)
+            # the last free entry varies fastest: big-endian digits of the index
+            digits = base_p_digits(np.arange(start, start + count), p, free_i.size)
+            bases[:, free_i, free_j] = digits[:, ::-1]
+            yield bases, pivots
 
 
 def affine_count(space: AmbientSpace, m: int) -> int:

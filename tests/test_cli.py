@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffproj import cli, projections
+from ffproj import cli, projections, subspaces
 from ffproj.core import AmbientSpace, load_point_set, save_point_set
 from ffproj.subspaces import Subspace
 
@@ -136,14 +136,14 @@ def test_sizes_csv_is_the_census_sweep(workdir, monkeypatch):
         load_point_set(workdir / "line.pts"), 1
     )
     calls = []
-    real = projections.enumerate_grassmannian
+    real = subspaces.grassmannian_blocks
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(projections, "enumerate_grassmannian", counting)
-    monkeypatch.setattr(cli, "enumerate_grassmannian", counting)
+    monkeypatch.setattr(subspaces, "grassmannian_blocks", counting)
+    monkeypatch.setattr(projections, "grassmannian_blocks", counting)
     monkeypatch.chdir(workdir)
     code = cli.main(["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
                      "--s", "1", "--t", "1", "--sizes-csv", "sizes.csv", "--out", "r.json"])

@@ -1,0 +1,21 @@
+"""The benchmark's sweep workload, run end to end against its reference digests."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_sweep_workload_reproduces_the_reference_digests():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "sweep", "--seed", "0", "--seconds", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # every report exits 0, keeps its exact flags and matches the seed-0 digest
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
