@@ -24,20 +24,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet, base_p_digits
+from .core import AmbientSpace, PointSet
 from .fourier import Spectrum, dft
 from .projections import _histogram_blocks, coset_counts
 from .subspaces import (
     AffinePlane,
     Subspace,
-    _block_rows,
+    SubspaceArray,
+    _dual_point_blocks,
     all_cosets,
     binom_at_most_twice_power,
     enumerate_grassmannian,
     gaussian_binomial_or_zero,
-    grassmannian_blocks,
-    label_maps,
-    rref_stack,
 )
 
 __all__ = [
@@ -91,9 +89,8 @@ def coset_expansion(directions: Iterable[Subspace]) -> list[AffinePlane]:
 
 def energy_over_all_planes(E: PointSet, m: int) -> int:
     """energy(E, A(n,m)) without materializing the planes."""
-    if not 0 <= m <= E.space.n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}")
-    return sum(sum((h * h).sum(axis=1).tolist()) for h in _histogram_blocks(E, None, m))
+    blocks = _histogram_blocks(E, SubspaceArray.grassmannian(E.space, m))
+    return sum(sum((h * h).sum(axis=1).tolist()) for h in blocks)
 
 
 def energy_identity_closed_form(space: AmbientSpace, size: int, m: int) -> int:
@@ -120,27 +117,18 @@ def verify_energy_identity_fourier(
     p^(m-n) sum_{xi in Per(V)} |Ehat(xi)|^2 and accumulated over G(n,m);
     returns (spectral lhs, closed-form rhs, |difference|).
 
-    Per(V) is spanned by the columns of the label map Q_V, so a block of V's
-    is dualised with one :func:`rref_stack` of the stacked Q_V^T.  Each dual
-    is summed over its points in RREF-coefficient order, the order of
-    ``perp(V).point_indices()``, and the sums are added in V order, so the
-    float result does not depend on the blocking.
+    Each dual is summed over its points in the order of
+    ``perp(V).point_indices()`` (see ``subspaces._dual_point_blocks``), and
+    the sums are added in V order, so the float result does not depend on
+    the blocking.
     """
     space, p, n = E.space, E.space.p, E.space.n
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}")
-    r = n - m  # dim Per(V)
-    rows = _block_rows(8 * p**r * (n + 2))  # each dual's points, indices and powers
-    blocks = grassmannian_blocks(space, m, rows)
+    directions = SubspaceArray.grassmannian(space, m)  # refuses m outside [0, n]
     if spectrum is None:
         spectrum = dft(E)
     power = np.abs(spectrum.values) ** 2
-    coeffs = base_p_digits(np.arange(p**r), p, r)
-    weights = p ** np.arange(n, dtype=np.int64)
     lhs = 0.0
-    for bases, pivots in blocks:
-        duals, _ = rref_stack(label_maps(bases, pivots, p).transpose(0, 2, 1), p)
-        points = (coeffs @ duals % p) @ weights
+    for points in _dual_point_blocks(directions):
         for second_moment in power[points].sum(axis=1).tolist():
             lhs += second_moment
     lhs *= float(Fraction(p**m, p**n))
@@ -219,16 +207,10 @@ def key_lemma_check(E: PointSet, directions: Sequence[Subspace]) -> KeyLemmaChec
     """Check energy(E, Theta') against its two bounds for Theta in G(n, n-m)."""
     space = E.space
     p, n = space.p, space.n
-    directions = list(directions)
-    if not directions:
-        m = 1
-    else:
-        dims = {W.dim for W in directions}
-        if len(dims) != 1:
-            raise ValueError("direction set mixes dimensions")
-        m = n - dims.pop()
-        if not 1 <= m <= n - 1:
-            raise ValueError("directions must be proper nontrivial subspaces")
+    directions = SubspaceArray.of(space, directions)
+    m = n - directions.dim if len(directions) else 1
+    if not 1 <= m <= n - 1:
+        raise ValueError("directions must be proper nontrivial subspaces")
     total = sum(int(h @ h) for h in coset_counts(E, directions))
     size, theta = E.cardinality, len(directions)
     bound_pairs = Fraction(size * theta + 2 * size**2 * p ** ((n - m - 1) * m))

@@ -17,19 +17,18 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import subspaces
 from .core import AmbientSpace, PointSet, digits_of
 from .subspaces import (
-    _KERNEL_BYTES,
     Subspace,
     SubspaceArray,
+    _block_rows,
     binom_at_most_twice_power,
     coset_labels,
-    grassmannian_blocks,
-    label_maps,
     perp,
 )
 
@@ -105,31 +104,29 @@ def _chunk_bytes(points: int, r: int, ntags: int, p: int) -> int:
 
 
 def _fits_one_chunk(points: int, r: int, ntags: int, p: int) -> bool:
-    return _chunk_bytes(points, r, ntags, p) <= _KERNEL_BYTES
-
-
-_MapSource = Callable[[int], Iterable[np.ndarray]]
+    return _chunk_bytes(points, r, ntags, p) <= subspaces._KERNEL_BYTES
 
 
 def _coset_histograms(
-    digits: np.ndarray, tags: np.ndarray, ntags: int, maps: _MapSource, r: int, p: int
+    digits: np.ndarray, tags: np.ndarray, ntags: int, directions: SubspaceArray
 ) -> Iterator[np.ndarray]:
     """Histograms of tagged points over the cosets of each direction, chunk by chunk.
 
     ``digits`` is the (N, n) coordinate matrix and ``tags`` gives each point
-    a tag in [0, ntags).  ``maps(rows)`` yields the label maps of the
-    directions, all of codimension ``r``, in (c, n, r) blocks of at most
-    ``rows`` directions; ``rows`` keeps each chunk under ``_KERNEL_BYTES``.
-    Yields one int64 block of shape (c, ntags, p^r) per map block; the blocks
-    concatenate to the (directions, ntags, p^r) histogram.  Each chunk is one
+    a tag in [0, ntags).  The directions' label maps are built in blocks of
+    as many directions as keep a chunk under the kernel cap
+    (``subspaces._block_rows``).  Yields one int64 block of shape
+    (c, ntags, p^r), r = n - dim, per map block; the blocks concatenate to
+    the (directions, ntags, p^r) histogram.  Each chunk is one
     (N, n) @ (n, c r) product and one bincount.
     """
     N, n = digits.shape
+    p, r = directions.space.p, n - directions.dim
     cosets = p**r
     per_direction = ntags * cosets
     weights = p ** np.arange(r, dtype=np.int64)
     base = tags * cosets
-    for Q in maps(max(1, _KERNEL_BYTES // _chunk_bytes(N, r, ntags, p))):
+    for Q in directions.label_map_blocks(_block_rows(_chunk_bytes(N, r, ntags, p))):
         c = len(Q)
         maps_side_by_side = Q.transpose(1, 0, 2).reshape(n, c * r)
         labels = ((digits @ maps_side_by_side) % p).reshape(N, c, r) @ weights
@@ -139,65 +136,23 @@ def _coset_histograms(
         yield counts.reshape(c, ntags, cosets)
 
 
-def _map_source(directions: Iterable[Subspace] | SubspaceArray) -> _MapSource:
-    """Label-map blocks of equal-dimension directions, for :func:`_coset_histograms`.
-
-    A :class:`SubspaceArray` builds them from its bases, block by block; any
-    other iterable stacks each direction's cached ``W.label_map``.
-    """
-    if isinstance(directions, SubspaceArray):
-        return directions.label_map_blocks
-
-    def stacked(rows: int) -> Iterator[np.ndarray]:
-        it = iter(directions)
-        while group := list(itertools.islice(it, rows)):
-            n, r = group[0].label_map.shape
-            side_by_side = np.concatenate([W.label_map for W in group], axis=1)
-            yield side_by_side.reshape(n, len(group), r).transpose(1, 0, 2)
-
-    return stacked
-
-
-def _grassmannian_source(space: AmbientSpace, dim: int) -> _MapSource:
-    """Label-map blocks of all of G(n, dim), streamed from RREF blocks."""
-
-    def streamed(rows: int) -> Iterator[np.ndarray]:
-        for bases, pivots in grassmannian_blocks(space, dim, rows):
-            yield label_maps(bases, pivots, space.p)
-
-    return streamed
-
-
 def _histogram_blocks(
-    E: PointSet, directions: Iterable[Subspace] | SubspaceArray | None, dim: int | None = None
+    E: PointSet, directions: Iterable[Subspace] | SubspaceArray
 ) -> Iterator[np.ndarray]:
     """(c, p^(n - dim W)) histogram blocks of E over the directions, in order.
 
-    ``directions=None`` sweeps all of G(n, dim) from RREF blocks without
-    building a :class:`Subspace`.  Otherwise each run of consecutive
-    directions of equal dimension is one kernel sweep.
+    Each run of consecutive directions of equal dimension is stacked into
+    one :class:`SubspaceArray` (an array is one run) and swept once.
     """
     space = E.space
     digits = digits_of(space, E.indices())
     tags = np.zeros(len(digits), dtype=np.int64)
-    if directions is None:
-        runs = [(dim, _grassmannian_source(space, dim))]
-    elif isinstance(directions, SubspaceArray):
-        if directions.space != space:
-            raise ValueError("point set and direction live in different spaces")
-        runs = [(directions.dim, _map_source(directions))]
+    if isinstance(directions, SubspaceArray):
+        runs = [directions]
     else:
-        def checked():
-            for W in directions:
-                if W.space != space:
-                    raise ValueError("point set and direction live in different spaces")
-                yield W
-
-        runs = (
-            (d, _map_source(run)) for d, run in itertools.groupby(checked(), key=lambda W: W.dim)
-        )
-    for d, maps in runs:
-        for block in _coset_histograms(digits, tags, 1, maps, space.n - d, space.p):
+        runs = (run for _, run in itertools.groupby(directions, key=lambda W: W.dim))
+    for run in runs:
+        for block in _coset_histograms(digits, tags, 1, SubspaceArray.of(space, run)):
             yield block[:, 0]
 
 
@@ -219,21 +174,31 @@ def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
     return CosetProfile(W, next(coset_counts(E, [W])), E.cardinality)
 
 
-def projection_sizes(
-    E: PointSet, m: int, directions: Sequence[Subspace] | None = None
-) -> tuple[Sequence[Subspace], np.ndarray]:
-    """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order.
-
-    Returns the swept directions with the sizes: a :class:`SubspaceArray`
-    over G(n, n-m) by default, else the given directions as a list.
-    """
-    space = E.space
+def _codimension_m(
+    space: AmbientSpace, m: int, directions: Iterable[Subspace] | None
+) -> SubspaceArray:
+    """``directions`` (default all of G(n, n-m)) stacked, each checked to have dimension n - m."""
     if not 1 <= m <= space.n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     if directions is None:
-        directions = SubspaceArray.grassmannian(space, space.n - m)
-    elif not isinstance(directions, SubspaceArray):
-        directions = list(directions)
+        return SubspaceArray.grassmannian(space, space.n - m)
+    directions = SubspaceArray.of(space, directions)
+    if len(directions) and directions.dim != space.n - m:
+        raise ValueError(
+            f"directions have dimension {directions.dim}, need n - m = {space.n - m}"
+        )
+    return directions
+
+
+def projection_sizes(
+    E: PointSet, m: int, directions: Iterable[Subspace] | None = None
+) -> tuple[SubspaceArray, np.ndarray]:
+    """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order.
+
+    ``directions`` narrows the sweep to given subspaces of dimension n - m.
+    Returns the swept directions, as a :class:`SubspaceArray`, with the sizes.
+    """
+    directions = _codimension_m(E.space, m, directions)
     blocks = [np.count_nonzero(h, axis=1) for h in _histogram_blocks(E, directions)]
     sizes = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
     return directions, sizes.astype(np.int64, copy=False)
@@ -303,7 +268,7 @@ class CensusReport:
     hypothesis_ok: bool
     range_condition_ok: bool
     params: dict = field(default_factory=dict)
-    directions: Sequence[Subspace] | None = None  # the sweep: every W in G(n, n-m)
+    directions: SubspaceArray | None = None  # the sweep: every W in G(n, n-m)
     sizes: np.ndarray | None = None  # |image(E, W)| for each of ``directions``
 
     def to_json_dict(self) -> dict:
@@ -337,10 +302,13 @@ class CensusReport:
         return out
 
 
+_Sweep = tuple[Sequence[Subspace], np.ndarray]  # (directions, sizes) from projection_sizes
+
+
 def _census_report(
     E: PointSet,
     m: int,
-    sweep: tuple[Sequence[Subspace], np.ndarray],
+    sweep: _Sweep | None,
     *,
     kind: str,
     threshold: int | Fraction,
@@ -351,9 +319,14 @@ def _census_report(
 ) -> CensusReport:
     """Count the directions of ``sweep`` with image size <= threshold against ``bound``.
 
-    The range condition checked is C(n-1, range_k)_p <= 2 p^(range_k (n-1-range_k)).
+    ``sweep=None`` sweeps E over G(n, n-m); a given sweep is checked to be
+    one.  The range condition checked is
+    C(n-1, range_k)_p <= 2 p^(range_k (n-1-range_k)).
     """
-    directions, sizes = sweep
+    directions, sizes = projection_sizes(E, m) if sweep is None else sweep
+    directions = _codimension_m(E.space, m, directions)
+    if len(sizes) != len(directions):
+        raise ValueError(f"{len(sizes)} image sizes for {len(directions)} directions")
     p, n = E.space.p, E.space.n
     threshold = Fraction(threshold)
     observed = int((sizes <= math.floor(threshold)).sum())
@@ -375,20 +348,21 @@ def _census_report(
 
 
 def census_small_image(
-    E: PointSet, m: int, N: int, directions: Sequence[Subspace] | None = None
+    E: PointSet, m: int, N: int, sweep: _Sweep | None = None
 ) -> CensusReport:
     """Count directions with image size <= N against the bound 4 p^(m(n-m)-m) N.
 
     The bound is asserted under the hypothesis N < |E|/2 and requires the
     range condition instance C(n-1, n-m-1)_p <= 2 p^((n-m-1)m); both are
-    reported as flags rather than raised.  ``directions`` defaults to
-    G(n, n-m), as in :func:`projection_sizes`.
+    reported as flags rather than raised.  ``sweep`` is a (directions,
+    sizes) pair as :func:`projection_sizes` returns it, for a caller that
+    holds the image sizes already; by default E is swept over G(n, n-m).
     """
     p, n = E.space.p, E.space.n
     if N < 0:
         raise ValueError("threshold N must be nonnegative")
     return _census_report(
-        E, m, projection_sizes(E, m, directions),
+        E, m, sweep,
         kind="small_image",
         threshold=N,
         bound=ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m)),
@@ -399,11 +373,11 @@ def census_small_image(
 
 
 def census_fractional_image(
-    E: PointSet, m: int, delta: Fraction, directions: Sequence[Subspace] | None = None
+    E: PointSet, m: int, delta: Fraction, sweep: _Sweep | None = None
 ) -> CensusReport:
     """Count directions with image <= delta p^m against 2 (delta/(1-delta)) p^(m(n-m)+m) / |E|.
 
-    ``directions`` defaults to G(n, n-m), as in :func:`projection_sizes`.
+    ``sweep`` is as in :func:`census_small_image`.
     """
     p, n = E.space.p, E.space.n
     delta = Fraction(delta)
@@ -411,7 +385,7 @@ def census_fractional_image(
         raise ValueError("delta must lie strictly between 0 and 1")
     size = E.cardinality
     return _census_report(
-        E, m, projection_sizes(E, m, directions),
+        E, m, sweep,
         kind="fractional_image",
         threshold=delta * p**m,
         bound=(

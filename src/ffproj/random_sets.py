@@ -21,8 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet, digits_of
-from .projections import _coset_histograms, _fits_one_chunk, _map_source
-from .subspaces import Subspace, SubspaceArray
+from .projections import _coset_histograms, _fits_one_chunk
+from .subspaces import SubspaceArray
 
 __all__ = [
     "PercolationModel",
@@ -214,13 +214,13 @@ def _trial_groups(
 
 
 def _sweep(
-    model: PercolationModel, m: int, trials: int, directions: Sequence[Subspace]
+    model: PercolationModel, m: int, trials: int, directions: SubspaceArray
 ) -> tuple[list[int], list[int], list[bool], int]:
     """Per-trial (|E|, min image, all-full flag) plus total empty-coset count.
 
     The trials of a group are labelled together: each point is tagged with
-    its trial, and one kernel call over the directions' label-map blocks
-    gives the image size of every (direction, trial) pair.
+    its trial, and one kernel call over the directions gives the image size
+    of every (direction, trial) pair.
     """
     space = model.space
     p_m = space.p**m
@@ -229,9 +229,7 @@ def _sweep(
         counts = [idx.size for idx in group]
         digits = digits_of(space, np.concatenate(group))
         tags = np.repeat(np.arange(len(group), dtype=np.int64), counts)
-        blocks = _coset_histograms(
-            digits, tags, len(group), _map_source(directions), m, space.p
-        )
+        blocks = _coset_histograms(digits, tags, len(group), directions)
         image = np.concatenate([np.count_nonzero(b, axis=2) for b in blocks])
         sizes += counts
         mins += image.min(axis=0).tolist()

@@ -20,7 +20,6 @@ Per(W) may intersect nontrivially (span{(1,1)} in F_2^2 is self-dual).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import re
@@ -204,8 +203,8 @@ def label_maps(bases: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
 
     Returns one (c, n, n-k) int64 array: Q[nonpiv_j, j] = 1 and
     Q[piv_i, j] = -B[i, nonpiv_j] mod p, so column j of x @ Q reads the j-th
-    non-pivot coordinate of the canonical coset representative x - x[piv] @ B
-    (see :attr:`Subspace.label_map`).
+    non-pivot coordinate of the canonical coset representative x - x[piv] @ B,
+    and ((x @ Q) % p) @ p^arange(n-k) is the label of :func:`coset_labels`.
     """
     c, k, n = bases.shape
     nonpiv = [j for j in range(n) if j not in pivots]
@@ -291,18 +290,6 @@ class Subspace:
     def nonpivot_columns(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.space.n) if j not in self.pivots)
 
-    @functools.cached_property
-    def label_map(self) -> np.ndarray:
-        """(n, n - dim) int64 matrix Q with ((x @ Q) % p) @ p^arange(n - dim) = coset label.
-
-        Column j reads the j-th non-pivot coordinate of the canonical coset
-        representative x - x[pivots] @ basis, so the labels are those of
-        :func:`coset_labels`.  Cached per object; not a dataclass field.
-        """
-        Q = label_maps(self.matrix[None], self.pivots, self.space.p)[0]
-        Q.flags.writeable = False
-        return Q
-
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(c) for c in row) for row in self.basis)
         return f"Subspace(p={self.space.p}, n={self.space.n}, [{rows}])"
@@ -367,8 +354,30 @@ class SubspaceArray(SequenceABC):
         if bases.ndim != 3 or bases.shape[2] != space.n:
             raise ValueError(f"bases must have shape (G, k, {space.n}), got {bases.shape}")
         pivots = np.broadcast_to(np.asarray(pivots, dtype=np.int64), bases.shape[:2])
+        bases = bases.view()  # freeze a view, not the caller's array
         bases.flags.writeable = False
         self.space, self.bases, self.pivots = space, bases, pivots
+
+    @classmethod
+    def of(cls, space: AmbientSpace, subspaces: Iterable[Subspace]) -> "SubspaceArray":
+        """Stack equal-dimension subspaces of ``space``; an array of ``space`` is returned as is.
+
+        Raises ``ValueError`` for a subspace of another space or for mixed
+        dimensions.  An empty input stacks to an empty array of dimension 0.
+        """
+        if isinstance(subspaces, SubspaceArray):
+            if subspaces.space != space:
+                raise ValueError("point set and direction live in different spaces")
+            return subspaces
+        subspaces = list(subspaces)
+        if any(W.space != space for W in subspaces):
+            raise ValueError("point set and direction live in different spaces")
+        if len({W.dim for W in subspaces}) > 1:
+            raise ValueError("direction set mixes dimensions")
+        shape = (len(subspaces), subspaces[0].dim if subspaces else 0)
+        bases = np.array([W.basis for W in subspaces], dtype=np.int64)
+        pivots = np.array([W.pivots for W in subspaces], dtype=np.int64)
+        return cls(space, bases.reshape(*shape, space.n), pivots.reshape(shape))
 
     @classmethod
     def grassmannian(
@@ -417,15 +426,34 @@ class SubspaceArray(SequenceABC):
         pattern_starts = np.flatnonzero((self.pivots[1:] != self.pivots[:-1]).any(axis=1)) + 1
         bounds = [0, *pattern_starts.tolist(), len(self)]
         for lo, hi in zip(bounds, bounds[1:]):
-            pivots = self.pivots[lo].tolist()
             for start in range(lo, hi, rows):
-                yield label_maps(self.bases[start : min(start + rows, hi)], pivots, self.space.p)
+                bases = self.bases[start : min(start + rows, hi)]
+                yield label_maps(bases, self.pivots[start].tolist(), self.space.p)
 
     def __repr__(self) -> str:
         return (
             f"SubspaceArray(p={self.space.p}, n={self.space.n}, "
             f"dim={self.dim}, len={len(self)})"
         )
+
+
+def _dual_point_blocks(directions: SubspaceArray) -> Iterator[np.ndarray]:
+    """Point indices of Per(W) for each W of ``directions``, in (c, p^(n-k)) blocks.
+
+    Per(W) is spanned by the columns of the label map Q_W, so a block is
+    dualised with one :func:`rref_stack` of the stacked Q_W^T.  Each row lists
+    its dual's points in RREF-coefficient order, the order of
+    ``perp(W).point_indices()``, so sums over a row are bit-identical to sums
+    over those indices.
+    """
+    space = directions.space
+    p, n, r = space.p, space.n, space.n - directions.dim
+    coeffs = base_p_digits(np.arange(p**r), p, r)
+    weights = p ** np.arange(n, dtype=np.int64)
+    rows = _block_rows(8 * p**r * (n + 2))  # each dual's points, indices and gathered values
+    for Q in directions.label_map_blocks(rows):
+        duals, _ = rref_stack(Q.transpose(0, 2, 1), p)
+        yield (coeffs @ duals % p) @ weights
 
 
 def _check_enumeration(space: AmbientSpace, m: int, budget: int | None) -> None:

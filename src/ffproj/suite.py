@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AmbientSpace, PointSet, digits_of
 from .energy import energy_identity_closed_form, key_lemma_check
-from .fourier import TOLERANCE, character_sum, dft, plancherel_check, subspace_plancherel
+from .fourier import TOLERANCE, character_sum, dft, plancherel_check
 from .projections import (
     CosetProfile,
     census_fractional_image,
@@ -26,7 +26,7 @@ from .projections import (
     project_onto,
 )
 from .random_sets import PercolationModel, percolation_sample
-from .subspaces import enumerate_grassmannian, gaussian_binomial, perp
+from .subspaces import SubspaceArray, _dual_point_blocks, gaussian_binomial, perp
 
 __all__ = ["run_identity_suite", "DEFAULT_PRIMES", "DEFAULT_DIMS"]
 
@@ -98,10 +98,11 @@ def run_identity_suite(
     for p in primes:
         for n in dims:
             space = AmbientSpace(p, n)
-            grassmannians = {
-                d: list(enumerate_grassmannian(space, d)) for d in range(n + 1)
-            }
+            arrays = {d: SubspaceArray.grassmannian(space, d) for d in range(n + 1)}
+            grassmannians = {d: list(G) for d, G in arrays.items()}
             duals = {d: [perp(W) for W in Gs] for d, Gs in grassmannians.items()}
+            # row i lists the points of duals[d][i] in perp(W).point_indices() order
+            dual_points = {d: np.concatenate(list(_dual_point_blocks(arrays[d]))) for d in arrays}
 
             for m in range(n + 1):
                 observed = len(grassmannians[m])
@@ -125,8 +126,9 @@ def run_identity_suite(
             _perp_duality(space, grassmannians, duals, checks)
             _character_sums(space, grassmannians, checks)
 
+            cell = (space, arrays, grassmannians, duals, dual_points)
             for set_name, E in _test_sets(space, seed):
-                _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks)
+                _per_set_checks(cell, E, set_name, binomial, checks)
 
     summaries = [c.summary() for c in checks.values()]
     return {
@@ -193,19 +195,27 @@ def _character_sums(space, grassmannians, checks) -> None:
             )
 
 
-def _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks) -> None:
+def _per_set_checks(cell, E, set_name, binomial, checks) -> None:
+    """Every check on one set: one kernel sweep per G(n,d), whose histograms all checks share."""
+    space, arrays, grassmannians, duals, dual_points = cell
     p, n = space.p, space.n
     spectrum = dft(E)
     lhs, rhs, ok = plancherel_check(spectrum)
     checks["plancherel"].record(ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
+    power = np.abs(spectrum.values) ** 2
 
+    sizes = {}  # image sizes over G(n,d), the census sweeps
     for d in range(n + 1):
         energy, spectral = 0, 0.0  # energy(E, A(n,d)), summed over the directions W
-        Gs = grassmannians[d]
-        for W, P, counts in zip(Gs, duals[d], coset_counts(E, Gs)):
+        n_cosets = p ** (n - d)
+        # subspace Plancherel: sum_j |E n (x_j + W)|^2 = p^(d-n) sum_{xi in Per(W)} |Ehat(xi)|^2
+        dual_sums = power[dual_points[d]].sum(axis=1).tolist()
+        image_sizes = []
+        for W, P, counts, dual_sum in zip(
+            grassmannians[d], duals[d], coset_counts(E, arrays[d]), dual_sums
+        ):
             profile = CosetProfile(W, counts, E.cardinality)
             image = project(E, W)
-            n_cosets = p ** (n - d)
             decomposed = int(profile.counts.sum()) == E.cardinality
             image_consistent = profile.image_size == image.size
             min_bound = (
@@ -220,18 +230,21 @@ def _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks) 
                 profile.cauchy_schwarz_ok(),
                 p=p, n=n, set=set_name, subspace=W.basis,
             )
-            lhs, rhs, ok = subspace_plancherel(E, W, spectrum=spectrum)
+            lhs, rhs = profile.second_moment(), dual_sum / n_cosets
             checks["subspace_plancherel"].record(
-                ok, p=p, n=n, set=set_name, subspace=W.basis, lhs=lhs, rhs=rhs,
+                abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs),
+                p=p, n=n, set=set_name, subspace=W.basis, lhs=lhs, rhs=rhs,
             )
-            energy += profile.second_moment()
+            energy += lhs
             spectral += rhs
+            image_sizes.append(profile.image_size)
             if 1 <= d <= n - 1:
                 dual_image = project_onto(E, P)
                 checks["projection_duality"].record(
                     dual_image.size == image.size and dual_image.labels == image.labels,
                     p=p, n=n, set=set_name, subspace=W.basis,
                 )
+        sizes[d] = np.array(image_sizes, dtype=np.int64)
 
         rhs = energy_identity_closed_form(space, E.cardinality, d)
         rhs_injected = E.cardinality * p**d * _or_zero(binomial, n - 1, d, p) + (
@@ -248,19 +261,20 @@ def _per_set_checks(space, grassmannians, duals, E, set_name, binomial, checks) 
         )
 
     for m in range(1, n):
-        directions = grassmannians[n - m]
+        directions = arrays[n - m]
+        sweep = (directions, sizes[n - m])
         if E.cardinality:
             for N in sorted({1, E.cardinality // 4}):
                 if N < 1:
                     continue
-                report = census_small_image(E, m, N, directions=directions)
+                report = census_small_image(E, m, N, sweep=sweep)
                 if report.hypothesis_ok and report.range_condition_ok:
                     checks["census_bounds"].record(
                         bool(report.satisfied), p=p, n=n, m=m, set=set_name,
                         kind="small_image", N=N, observed=report.observed,
                     )
             for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                report = census_fractional_image(E, m, delta, directions=directions)
+                report = census_fractional_image(E, m, delta, sweep=sweep)
                 if report.hypothesis_ok and report.range_condition_ok:
                     checks["census_bounds"].record(
                         bool(report.satisfied), p=p, n=n, m=m, set=set_name,

@@ -143,7 +143,6 @@ def test_sizes_csv_is_the_census_sweep(workdir, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(subspaces, "grassmannian_blocks", counting)
-    monkeypatch.setattr(projections, "grassmannian_blocks", counting)
     monkeypatch.chdir(workdir)
     code = cli.main(["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
                      "--s", "1", "--t", "1", "--sizes-csv", "sizes.csv", "--out", "r.json"])

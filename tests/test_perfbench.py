@@ -1,17 +1,20 @@
-"""The benchmark's sweep workload, run end to end against its reference digests."""
+"""The benchmark's sweep and verify workloads, run end to end against their reference digests."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_sweep_workload_reproduces_the_reference_digests():
+@pytest.mark.parametrize("workload", ["sweep", "verify"])
+def test_workload_reproduces_the_reference_digests(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "sweep", "--seed", "0", "--seconds", "2"],
+         "--workload", workload, "--seed", "0", "--seconds", "2"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

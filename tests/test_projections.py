@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffproj import projections
+from ffproj import projections, subspaces
 from ffproj.core import AmbientSpace, BudgetError, PointSet
 from ffproj.energy import all_planes, energy
 from ffproj.projections import (
@@ -22,7 +22,13 @@ from ffproj.projections import (
     project_onto,
     projection_sizes,
 )
-from ffproj.subspaces import Subspace, coset_labels, enumerate_grassmannian, perp
+from ffproj.subspaces import (
+    Subspace,
+    SubspaceArray,
+    coset_labels,
+    enumerate_grassmannian,
+    perp,
+)
 
 from oracles import brute_coset_counts, brute_cosets_hit, brute_energy, span_points, vec_add
 
@@ -119,7 +125,7 @@ def test_coset_counts_match_brute_force(case):
     idx = E.indices()
     directions = list(enumerate_grassmannian(space, dim))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projections, "_KERNEL_BYTES", cap)  # small caps split G(n, dim)
+        mp.setattr(subspaces, "_KERNEL_BYTES", cap)  # small caps split G(n, dim)
         histograms = list(coset_counts(E, directions))
     assert len(histograms) == len(directions)
     for W, counts in zip(directions, histograms):
@@ -131,7 +137,7 @@ def test_coset_counts_match_brute_force(case):
 
 
 def test_coset_counts_mixed_dimensions(monkeypatch):
-    monkeypatch.setattr(projections, "_KERNEL_BYTES", 500)
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 500)
     space = AmbientSpace(3, 3)
     E = PointSet(space, np.random.default_rng(5).random(27) < 0.5)
     G = {d: list(enumerate_grassmannian(space, d)) for d in range(4)}
@@ -156,7 +162,7 @@ def test_energy_spans_several_chunks(monkeypatch):
     assert energy(E, planes) == expected
     # two directions of G(3,1) per chunk: 13 directions make 7 chunks
     cap = 2 * projections._chunk_bytes(E.cardinality, 2, 1, 3)
-    monkeypatch.setattr(projections, "_KERNEL_BYTES", cap)
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
     assert energy(E, planes) == expected
     subfamily = planes[::4]
     assert energy(E, subfamily) == brute_energy(
@@ -298,6 +304,29 @@ def test_census_reports_carry_their_sweep():
         assert r.directions == directions
         assert np.array_equal(r.sizes, sizes)
         assert r.observed == int((sizes <= r.threshold).sum())
+    held = [  # a caller's own sweep, as an array or as a list, gives the same reports
+        census_small_image(E, 1, 2, sweep=(directions, sizes)),
+        census_fractional_image(E, 1, Fraction(1, 2), sweep=(list(directions), sizes)),
+    ]
+    assert [r.to_json_dict() for r in held] == [r.to_json_dict() for r in reports[:2]]
+    assert all(r.directions == directions for r in held)
+
+
+def test_directions_of_the_wrong_dimension_are_refused():
+    space = AmbientSpace(3, 3)
+    full = PointSet.full(space)
+    lines = SubspaceArray.grassmannian(space, 1)  # m = 1 needs planes, n - m = 2
+    for directions in (lines, list(lines)):
+        with pytest.raises(ValueError, match="need n - m = 2"):
+            projection_sizes(full, 1, directions=directions)
+        sweep = (directions, np.full(len(lines), 9))
+        with pytest.raises(ValueError, match="need n - m = 2"):
+            census_small_image(full, 1, 1, sweep=sweep)
+        with pytest.raises(ValueError, match="need n - m = 2"):
+            census_fractional_image(full, 1, Fraction(1, 2), sweep=sweep)
+    planes = SubspaceArray.grassmannian(space, 2)
+    with pytest.raises(ValueError, match="12 image sizes for 13 directions"):
+        census_small_image(full, 1, 1, sweep=(planes, np.full(12, 3)))
 
 
 def test_projection_sizes_obeys_budget_env(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ffproj import projections, random_sets
+from ffproj import random_sets, subspaces
 from ffproj.core import AmbientSpace
 from ffproj.projections import projection_sizes
 from ffproj.random_sets import (
@@ -16,7 +16,7 @@ from ffproj.random_sets import (
     verify_large_regime,
     verify_small_regime,
 )
-from ffproj.subspaces import enumerate_grassmannian
+from ffproj.subspaces import SubspaceArray
 
 
 def test_sample_determinism_bit_exact():
@@ -239,10 +239,10 @@ def _per_trial_sweep(model, m, trials, directions):
 ])
 @pytest.mark.parametrize("cap", [0, 1000, 1 << 20])
 def test_batched_sweep_matches_per_trial_loop(monkeypatch, p, n, m, delta, trials, cap):
-    monkeypatch.setattr(projections, "_KERNEL_BYTES", cap)
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
     space = AmbientSpace(p, n)
     model = PercolationModel(space, delta, seed=p * n + m)
-    directions = list(enumerate_grassmannian(space, n - m))
+    directions = SubspaceArray.grassmannian(space, n - m)
     groups = list(random_sets._trial_groups(model, m, trials))
     assert sum(len(g) for g in groups) == trials
     if cap == 0:

@@ -7,6 +7,7 @@ from ffproj.core import AmbientSpace, BudgetError, digits_of
 from ffproj.subspaces import (
     AffinePlane,
     Subspace,
+    SubspaceArray,
     affine_count,
     all_cosets,
     check_range_condition,
@@ -17,6 +18,7 @@ from ffproj.subspaces import (
     enumerate_affine,
     enumerate_grassmannian,
     gaussian_binomial,
+    label_maps,
     load_subspace,
     parse_subspace,
     perp,
@@ -217,21 +219,46 @@ def test_label_map_gives_coset_labels(p, n):
     idx = np.arange(space.point_count)
     digits = digits_of(space, idx)
     for k in range(n + 1):
-        for W in enumerate_grassmannian(space, k):
-            Q = W.label_map
+        directions = SubspaceArray.grassmannian(space, k)
+        blocks = np.concatenate(list(directions.label_map_blocks(3)))
+        for W, Q in zip(directions, blocks):
+            assert np.array_equal(Q, label_maps(W.matrix[None], W.pivots, p)[0])
             assert Q.shape == (n, n - k) and Q.dtype == np.int64
             labels = ((digits @ Q) % p) @ p ** np.arange(n - k)
             assert np.array_equal(labels, coset_labels(W, idx))
 
 
-def test_label_map_is_not_a_field():
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_subspace_array_of_round_trips(p, n):
+    space = AmbientSpace(p, n)
+    for k in range(n + 1):
+        listed = list(enumerate_grassmannian(space, k))
+        array = SubspaceArray.of(space, iter(listed))
+        assert array == SubspaceArray.grassmannian(space, k) and list(array) == listed
+        assert array.dim == k and array.bases.shape == (len(listed), k, n)
+        assert SubspaceArray.of(space, array) is array
+        assert list(SubspaceArray.of(space, listed[1::2])) == listed[1::2]
+    empty = SubspaceArray.of(space, [])
+    assert len(empty) == 0 and empty.bases.shape == (0, 0, n)
+
+
+def test_subspace_array_of_rejects_foreign_and_mixed_subspaces():
+    space, other = AmbientSpace(3, 2), AmbientSpace(5, 2)
+    line, plane = Subspace.from_rows(space, [(1, 2)]), Subspace.full(space)
+    with pytest.raises(ValueError, match="different spaces"):
+        SubspaceArray.of(space, [line, Subspace.from_rows(other, [(1, 2)])])
+    with pytest.raises(ValueError, match="different spaces"):
+        SubspaceArray.of(space, SubspaceArray.grassmannian(other, 1))
+    with pytest.raises(ValueError, match="mixes dimensions"):
+        SubspaceArray.of(space, [line, plane])
+
+
+def test_subspace_array_freezes_a_view_not_the_callers_array():
     space = AmbientSpace(3, 2)
-    W = Subspace.from_rows(space, [(1, 2)])
-    V = Subspace.from_rows(space, [(2, 1)])
-    before = (repr(W), hash(W))
-    assert W.label_map is W.label_map  # cached per object
-    assert not W.label_map.flags.writeable
-    assert (repr(W), hash(W)) == before and W == V and hash(W) == hash(V)
+    bases = np.array([[[1, 0]], [[1, 2]]], dtype=np.int64)
+    array = SubspaceArray(space, bases, [[0], [0]])
+    assert bases.flags.writeable and not array.bases.flags.writeable
+    assert np.shares_memory(array.bases, bases)
 
 
 @st.composite

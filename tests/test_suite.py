@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from ffproj import suite
-from ffproj.fourier import TOLERANCE
-from ffproj.subspaces import gaussian_binomial
+from ffproj.core import AmbientSpace
+from ffproj.fourier import TOLERANCE, subspace_plancherel
+from ffproj.subspaces import Subspace, gaussian_binomial
 from ffproj.suite import run_identity_suite
 
 
@@ -50,38 +52,71 @@ def test_instance_counts_follow_gaussian_binomials(p, n):
 
 
 def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
-    real = suite.subspace_plancherel
+    real = suite._dual_point_blocks
 
-    def shifted(E, W, spectrum=None):
-        lhs, rhs, _ = real(E, W, spectrum=spectrum)
-        rhs += 1.0
-        return lhs, rhs, abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs)
+    def with_origin_twice(directions):
+        # the origin is in every dual already: counting it again adds |E|^2 / p^(n-d)
+        for points in real(directions):
+            yield np.concatenate([points, np.zeros((len(points), 1), dtype=np.int64)], axis=1)
 
-    monkeypatch.setattr(suite, "subspace_plancherel", shifted)
+    monkeypatch.setattr(suite, "_dual_point_blocks", with_origin_twice)
     manifest = run_identity_suite(primes=(3,), dims=(2,))
     checks = {c["name"]: c for c in manifest["checks"]}
     assert manifest["all_pass"] is False
     for name in ("subspace_plancherel", "energy_identity_spectral"):
         assert not checks[name]["pass"]
-        assert checks[name]["failure_count"] == checks[name]["instances"]
+        # the empty set's spectrum vanishes, so no fault in the duals reaches
+        # its checks; every instance of the five other sets fails
+        empty = checks[name]["instances"] // 6
+        assert checks[name]["failure_count"] == checks[name]["instances"] - empty
+        assert all(w["set"] != "empty" for w in checks[name]["failures"])
     witness = checks["energy_identity_spectral"]["failures"][0]
-    # G(2,0) is one direction, so its spectral side is off by exactly 1
-    assert witness["m"] == 0 and witness["diff"] == pytest.approx(1.0)
+    # G(2,0) is one direction with the whole plane as its dual, so the full
+    # set's spectral side is off by exactly |E|^2 / p^2 = 9
+    assert witness["set"] == "full" and witness["m"] == 0
+    assert witness["diff"] == pytest.approx(9.0)
     for name in ("energy_identity", "coset_decomposition", "plancherel"):
         assert checks[name]["pass"]
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2)])
+def test_subspace_plancherel_sides_are_those_of_the_library(monkeypatch, p, n):
+    witnesses = []
+    record = suite._Check.record
+
+    def spy(self, ok, **witness):
+        if self.name == "subspace_plancherel":
+            witnesses.append(witness)
+        record(self, ok, **witness)
+
+    monkeypatch.setattr(suite._Check, "record", spy)
+    run_identity_suite(primes=(p,), dims=(n,), seed=3)
+    space = AmbientSpace(p, n)
+    sets = dict(suite._test_sets(space, 3))
+    assert len(witnesses) == len(sets) * sum(gaussian_binomial(n, d, p) for d in range(n + 1))
+    for w in witnesses:
+        W = Subspace.from_rows(space, w["subspace"])
+        lhs, rhs, _ = subspace_plancherel(sets[w["set"]], W)
+        assert (w["lhs"], w["rhs"]) == (lhs, rhs)  # the float to the bit, not merely close
 
 
 def test_cell_enumerates_each_grassmannian_once(monkeypatch):
     from ffproj import subspaces
 
-    calls = []
-    real = subspaces._grassmannian_stream
+    calls, streams = [], []
+    real_blocks, real_patterns = subspaces.grassmannian_blocks, subspaces._pattern_blocks
 
-    def counted(space, m):
+    def counted(space, m, *args, **kwargs):
         calls.append(m)
-        return real(space, m)
+        return real_blocks(space, m, *args, **kwargs)
 
-    monkeypatch.setattr(subspaces, "_grassmannian_stream", counted)
+    def counted_patterns(space, m, rows):
+        streams.append(m)
+        return real_patterns(space, m, rows)
+
+    monkeypatch.setattr(subspaces, "grassmannian_blocks", counted)
+    monkeypatch.setattr(subspaces, "_pattern_blocks", counted_patterns)
     manifest = run_identity_suite(primes=(2,), dims=(4,))
     assert manifest["all_pass"] is True
     assert sorted(calls) == [0, 1, 2, 3, 4]  # the census sweeps reuse the cell's G(4, d)
+    assert sorted(streams) == [0, 1, 2, 3, 4]  # and no other path enumerates
