@@ -248,19 +248,15 @@ def load_point_set(path) -> PointSet:
         space = AmbientSpace(int(m.group(1)), int(m.group(2)))
         lines = [line.strip() for line in fh.read().split("\n")]
 
-    def coordinates():
-        for line in lines:
-            if line:
-                row = line.split(",")
-                if len(row) != space.n:
-                    raise ValueError("wrong coordinate count")
-                yield from map(int, row)
-
-    try:
-        coords = np.fromiter(coordinates(), dtype=np.int64)
-        valid = bool(((coords >= 0) & (coords < space.p)).all())
-    except (ValueError, OverflowError):
-        valid = False
+    # fast path: every row has n fields, and one cast parses the whole body
+    rows = [line for line in lines if line]
+    valid = all(row.count(",") == space.n - 1 for row in rows)
+    if valid:
+        try:
+            coords = np.array(",".join(rows).split(",") if rows else [], dtype=np.int64)
+            valid = bool(((coords >= 0) & (coords < space.p)).all())
+        except (ValueError, OverflowError):
+            valid = False
     if valid:
         weights = space.p ** np.arange(space.n, dtype=np.int64)
         return PointSet.from_indices(space, coords.reshape(-1, space.n) @ weights)

@@ -27,6 +27,7 @@ from .subspaces import (
     Subspace,
     SubspaceArray,
     _block_rows,
+    _residue_codes,
     binom_at_most_twice_power,
     coset_labels,
     perp,
@@ -117,22 +118,26 @@ def _coset_histograms(
     as many directions as keep a chunk under the kernel cap
     (``subspaces._block_rows``).  Yields one int64 block of shape
     (c, ntags, p^r), r = n - dim, per map block; the blocks concatenate to
-    the (directions, ntags, p^r) histogram.  Each chunk is one
-    (N, n) @ (n, c r) product and one bincount.
+    the (directions, ntags, p^r) histogram.  Each chunk is one exact float64
+    (r c, n) @ (n, N) product (``subspaces._residue_codes``) and one bincount.
     """
     N, n = digits.shape
-    p, r = directions.space.p, n - directions.dim
-    cosets = p**r
+    space = directions.space
+    r = n - directions.dim
+    cosets = space.p**r
     per_direction = ntags * cosets
-    weights = p ** np.arange(r, dtype=np.int64)
-    base = tags * cosets
-    for Q in directions.label_map_blocks(_block_rows(_chunk_bytes(N, r, ntags, p))):
+    rows = _block_rows(_chunk_bytes(N, r, ntags, space.p))
+    # a label's bin within a chunk: its direction, then its point's tag, then its coset
+    direction_bins = np.arange(min(rows, len(directions)))[:, None] * per_direction
+    tag_bins = tags * cosets
+    digits = digits.astype(np.float64)
+    for Q in directions.label_map_blocks(rows):
         c = len(Q)
-        maps_side_by_side = Q.transpose(1, 0, 2).reshape(n, c * r)
-        labels = ((digits @ maps_side_by_side) % p).reshape(N, c, r) @ weights
-        labels += base[:, None]
-        labels += np.arange(c, dtype=np.int64) * per_direction
-        counts = np.bincount(labels.ravel(), minlength=c * per_direction)
+        codes = _residue_codes(space, digits, Q.transpose(2, 0, 1))
+        codes += direction_bins[:c]
+        if ntags > 1:
+            codes += tag_bins
+        counts = np.bincount(codes.ravel(), minlength=c * per_direction)
         yield counts.reshape(c, ntags, cosets)
 
 

@@ -69,6 +69,9 @@ BUDGET_ENV = "FFPROJ_BUDGET"
 # peak memory of a sweep independent of its number of directions.
 _KERNEL_BYTES = 1 << 20
 
+# Float64 represents every integer below 2^53 exactly; see _residue_codes.
+_FLOAT_EXACT = 1 << 53
+
 
 def _block_rows(item_bytes: int) -> int:
     """How many items of ``item_bytes`` bytes each one block holds (at least one)."""
@@ -201,17 +204,55 @@ def rref_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def label_maps(bases: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
     """Label maps Q_W of a (c, k, n) stack of RREF bases sharing the pivot columns ``pivots``.
 
-    Returns one (c, n, n-k) int64 array: Q[nonpiv_j, j] = 1 and
+    Returns one (c, n, n-k) float64 array: Q[nonpiv_j, j] = 1 and
     Q[piv_i, j] = -B[i, nonpiv_j] mod p, so column j of x @ Q reads the j-th
     non-pivot coordinate of the canonical coset representative x - x[piv] @ B,
     and ((x @ Q) % p) @ p^arange(n-k) is the label of :func:`coset_labels`.
+    The array is a view of an (n-k, c, n) buffer: ``Q.transpose(2, 0, 1)`` is
+    that buffer, the stacked maps :func:`_residue_codes` reads.
     """
     c, k, n = bases.shape
     nonpiv = [j for j in range(n) if j not in pivots]
-    Q = np.zeros((c, n, n - k), dtype=np.int64)
-    Q[:, nonpiv, range(n - k)] = 1
-    Q[:, list(pivots), :] = -bases[:, :, nonpiv] % p
-    return Q
+    Q = np.zeros((n - k, c, n))
+    Q[range(n - k), :, nonpiv] = 1
+    Q[:, :, list(pivots)] = (-bases[:, :, nonpiv] % p).transpose(2, 0, 1)
+    return Q.transpose(1, 2, 0)
+
+
+def _residue_codes(space: AmbientSpace, rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Base-p code sum_j ((x @ M)_j mod p) p^j of each row x of ``rows`` under each stacked map M.
+
+    ``rows`` is an (R, k) float64 array with k <= n, and ``maps`` a
+    (width, c, k) float64 array of c maps with ``width`` columns each:
+    maps[j, i] is column j of map i.  All entries are residues in [0, p).
+    Returns the C-contiguous (c, R) int64 codes.
+
+    Every entry of the one float64 product is an integer of at most
+    n (p-1)^2, so the product is exact while n (p-1)^2 < 2^53; BudgetError
+    is raised before the product otherwise.  The residue is taken in int64
+    in place (an integer division is much faster than ``%``), and a Horner
+    pass over the ``width`` contiguous (c, R) slabs packs the digits.
+    """
+    p, n = space.p, space.n
+    if n * (p - 1) ** 2 >= _FLOAT_EXACT:
+        raise BudgetError(
+            f"F_{p}^{n} is too large for exact float64 labels: n (p-1)^2 >= 2^53"
+        )
+    width, c, k = maps.shape
+    if not width:  # maps onto F_p^0: every code is 0
+        return np.zeros((c, len(rows)), dtype=np.int64)
+    product = maps.reshape(width * c, k) @ rows.T
+    y = product.astype(np.int64)
+    q = np.floor_divide(y, p, out=product.view(np.int64))  # reuses the product's buffer
+    q *= p
+    y -= q
+    del product, q
+    slabs = y.reshape(width, c, len(rows))
+    codes = slabs[width - 1]
+    for j in range(width - 2, -1, -1):
+        codes = codes * p  # a new array: a caller holding the codes does not pin the slabs
+        codes += slabs[j]
+    return codes
 
 
 @dataclass(frozen=True)
@@ -444,16 +485,16 @@ def _dual_point_blocks(directions: SubspaceArray) -> Iterator[np.ndarray]:
     dualised with one :func:`rref_stack` of the stacked Q_W^T.  Each row lists
     its dual's points in RREF-coefficient order, the order of
     ``perp(W).point_indices()``, so sums over a row are bit-identical to sums
-    over those indices.
+    over those indices.  Rows are C-contiguous: a strided view would change
+    the order in which numpy sums a gathered row.
     """
     space = directions.space
     p, n, r = space.p, space.n, space.n - directions.dim
-    coeffs = base_p_digits(np.arange(p**r), p, r)
-    weights = p ** np.arange(n, dtype=np.int64)
+    coeffs = base_p_digits(np.arange(p**r), p, r).astype(np.float64)
     rows = _block_rows(8 * p**r * (n + 2))  # each dual's points, indices and gathered values
     for Q in directions.label_map_blocks(rows):
-        duals, _ = rref_stack(Q.transpose(0, 2, 1), p)
-        yield (coeffs @ duals % p) @ weights
+        duals = rref_stack(Q.transpose(0, 2, 1), p)[0].transpose(2, 0, 1)
+        yield _residue_codes(space, coeffs, duals.astype(np.float64, order="C"))
 
 
 def _check_enumeration(space: AmbientSpace, m: int, budget: int | None) -> None:
@@ -593,18 +634,16 @@ def all_cosets(W: Subspace) -> list[AffinePlane]:
     return [AffinePlane(W, rep) for rep in coset_reps(W)]
 
 
-def coset_labels(
-    W: Subspace, indices: np.ndarray, digits: np.ndarray | None = None
-) -> np.ndarray:
+def coset_labels(W: Subspace, indices: np.ndarray) -> np.ndarray:
     """Coset label of each point index under W, vectorized.
 
     The label packs the non-pivot coordinates of the canonical representative
     in base p, so two points share a label iff their difference lies in W.
+    This is the int64 cross-check of the float64 sweep kernel.
     """
     space = W.space
     p = space.p
-    if digits is None:
-        digits = digits_of(space, np.asarray(indices, dtype=np.int64))
+    digits = digits_of(space, np.asarray(indices, dtype=np.int64))
     if W.dim:
         piv = np.array(W.pivots, dtype=np.int64)
         reps = (digits - digits[:, piv] @ W.matrix) % p

@@ -64,13 +64,19 @@ def brute_cosets_hit(E_vectors, subspace_points, p):
 
 
 def brute_coset_counts(E_vectors, subspace_points, p, n):
-    """|E n (v + W)| for every coset of W (including empty ones)."""
-    E = set(E_vectors)
-    cosets = {
-        frozenset(vec_add(v, w, p) for w in subspace_points)
-        for v in all_vectors(p, n)
-    }
-    return sorted(len(E & c) for c in cosets)
+    """Sorted |E n (v + W)| over every coset of W (including empty ones).
+
+    Each point of E lies in exactly one coset, its own v + W, so the nonempty
+    counts come from the cosets of E's points; the other p^n / |W| cosets are
+    empty.  This costs |E| |W| point additions, not p^n |W|, so it also runs
+    at large p.
+    """
+    hits = {}
+    for v in set(E_vectors):
+        coset = frozenset(vec_add(v, w, p) for w in subspace_points)
+        hits[coset] = hits.get(coset, 0) + 1
+    empty = p**n // len(subspace_points) - len(hits)
+    return [0] * empty + sorted(hits.values())
 
 
 def brute_dft(E_vectors, p, n):

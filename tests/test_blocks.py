@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffproj import subspaces
-from ffproj.core import AmbientSpace, PointSet
+from ffproj.core import AmbientSpace, BudgetError, PointSet, is_prime
 from ffproj.energy import energy_over_all_planes, verify_energy_identity_fourier
 from ffproj.fourier import dft
 from ffproj.projections import coset_counts, projection_sizes
@@ -18,6 +19,7 @@ from ffproj.random_sets import PercolationModel, percolation_sample
 from ffproj.subspaces import (
     Subspace,
     SubspaceArray,
+    _residue_codes,
     enumerate_grassmannian,
     gaussian_binomial,
     grassmannian_blocks,
@@ -220,3 +222,38 @@ def test_spectral_energy_is_bit_identical_to_the_perp_loop(monkeypatch, p, n):
     # over F_2 every character is +-1 and the sums are exact; elsewhere they
     # round, so the summation order is exercised
     assert rounded or p == 2
+
+
+def test_residue_codes_are_exact_at_the_float64_edge():
+    p = 67108859  # the largest prime <= 2^26 + 1
+    assert is_prime(p) and not any(is_prime(q) for q in range(p + 1, 2**26 + 2))
+    assert 2 * (p - 1) ** 2 < 2**53 <= 3 * (p - 1) ** 2
+    space = AmbientSpace(p, 2, max_points=p**2)  # a codec only: no point set is built
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([[[p - 1, p - 1], [0, 0], [1, p - 1]], rng.integers(0, p, (40, 2))])
+    maps = np.concatenate([[[[p - 1, p - 1]] * 2] * 2, rng.integers(0, p, (2, 5, 2))], axis=1)
+    codes = _residue_codes(space, rows.astype(np.float64), maps.astype(np.float64))
+    # sum_j ((x . column j of map i) mod p) p^j in Python integers
+    columns = maps.tolist()
+    expected = [
+        [sum(sum(a * b for a, b in zip(x, columns[j][i])) % p * p**j for j in range(2))
+         for x in rows.tolist()]
+        for i in range(maps.shape[1])
+    ]
+    assert codes.dtype == np.int64 and codes.flags.c_contiguous
+    assert codes.tolist() == expected
+
+
+def test_residue_codes_refuse_an_inexact_product_before_allocating():
+    p = 67108859
+    space = AmbientSpace(p, 3, max_points=p**3)  # 3 (p-1)^2 >= 2^53
+    rows = np.ones((4096, 3))
+    maps = np.ones((2, 256, 3))  # the product alone would take 16 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="2\\^53"):
+            _residue_codes(space, rows, maps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

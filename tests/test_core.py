@@ -138,11 +138,25 @@ def test_point_set_file_format(tmp_path):
 def test_point_set_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.pts"
     bad.write_text("ffpointset 2 p=3 n=2\n0,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad ffpointset header"):
         load_point_set(bad)
-    bad.write_text("ffpointset 1 p=3 n=2\n0,0,0\n")
-    with pytest.raises(ValueError):
-        load_point_set(bad)
-    bad.write_text("ffpointset 1 p=3 n=2\n0,x\n")
-    with pytest.raises(ValueError):
-        load_point_set(bad)
+    # the first bad line decides the message, whatever follows it
+    for body, message in [
+        ("0,0\n0,0,0\n1,x\n", "vector has 3 coordinates, expected 2"),
+        ("0,0\n\n0\n", "vector has 1 coordinates, expected 2"),
+        ("0,0\n\n1,x\n0,0,0\n", "line 4: bad coordinates '1,x'"),
+        ("1,1\n2.0,1\n", "line 3: bad coordinates '2.0,1'"),
+        ("0,1\n0,3\n0,-1\n", "coordinate 3 out of range [0, 3)"),
+        ("0,1\n0,-1\n", "coordinate -1 out of range [0, 3)"),
+        ("0,99999999999999999999\n", "coordinate 99999999999999999999 out of range [0, 3)"),
+    ]:
+        bad.write_text("ffpointset 1 p=3 n=2\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_point_set(bad)
+        assert str(info.value) == message
+
+
+def test_point_set_file_reads_what_int_reads(tmp_path):
+    path = tmp_path / "set.pts"
+    path.write_text("ffpointset 1 p=11 n=2\n\n 2 , +1 \n1_0,-0\n\n")
+    assert load_point_set(path).vectors() == [(10, 0), (2, 1)]

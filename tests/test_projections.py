@@ -136,6 +136,32 @@ def test_coset_counts_match_brute_force(case):
         assert sorted(counts.tolist()) == oracle
 
 
+@pytest.mark.parametrize("p,n", [(101, 1), (101, 2), (8191, 1), (8191, 2)])
+def test_coset_counts_match_brute_force_at_large_primes(p, n):
+    # a few points and explicit directions: all of G(2, 0) over F_8191 needs p^2 bins
+    rng = np.random.default_rng(p + n)
+    space = AmbientSpace(p, n)
+    lines = [row for row in rng.integers(0, p, (3, n)).tolist() if any(row)]
+    start = rng.integers(0, p, n)
+    on_a_line = [(start + t * np.array(lines[0])) % p for t in range(4)]  # one coset of lines[0]
+    scattered = rng.integers(0, p**n, 8)
+    E = PointSet.from_indices(
+        space, np.concatenate([scattered, np.array(on_a_line) @ p ** np.arange(n)])
+    )
+    directions = list(dict.fromkeys(Subspace.from_rows(space, [row]) for row in lines))
+    if p**n <= 10**4:
+        directions.insert(0, Subspace.zero(space))
+    idx = E.indices()
+    histograms = list(coset_counts(E, directions))
+    assert len(histograms) == len(directions)
+    assert max(h.max() for h in histograms) >= 4
+    for W, counts in zip(directions, histograms):
+        expected = np.bincount(coset_labels(W, idx), minlength=p ** (n - W.dim))
+        assert np.array_equal(counts, expected)
+        oracle = brute_coset_counts(E.vectors(), span_points(W.basis, p, n), p, n)
+        assert sorted(counts.tolist()) == oracle
+
+
 def test_coset_counts_mixed_dimensions(monkeypatch):
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 500)
     space = AmbientSpace(3, 3)

@@ -223,7 +223,7 @@ def test_label_map_gives_coset_labels(p, n):
         blocks = np.concatenate(list(directions.label_map_blocks(3)))
         for W, Q in zip(directions, blocks):
             assert np.array_equal(Q, label_maps(W.matrix[None], W.pivots, p)[0])
-            assert Q.shape == (n, n - k) and Q.dtype == np.int64
+            assert Q.shape == (n, n - k) and Q.dtype == np.float64
             labels = ((digits @ Q) % p) @ p ** np.arange(n - k)
             assert np.array_equal(labels, coset_labels(W, idx))
 
