@@ -72,6 +72,8 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -88,6 +90,14 @@ def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join('--' + k for k in missing)}")
+
+
+def _fraction(cfg: dict, key: str) -> Fraction:
+    """The option ``key`` as an exact rational; a bad value is a usage error naming it."""
+    try:
+        return Fraction(cfg[key])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"--{key} must be a rational number, got {cfg[key]!r}") from None
 
 
 def _jsonable(value):
@@ -211,10 +221,10 @@ def _census_reports(E, cfg) -> list:
         return [census_small_image(E, cfg["m"], cfg["N"])]
     if kind == "large":
         _require(cfg, "delta")
-        return [census_fractional_image(E, cfg["m"], Fraction(cfg["delta"]))]
+        return [census_fractional_image(E, cfg["m"], _fraction(cfg, "delta"))]
     if kind == "scales":
         _require(cfg, "s", "t")
-        reports = census_at_scales(E, cfg["m"], Fraction(cfg["s"]), Fraction(cfg["t"]))
+        reports = census_at_scales(E, cfg["m"], _fraction(cfg, "s"), _fraction(cfg, "t"))
         return [reports["scale_t"], reports["scale_m"], reports["full_image"]]
     raise ValueError(f"unknown census kind {kind!r}")
 
@@ -331,7 +341,7 @@ def cmd_percolate(args) -> int:
     if runner is None:
         raise ValueError(f"unknown regime {cfg['regime']!r}")
     report = runner(
-        cfg["p"], cfg["n"], cfg["m"], float(Fraction(cfg["s"])),
+        cfg["p"], cfg["n"], cfg["m"], float(_fraction(cfg, "s")),
         trials=cfg["trials"], seed=cfg["seed"],
     )
     if cfg["dump"]:

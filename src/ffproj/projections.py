@@ -114,11 +114,11 @@ def _coset_histograms(
     """Histograms of tagged points over the cosets of each direction, chunk by chunk.
 
     ``digits`` is the (N, n) coordinate matrix and ``tags`` gives each point
-    a tag in [0, ntags).  The directions' label maps are built in blocks of
-    as many directions as keep a chunk under the kernel cap
+    a tag in [0, ntags).  Each block of label maps is cut into chunks of as
+    many directions as keep a chunk under the kernel cap
     (``subspaces._block_rows``).  Yields one int64 block of shape
-    (c, ntags, p^r), r = n - dim, per map block; the blocks concatenate to
-    the (directions, ntags, p^r) histogram.  Each chunk is one exact float64
+    (c, ntags, p^r), r = n - dim, per chunk; the blocks concatenate to the
+    (directions, ntags, p^r) histogram.  Each chunk is one exact float64
     (r c, n) @ (n, N) product (``subspaces._residue_codes``) and one bincount.
     """
     N, n = digits.shape
@@ -131,14 +131,16 @@ def _coset_histograms(
     direction_bins = np.arange(min(rows, len(directions)))[:, None] * per_direction
     tag_bins = tags * cosets
     digits = digits.astype(np.float64)
-    for Q in directions.label_map_blocks(rows):
-        c = len(Q)
-        codes = _residue_codes(space, digits, Q.transpose(2, 0, 1))
-        codes += direction_bins[:c]
-        if ntags > 1:
-            codes += tag_bins
-        counts = np.bincount(codes.ravel(), minlength=c * per_direction)
-        yield counts.reshape(c, ntags, cosets)
+    for maps in directions.label_map_blocks():
+        for start in range(0, len(maps), rows):
+            Q = maps[start : start + rows]
+            c = len(Q)
+            codes = _residue_codes(space, digits, Q.transpose(2, 0, 1))
+            codes += direction_bins[:c]
+            if ntags > 1:
+                codes += tag_bins
+            counts = np.bincount(codes.ravel(), minlength=c * per_direction)
+            yield counts.reshape(c, ntags, cosets)
 
 
 def _histogram_blocks(

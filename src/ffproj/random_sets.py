@@ -222,6 +222,8 @@ def _sweep(
     its trial, and one kernel call over the directions gives the image size
     of every (direction, trial) pair.
     """
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     space = model.space
     p_m = space.p**m
     sizes, mins, fulls, empty = [], [], [], 0
@@ -337,11 +339,13 @@ def chebyshev_size_check(model: PercolationModel, trials: int) -> SizeConcentrat
     """
     if not 0.0 < model.delta <= 1.0:
         raise ValueError("need delta in (0, 1]")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     mean = model.space.point_count * model.delta
     sizes = np.array(
         [percolation_sample(model, t).cardinality for t in range(trials)]
     )
-    rate = float((np.abs(sizes - mean) > mean / 2.0).mean())
+    rate = float((np.abs(sizes - mean) > mean / 2.0).mean()) if trials else 0.0
     if model.delta == 1.0:
         bound = 0.0
     else:

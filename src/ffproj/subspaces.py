@@ -47,7 +47,6 @@ __all__ = [
     "AffinePlane",
     "label_maps",
     "enumerate_grassmannian",
-    "grassmannian_blocks",
     "enumerate_affine",
     "affine_count",
     "perp",
@@ -75,7 +74,7 @@ _FLOAT_EXACT = 1 << 53
 
 def _block_rows(item_bytes: int) -> int:
     """How many items of ``item_bytes`` bytes each one block holds (at least one)."""
-    return max(1, _KERNEL_BYTES // item_bytes)
+    return max(1, _KERNEL_BYTES // max(1, item_bytes))
 
 
 def enumeration_budget() -> int:
@@ -166,18 +165,17 @@ def rref_mod_p(
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def rref_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def rref_stack(mats: np.ndarray, p: int) -> np.ndarray:
     """:func:`rref_mod_p` of a (c, r, n) stack of rank-r matrices at once.
 
-    Returns the (c, r, n) int64 RREF bases and their (c, r) pivot columns.
-    Each matrix picks its own pivot row per column; since the RREF is
-    canonical, the bases equal those of :func:`rref_mod_p` row for row.
+    Returns the (c, r, n) int64 RREF bases.  Each matrix picks its own pivot
+    row per column; since the RREF is canonical, the bases equal those of
+    :func:`rref_mod_p` row for row.
     """
     mats = np.asarray(mats, dtype=np.int64) % p
     c, r, n = mats.shape
     inverse = np.zeros(p, dtype=np.int64)
     inverse[1:] = [pow(a, -1, p) for a in range(1, p)]
-    pivots = np.zeros((c, r), dtype=np.int64)
     rank = np.zeros(c, dtype=np.int64)
     below = np.arange(r)
     for col in range(n):
@@ -194,15 +192,19 @@ def rref_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         block = (mats[g] - factors[:, :, None] * lead[:, None, :]) % p
         block[np.arange(g.size), dst] = lead
         mats[g] = block
-        pivots[g, dst] = col
         rank[g] += 1
     if (rank != r).any():  # callers pass bases of known rank; cannot fail
         raise IdentityError("rank-deficient matrix in rref_stack")
-    return mats, pivots
+    return mats
 
 
-def label_maps(bases: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    """Label maps Q_W of a (c, k, n) stack of RREF bases sharing the pivot columns ``pivots``.
+def _pivot_columns(bases: np.ndarray) -> np.ndarray:
+    """Pivot column of each row of RREF bases (..., k, n): its first nonzero entry."""
+    return (bases != 0).argmax(axis=-1)
+
+
+def label_maps(bases: np.ndarray, p: int) -> np.ndarray:
+    """Label maps Q_W of a (c, k, n) stack of RREF bases, each with its own pivots.
 
     Returns one (c, n, n-k) float64 array: Q[nonpiv_j, j] = 1 and
     Q[piv_i, j] = -B[i, nonpiv_j] mod p, so column j of x @ Q reads the j-th
@@ -212,10 +214,15 @@ def label_maps(bases: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
     that buffer, the stacked maps :func:`_residue_codes` reads.
     """
     c, k, n = bases.shape
-    nonpiv = [j for j in range(n) if j not in pivots]
+    pivots = _pivot_columns(bases)
+    row, col = np.arange(c)[:, None], np.arange(n - k)
+    free = np.ones((c, n), dtype=bool)
+    free[row, pivots] = False
+    nonpiv = np.nonzero(free)[1].reshape(c, n - k)  # increasing in each row
+    entries = np.take_along_axis(bases, nonpiv[:, None, :], axis=2)  # B[i, nonpiv_j] per basis
     Q = np.zeros((n - k, c, n))
-    Q[range(n - k), :, nonpiv] = 1
-    Q[:, :, list(pivots)] = (-bases[:, :, nonpiv] % p).transpose(2, 0, 1)
+    Q[col, row, nonpiv] = 1
+    Q[col, row[:, :, None], pivots[:, :, None]] = -entries % p
     return Q.transpose(1, 2, 0)
 
 
@@ -382,22 +389,22 @@ class AffinePlane:
 class SubspaceArray(SequenceABC):
     """Equal-dimension subspaces stored as stacked RREF bases; a read-only Sequence[Subspace].
 
-    ``bases`` is a (G, k, n) int64 array and ``pivots`` its (G, k) pivot
-    columns.  Sweeps read the arrays (:meth:`label_map_blocks`); a
-    :class:`Subspace` is built only when an element is indexed or iterated.
-    Two arrays are equal when their spaces and bases are.
+    ``bases`` is a (G, k, n) int64 array of RREF bases, each with its own
+    pivots, so any row slice is again an array.  Sweeps read the array
+    (:meth:`label_map_blocks`); a :class:`Subspace` is built only when an
+    element is indexed or iterated.  Two arrays are equal when their spaces
+    and bases are.
     """
 
-    __slots__ = ("space", "bases", "pivots")
+    __slots__ = ("space", "bases")
 
-    def __init__(self, space: AmbientSpace, bases: np.ndarray, pivots: np.ndarray):
+    def __init__(self, space: AmbientSpace, bases: np.ndarray):
         bases = np.asarray(bases, dtype=np.int64)
         if bases.ndim != 3 or bases.shape[2] != space.n:
             raise ValueError(f"bases must have shape (G, k, {space.n}), got {bases.shape}")
-        pivots = np.broadcast_to(np.asarray(pivots, dtype=np.int64), bases.shape[:2])
         bases = bases.view()  # freeze a view, not the caller's array
         bases.flags.writeable = False
-        self.space, self.bases, self.pivots = space, bases, pivots
+        self.space, self.bases = space, bases
 
     @classmethod
     def of(cls, space: AmbientSpace, subspaces: Iterable[Subspace]) -> "SubspaceArray":
@@ -415,39 +422,38 @@ class SubspaceArray(SequenceABC):
             raise ValueError("point set and direction live in different spaces")
         if len({W.dim for W in subspaces}) > 1:
             raise ValueError("direction set mixes dimensions")
-        shape = (len(subspaces), subspaces[0].dim if subspaces else 0)
+        dim = subspaces[0].dim if subspaces else 0
         bases = np.array([W.basis for W in subspaces], dtype=np.int64)
-        pivots = np.array([W.pivots for W in subspaces], dtype=np.int64)
-        return cls(space, bases.reshape(*shape, space.n), pivots.reshape(shape))
+        return cls(space, bases.reshape(len(subspaces), dim, space.n))
 
     @classmethod
     def grassmannian(
         cls, space: AmbientSpace, m: int, budget: int | None = None
     ) -> "SubspaceArray":
         """All of G(n, m), in enumeration order; the budget is checked first."""
-        blocks = list(grassmannian_blocks(space, m, budget=budget))
-        bases = np.concatenate([b for b, _ in blocks])
-        pivots = np.concatenate([np.broadcast_to(piv, (len(b), m)) for b, piv in blocks])
-        return cls(space, bases, pivots)
+        _check_enumeration(space, m, budget)
+        return cls(space, np.concatenate(list(_pattern_blocks(space, m))))
 
     @property
     def dim(self) -> int:
         return self.bases.shape[1]
 
+    @property
+    def pivots(self) -> np.ndarray:
+        """(G, k) pivot columns, read off the bases."""
+        return _pivot_columns(self.bases)
+
     def __len__(self) -> int:
         return len(self.bases)
 
-    def _subspace(self, basis: list, pivots: list) -> Subspace:
-        return Subspace(self.space, tuple(map(tuple, basis)), tuple(pivots))
-
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return SubspaceArray(self.space, self.bases[i], self.pivots[i])
-        return self._subspace(self.bases[i].tolist(), self.pivots[i].tolist())
+            return SubspaceArray(self.space, self.bases[i])
+        return next(iter(SubspaceArray(self.space, self.bases[i][None])))
 
     def __iter__(self) -> Iterator[Subspace]:
         for basis, pivots in zip(self.bases.tolist(), self.pivots.tolist()):
-            yield self._subspace(basis, pivots)
+            yield Subspace(self.space, tuple(map(tuple, basis)), tuple(pivots))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SubspaceArray):
@@ -458,18 +464,15 @@ class SubspaceArray(SequenceABC):
 
     __hash__ = None
 
-    def label_map_blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """(c, n, n-k) label maps of consecutive runs of at most ``rows`` elements.
+    def label_map_blocks(self) -> Iterator[np.ndarray]:
+        """(c, n, n-k) label maps of consecutive elements, one :func:`label_maps` call each.
 
-        A run never spans two pivot patterns, so each block is one
-        :func:`label_maps` call.
+        A block holds as many elements as keep its maps, 8 n (n-k) bytes
+        each, under the kernel cap.
         """
-        pattern_starts = np.flatnonzero((self.pivots[1:] != self.pivots[:-1]).any(axis=1)) + 1
-        bounds = [0, *pattern_starts.tolist(), len(self)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            for start in range(lo, hi, rows):
-                bases = self.bases[start : min(start + rows, hi)]
-                yield label_maps(bases, self.pivots[start].tolist(), self.space.p)
+        rows = _block_rows(8 * self.space.n * (self.space.n - self.dim))
+        for start in range(0, len(self), rows):
+            yield label_maps(self.bases[start : start + rows], self.space.p)
 
     def __repr__(self) -> str:
         return (
@@ -481,7 +484,7 @@ class SubspaceArray(SequenceABC):
 def _dual_point_blocks(directions: SubspaceArray) -> Iterator[np.ndarray]:
     """Point indices of Per(W) for each W of ``directions``, in (c, p^(n-k)) blocks.
 
-    Per(W) is spanned by the columns of the label map Q_W, so a block is
+    Per(W) is spanned by the columns of the label map Q_W, so a map block is
     dualised with one :func:`rref_stack` of the stacked Q_W^T.  Each row lists
     its dual's points in RREF-coefficient order, the order of
     ``perp(W).point_indices()``, so sums over a row are bit-identical to sums
@@ -492,9 +495,10 @@ def _dual_point_blocks(directions: SubspaceArray) -> Iterator[np.ndarray]:
     p, n, r = space.p, space.n, space.n - directions.dim
     coeffs = base_p_digits(np.arange(p**r), p, r).astype(np.float64)
     rows = _block_rows(8 * p**r * (n + 2))  # each dual's points, indices and gathered values
-    for Q in directions.label_map_blocks(rows):
-        duals = rref_stack(Q.transpose(0, 2, 1), p)[0].transpose(2, 0, 1)
-        yield _residue_codes(space, coeffs, duals.astype(np.float64, order="C"))
+    for Q in directions.label_map_blocks():
+        duals = rref_stack(Q.transpose(0, 2, 1), p).transpose(2, 0, 1).astype(np.float64, order="C")
+        for start in range(0, len(Q), rows):
+            yield _residue_codes(space, coeffs, duals[:, start : start + rows])
 
 
 def _check_enumeration(space: AmbientSpace, m: int, budget: int | None) -> None:
@@ -519,37 +523,16 @@ def enumerate_grassmannian(
     Order is deterministic: lexicographic over pivot-column patterns, then
     over the free entries (row-major, least significant last).  ``budget``
     defaults to :func:`enumeration_budget` and is checked at the call, before
-    the stream starts.  The subspaces are built from :func:`grassmannian_blocks`.
+    the stream starts.
     """
     _check_enumeration(space, m, budget)
-    return _grassmannian_stream(space, m)
+    return (W for bases in _pattern_blocks(space, m) for W in SubspaceArray(space, bases))
 
 
-def _grassmannian_stream(space: AmbientSpace, m: int) -> Iterator[Subspace]:
-    for bases, pivots in _pattern_blocks(space, m, None):
-        for basis in bases.tolist():
-            yield Subspace(space, tuple(map(tuple, basis)), pivots)
-
-
-def grassmannian_blocks(
-    space: AmbientSpace, m: int, rows: int | None = None, budget: int | None = None
-) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-    """Stream G(n, m) as stacked RREF bases, in :func:`enumerate_grassmannian` order.
-
-    Yields (bases, pivots): a (c, m, n) int64 array of c <= ``rows`` bases
-    sharing the pivot columns ``pivots``.  ``rows`` defaults to what fits
-    ``_KERNEL_BYTES``; the budget is checked at the call.
-    """
-    _check_enumeration(space, m, budget)
-    return _pattern_blocks(space, m, rows)
-
-
-def _pattern_blocks(
-    space: AmbientSpace, m: int, rows: int | None
-) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
+def _pattern_blocks(space: AmbientSpace, m: int) -> Iterator[np.ndarray]:
+    """G(n, m) as (c, m, n) int64 RREF bases, one pivot pattern at a time, in enumeration order."""
     p, n = space.p, space.n
-    if rows is None:  # a basis and its free digits: under 2 n^2 int64 entries
-        rows = _block_rows(16 * n * n)
+    rows = _block_rows(16 * n * n)  # a basis and its free digits: under 2 n^2 int64 entries
     for pivots in itertools.combinations(range(n), m):
         free_i, free_j = np.array(
             [(i, j) for i in range(m) for j in range(n) if j > pivots[i] and j not in pivots],
@@ -564,7 +547,7 @@ def _pattern_blocks(
             # the last free entry varies fastest: big-endian digits of the index
             digits = base_p_digits(np.arange(start, start + count), p, free_i.size)
             bases[:, free_i, free_j] = digits[:, ::-1]
-            yield bases, pivots
+            yield bases
 
 
 def affine_count(space: AmbientSpace, m: int) -> int:

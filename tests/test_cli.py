@@ -136,13 +136,13 @@ def test_sizes_csv_is_the_census_sweep(workdir, monkeypatch):
         load_point_set(workdir / "line.pts"), 1
     )
     calls = []
-    real = subspaces.grassmannian_blocks
+    real = subspaces._pattern_blocks
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(subspaces, "grassmannian_blocks", counting)
+    monkeypatch.setattr(subspaces, "_pattern_blocks", counting)
     monkeypatch.chdir(workdir)
     code = cli.main(["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
                      "--s", "1", "--t", "1", "--sizes-csv", "sizes.csv", "--out", "r.json"])
@@ -335,6 +335,48 @@ def test_config_file_rejects_unknown_keys(workdir):
         workdir,
     )
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("top", ["[]", "5", '"census"'])
+def test_config_file_must_hold_an_object(workdir, monkeypatch, capsys, top):
+    (workdir / "cfg.json").write_text(top)
+    monkeypatch.chdir(workdir)
+    assert cli.main(["census", "--pointset", "line.pts", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: config file must hold a JSON object")
+
+
+@pytest.mark.parametrize("key,args", [
+    ("delta", ["census", "--pointset", "line.pts", "--m", "1", "--kind", "large",
+               "--delta", "1/0"]),
+    ("s", ["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
+           "--s", "1/0", "--t", "1"]),
+    ("t", ["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
+           "--s", "1", "--t", "1/0"]),
+    ("s", ["percolate", "--regime", "small", "--p", "3", "--n", "2", "--m", "1",
+           "--s", "1/0"]),
+    ("delta", ["census", "--pointset", "line.pts", "--m", "1", "--kind", "large",
+               "--config", "cfg.json"]),
+], ids=["delta", "s", "t", "percolate-s", "config-delta"])
+def test_zero_denominator_is_a_usage_error(workdir, monkeypatch, capsys, key, args):
+    (workdir / "cfg.json").write_text(json.dumps({"delta": "1/0"}))
+    monkeypatch.chdir(workdir)
+    assert cli.main([*args, "--out", "report.json"]) == 2
+    assert capsys.readouterr().err == f"error: --{key} must be a rational number, got '1/0'\n"
+    assert not (workdir / "report.json").exists()
+
+
+def test_percolate_trial_count_must_be_nonnegative(workdir, monkeypatch, capsys):
+    args = ["percolate", "--regime", "small", "--p", "3", "--n", "2", "--m", "1", "--s", "1"]
+    monkeypatch.chdir(workdir)
+    assert cli.main([*args, "--trials", "-1"]) == 2
+    assert capsys.readouterr().err == "error: need trials >= 0, got -1\n"
+    assert cli.main([*args, "--trials", "0"]) == 0
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the report")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=no_constants)["report"]
+    assert report["trials"] == 0 and report["success_rate"] == 0.0
 
 
 def test_verify_single_instance(workdir):

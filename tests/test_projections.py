@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -104,29 +105,35 @@ def test_profile_matches_brute_counts():
 
 @st.composite
 def _sweep_cases(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    if p**n > 343:
+        n -= 1  # keep the brute-force oracle quick
     dim = draw(st.integers(0, n))
     mask = draw(st.lists(st.booleans(), min_size=p**n, max_size=p**n))
     cap = draw(st.sampled_from([0, 200, 1000, 1 << 20]))
-    return p, n, dim, mask, cap
+    seed = draw(st.none() | st.integers(0, 2**16))  # None: enumeration order
+    return p, n, dim, mask, cap, seed
 
 
 @given(_sweep_cases())
-@example((3, 2, 1, [False] * 9, 0))  # empty E
-@example((2, 3, 0, [True, False] * 4, 0))  # dim W = 0: one coset per point
-@example((3, 2, 2, [True, False, True] * 3, 0))  # dim W = n: a single coset
-@example((3, 3, 1, [True, False, False] * 9, 600))  # chunks of 2 over 13 directions
+@example((3, 2, 1, [False] * 9, 0, None))  # empty E
+@example((2, 3, 0, [True, False] * 4, 0, None))  # dim W = 0: one coset per point
+@example((3, 2, 2, [True, False, True] * 3, 0, None))  # dim W = n: a single coset
+@example((3, 3, 1, [True, False, False] * 9, 600, None))  # map blocks of 12, chunks of 1
+@example((3, 4, 2, [True, False] * 4 + [False] * 73, 1100, 1))  # map blocks of 17, chunks of 5
 @settings(max_examples=60, deadline=None)
 def test_coset_counts_match_brute_force(case):
-    p, n, dim, mask, cap = case
+    p, n, dim, mask, cap, seed = case
     space = AmbientSpace(p, n)
     E = PointSet(space, np.array(mask))
     idx = E.indices()
     directions = list(enumerate_grassmannian(space, dim))
+    if seed is not None:
+        random.Random(seed).shuffle(directions)  # every block mixes pivot patterns
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subspaces, "_KERNEL_BYTES", cap)  # small caps split G(n, dim)
-        histograms = list(coset_counts(E, directions))
+        mp.setattr(subspaces, "_KERNEL_BYTES", cap)  # small caps split map blocks and chunks
+        histograms = list(coset_counts(E, SubspaceArray.of(space, directions)))
     assert len(histograms) == len(directions)
     for W, counts in zip(directions, histograms):
         assert counts.dtype == np.int64 and counts.size == p ** (n - dim)

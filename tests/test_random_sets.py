@@ -185,6 +185,21 @@ def test_chebyshev_size_check():
     assert result.empirical_rate <= result.bound + result.slack
 
 
+@pytest.mark.parametrize("check", [
+    lambda: verify_small_regime(3, 2, 1, 1.0, trials=-1),
+    lambda: verify_large_regime(3, 2, 1, 2.0, trials=-1),
+    lambda: chebyshev_size_check(PercolationModel(AmbientSpace(3, 2), 0.5, seed=0), -1),
+], ids=["small", "large", "chebyshev"])
+def test_negative_trial_counts_are_refused(check):
+    with pytest.raises(ValueError, match="need trials >= 0, got -1"):
+        check()
+
+
+def test_chebyshev_without_trials_reads_zero():
+    result = chebyshev_size_check(PercolationModel(AmbientSpace(3, 2), 0.5, seed=0), 0)
+    assert result.empirical_rate == 0.0 and result.mean_size == 0.0 and result.ok
+
+
 def test_chebyshev_degenerate_density():
     space = AmbientSpace(3, 2)
     model = PercolationModel(space, 1.0, seed=0)

@@ -103,20 +103,15 @@ def test_subspace_plancherel_sides_are_those_of_the_library(monkeypatch, p, n):
 def test_cell_enumerates_each_grassmannian_once(monkeypatch):
     from ffproj import subspaces
 
-    calls, streams = [], []
-    real_blocks, real_patterns = subspaces.grassmannian_blocks, subspaces._pattern_blocks
+    streams = []
+    real_patterns = subspaces._pattern_blocks
 
-    def counted(space, m, *args, **kwargs):
-        calls.append(m)
-        return real_blocks(space, m, *args, **kwargs)
-
-    def counted_patterns(space, m, rows):
+    def counted_patterns(space, m):
         streams.append(m)
-        return real_patterns(space, m, rows)
+        return real_patterns(space, m)
 
-    monkeypatch.setattr(subspaces, "grassmannian_blocks", counted)
     monkeypatch.setattr(subspaces, "_pattern_blocks", counted_patterns)
     manifest = run_identity_suite(primes=(2,), dims=(4,))
     assert manifest["all_pass"] is True
-    assert sorted(calls) == [0, 1, 2, 3, 4]  # the census sweeps reuse the cell's G(4, d)
-    assert sorted(streams) == [0, 1, 2, 3, 4]  # and no other path enumerates
+    # the census sweeps reuse the cell's G(4, d), and no other path enumerates
+    assert sorted(streams) == [0, 1, 2, 3, 4]
