@@ -77,13 +77,26 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    types = getattr(args, "flag_types", {})
     cfg = {}
     for key, default in defaults.items():
         value = getattr(args, key, None)
         if value is None:
-            value = file_cfg.get(key, default)
+            value = _typed(key, file_cfg[key], types.get(key)) if key in file_cfg else default
         cfg[key] = value
     return cfg
+
+
+def _typed(key: str, value, kind):
+    """A config-file value as its flag's ``type`` parses it: a string is parsed, a number kept."""
+    if kind is None or value is None or type(value) in (int, kind):  # an int also for a float flag
+        return value
+    try:
+        if isinstance(value, str):
+            return kind(value)
+    except ValueError:
+        pass
+    raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -363,18 +376,12 @@ def cmd_verify(args) -> int:
     }
     cfg = _resolve_config(args, defaults)
     started = time.time()
-    if cfg["p"] is not None:
-        primes = [cfg["p"]]
-    elif cfg["p_list"]:
-        primes = [int(x) for x in str(cfg["p_list"]).split(",")]
-    else:
-        primes = list(DEFAULT_PRIMES)
-    if cfg["n"] is not None:
-        dims = [cfg["n"]]
-    elif cfg["n_list"]:
-        dims = [int(x) for x in str(cfg["n_list"]).split(",")]
-    else:
-        dims = list(DEFAULT_DIMS)
+    primes, dims = (  # a single value, else a comma-separated list, else the default grid
+        [cfg[key]] if cfg[key] is not None
+        else [int(x) for x in str(cfg[key + "_list"]).split(",")] if cfg[key + "_list"]
+        else list(default)
+        for key, default in (("p", DEFAULT_PRIMES), ("n", DEFAULT_DIMS))
+    )
     manifest = run_identity_suite(primes=primes, dims=dims, seed=cfg["seed"])
     for check in manifest["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
@@ -479,6 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
+    for sp in subs.choices.values():  # config-file values are parsed with the flags' types
+        sp.set_defaults(flag_types={a.dest: a.type for a in sp._actions if a.type is not None})
     return parser
 
 

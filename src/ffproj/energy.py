@@ -18,7 +18,7 @@ of lines x + y = k in F_p^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,7 +31,8 @@ from .subspaces import (
     AffinePlane,
     Subspace,
     SubspaceArray,
-    _dual_point_blocks,
+    _dual_bases,
+    _point_blocks,
     all_cosets,
     binom_at_most_twice_power,
     enumerate_grassmannian,
@@ -118,7 +119,7 @@ def verify_energy_identity_fourier(
     returns (spectral lhs, closed-form rhs, |difference|).
 
     Each dual is summed over its points in the order of
-    ``perp(V).point_indices()`` (see ``subspaces._dual_point_blocks``), and
+    ``perp(V).point_indices()`` (see ``subspaces._point_blocks``), and
     the sums are added in V order, so the float result does not depend on
     the blocking.
     """
@@ -128,7 +129,7 @@ def verify_energy_identity_fourier(
         spectrum = dft(E)
     power = np.abs(spectrum.values) ** 2
     lhs = 0.0
-    for points in _dual_point_blocks(directions):
+    for points in _point_blocks(_dual_bases(directions)):
         for second_moment in power[points].sum(axis=1).tolist():
             lhs += second_moment
     lhs *= float(Fraction(p**m, p**n))
@@ -188,30 +189,30 @@ class KeyLemmaCheck:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "set_size": self.set_size,
-            "theta_size": self.theta_size,
-            "energy": self.energy,
-            "bound_pairs": float(self.bound_pairs),
-            "bound_fourier": float(self.bound_fourier),
-            "condition_ok": self.condition_ok,
-            "small_set_regime": self.small_set_regime,
-            "ok": self.ok,
-        }
+        out = asdict(self)
+        out.update(bound_pairs=float(self.bound_pairs), bound_fourier=float(self.bound_fourier))
+        return out
 
 
-def key_lemma_check(E: PointSet, directions: Sequence[Subspace]) -> KeyLemmaCheck:
-    """Check energy(E, Theta') against its two bounds for Theta in G(n, n-m)."""
+def key_lemma_check(
+    E: PointSet, directions: Sequence[Subspace], second_moments: Sequence[int] | None = None
+) -> KeyLemmaCheck:
+    """Check energy(E, Theta') against its two bounds for Theta in G(n, n-m).
+
+    ``second_moments`` (sum_j |E n (x_j + W)|^2 for each W of ``directions``)
+    is for a caller that holds them; by default E is swept over the directions.
+    """
     space = E.space
     p, n = space.p, space.n
     directions = SubspaceArray.of(space, directions)
     m = n - directions.dim if len(directions) else 1
     if not 1 <= m <= n - 1:
         raise ValueError("directions must be proper nontrivial subspaces")
-    total = sum(int(h @ h) for h in coset_counts(E, directions))
+    if second_moments is None:
+        second_moments = [int(h @ h) for h in coset_counts(E, directions)]
+    if len(second_moments) != len(directions):
+        raise ValueError(f"{len(second_moments)} second moments for {len(directions)} directions")
+    total = sum(map(int, second_moments))
     size, theta = E.cardinality, len(directions)
     bound_pairs = Fraction(size * theta + 2 * size**2 * p ** ((n - m - 1) * m))
     bound_fourier = 2 * size * p ** ((n - m) * m) + Fraction(size**2 * theta, p**m)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import AmbientSpace, BudgetError, IdentityError, PointSet, decode, digits_of, encode
 from .projections import coset_profile, projection_sizes
-from .subspaces import Subspace, perp
+from .subspaces import Subspace, _block_rows, perp
 
 __all__ = [
     "TOLERANCE",
@@ -144,10 +144,6 @@ def subspace_plancherel(
     return lhs, rhs, ok
 
 
-# entries of one character-sum phase block (int64 phases, complex terms)
-_PHASE_BLOCK = 1 << 20
-
-
 def character_sum(V: Subspace, x) -> complex | np.ndarray:
     """sum_{y in Per(V)} e(-x.y): equals |Per(V)| for x in V, vanishes for x outside.
 
@@ -163,13 +159,30 @@ def character_sum(V: Subspace, x) -> complex | np.ndarray:
             raise ValueError(f"expected an (N, {space.n}) array of residues mod {p}")
     else:
         xs = np.array([space.validate_vector(x)], dtype=np.int64)
-    dual = digits_of(space, perp(V).point_indices()).T
-    roots = _character_matrix(p)[1]
-    sums = np.empty(len(xs), dtype=np.complex128)
-    step = max(1, _PHASE_BLOCK // dual.shape[1])
-    for lo in range(0, len(xs), step):
-        sums[lo : lo + step] = roots[xs[lo : lo + step] @ dual % p].sum(axis=1)
+    sums = _character_sum_rows(space, xs, perp(V).point_indices()[None])[0]
     return sums if batch else complex(sums[0])
+
+
+def _character_sum_rows(space: AmbientSpace, xs: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """sum_{y in D} e(-x.y) for each row D of point indices and each x of ``xs`` (columns).
+
+    Each sum runs over its row in order.  Rows, and when one row is too
+    large also points, are taken in blocks whose int64 phases and complex
+    terms stay under the kernel cap.
+    """
+    p = space.p
+    rows, size = duals.shape
+    roots = _character_matrix(p)[1]
+    sums = np.empty((rows, len(xs)), dtype=np.complex128)
+    block = _block_rows(24 * len(xs) * size)
+    for start in range(0, rows, block):
+        dual = digits_of(space, duals[start : start + block].ravel()).T
+        c = dual.shape[1] // size
+        step = _block_rows(24 * c * size)
+        for lo in range(0, len(xs), step):
+            terms = roots[xs[lo : lo + step] @ dual % p].reshape(-1, c, size)
+            sums[start : start + c, lo : lo + step] = terms.sum(axis=2).T
+    return sums
 
 
 def _norms(p: int, width: int) -> np.ndarray:
@@ -321,22 +334,7 @@ class ProjectionBoundReport:
     cases: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "set_size": self.set_size,
-            "C": self.C,
-            "alpha": self.alpha,
-            "profile_ok": self.profile_ok,
-            "max_nonzero_modulus": self.max_nonzero_modulus,
-            "threshold_small": self.threshold_small,
-            "threshold_full": self.threshold_full,
-            "master_bound": self.master_bound,
-            "case": self.case,
-            "min_image": self.min_image,
-            "cases": self.cases,
-        }
+        return asdict(self)
 
 
 def projection_bound_report(

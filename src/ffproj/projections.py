@@ -80,10 +80,6 @@ class CosetProfile:
         """Sum of squared coset counts = number of pairs of E in a common coset."""
         return int(self.counts @ self.counts)
 
-    def cauchy_schwarz_ok(self) -> bool:
-        """|E|^2 <= |image| * sum_j |E n (x_j+W)|^2."""
-        return self.total**2 <= self.image_size * self.second_moment()
-
 
 def project(E: PointSet, W: Subspace) -> ProjectionImage:
     """Exact projection image of E along W (any W accepted; trivial ones flagged)."""

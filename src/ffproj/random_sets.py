@@ -15,7 +15,7 @@ min_W |image| >= |E|/24 (s <= m) or "every projection full" (s > m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -320,15 +320,7 @@ class SizeConcentration:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "expected_size": self.expected_size,
-            "mean_size": self.mean_size,
-            "empirical_rate": self.empirical_rate,
-            "bound": self.bound,
-            "slack": self.slack,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def chebyshev_size_check(model: PercolationModel, trials: int) -> SizeConcentration:

@@ -481,24 +481,32 @@ class SubspaceArray(SequenceABC):
         )
 
 
-def _dual_point_blocks(directions: SubspaceArray) -> Iterator[np.ndarray]:
-    """Point indices of Per(W) for each W of ``directions``, in (c, p^(n-k)) blocks.
+def _dual_bases(directions: SubspaceArray) -> SubspaceArray:
+    """Per(W) for each W of ``directions``, in order: the bases of :func:`perp`, row for row.
 
     Per(W) is spanned by the columns of the label map Q_W, so a map block is
-    dualised with one :func:`rref_stack` of the stacked Q_W^T.  Each row lists
-    its dual's points in RREF-coefficient order, the order of
-    ``perp(W).point_indices()``, so sums over a row are bit-identical to sums
-    over those indices.  Rows are C-contiguous: a strided view would change
-    the order in which numpy sums a gathered row.
+    dualised with one :func:`rref_stack` of the stacked Q_W^T.
     """
     space = directions.space
-    p, n, r = space.p, space.n, space.n - directions.dim
-    coeffs = base_p_digits(np.arange(p**r), p, r).astype(np.float64)
-    rows = _block_rows(8 * p**r * (n + 2))  # each dual's points, indices and gathered values
-    for Q in directions.label_map_blocks():
-        duals = rref_stack(Q.transpose(0, 2, 1), p).transpose(2, 0, 1).astype(np.float64, order="C")
-        for start in range(0, len(Q), rows):
-            yield _residue_codes(space, coeffs, duals[:, start : start + rows])
+    bases = [np.zeros((0, space.n - directions.dim, space.n), dtype=np.int64)]
+    bases += [rref_stack(Q.transpose(0, 2, 1), space.p) for Q in directions.label_map_blocks()]
+    return SubspaceArray(space, np.concatenate(bases))
+
+
+def _point_blocks(subspaces: SubspaceArray) -> Iterator[np.ndarray]:
+    """Point indices of each subspace of the array, in (c, p^k) blocks.
+
+    Each row lists its points in the order of ``point_indices()``, so sums
+    over a row are bit-identical to sums over those indices.  Rows are
+    C-contiguous: a strided view would change how numpy sums a gathered row.
+    """
+    space = subspaces.space
+    p, n, k = space.p, space.n, subspaces.dim
+    coeffs = base_p_digits(np.arange(p**k), p, k).astype(np.float64)
+    rows = _block_rows(8 * p**k * (n + 2))  # each subspace's points, indices and gathered values
+    for start in range(0, len(subspaces), rows):
+        bases = subspaces.bases[start : start + rows].transpose(2, 0, 1)
+        yield _residue_codes(space, coeffs, bases.astype(np.float64, order="C"))
 
 
 def _check_enumeration(space: AmbientSpace, m: int, budget: int | None) -> None:
@@ -618,25 +626,15 @@ def all_cosets(W: Subspace) -> list[AffinePlane]:
 
 
 def coset_labels(W: Subspace, indices: np.ndarray) -> np.ndarray:
-    """Coset label of each point index under W, vectorized.
+    """Coset label of each point index under W: the sweep kernel's labels for one direction.
 
     The label packs the non-pivot coordinates of the canonical representative
     in base p, so two points share a label iff their difference lies in W.
-    This is the int64 cross-check of the float64 sweep kernel.
     """
     space = W.space
-    p = space.p
-    digits = digits_of(space, np.asarray(indices, dtype=np.int64))
-    if W.dim:
-        piv = np.array(W.pivots, dtype=np.int64)
-        reps = (digits - digits[:, piv] @ W.matrix) % p
-    else:
-        reps = digits
-    nonpiv = np.array(W.nonpivot_columns(), dtype=np.int64)
-    if nonpiv.size == 0:
-        return np.zeros(len(digits), dtype=np.int64)
-    weights = p ** np.arange(nonpiv.size, dtype=np.int64)
-    return reps[:, nonpiv] @ weights
+    digits = digits_of(space, np.asarray(indices, dtype=np.int64)).astype(np.float64)
+    maps = label_maps(W.matrix[None], space.p)
+    return _residue_codes(space, digits, maps.transpose(2, 0, 1))[0]
 
 
 def count_subspaces_containing(

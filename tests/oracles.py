@@ -2,7 +2,9 @@
 
 Everything here works on tuples and frozensets of tuples, never on RREF
 bases, coset labels, or the axis-wise transform, so agreement with the
-library is a genuine cross-check.
+library is a genuine cross-check.  The one exception is
+:func:`int64_coset_labels`, the library's label convention computed by an
+int64 formula of its own rather than by the float64 label maps.
 """
 
 import itertools
@@ -105,3 +107,23 @@ def brute_additive_energy(A, B, p):
                     if (a + b) % p == (a2 + b2) % p:
                         count += 1
     return count
+
+
+def int64_coset_labels(W, indices):
+    """Coset labels of point indices under a ``Subspace`` W, in int64 arithmetic.
+
+    The canonical representative of x is x - x[pivots] @ B; its non-pivot
+    coordinates, read in base p (first one least significant), are the label.
+    """
+    space = W.space
+    p, n = space.p, space.n
+    digits = np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+    if W.dim:
+        piv = np.array(W.pivots, dtype=np.int64)
+        reps = (digits - digits[:, piv] @ W.matrix) % p
+    else:
+        reps = digits
+    nonpiv = np.array(W.nonpivot_columns(), dtype=np.int64)
+    if nonpiv.size == 0:
+        return np.zeros(len(digits), dtype=np.int64)
+    return reps[:, nonpiv] @ p ** np.arange(nonpiv.size, dtype=np.int64)

@@ -20,8 +20,9 @@ from ffproj.random_sets import PercolationModel, percolation_sample
 from ffproj.subspaces import (
     Subspace,
     SubspaceArray,
-    _dual_point_blocks,
+    _dual_bases,
     _pivot_columns,
+    _point_blocks,
     _residue_codes,
     enumerate_grassmannian,
     gaussian_binomial,
@@ -126,7 +127,7 @@ def test_batched_dual_is_perp(cell, cap, rng):
     assert duals == [perp(W) for W in directions]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subspaces, "_KERNEL_BYTES", cap)  # small caps split map blocks and chunks
-        blocks = list(_dual_point_blocks(array))
+        blocks = list(_point_blocks(_dual_bases(array)))
     assert all(b.flags.c_contiguous for b in blocks)
     assert np.concatenate(blocks).tolist() == [perp(W).point_indices().tolist() for W in directions]
     if p**n <= 27:

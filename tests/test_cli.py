@@ -337,6 +337,33 @@ def test_config_file_rejects_unknown_keys(workdir):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("args,config,key,value", [
+    (["percolate", "--regime", "small", "--p", "3", "--n", "2", "--m", "1", "--s", "1"],
+     {"trials": "5"}, "trials", 5),
+    (["verify", "--p", "2", "--n", "2"], {"seed": "1"}, "seed", 1),
+    (["census", "--pointset", "line.pts"], {"m": "1", "kind": "small", "N": 1}, "m", 1),
+], ids=["percolate", "verify", "census"])
+def test_config_file_values_take_the_flag_types(
+    workdir, monkeypatch, capsys, args, config, key, value
+):
+    monkeypatch.chdir(workdir)
+
+    def run(file_value, out):
+        (workdir / "cfg.json").write_text(json.dumps({**config, key: file_value}))
+        return cli.main([*args, "--config", "cfg.json", "--out", out])
+
+    assert run(str(value), "typed.json") == 0
+    assert run(value, "plain.json") == 0
+    typed = json.loads((workdir / "typed.json").read_text())
+    plain = json.loads((workdir / "plain.json").read_text())
+    assert typed["config"][key] == value and type(typed["config"][key]) is int
+    assert typed["config_hash"] == plain["config_hash"]  # the number's run, hashed the same
+    for bad in ("x", 1.5, True):
+        capsys.readouterr()
+        assert run(bad, "bad.json") == 2
+        assert capsys.readouterr().err == f"error: config key {key!r} must be int, got {bad!r}\n"
+
+
 @pytest.mark.parametrize("top", ["[]", "5", '"census"'])
 def test_config_file_must_hold_an_object(workdir, monkeypatch, capsys, top):
     (workdir / "cfg.json").write_text(top)

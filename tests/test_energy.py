@@ -15,6 +15,7 @@ from ffproj.energy import (
     verify_energy_identity,
     verify_energy_identity_fourier,
 )
+from ffproj.projections import coset_counts
 from ffproj.subspaces import Subspace, enumerate_grassmannian, gaussian_binomial
 
 from oracles import brute_additive_energy, brute_energy
@@ -175,6 +176,19 @@ def test_key_lemma_random_draws():
         assert result.condition_ok
         assert result.ok, result
         assert result.energy <= min(result.bound_pairs, result.bound_fourier)
+
+
+def test_key_lemma_reads_held_second_moments():
+    space = AmbientSpace(3, 3)
+    E = PointSet(space, np.random.default_rng(4).random(27) < 0.5)
+    directions = list(enumerate_grassmannian(space, 2))
+    moments = [int(h @ h) for h in coset_counts(E, directions)]
+    swept = key_lemma_check(E, directions)
+    held = key_lemma_check(E, directions, np.array(moments))
+    assert held == swept and type(held.energy) is int
+    assert key_lemma_check(E, directions[:4], moments[:4]) == key_lemma_check(E, directions[:4])
+    with pytest.raises(ValueError, match="12 second moments for 13 directions"):
+        key_lemma_check(E, directions, moments[:12])
 
 
 def test_key_lemma_rejects_mixed_dims():

@@ -171,14 +171,14 @@ def test_character_sum_exhaustive(p, n):
                     assert abs(value) < 1e-9 * dual_size
 
 
-@pytest.mark.parametrize("block", [None, 7])  # 7: many phase blocks per call
+@pytest.mark.parametrize("block", [None, 7])  # 7 bytes: one point per phase block
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
 def test_character_sum_array_matches_scalar_calls(p, n, block, monkeypatch):
-    from ffproj import fourier
+    from ffproj import subspaces
     from ffproj.core import decode
 
     if block is not None:
-        monkeypatch.setattr(fourier, "_PHASE_BLOCK", block)
+        monkeypatch.setattr(subspaces, "_KERNEL_BYTES", block)
     space = AmbientSpace(p, n)
     rows = np.array([decode(space, idx) for idx in range(space.point_count)])
     for k in range(n + 1):

@@ -26,12 +26,18 @@ from ffproj.projections import (
 from ffproj.subspaces import (
     Subspace,
     SubspaceArray,
-    coset_labels,
     enumerate_grassmannian,
     perp,
 )
 
-from oracles import brute_coset_counts, brute_cosets_hit, brute_energy, span_points, vec_add
+from oracles import (
+    brute_coset_counts,
+    brute_cosets_hit,
+    brute_energy,
+    int64_coset_labels,
+    span_points,
+    vec_add,
+)
 
 F32 = AmbientSpace(3, 2)
 F32_DIRECTIONS = list(enumerate_grassmannian(F32, 1))
@@ -137,7 +143,7 @@ def test_coset_counts_match_brute_force(case):
     assert len(histograms) == len(directions)
     for W, counts in zip(directions, histograms):
         assert counts.dtype == np.int64 and counts.size == p ** (n - dim)
-        expected = np.bincount(coset_labels(W, idx), minlength=p ** (n - dim))
+        expected = np.bincount(int64_coset_labels(W, idx), minlength=p ** (n - dim))
         assert np.array_equal(counts, expected)  # same counts in label order
         oracle = brute_coset_counts(E.vectors(), span_points(W.basis, p, n), p, n)
         assert sorted(counts.tolist()) == oracle
@@ -163,7 +169,7 @@ def test_coset_counts_match_brute_force_at_large_primes(p, n):
     assert len(histograms) == len(directions)
     assert max(h.max() for h in histograms) >= 4
     for W, counts in zip(directions, histograms):
-        expected = np.bincount(coset_labels(W, idx), minlength=p ** (n - W.dim))
+        expected = np.bincount(int64_coset_labels(W, idx), minlength=p ** (n - W.dim))
         assert np.array_equal(counts, expected)
         oracle = brute_coset_counts(E.vectors(), span_points(W.basis, p, n), p, n)
         assert sorted(counts.tolist()) == oracle
@@ -178,7 +184,7 @@ def test_coset_counts_mixed_dimensions(monkeypatch):
     histograms = list(coset_counts(E, iter(directions)))
     assert len(histograms) == len(directions)
     for W, counts in zip(directions, histograms):
-        expected = np.bincount(coset_labels(W, E.indices()), minlength=3 ** (3 - W.dim))
+        expected = np.bincount(int64_coset_labels(W, E.indices()), minlength=3 ** (3 - W.dim))
         assert np.array_equal(counts, expected)
 
 
@@ -218,13 +224,14 @@ def test_exhaustive_f32_invariants():
         for W in F32_DIRECTIONS:
             prof = coset_profile(E, W)
             image = project(E, W)
+            assert image.labels == tuple(np.unique(int64_coset_labels(W, E.indices())).tolist())
             assert int(prof.counts.sum()) == E.cardinality
             assert prof.image_size == image.size
             if E.cardinality:
                 assert 1 <= image.size <= min(E.cardinality, 3)
             else:
                 assert image.size == 0
-            assert prof.cauchy_schwarz_ok()
+            assert E.cardinality**2 <= prof.image_size * prof.second_moment()  # Cauchy-Schwarz
             if image.size > 3 - 1:
                 assert image.size == 3
 

@@ -27,7 +27,13 @@ from ffproj.subspaces import (
     verify_pascal_identities,
 )
 
-from oracles import all_vectors, brute_perp, brute_subspace_pointsets, span_points
+from oracles import (
+    all_vectors,
+    brute_perp,
+    brute_subspace_pointsets,
+    int64_coset_labels,
+    span_points,
+)
 
 
 def test_gaussian_binomial_examples():
@@ -225,7 +231,9 @@ def test_label_map_gives_coset_labels(p, n):
             assert np.array_equal(Q, label_maps(W.matrix[None], p)[0])
             assert Q.shape == (n, n - k) and Q.dtype == np.float64
             labels = ((digits @ Q) % p) @ p ** np.arange(n - k)
-            assert np.array_equal(labels, coset_labels(W, idx))
+            expected = int64_coset_labels(W, idx)
+            assert np.array_equal(labels, expected)
+            assert np.array_equal(coset_labels(W, idx), expected)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])

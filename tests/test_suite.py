@@ -4,7 +4,7 @@ import pytest
 from ffproj import suite
 from ffproj.core import AmbientSpace
 from ffproj.fourier import TOLERANCE, subspace_plancherel
-from ffproj.subspaces import Subspace, gaussian_binomial
+from ffproj.subspaces import Subspace, SubspaceArray, gaussian_binomial
 from ffproj.suite import run_identity_suite
 
 
@@ -52,14 +52,15 @@ def test_instance_counts_follow_gaussian_binomials(p, n):
 
 
 def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
-    real = suite._dual_point_blocks
+    real = suite._point_blocks
 
-    def with_origin_twice(directions):
+    def with_origin_twice(subspaces):
         # the origin is in every dual already: counting it again adds |E|^2 / p^(n-d)
-        for points in real(directions):
+        # (the containment counts skip the origin, so the members' copy goes unseen)
+        for points in real(subspaces):
             yield np.concatenate([points, np.zeros((len(points), 1), dtype=np.int64)], axis=1)
 
-    monkeypatch.setattr(suite, "_dual_point_blocks", with_origin_twice)
+    monkeypatch.setattr(suite, "_point_blocks", with_origin_twice)
     manifest = run_identity_suite(primes=(3,), dims=(2,))
     checks = {c["name"]: c for c in manifest["checks"]}
     assert manifest["all_pass"] is False
@@ -115,3 +116,134 @@ def test_cell_enumerates_each_grassmannian_once(monkeypatch):
     assert manifest["all_pass"] is True
     # the census sweeps reuse the cell's G(4, d), and no other path enumerates
     assert sorted(streams) == [0, 1, 2, 3, 4]
+
+
+real_dual_bases = suite._dual_bases
+
+
+@pytest.mark.parametrize("p", [2, 3])  # over F_2 the shift zeroes some rows: no basis at all
+def test_wrong_dual_basis_fails_projection_duality(monkeypatch, p):
+    def shifted(directions):
+        duals = real_dual_bases(directions)
+        bases = duals.bases.copy()
+        bases[..., -1] = (bases[..., -1] + 1) % duals.space.p
+        return SubspaceArray(duals.space, bases)
+
+    monkeypatch.setattr(suite, "_dual_bases", shifted)
+    manifest = run_identity_suite(primes=(p,), dims=(3,))
+    checks = {c["name"]: c for c in manifest["checks"]}
+    duality = checks["projection_duality"]
+    assert not duality["pass"] and duality["failure_count"] >= 1
+    assert not checks["perp_duality"]["pass"]
+    space = AmbientSpace(p, 3)
+    names = {name for name, _ in suite._test_sets(space, 0)}
+    for witness in duality["failures"]:
+        assert witness.keys() == {"p", "n", "set", "subspace"} and witness["set"] in names
+        W = Subspace.from_rows(space, witness["subspace"])
+        assert W.basis == witness["subspace"] and 1 <= W.dim <= 2
+
+
+def test_swapped_kernel_labels_fail_projection_duality_only(monkeypatch):
+    real = suite._coset_histograms
+
+    def swapped(digits, tags, ntags, directions):
+        for block in real(digits, tags, ntags, directions):
+            if block.shape[-1] > 1:
+                block = block.copy()
+                block[..., [0, 1]] = block[..., [1, 0]]
+            yield block
+
+    monkeypatch.setattr(suite, "_coset_histograms", swapped)
+    manifest = run_identity_suite(primes=(3,), dims=(3,))
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert not checks["projection_duality"]["pass"]
+    # a permuted histogram keeps its total, image size and second moment
+    failing = {name for name, c in checks.items() if not c["pass"]}
+    assert failing == {"projection_duality"}
+
+
+def test_suite_calls_no_per_direction_routes(monkeypatch):
+    import sys
+
+    from ffproj import fourier, projections, subspaces
+
+    calls = dict.fromkeys(
+        ["project", "project_onto", "perp", "character_sum", "coset_labels", "_coset_histograms"], 0
+    )
+    in_key_lemma = []
+    key_lemma_kernel_calls = []
+    originals = {
+        "project": projections.project,
+        "project_onto": projections.project_onto,
+        "perp": subspaces.perp,
+        "character_sum": fourier.character_sum,
+        "coset_labels": subspaces.coset_labels,
+        "_coset_histograms": projections._coset_histograms,
+    }
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "_coset_histograms" and in_key_lemma:
+                key_lemma_kernel_calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key == "ffproj" or key.startswith("ffproj.")]
+    for name, real in originals.items():
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+
+    real_key_lemma = suite.key_lemma_check
+    key_lemma_calls = []
+
+    def key_lemma(*args, **kwargs):
+        key_lemma_calls.append(args)
+        in_key_lemma.append(True)
+        try:
+            return real_key_lemma(*args, **kwargs)
+        finally:
+            in_key_lemma.pop()
+
+    monkeypatch.setattr(suite, "key_lemma_check", key_lemma)
+    manifest = run_identity_suite(primes=(3,), dims=(3,))
+    assert manifest["all_pass"] is True
+    kernel = calls.pop("_coset_histograms")
+    assert calls == dict.fromkeys(calls, 0)
+    assert kernel == 6 * 4  # one sweep per (set, G(3, d))
+    assert len(key_lemma_calls) == 6 * 2 * 2 and key_lemma_kernel_calls == []
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
+def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
+    from ffproj import subspaces
+    from ffproj.core import PointSet, digits_of
+    from ffproj.fourier import _character_sum_rows, character_sum
+    from ffproj.projections import coset_profile, project
+    from ffproj.subspaces import perp
+
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 700)  # blocks of a few rows at most
+    space = AmbientSpace(p, n)
+    points = digits_of(space, np.arange(space.point_count))
+    E = PointSet(space, np.random.default_rng(p * n).random(space.point_count) < 0.4)
+    digits = digits_of(space, E.indices())
+    for d in range(n + 1):
+        G = SubspaceArray.grassmannian(space, d)
+        listed = list(G)
+        duals = suite._dual_bases(G)
+        assert list(duals) == [perp(W) for W in listed]
+        members = np.concatenate(list(suite._point_blocks(G)))
+        dual_points = np.concatenate(list(suite._point_blocks(duals)))
+        assert members.tolist() == [W.point_indices().tolist() for W in listed]
+        assert dual_points.tolist() == [perp(W).point_indices().tolist() for W in listed]
+        if d < n:
+            sums = _character_sum_rows(space, points, dual_points)
+            for V, row in zip(listed, sums):
+                assert np.array_equal(row, character_sum(V, points))  # to the bit
+        totals, images, moments, dual_images, same = suite._direction_reductions(
+            digits, G, *suite._dual_route(G, duals)
+        )
+        assert totals.tolist() == [E.cardinality] * len(G) and same.all()
+        assert images.tolist() == dual_images.tolist() == [project(E, W).size for W in listed]
+        assert moments.tolist() == [coset_profile(E, W).second_moment() for W in listed]
