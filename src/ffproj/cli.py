@@ -91,11 +91,11 @@ def _typed(key: str, value, kind):
     """A config-file value as its flag's ``type`` parses it: a string is parsed, a number kept."""
     if kind is None or value is None or type(value) in (int, kind):  # an int also for a float flag
         return value
-    try:
-        if isinstance(value, str):
+    if isinstance(value, str):
+        try:
             return kind(value)
-    except ValueError:
-        pass
+        except ValueError:
+            pass
     raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
