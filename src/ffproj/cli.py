@@ -113,6 +113,24 @@ def _fraction(cfg: dict, key: str) -> Fraction:
         raise ValueError(f"--{key} must be a rational number, got {cfg[key]!r}") from None
 
 
+def _int_list(cfg: dict, key: str) -> list[int]:
+    """The option ``key`` as a list of ints, from a comma-separated string or a JSON list.
+
+    A list is recorded in ``cfg`` as the comma-separated string, so both
+    forms hash alike; anything else is a usage error naming the key.
+    """
+    value = cfg[key]
+    if isinstance(value, list) and all(type(v) is int for v in value):
+        cfg[key] = ",".join(map(str, value))
+        return value
+    if isinstance(value, str):
+        try:
+            return [int(x) for x in value.split(",")]
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be comma-separated integers or a list of ints, got {value!r}")
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -376,9 +394,9 @@ def cmd_verify(args) -> int:
     }
     cfg = _resolve_config(args, defaults)
     started = time.time()
-    primes, dims = (  # a single value, else a comma-separated list, else the default grid
+    primes, dims = (  # a single value, else a list, else the default grid
         [cfg[key]] if cfg[key] is not None
-        else [int(x) for x in str(cfg[key + "_list"]).split(",")] if cfg[key + "_list"]
+        else _int_list(cfg, key + "_list") if cfg[key + "_list"]
         else list(default)
         for key, default in (("p", DEFAULT_PRIMES), ("n", DEFAULT_DIMS))
     )

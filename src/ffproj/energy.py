@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import AmbientSpace, PointSet
 from .fourier import Spectrum, dft
 from .projections import _histogram_blocks, coset_counts
@@ -127,7 +125,7 @@ def verify_energy_identity_fourier(
     directions = SubspaceArray.grassmannian(space, m)  # refuses m outside [0, n]
     if spectrum is None:
         spectrum = dft(E)
-    power = np.abs(spectrum.values) ** 2
+    power = spectrum.moduli() ** 2
     lhs = 0.0
     for points in _point_blocks(_dual_bases(directions)):
         for second_moment in power[points].sum(axis=1).tolist():

@@ -9,14 +9,20 @@ O(n p^(n+1)), no prime-length FFT machinery needed at desk scale).
 Amplitudes are double-precision complex; identities with integer left sides
 are additionally checked against nearest integers.  The relative tolerance
 TOLERANCE = 1e-9 is far above the rounding error accumulated under the
-point budget for full spectra.
+point budget for full spectra.  A spectrum computes its moduli |Ehat| once,
+on first use, and every check and report reads that one read-only array.
+
+The built-in sets (paraboloid, sphere) take x.x mod p from a table of
+squares, one broadcast sum per coordinate.  ``save_spectrum_csv`` builds
+each block of rows column by column: one ``repr`` of a list per float
+column, coordinates gathered from a table of residue strings, and the rows
+joined and written with one call per block.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +54,7 @@ __all__ = [
 
 TOLERANCE = 1e-9
 FULL_SPECTRUM_BUDGET = 1 << 22
-_CSV_BLOCK = 1 << 16  # spectrum rows converted to Python lists at a time
+_CSV_BLOCK = 1 << 16  # spectrum rows formatted and written at a time
 
 
 @lru_cache(maxsize=64)
@@ -64,6 +70,7 @@ class Spectrum:
     space: AmbientSpace
     values: np.ndarray
     source_cardinality: int
+    _moduli: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.space.point_count,):
@@ -77,7 +84,12 @@ class Spectrum:
             )
 
     def moduli(self) -> np.ndarray:
-        return np.abs(self.values)
+        """|Ehat(xi)| for every xi, computed on the first call and read-only."""
+        if self._moduli is None:
+            moduli = np.abs(self.values)
+            moduli.flags.writeable = False
+            object.__setattr__(self, "_moduli", moduli)
+        return self._moduli
 
     def at(self, xi) -> complex:
         return complex(self.values[encode(self.space, xi)])
@@ -121,7 +133,7 @@ def pointwise_coefficient(E: PointSet, xi) -> complex:
 
 def plancherel_check(S: Spectrum) -> tuple[float, float, bool]:
     """sum_xi |Ehat(xi)|^2 = p^n |E|; returns (lhs, rhs, ok within tolerance)."""
-    lhs = float((np.abs(S.values) ** 2).sum())
+    lhs = float((S.moduli() ** 2).sum())
     rhs = float(S.space.point_count * S.source_cardinality)
     return lhs, rhs, abs(lhs - rhs) <= TOLERANCE * max(1.0, rhs)
 
@@ -139,7 +151,7 @@ def subspace_plancherel(
     m = W.space.n - W.dim
     lhs = coset_profile(E, W).second_moment()
     dual_points = perp(W).point_indices()
-    rhs = float((np.abs(spectrum.values[dual_points]) ** 2).sum()) / W.space.p**m
+    rhs = float((spectrum.moduli()[dual_points] ** 2).sum()) / W.space.p**m
     ok = abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs)
     return lhs, rhs, ok
 
@@ -186,14 +198,20 @@ def _character_sum_rows(space: AmbientSpace, xs: np.ndarray, duals: np.ndarray) 
 
 
 def _norms(p: int, width: int) -> np.ndarray:
-    """x.x mod p for every x in F_p^width in index order, one base-p digit at a time."""
-    rem = np.arange(p**width, dtype=np.int64)
-    total = np.zeros_like(rem)
+    """x.x mod p for every x in F_p^width in index order, from a table of squares mod p.
+
+    Each pass adds a coordinate as the most significant base-p digit: one
+    broadcast sum of the squares against the norms so far, reduced mod p.
+    Values are held in the narrowest dtype that holds 2(p - 1).
+    """
+    dtype = np.min_scalar_type(2 * (p - 1))
+    j = np.arange(p, dtype=np.int64)
+    squares = (j * j % p).astype(dtype)
+    total = np.zeros(1, dtype=dtype)
     for _ in range(width):
-        digit = rem % p
-        total += digit * digit
-        rem //= p
-    return total % p
+        total = np.add.outer(squares, total).ravel()
+        total %= p
+    return total
 
 
 def paraboloid(space: AmbientSpace) -> PointSet:
@@ -202,7 +220,7 @@ def paraboloid(space: AmbientSpace) -> PointSet:
     if n < 2:
         raise ValueError("paraboloid needs ambient dimension >= 2")
     base = np.arange(p ** (n - 1), dtype=np.int64)
-    return PointSet.from_indices(space, base + _norms(p, n - 1) * p ** (n - 1))
+    return PointSet.from_indices(space, base + _norms(p, n - 1).astype(np.int64) * p ** (n - 1))
 
 
 def sphere(space: AmbientSpace, r: int) -> PointSet:
@@ -410,18 +428,25 @@ def projection_bound_report(
 def save_spectrum_csv(S: Spectrum, path) -> None:
     """Dump (xi coordinates, real, imag, modulus) rows ordered by point index."""
     space = S.space
+    residues = np.array([str(j) for j in range(space.p)], dtype=object)
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"xi{i + 1}" for i in range(space.n)] + ["real", "imag", "modulus"]
-        )
-        # rows are built in blocks from Python lists; the modulus is Python's
-        # abs(complex), which matches numpy's scalar abs where np.abs on an
-        # array can differ in the last ulp
+        header = [f"xi{i + 1}" for i in range(space.n)] + ["real", "imag", "modulus"]
+        fh.write(",".join(header) + "\r\n")
+        # the bytes csv.writer gives these rows (no field needs quoting), built
+        # column by column: each float column is one repr of a Python list, the
+        # modulus is Python's abs(complex), which matches numpy's scalar abs
+        # where np.abs on an array can differ in the last ulp, and coordinates
+        # are residue strings gathered by the digit matrix
         for start in range(0, space.point_count, _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, space.point_count)
-            coords = digits_of(space, np.arange(start, stop)).tolist()
-            writer.writerows(
-                c + [repr(v.real), repr(v.imag), repr(abs(v))]
-                for c, v in zip(coords, S.values[start:stop].tolist())
-            )
+            values = S.values[start : start + _CSV_BLOCK]
+            digits = digits_of(space, np.arange(start, start + len(values)))
+            columns = [column.tolist() for column in residues[digits.T]]
+            columns += [
+                repr(floats)[1:-1].split(", ")
+                for floats in (
+                    values.real.tolist(),
+                    values.imag.tolist(),
+                    list(map(abs, values.tolist())),
+                )
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

@@ -226,7 +226,7 @@ def _per_set_checks(cell, E, set_name, binomial, checks) -> None:
     spectrum = dft(E)
     lhs, rhs, ok = plancherel_check(spectrum)
     checks["plancherel"].record(ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
-    power = np.abs(spectrum.values) ** 2
+    power = spectrum.moduli() ** 2
     digits = digits_of(space, E.indices())
 
     sizes, moments = {}, {}  # image sizes and second moments over G(n,d)

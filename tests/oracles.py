@@ -2,9 +2,11 @@
 
 Everything here works on tuples and frozensets of tuples, never on RREF
 bases, coset labels, or the axis-wise transform, so agreement with the
-library is a genuine cross-check.  The one exception is
+library is a genuine cross-check.  The exceptions are
 :func:`int64_coset_labels`, the library's label convention computed by an
-int64 formula of its own rather than by the float64 label maps.
+int64 formula of its own rather than by the float64 label maps, and
+:func:`digit_loop_norms`, the built-in sets' x.x mod p in index order,
+computed digit by digit rather than from a table of squares.
 """
 
 import itertools
@@ -127,3 +129,14 @@ def int64_coset_labels(W, indices):
     if nonpiv.size == 0:
         return np.zeros(len(digits), dtype=np.int64)
     return reps[:, nonpiv] @ p ** np.arange(nonpiv.size, dtype=np.int64)
+
+
+def digit_loop_norms(p, width):
+    """x.x mod p for every x in F_p^width in index order, one base-p digit at a time."""
+    rem = np.arange(p**width, dtype=np.int64)
+    total = np.zeros_like(rem)
+    for _ in range(width):
+        digit = rem % p
+        total += digit * digit
+        rem //= p
+    return total % p

@@ -412,6 +412,29 @@ def test_verify_single_instance(workdir):
     assert "CHECK binomial_vs_enumeration: PASS" in result.stdout
 
 
+def test_verify_grid_lists_from_a_config_file(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+
+    def run(p_list):
+        (workdir / "cfg.json").write_text(json.dumps({"p_list": p_list, "n": 2}))
+        return cli.main(["verify", "--config", "cfg.json", "--out", "report.json"])
+
+    def report():
+        return strip_volatile(json.loads((workdir / "report.json").read_text()))
+
+    assert run([2, 3]) == 0
+    as_list = report()
+    assert run("2,3") == 0
+    as_string = report()
+    assert as_list["report"]["primes"] == [2, 3] and as_list["report"]["dims"] == [2]
+    assert as_list == as_string  # the same grid, config and hash
+    for bad in ([2, "3"], [2, True], [2.0], 5, "2,x", {"2": 3}):
+        capsys.readouterr()
+        assert run(bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: p_list must be") and repr(bad) in err
+
+
 def test_percolate_deterministic_with_dump(workdir):
     args = ["percolate", "--regime", "large", "--p", "5", "--n", "2", "--m", "1",
             "--s", "2", "--trials", "5", "--seed", "1", "--dump", "trials.csv"]

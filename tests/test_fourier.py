@@ -23,7 +23,7 @@ from ffproj.fourier import (
 )
 from ffproj.subspaces import Subspace, enumerate_grassmannian, perp
 
-from oracles import brute_dft, brute_perp
+from oracles import all_vectors, brute_dft, brute_perp, digit_loop_norms
 
 
 def test_dft_singleton_and_full():
@@ -90,6 +90,13 @@ def test_dft_budget_refusal():
     assert space.point_count > FULL_SPECTRUM_BUDGET
     with pytest.raises(BudgetError):
         dft(PointSet.empty(space))
+
+
+def test_moduli_are_computed_once_and_read_only():
+    S = dft(paraboloid(AmbientSpace(5, 2)))
+    moduli = S.moduli()
+    assert S.moduli() is moduli and not moduli.flags.writeable
+    assert np.array_equal(moduli, np.abs(S.values))
 
 
 def test_pointwise_matches_full_dft():
@@ -226,6 +233,43 @@ def test_sphere_examples():
         sphere(AmbientSpace(5, 2), 5)
 
 
+@pytest.mark.parametrize("p,max_width", [(2, 18), (3, 7), (5, 5), (101, 3)])
+def test_norms_match_the_digit_loop(p, max_width):
+    for width in range(max_width + 1):
+        norms = fourier._norms(p, width)
+        assert norms.dtype == np.min_scalar_type(2 * (p - 1))
+        assert np.array_equal(norms, digit_loop_norms(p, width)), width
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (5, 3), (101, 2)])
+def test_builtin_sets_match_the_digit_loop_and_brute_force(p, n):
+    space = AmbientSpace(p, n)
+    vectors = all_vectors(p, n)
+
+    def norm(v):
+        return sum(c * c for c in v) % p
+
+    E = paraboloid(space)  # width n - 1: the norm of the first n - 1 coordinates
+    base = np.arange(p ** (n - 1))
+    expected = np.zeros(space.point_count, dtype=bool)
+    expected[base + digit_loop_norms(p, n - 1) * p ** (n - 1)] = True
+    assert np.array_equal(E.mask, expected)
+    assert sorted(E.vectors()) == sorted(v for v in vectors if norm(v[:-1]) == v[-1])
+    for r in sorted({0, 1, p - 1}):  # width n
+        S = sphere(space, r)
+        assert np.array_equal(S.mask, digit_loop_norms(p, n) == r)
+        assert sorted(S.vectors()) == sorted(v for v in vectors if norm(v) == r)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_builtin_sets_at_width_18_match_the_digit_loop(r):
+    norms = digit_loop_norms(2, 18)
+    assert np.array_equal(sphere(AmbientSpace(2, 18), r).mask, norms == r)
+    expected = np.zeros(2**19, dtype=bool)
+    expected[np.arange(2**18) + norms * 2**18] = True
+    assert np.array_equal(paraboloid(AmbientSpace(2, 19)).mask, expected)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("n", [2, 3])
 def test_paraboloid_is_salem(p, n):
@@ -355,12 +399,15 @@ def _row_by_row_spectrum_csv(S, path):
             )
 
 
-@pytest.mark.parametrize("p,n,block", [(2, 6, 7), (5, 3, 1 << 16), (31, 2, 100)])
+@pytest.mark.parametrize(
+    "p,n,block", [(2, 6, 7), (5, 3, 1 << 16), (31, 2, 100), (101, 2, 1000), (3, 4, 27)]
+)
 def test_spectrum_csv_bytes_match_row_by_row_writer(tmp_path, monkeypatch, p, n, block):
     monkeypatch.setattr(fourier, "_CSV_BLOCK", block)
     space = AmbientSpace(p, n)
     rng = np.random.default_rng(p)
-    for E in (paraboloid(space), PointSet(space, rng.random(space.point_count) < 0.3)):
+    random_set = PointSet(space, rng.random(space.point_count) < 0.3)
+    for E in (paraboloid(space), sphere(space, 1), random_set):
         S = dft(E)
         save_spectrum_csv(S, tmp_path / "bulk.csv")
         _row_by_row_spectrum_csv(S, tmp_path / "rows.csv")

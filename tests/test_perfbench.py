@@ -1,4 +1,4 @@
-"""The benchmark's sweep, percolate and verify workloads, checked against their reference digests."""
+"""The benchmark's four workloads, checked against their reference digests."""
 
 import json
 import subprocess
@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["sweep", "percolate", "verify"])
+@pytest.mark.parametrize("workload", ["sweep", "percolate", "spectral", "verify"])
 def test_workload_reproduces_the_reference_digests(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
