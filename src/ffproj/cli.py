@@ -328,6 +328,9 @@ def cmd_spectrum(args) -> int:
         "C": None, "alpha": None, "m": None, "dump": None, "out": None,
     }
     cfg = _resolve_config(args, defaults)
+    salem = any(cfg[key] is not None for key in ("C", "alpha", "m"))
+    if salem:  # the projection-case check needs all three
+        _require(cfg, "C", "alpha", "m")
     started = time.time()
     if cfg["builtin"]:
         _require(cfg, "p", "n")
@@ -349,7 +352,7 @@ def cmd_spectrum(args) -> int:
     if cfg["builtin"] == "sphere":
         lo, hi = sphere_size_window(E.space)
         report["sphere_size_window"] = {"low": lo, "high": hi, "observed": E.cardinality}
-    if cfg["C"] is not None and cfg["alpha"] is not None and cfg["m"] is not None:
+    if salem:
         prof = SalemProfile(float(cfg["C"]), float(cfg["alpha"]))
         report["projection_cases"] = projection_bound_report(
             E, prof, cfg["m"], spectrum=spectrum

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import AmbientSpace, PointSet
+from .core import AmbientSpace, PointSet, encode
 from .fourier import Spectrum, dft
 from .projections import _histogram_blocks, coset_counts
 from .subspaces import (
@@ -33,6 +33,7 @@ from .subspaces import (
     _point_blocks,
     all_cosets,
     binom_at_most_twice_power,
+    coset_labels,
     enumerate_grassmannian,
     gaussian_binomial_or_zero,
 )
@@ -56,8 +57,8 @@ __all__ = [
 def energy(E: PointSet, planes: Sequence[AffinePlane]) -> int:
     """Exact sum of |E n P|^2 over the given planes.
 
-    Planes are grouped by direction so each direction costs one pass over E,
-    not one pass per plane.
+    Planes are grouped by direction so each direction costs one pass over E
+    and one :func:`coset_labels` call for its planes, not one per plane.
     """
     if not planes:
         return 0
@@ -70,8 +71,8 @@ def energy(E: PointSet, planes: Sequence[AffinePlane]) -> int:
             raise ValueError("plane family mixes dimensions")
         by_direction.setdefault(plane.direction, []).append(plane)
     total = 0
-    for counts, group in zip(coset_counts(E, by_direction), by_direction.values()):
-        hits = counts[[plane.label() for plane in group]]
+    for counts, (W, group) in zip(coset_counts(E, by_direction), by_direction.items()):
+        hits = counts[coset_labels(W, [encode(E.space, plane.rep) for plane in group])]
         total += int(hits @ hits)
     return total
 

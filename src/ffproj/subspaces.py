@@ -29,7 +29,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, BudgetError, IdentityError, PointSet, base_p_digits, digits_of
+from .core import (
+    AmbientSpace,
+    BudgetError,
+    IdentityError,
+    PointSet,
+    base_p_digits,
+    digits_of,
+    encode,
+)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -40,7 +48,6 @@ __all__ = [
     "check_range_condition",
     "binom_at_most_twice_power",
     "verify_pascal_identities",
-    "rref_mod_p",
     "rref_stack",
     "Subspace",
     "SubspaceArray",
@@ -139,43 +146,15 @@ def verify_pascal_identities(n: int, m: int, p: int) -> bool:
     return g == rec_low and g == rec_high and g == gaussian_binomial(n, n - m, p)
 
 
-def rref_mod_p(
-    rows: Iterable[Sequence[int]], p: int, n: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    mat = [[int(c) % p for c in row] for row in rows]
-    for row in mat:
-        if len(row) != n:
-            raise ValueError(f"row width {len(row)} != {n}")
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [c * inv % p for c in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
-
-
 def rref_stack(mats: np.ndarray, p: int) -> np.ndarray:
-    """:func:`rref_mod_p` of a (c, r, n) stack of rank-r matrices at once.
+    """Reduced row echelon form mod p of each matrix of a (c, r, n) stack, at once.
 
     Returns the (c, r, n) int64 RREF bases.  Each matrix picks its own pivot
-    row per column; since the RREF is canonical, the bases equal those of
-    :func:`rref_mod_p` row for row.
+    row per column.  A matrix of rank below r ends in zero rows; callers that
+    know the rank check it.
     """
     mats = np.asarray(mats, dtype=np.int64) % p
     c, r, n = mats.shape
-    inverse = np.zeros(p, dtype=np.int64)
-    inverse[1:] = [pow(a, -1, p) for a in range(1, p)]
     rank = np.zeros(c, dtype=np.int64)
     below = np.arange(r)
     for col in range(n):
@@ -186,15 +165,15 @@ def rref_stack(mats: np.ndarray, p: int) -> np.ndarray:
         src, dst = candidates[g].argmax(axis=1), rank[g]
         lead = mats[g, src]
         mats[g, src] = mats[g, dst]
-        lead = lead * inverse[lead[:, col]][:, None] % p
+        # one pow per pivot, not a table of all p inverses: p may be large
+        inverse = [pow(a, -1, p) for a in lead[:, col].tolist()]
+        lead = lead * np.array(inverse, dtype=np.int64)[:, None] % p
         factors = mats[g, :, col]
         factors[np.arange(g.size), dst] = 0
         block = (mats[g] - factors[:, :, None] * lead[:, None, :]) % p
         block[np.arange(g.size), dst] = lead
         mats[g] = block
         rank[g] += 1
-    if (rank != r).any():  # callers pass bases of known rank; cannot fail
-        raise IdentityError("rank-deficient matrix in rref_stack")
     return mats
 
 
@@ -289,8 +268,14 @@ class Subspace:
     @classmethod
     def from_rows(cls, space: AmbientSpace, rows: Iterable[Sequence[int]]) -> "Subspace":
         """Span of arbitrary generating rows, canonicalized."""
-        basis, pivots = rref_mod_p(rows, space.p, space.n)
-        return cls(space, basis, pivots)
+        p, n = space.p, space.n
+        mat = [[int(c) % p for c in row] for row in rows]  # in Python: entries may exceed int64
+        for row in mat:
+            if len(row) != n:
+                raise ValueError(f"row width {len(row)} != {n}")
+        bases = rref_stack(np.array(mat, dtype=np.int64).reshape(1, len(mat), n), p)
+        # a rank-deficient input ends in zero rows: drop them
+        return SubspaceArray(space, bases[:, bases[0].any(axis=1)])[0]
 
     @classmethod
     def zero(cls, space: AmbientSpace) -> "Subspace":
@@ -311,26 +296,12 @@ class Subspace:
     def matrix(self) -> np.ndarray:
         return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.space.n)
 
-    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Canonical coset representative of v: zero out the pivot coordinates."""
-        v = list(self.space.validate_vector(v))
-        p = self.space.p
-        for row, piv in zip(self.basis, self.pivots):
-            f = v[piv]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return tuple(v)
-
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
+        return not coset_labels(self, [encode(self.space, v)])[0]
 
     def point_indices(self) -> np.ndarray:
-        """Indices of all p^dim points of the subspace."""
-        p, n = self.space.p, self.space.n
-        coeffs = base_p_digits(np.arange(p**self.dim), p, self.dim)
-        pts = coeffs @ self.matrix % p
-        weights = p ** np.arange(n, dtype=np.int64)
-        return pts @ weights
+        """Indices of all p^dim points of the subspace: one row of :func:`_point_blocks`."""
+        return next(_point_blocks(SubspaceArray(self.space, self.matrix[None])))[0]
 
     def point_set(self) -> PointSet:
         return PointSet.from_indices(self.space, self.point_indices())
@@ -365,15 +336,11 @@ class AffinePlane:
         return self.direction.dim
 
     def label(self) -> int:
-        """Rank of this coset among the p^(n-dim) cosets of its direction."""
-        p = self.space.p
-        label = 0
-        for col in reversed(self.direction.nonpivot_columns()):
-            label = label * p + self.rep[col]
-        return label
+        """Rank of this coset among the p^(n-dim) cosets of its direction: its coset label."""
+        return int(coset_labels(self.direction, [encode(self.space, self.rep)])[0])
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self.direction.reduce(v) == self.rep
+        return int(coset_labels(self.direction, [encode(self.space, v)])[0]) == self.label()
 
     def point_indices(self) -> np.ndarray:
         p = self.space.p
@@ -482,23 +449,27 @@ class SubspaceArray(SequenceABC):
 
 
 def _dual_bases(directions: SubspaceArray) -> SubspaceArray:
-    """Per(W) for each W of ``directions``, in order: the bases of :func:`perp`, row for row.
+    """Per(W) for each W of ``directions``, in order; :func:`perp` is one row of it.
 
-    Per(W) is spanned by the columns of the label map Q_W, so a map block is
-    dualised with one :func:`rref_stack` of the stacked Q_W^T.
+    Per(W) is spanned by the n - k independent columns of the label map Q_W,
+    so a map block is dualised with one :func:`rref_stack` of the stacked
+    Q_W^T, and every dual basis must come out with no zero row.
     """
     space = directions.space
     bases = [np.zeros((0, space.n - directions.dim, space.n), dtype=np.int64)]
     bases += [rref_stack(Q.transpose(0, 2, 1), space.p) for Q in directions.label_map_blocks()]
-    return SubspaceArray(space, np.concatenate(bases))
+    bases = np.concatenate(bases)
+    if not bases.any(axis=2).all():  # rank-nullity; cannot fail
+        raise IdentityError("rank-deficient dual basis")
+    return SubspaceArray(space, bases)
 
 
 def _point_blocks(subspaces: SubspaceArray) -> Iterator[np.ndarray]:
     """Point indices of each subspace of the array, in (c, p^k) blocks.
 
-    Each row lists its points in the order of ``point_indices()``, so sums
-    over a row are bit-identical to sums over those indices.  Rows are
-    C-contiguous: a strided view would change how numpy sums a gathered row.
+    Row i lists sum_j c_j B[j] for c running over F_p^k in index order
+    (``Subspace.point_indices`` is one row).  Rows are C-contiguous: a
+    strided view would change how numpy sums a gathered row.
     """
     space = subspaces.space
     p, n, k = space.p, space.n, subspaces.dim
@@ -509,18 +480,24 @@ def _point_blocks(subspaces: SubspaceArray) -> Iterator[np.ndarray]:
         yield _residue_codes(space, coeffs, bases.astype(np.float64, order="C"))
 
 
+def _check_budget(family: str, size: int, budget: int | None) -> None:
+    """Refuse a family of ``size`` objects over the budget, and a negative budget.
+
+    ``budget`` defaults to :func:`enumeration_budget`; like $FFPROJ_BUDGET it
+    must be a nonnegative integer.
+    """
+    if budget is None:
+        budget = enumeration_budget()
+    if budget < 0:
+        raise ValueError(f"budget must be a nonnegative integer, got {budget}")
+    if size > budget:
+        raise BudgetError(f"{family} has {size} elements, over budget {budget}")
+
+
 def _check_enumeration(space: AmbientSpace, m: int, budget: int | None) -> None:
     """Refuse m outside [0, n], and a G(n, m) larger than the enumeration budget."""
     p, n = space.p, space.n
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}")
-    if budget is None:
-        budget = enumeration_budget()
-    total = gaussian_binomial(n, m, p)
-    if total > budget:
-        raise BudgetError(
-            f"G({n},{m}) over F_{p} has {total} elements, over budget {budget}"
-        )
+    _check_budget(f"G({n},{m}) over F_{p}", gaussian_binomial(n, m, p), budget)
 
 
 def enumerate_grassmannian(
@@ -570,13 +547,7 @@ def enumerate_affine(
 
     The budget is checked at the call, as in :func:`enumerate_grassmannian`.
     """
-    if budget is None:
-        budget = enumeration_budget()
-    total = affine_count(space, m)
-    if total > budget:
-        raise BudgetError(
-            f"A({space.n},{m}) over F_{space.p} has {total} elements, over budget {budget}"
-        )
+    _check_budget(f"A({space.n},{m}) over F_{space.p}", affine_count(space, m), budget)
     return (
         AffinePlane(W, rep)
         for W in enumerate_grassmannian(space, m, budget=budget)
@@ -585,40 +556,30 @@ def enumerate_affine(
 
 
 def perp(W: Subspace) -> Subspace:
-    """Dual complement Per(W) = {x : x.w = 0 for all w in W}."""
-    space = W.space
-    p, n = space.p, space.n
-    vecs = []
-    for f in W.nonpivot_columns():
-        v = [0] * n
-        v[f] = 1
-        for row, piv in zip(W.basis, W.pivots):
-            v[piv] = (-row[f]) % p
-        vecs.append(v)
-    out = Subspace.from_rows(space, vecs)
-    if out.dim != n - W.dim:  # rank-nullity; cannot fail
-        raise IdentityError("nullspace dimension mismatch")
-    return out
+    """Dual complement Per(W) = {x : x.w = 0 for all w in W}: one row of :func:`_dual_bases`."""
+    return _dual_bases(SubspaceArray(W.space, W.matrix[None]))[0]
 
 
 def coset_of(W: Subspace, x: Sequence[int]) -> AffinePlane:
-    """The coset x + W with its canonical representative."""
-    return AffinePlane(W, W.reduce(x))
+    """The coset x + W with its canonical representative, decoded from its label."""
+    return AffinePlane(W, _coset_rep(W, int(coset_labels(W, [encode(W.space, x)])[0])))
+
+
+def _coset_rep(W: Subspace, label: int) -> tuple[int, ...]:
+    """Canonical representative of the coset of W labelled ``label``.
+
+    The label's base-p digits, first one least significant, fill the
+    non-pivot columns in order (see :func:`coset_labels`); pivot columns are 0.
+    """
+    rep = [0] * W.space.n
+    for col in W.nonpivot_columns():
+        label, rep[col] = divmod(label, W.space.p)
+    return tuple(rep)
 
 
 def coset_reps(W: Subspace) -> Iterator[tuple[int, ...]]:
     """Canonical representatives of all p^(n-dim) cosets, in label order."""
-    space = W.space
-    p, n = space.p, space.n
-    nonpiv = W.nonpivot_columns()
-    # label digits run little-endian across non-pivot columns (AffinePlane.label)
-    for label in range(p ** len(nonpiv)):
-        rep = [0] * n
-        rem = label
-        for col in nonpiv:
-            rem, digit = divmod(rem, p)
-            rep[col] = digit
-        yield tuple(rep)
+    return (_coset_rep(W, label) for label in range(W.space.p ** (W.space.n - W.dim)))
 
 
 def all_cosets(W: Subspace) -> list[AffinePlane]:
@@ -648,9 +609,9 @@ def count_subspaces_containing(
         raise ValueError(f"need 1 <= m <= n, got m={m}")
     value = gaussian_binomial(space.n - 1, m - 1, space.p)
     if verify:
-        observed = sum(
-            1 for V in enumerate_grassmannian(space, m) if V.contains(xi)
-        )
+        index = encode(space, xi)
+        blocks = _point_blocks(SubspaceArray.grassmannian(space, m))
+        observed = sum(int((points == index).any(axis=1).sum()) for points in blocks)
         if observed != value:
             raise IdentityError(
                 f"containment count {observed} != closed form {value} for xi={xi}"
@@ -669,10 +630,8 @@ def count_subspaces_with_perp_containing(
         raise ValueError(f"need 0 <= m <= n-1, got m={m}")
     value = gaussian_binomial(space.n - 1, m, space.p)
     if verify:
-        observed = 0
-        for V in enumerate_grassmannian(space, m):
-            if V.dim == 0 or not (V.matrix @ np.array(xi) % space.p).any():
-                observed += 1
+        bases = SubspaceArray.grassmannian(space, m).bases
+        observed = int((~(bases @ np.array(xi) % space.p).any(axis=1)).sum())
         if observed != value:
             raise IdentityError(
                 f"dual containment count {observed} != closed form {value} for xi={xi}"

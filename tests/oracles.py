@@ -38,6 +38,22 @@ def span_points(rows, p, n):
     return frozenset(points)
 
 
+def ordered_span_indices(rows, p, n):
+    """Point indices of all combinations of the rows, in coefficient order.
+
+    Entry i is sum_j c_j rows[j], where c_j is the j-th base-p digit of i
+    (first one least significant), encoded as sum_t x_t p^t.
+    """
+    rows = list(rows)
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        v = (0,) * n
+        for c, row in zip(reversed(coeffs), rows):  # product varies its last entry fastest
+            v = vec_add(v, vec_scale(c, row, p), p)
+        out.append(sum(x * p**t for t, x in enumerate(v)))
+    return out
+
+
 def brute_subspace_pointsets(p, n, m):
     """Every m-dimensional subspace as a point set, via spans of all m-tuples."""
     vectors = all_vectors(p, n)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffproj import subspaces
-from ffproj.core import AmbientSpace, BudgetError, PointSet, is_prime
+from ffproj.core import AmbientSpace, BudgetError, IdentityError, PointSet, is_prime
 from ffproj.energy import energy_over_all_planes, verify_energy_identity_fourier
 from ffproj.fourier import dft
 from ffproj.projections import coset_counts, projection_sizes
@@ -28,11 +28,10 @@ from ffproj.subspaces import (
     gaussian_binomial,
     label_maps,
     perp,
-    rref_mod_p,
     rref_stack,
 )
 
-from oracles import brute_coset_counts, brute_perp, span_points
+from oracles import brute_coset_counts, brute_perp, ordered_span_indices, span_points
 
 
 def _template_grassmannian(p, n, k):
@@ -122,40 +121,79 @@ def test_batched_dual_is_perp(cell, cap, rng):
     assert array.pivots.tolist() == [list(W.pivots) for W in directions]
     dual_bases = rref_stack(label_maps(array.bases, p).transpose(0, 2, 1), p)
     assert dual_bases.shape == (len(directions), n - k, n)
+    # Subspace() checks the canonical RREF form of each dual basis
     duals = [Subspace(space, tuple(map(tuple, b)), tuple(piv))
              for b, piv in zip(dual_bases.tolist(), _pivot_columns(dual_bases).tolist())]
-    assert duals == [perp(W) for W in directions]
+    for W, P in zip(directions, duals):
+        # x is orthogonal to W iff it is orthogonal to W's basis rows
+        assert span_points(P.basis, p, n) == brute_perp(W.basis, p, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subspaces, "_KERNEL_BYTES", cap)  # small caps split map blocks and chunks
-        blocks = list(_point_blocks(_dual_bases(array)))
+        dual_array = _dual_bases(array)
+        blocks = list(_point_blocks(dual_array))
+    assert list(dual_array) == duals
     assert all(b.flags.c_contiguous for b in blocks)
-    assert np.concatenate(blocks).tolist() == [perp(W).point_indices().tolist() for W in directions]
-    if p**n <= 27:
-        for W, P in zip(directions, duals):
-            assert span_points(P.basis, p, n) == brute_perp(span_points(W.basis, p, n), p, n)
+    assert np.concatenate(blocks).tolist() == [ordered_span_indices(P.basis, p, n) for P in duals]
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
-def test_rref_stack_matches_rref_mod_p(p, n, data):
+def test_rref_stack_is_the_canonical_basis_of_the_span(p, n, data):
     r = data.draw(st.integers(0, n))
     mats = data.draw(st.lists(
         st.lists(st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n),
                  min_size=r, max_size=r),
         min_size=1, max_size=6,
     ))
-    full_rank = [m for m in mats if len(rref_mod_p(m, p, n)[0]) == r]
-    if not full_rank:
-        return
-    stack = np.array(full_rank, dtype=np.int64).reshape(len(full_rank), r, n)
-    bases = rref_stack(stack, p)
-    for m, basis, piv in zip(full_rank, bases.tolist(), _pivot_columns(bases).tolist()):
-        assert (tuple(map(tuple, basis)), tuple(piv)) == rref_mod_p(m, p, n)
+    space = AmbientSpace(p, n)
+    bases = rref_stack(np.array(mats, dtype=np.int64).reshape(len(mats), r, n), p)
+    for m, basis in zip(mats, bases.tolist()):
+        rank = sum(map(any, basis))
+        assert not any(map(any, basis[rank:]))  # a rank-deficient matrix ends in zero rows
+        rows = tuple(map(tuple, basis[:rank]))
+        pivots = tuple(next(j for j, c in enumerate(row) if c) for row in rows)
+        W = Subspace(space, rows, pivots)  # checks the canonical RREF form
+        residues = [[c % p for c in row] for row in m]
+        assert span_points(W.basis, p, n) == span_points(residues, p, n)
 
 
-def test_rref_stack_rejects_rank_deficient_stacks():
-    with pytest.raises(subspaces.IdentityError):
-        rref_stack(np.array([[[1, 2], [2, 4]]]), 5)
+def test_rref_stack_ends_rank_deficient_matrices_in_zero_rows():
+    mats = np.array([
+        [[1, 2, 0], [2, 4, 0], [0, 0, 3]],
+        [[0, 0, 0], [0, 2, 1], [0, 4, 2]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ])
+    assert rref_stack(mats, 5).tolist() == [
+        [[1, 2, 0], [0, 0, 1], [0, 0, 0]],
+        [[0, 1, 3], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ]
+
+
+def test_rref_stack_inverts_only_its_pivots_at_large_p():
+    p = 1000003  # a table of every inverse mod p would take 8 MB
+    tracemalloc.start()
+    try:
+        bases = rref_stack(np.array([[[0, 5, 7], [3, 1, 0]]]), p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    inv3, inv5 = pow(3, -1, p), pow(5, -1, p)
+    assert bases.tolist() == [[[1, 0, -inv3 * 7 * inv5 % p], [0, 1, 7 * inv5 % p]]]
+
+
+def test_dual_bases_refuse_a_zero_row(monkeypatch):
+    real = subspaces.rref_stack
+
+    def zeroes_the_last_row(mats, p):
+        bases = real(mats, p)
+        bases[:, -1] = 0
+        return bases
+
+    monkeypatch.setattr(subspaces, "rref_stack", zeroes_the_last_row)
+    with pytest.raises(IdentityError, match="rank-deficient dual basis"):
+        _dual_bases(SubspaceArray.grassmannian(AmbientSpace(3, 3), 1))
 
 
 @st.composite

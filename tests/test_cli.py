@@ -291,6 +291,41 @@ def test_enumerate_affine_budget_names_the_family(workdir, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--p", "3", "--n", "2", "--m", "0", "--budget", "-1"],
+    ["enumerate", "--p", "3", "--n", "2", "--m", "0", "--budget", "-1", "--affine"],
+], ids=["grassmannian", "affine"])
+def test_negative_budget_flag_is_refused_like_the_env(workdir, monkeypatch, capsys, args):
+    monkeypatch.chdir(workdir)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget must be a nonnegative integer, got -1\n"
+    assert captured.out == ""
+
+
+_SALEM = {"C": "1", "alpha": "0.5", "m": "1"}
+
+
+@pytest.mark.parametrize("missing", list(_SALEM))
+def test_spectrum_refuses_a_partial_salem_profile(workdir, monkeypatch, capsys, missing):
+    monkeypatch.chdir(workdir)
+    given = [arg for key, value in _SALEM.items() if key != missing for arg in ("--" + key, value)]
+    code = cli.main(["spectrum", "--builtin", "paraboloid", "--p", "5", "--n", "2",
+                     *given, "--out", "report.json"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: missing required option(s): --{missing}\n"
+    assert not (workdir / "report.json").exists()
+
+
+def test_spectrum_refuses_a_partial_salem_profile_from_a_config_file(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    (workdir / "spec.json").write_text(json.dumps({"C": 1, "m": 1}))
+    code = cli.main(["spectrum", "--builtin", "paraboloid", "--p", "5", "--n", "2",
+                     "--config", "spec.json"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: missing required option(s): --alpha\n"
+
+
 @pytest.mark.parametrize("builtin", [["paraboloid"], ["sphere", "--r", "1"]],
                          ids=lambda b: b[0])
 def test_spectrum_over_cap_is_refused_before_the_set_is_built(

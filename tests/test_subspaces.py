@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffproj.core import AmbientSpace, BudgetError, digits_of
+from ffproj.core import AmbientSpace, BudgetError, digits_of, encode
 from ffproj.subspaces import (
     AffinePlane,
     Subspace,
@@ -13,6 +13,7 @@ from ffproj.subspaces import (
     check_range_condition,
     coset_labels,
     coset_of,
+    coset_reps,
     count_subspaces_containing,
     count_subspaces_with_perp_containing,
     enumerate_affine,
@@ -213,10 +214,33 @@ def test_coset_labels_consistent_with_plane_labels():
     W = Subspace.from_rows(space, [(1, 3)])
     idx = np.arange(space.point_count)
     labels = coset_labels(W, idx)
+    assert np.array_equal(labels, int64_coset_labels(W, idx))
     assert sorted(set(labels.tolist())) == list(range(5))
     for plane in all_cosets(W):
         for i in plane.point_indices():
             assert labels[int(i)] == plane.label()
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_coset_of_decodes_the_oracle_label(p, n):
+    space = AmbientSpace(p, n)
+    for k in range(n + 1):
+        for W in enumerate_grassmannian(space, k):
+            reps = list(coset_reps(W))
+            for x in all_vectors(p, n):
+                label = int(int64_coset_labels(W, [encode(space, x)])[0])
+                plane = coset_of(W, x)
+                assert plane.rep == reps[label] and plane.label() == label
+                assert plane.contains(x) and W.contains(x) == (label == 0)
+
+
+def test_from_rows_reduces_entries_beyond_int64_and_negative_ones():
+    space = AmbientSpace(5, 3)
+    W = Subspace.from_rows(space, [(10**29 + 1, 0, -1), (-3, 2**70, 0)])
+    # mod 5 the rows are (1, 0, 4) and (2, 4, 0)
+    assert W == Subspace.from_rows(space, [(1, 0, 4), (2, 4, 0)])
+    assert span_points(W.basis, 5, 3) == span_points([(1, 0, 4), (2, 4, 0)], 5, 3)
+    assert Subspace.from_rows(space, [(-5, 10**40, 0)]) == Subspace.zero(space)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2)])

@@ -7,6 +7,8 @@ from ffproj.fourier import TOLERANCE, subspace_plancherel
 from ffproj.subspaces import Subspace, SubspaceArray, gaussian_binomial
 from ffproj.suite import run_identity_suite
 
+from oracles import brute_perp, ordered_span_indices, span_points
+
 
 def test_injected_binomial_fault_is_caught_with_witnesses():
     def off_by_one(n, m, p):
@@ -221,7 +223,6 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
     from ffproj.core import PointSet, digits_of
     from ffproj.fourier import _character_sum_rows, character_sum
     from ffproj.projections import coset_profile, project
-    from ffproj.subspaces import perp
 
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 700)  # blocks of a few rows at most
     space = AmbientSpace(p, n)
@@ -232,11 +233,14 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
         G = SubspaceArray.grassmannian(space, d)
         listed = list(G)
         duals = suite._dual_bases(G)
-        assert list(duals) == [perp(W) for W in listed]
+        dual_list = list(duals)  # Subspace() checks each dual basis is in canonical RREF form
+        assert [span_points(P.basis, p, n) for P in dual_list] == [
+            brute_perp(W.basis, p, n) for W in listed  # orthogonal to W's basis rows
+        ]
         members = np.concatenate(list(suite._point_blocks(G)))
         dual_points = np.concatenate(list(suite._point_blocks(duals)))
-        assert members.tolist() == [W.point_indices().tolist() for W in listed]
-        assert dual_points.tolist() == [perp(W).point_indices().tolist() for W in listed]
+        assert members.tolist() == [ordered_span_indices(W.basis, p, n) for W in listed]
+        assert dual_points.tolist() == [ordered_span_indices(P.basis, p, n) for P in dual_list]
         if d < n:
             sums = _character_sum_rows(space, points, dual_points)
             for V, row in zip(listed, sums):
