@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -425,6 +426,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON report to this path")
 
 
+@functools.cache  # built at the first call; later in-process calls reuse it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ffproj",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,10 +69,21 @@ class PercolationModel:
 
 def percolation_sample(model: PercolationModel, trial: int = 0) -> PointSet:
     """Sample one random subset; reproducible per (seed, trial index)."""
-    key = np.array([model.seed, trial], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    mask = rng.random(model.space.point_count) < model.delta
-    return PointSet(model.space, mask)
+    return PointSet(model.space, _sampler()(model, trial))
+
+
+def _sampler() -> Callable[[PercolationModel, int], np.ndarray]:
+    """A campaign's trial masks from one Philox, reset per draw to a fresh Philox(key=(seed, t))."""
+    bits = np.random.Philox(key=0)  # a placeholder: every draw sets the key
+    rng, zeros = np.random.Generator(bits), np.zeros(4, dtype=np.uint64)
+
+    def mask(model: PercolationModel, trial: int) -> np.ndarray:
+        key = np.array([model.seed, trial], dtype=np.uint64)
+        bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng.random(model.space.point_count) < model.delta
+
+    return mask
 
 
 def chernoff_bound(N: int, delta_prime: float) -> float:
@@ -202,8 +213,9 @@ def _trial_groups(
     p = model.space.p
     group: list[np.ndarray] = []
     points = 0
+    sample = _sampler()
     for t in range(trials):
-        idx = percolation_sample(model, t).indices()
+        idx = np.flatnonzero(sample(model, t))
         if group and not _fits_one_chunk(points + idx.size, m, len(group) + 1, p):
             yield group
             group, points = [], 0
@@ -334,9 +346,8 @@ def chebyshev_size_check(model: PercolationModel, trials: int) -> SizeConcentrat
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     mean = model.space.point_count * model.delta
-    sizes = np.array(
-        [percolation_sample(model, t).cardinality for t in range(trials)]
-    )
+    sample = _sampler()
+    sizes = np.array([np.count_nonzero(sample(model, t)) for t in range(trials)])
     rate = float((np.abs(sizes - mean) > mean / 2.0).mean()) if trials else 0.0
     if model.delta == 1.0:
         bound = 0.0

@@ -88,8 +88,9 @@ def run_identity_suite(
             space = AmbientSpace(p, n)
             cell = _cell(space)
             _cell_checks(cell, binomial, checks)
-            for set_name, E in _test_sets(space, seed):
-                _per_set_checks(cell, E, set_name, binomial, checks)
+            sets = _test_sets(space, seed)
+            for (set_name, E), (spectrum, held) in zip(sets, _sweep_sets(cell, sets)):
+                _per_set_checks(cell, E, set_name, spectrum, held, binomial, checks)
 
     summaries = [c.summary() for c in checks.values()]
     return {
@@ -194,51 +195,62 @@ def _dual_route(directions: SubspaceArray, duals: SubspaceArray) -> tuple[np.nda
     return duals.bases.transpose(1, 0, 2).astype(np.float64), relabel
 
 
-def _direction_reductions(digits, directions, maps, relabel) -> list[np.ndarray]:
-    """Per-direction reductions of one kernel sweep of a point set, block by block.
+def _direction_reductions(digits, tags, ntags, directions, maps, relabel) -> list[np.ndarray]:
+    """Per-direction reductions of one tagged kernel sweep, block by block.
 
-    Returns the histogram total, the image size, the second moment, the image
-    size of the dual route x -> U x, and whether the dual route's histogram,
-    relabelled, is the kernel's.
+    Returns (directions, ntags) arrays, column k for the points tagged k: the histogram
+    total, the image size, the second moment, the image size of the dual route x -> U x,
+    and whether the dual route's histogram, relabelled, is the kernel's.
     """
     space = directions.space
     cosets = space.p ** (space.n - directions.dim)
     points = digits.astype(np.float64)
-    tags = np.zeros(len(digits), dtype=np.int64)
     blocks, start = [], 0
-    for h in _coset_histograms(digits, tags, 1, directions):
-        h, c = h[:, 0], len(h)
+    for h in _coset_histograms(digits, tags, ntags, directions):
+        c = len(h)
         codes = _residue_codes(space, points, maps[:, start : start + c])
-        codes += np.arange(c)[:, None] * cosets
-        dual = np.bincount(codes.ravel(), minlength=c * cosets).reshape(c, cosets)
-        same = (np.take_along_axis(dual, relabel[start : start + c], axis=1) == h).all(axis=1)
-        image, dual_image = np.count_nonzero(h, axis=1), np.count_nonzero(dual, axis=1)
-        blocks.append((h.sum(axis=1), image, (h * h).sum(axis=1), dual_image, same))
+        codes += np.arange(c)[:, None] * (ntags * cosets)  # binned as in the kernel
+        codes += tags * cosets
+        dual = np.bincount(codes.ravel(), minlength=h.size).reshape(h.shape)
+        same = (np.take_along_axis(dual, relabel[start : start + c, None], axis=2) == h).all(axis=2)
+        image, dual_image = np.count_nonzero(h, axis=2), np.count_nonzero(dual, axis=2)
+        blocks.append((h.sum(axis=2), image, (h * h).sum(axis=2), dual_image, same))
         start += c
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _per_set_checks(cell, E, set_name, binomial, checks) -> None:
-    """Every check on one set: one kernel sweep per G(n,d), reduced per direction as it arrives."""
-    space, arrays, _, _, dual_points, bases, routes = cell
+def _sweep_sets(cell, sets) -> list[tuple]:
+    """Each test set's spectrum and its columns of one tagged sweep per G(n,d), all sets at once.
+
+    Per d, the columns of :func:`_direction_reductions`, then the dual sums of subspace
+    Plancherel: sum_j |E n (x_j + W)|^2 = p^(d-n) sum_{xi in Per(W)} |Ehat(xi)|^2.
+    """
+    space, arrays, _, _, dual_points, _, routes = cell
+    indices = [E.indices() for _, E in sets]
+    digits = digits_of(space, np.concatenate(indices))
+    tags = np.repeat(np.arange(len(sets)), [len(i) for i in indices])
+    spectra = [dft(E) for _, E in sets]
+    power = np.stack([spectrum.moduli() ** 2 for spectrum in spectra])
+    held = {  # np.take keeps each gathered row contiguous: it sums like the library's 1-D sum
+        d: [*_direction_reductions(digits, tags, len(sets), G, *routes[d]),
+            np.take(power, dual_points[d], axis=1).sum(axis=2).T]
+        for d, G in arrays.items()
+    }
+    return [(s, {d: [c[:, k] for c in held[d]] for d in held}) for k, s in enumerate(spectra)]
+
+
+def _per_set_checks(cell, E, set_name, spectrum, held, binomial, checks) -> None:
+    """Every check on one set, from its spectrum and its columns of the cell's held sweeps."""
+    space, arrays, _, _, _, bases, _ = cell
     p, n = space.p, space.n
     size = E.cardinality
-    spectrum = dft(E)
     lhs, rhs, ok = plancherel_check(spectrum)
     checks["plancherel"].record(ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
-    power = spectrum.moduli() ** 2
-    digits = digits_of(space, E.indices())
-
-    sizes, moments = {}, {}  # image sizes and second moments over G(n,d)
     for d in range(n + 1):
         energy, spectral = 0, 0.0  # energy(E, A(n,d)), summed over the directions W
         n_cosets = p ** (n - d)
-        # subspace Plancherel: sum_j |E n (x_j + W)|^2 = p^(d-n) sum_{xi in Per(W)} |Ehat(xi)|^2
-        dual_sums = power[dual_points[d]].sum(axis=1).tolist()
-        reductions = _direction_reductions(digits, arrays[d], *routes[d])
-        sizes[d], moments[d] = reductions[1], reductions[2]
         for W, total, image, lhs, dual_image, same, dual_sum in zip(
-            bases[d], *(r.tolist() for r in reductions), dual_sums
+            bases[d], *(column.tolist() for column in held[d])
         ):
             where = {"p": p, "n": n, "set": set_name, "subspace": W}
             checks["coset_decomposition"].record(
@@ -273,7 +285,7 @@ def _per_set_checks(cell, E, set_name, binomial, checks) -> None:
 
     for m in range(1, n):
         directions = arrays[n - m]
-        sweep = (directions, sizes[n - m])
+        sweep = (directions, held[n - m][1])
         if size:
             for N in sorted({1, size // 4} - {0}):
                 report = census_small_image(E, m, N, sweep=sweep)
@@ -292,7 +304,7 @@ def _per_set_checks(cell, E, set_name, binomial, checks) -> None:
                     )
         half = max(1, len(directions) // 2)
         for theta_name, theta in (("all", directions), ("half", directions[:half])):
-            result = key_lemma_check(E, theta, moments[n - m][: len(theta)])
+            result = key_lemma_check(E, theta, held[n - m][2][: len(theta)])
             if result.condition_ok:
                 checks["energy_bounds"].record(
                     result.ok, p=p, n=n, m=m, set=set_name, theta=theta_name,

@@ -517,3 +517,38 @@ def test_project_onto_duality(workdir):
     a = json.loads(straight.stdout)["report"]
     b = json.loads(onto.stdout)["report"]
     assert a["size"] == b["size"] == 3  # Per(span{(1,0)}) = span{(0,1)}
+
+
+def test_in_process_calls_reuse_one_parser(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    (workdir / "cfg.json").write_text(json.dumps({"trials": "3", "seed": "7", "s": "1"}))
+    calls = [[*GOLDEN_COMMANDS[name], "--out", f"{name}.json"] for name in sorted(GOLDEN_COMMANDS)]
+    calls.insert(3, ["verify", "--p", "x"])  # refused by argparse
+    calls.insert(5, ["enumerate", "--p", "3", "--n", "2", "--m", "0", "--budget", "-1"])
+    calls.append(["percolate", "--regime", "small", "--p", "3", "--n", "2", "--m", "1",
+                  "--config", "cfg.json", "--out", "typed.json"])  # string-typed values
+
+    def run_all(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            if out and os.path.exists(out):
+                os.remove(out)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            streams = capsys.readouterr()
+            report = strip_volatile(json.loads(Path(out).read_text())) if code == 0 else None
+            results.append((code, streams.out, streams.err, report))
+        return results
+
+    fresh = run_all(fresh=True)
+    cli.build_parser.cache_clear()
+    reused = run_all(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1  # built once for the whole sequence
+    assert reused == fresh
+    assert [code for code, *_ in fresh] == [0, 0, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert fresh[-1][3]["config"]["trials"] == 3 and fresh[-1][3]["config"]["seed"] == 7

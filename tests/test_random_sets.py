@@ -29,6 +29,24 @@ def test_sample_determinism_bit_exact():
     assert not np.array_equal(a.mask, c.mask)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_campaign_sampler_draws_the_bits_of_a_fresh_philox_per_trial(seed):
+    def fresh(model, t):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+        return rng.random(model.space.point_count) < model.delta
+
+    # draws of 13^3 and of 3^2 points each leave a part-used buffer that the next must not read
+    large = PercolationModel(AmbientSpace(13, 3), 0.3, seed)
+    small = PercolationModel(AmbientSpace(3, 2), 0.5, seed)
+    sample = random_sets._sampler()
+    for t in range(51):
+        for model in (large, small) if t % 2 else (small, large):
+            assert np.array_equal(sample(model, t), fresh(model, t))
+        assert np.array_equal(percolation_sample(large, t).mask, fresh(large, t))
+    mean = chebyshev_size_check(large, 51).mean_size
+    assert mean == np.mean([np.count_nonzero(fresh(large, t)) for t in range(51)])
+
+
 def test_sample_depends_on_seed():
     space = AmbientSpace(5, 2)
     a = percolation_sample(PercolationModel(space, 0.5, seed=1), trial=0)

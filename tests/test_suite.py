@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -213,7 +216,7 @@ def test_suite_calls_no_per_direction_routes(monkeypatch):
     assert manifest["all_pass"] is True
     kernel = calls.pop("_coset_histograms")
     assert calls == dict.fromkeys(calls, 0)
-    assert kernel == 6 * 4  # one sweep per (set, G(3, d))
+    assert kernel == 4  # one tagged sweep of the six sets per G(3, d)
     assert len(key_lemma_calls) == 6 * 2 * 2 and key_lemma_kernel_calls == []
 
 
@@ -228,7 +231,10 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
     space = AmbientSpace(p, n)
     points = digits_of(space, np.arange(space.point_count))
     E = PointSet(space, np.random.default_rng(p * n).random(space.point_count) < 0.4)
-    digits = digits_of(space, E.indices())
+    complement = PointSet(space, ~E.mask)
+    indices = [E.indices(), complement.indices()]  # swept together, tagged 0 and 1
+    digits = digits_of(space, np.concatenate(indices))
+    tags = np.repeat([0, 1], [len(i) for i in indices])
     for d in range(n + 1):
         G = SubspaceArray.grassmannian(space, d)
         listed = list(G)
@@ -246,8 +252,81 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
             for V, row in zip(listed, sums):
                 assert np.array_equal(row, character_sum(V, points))  # to the bit
         totals, images, moments, dual_images, same = suite._direction_reductions(
-            digits, G, *suite._dual_route(G, duals)
+            digits, tags, 2, G, *suite._dual_route(G, duals)
         )
-        assert totals.tolist() == [E.cardinality] * len(G) and same.all()
-        assert images.tolist() == dual_images.tolist() == [project(E, W).size for W in listed]
-        assert moments.tolist() == [coset_profile(E, W).second_moment() for W in listed]
+        assert same.all()
+        for k, F in enumerate([E, complement]):
+            assert totals[:, k].tolist() == [F.cardinality] * len(G)
+            sizes = [project(F, W).size for W in listed]
+            assert images[:, k].tolist() == dual_images[:, k].tolist() == sizes
+            assert moments[:, k].tolist() == [coset_profile(F, W).second_moment() for W in listed]
+
+
+@pytest.mark.parametrize("cap", [300, 2000, 1 << 20])
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2)])
+def test_tagged_reductions_are_the_single_set_ones(monkeypatch, p, n, cap):
+    from ffproj import subspaces
+    from ffproj.core import digits_of
+
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+    widths = []
+    real = suite._coset_histograms
+
+    def counted(digits, tags, ntags, directions):
+        for block in real(digits, tags, ntags, directions):
+            widths.append(len(block))
+            yield block
+
+    monkeypatch.setattr(suite, "_coset_histograms", counted)
+    space = AmbientSpace(p, n)
+    sets = suite._test_sets(space, 5)
+    assert sets[0][0] == "empty" and sets[0][1].cardinality == 0  # a tag with no points
+    indices = [E.indices() for _, E in sets]
+    digits = digits_of(space, np.concatenate(indices))
+    tags = np.repeat(np.arange(len(sets)), [len(i) for i in indices])
+    for d in range(n + 1):
+        G = SubspaceArray.grassmannian(space, d)
+        route = suite._dual_route(G, suite._dual_bases(G))
+        widths.clear()
+        tagged = suite._direction_reductions(digits, tags, len(sets), G, *route)
+        if cap < 1 << 20 and 0 < d < n:
+            assert len(widths) > 1  # the cap splits the directions across chunks
+        for k, idx in enumerate(indices):
+            alone = suite._direction_reductions(
+                digits_of(space, idx), np.zeros(len(idx), dtype=np.int64), 1, G, *route
+            )
+            for column, single in zip(tagged, alone):
+                assert column.shape == (len(G), len(sets))
+                assert np.array_equal(column[:, k], single[:, 0])
+
+
+def test_shifted_dual_route_tag_offset_fails_projection_duality():
+    # a mutant of suite.py, loaded beside the real module, whose dual route bins each
+    # point under the next set's tag
+    import types
+
+    source = Path(suite.__file__).read_text()
+    line = "        codes += tags * cosets\n"
+    assert source.count(line) == 1
+    mutant = types.ModuleType("ffproj._suite_mutant")
+    mutant.__package__ = "ffproj"  # for its relative imports
+    shifted = source.replace(line, "        codes += (tags + 1) % ntags * cosets\n")
+    exec(compile(shifted, suite.__file__, "exec"), mutant.__dict__)
+    manifest = mutant.run_identity_suite(primes=(3,), dims=(3,))
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert not checks["projection_duality"]["pass"]
+    assert checks["projection_duality"]["failures"][0]["set"] == "empty"
+    # the kernel's side is untouched
+    for name in ("cauchy_schwarz", "subspace_plancherel", "energy_identity", "census_bounds"):
+        assert checks[name]["pass"]
+    assert run_identity_suite(primes=(3,), dims=(3,))["all_pass"] is True
+
+
+def test_manifests_match_the_golden():
+    # the 8 cells of the benchmark's verify workload at seeds 0-2; a passing manifest
+    # holds only counts and flags, so its bytes do not depend on the float platform
+    golden = json.loads((Path(__file__).parent / "golden" / "suite_manifests.json").read_text())
+    assert len(golden) == 24
+    for expected in golden:
+        manifest = run_identity_suite(expected["primes"], expected["dims"], expected["seed"])
+        assert json.dumps(manifest) == json.dumps(expected)
