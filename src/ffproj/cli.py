@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import AmbientSpace, BudgetError, IdentityError, load_point_set
+from .core import AmbientSpace, BudgetError, IdentityError, load_point_set, point_set_space
 from .energy import verify_energy_identity, verify_energy_identity_fourier
 from .fourier import (
     TOLERANCE,
@@ -299,6 +299,7 @@ def cmd_energy(args) -> int:
     cfg = _resolve_config(args, defaults)
     _require(cfg, "pointset", "m")
     started = time.time()
+    check_spectrum_budget(point_set_space(cfg["pointset"]))  # before the sweep and the parse
     E = load_point_set(cfg["pointset"])
     lhs, rhs, equal = verify_energy_identity(E, cfg["m"])
     spectral, rhs2, diff = verify_energy_identity_fourier(E, cfg["m"])
@@ -346,6 +347,7 @@ def cmd_spectrum(args) -> int:
             raise ValueError(f"unknown builtin {cfg['builtin']!r}")
     else:
         _require(cfg, "pointset")
+        check_spectrum_budget(point_set_space(cfg["pointset"]))  # before the body is parsed
         E = load_point_set(cfg["pointset"])
     spectrum = dft(E)
     decay = salem_deficiency(E, spectrum=spectrum)

@@ -31,6 +31,7 @@ __all__ = [
     "dot",
     "PointSet",
     "save_point_set",
+    "point_set_space",
     "load_point_set",
 ]
 
@@ -238,14 +239,24 @@ def save_point_set(E: PointSet, path) -> None:
             fh.write(",".join(str(c) for c in v) + "\n")
 
 
+def _read_header(fh) -> AmbientSpace:
+    header = fh.readline().rstrip("\n")
+    m = _POINTSET_HEADER.match(header)
+    if not m:
+        raise ValueError(f"bad ffpointset header: {header!r}")
+    return AmbientSpace(int(m.group(1)), int(m.group(2)))
+
+
+def point_set_space(path) -> AmbientSpace:
+    """The space an ``ffpointset v1`` file declares, read from its header alone."""
+    with open(path, "r", encoding="ascii") as fh:
+        return _read_header(fh)
+
+
 def load_point_set(path) -> PointSet:
     """Parse the ``ffpointset v1`` text format; strict round-trip with save."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _POINTSET_HEADER.match(header)
-        if not m:
-            raise ValueError(f"bad ffpointset header: {header!r}")
-        space = AmbientSpace(int(m.group(1)), int(m.group(2)))
+        space = _read_header(fh)
         lines = [line.strip() for line in fh.read().split("\n")]
 
     # fast path: every row has n fields, and one cast parses the whole body

@@ -14,9 +14,16 @@ on first use, and every check and report reads that one read-only array.
 
 The built-in sets (paraboloid, sphere) take x.x mod p from a table of
 squares, one broadcast sum per coordinate.  ``save_spectrum_csv`` builds
-each block of rows column by column: one ``repr`` of a list per float
-column, coordinates gathered from a table of residue strings, and the rows
-joined and written with one call per block.
+each block of rows column by column: coordinates gathered from a table of
+residue strings, and each float column (real, imag, modulus) formatted with
+one ``repr`` per distinct 64-bit pattern, found by sorting the column's
+``view(np.uint64)`` and gathered back into row order.  Gauss-sum spectra
+repeat values (the F_31^3 paraboloid has 8,532 distinct real parts, 10,229
+imaginary parts and 1,369 moduli among 29,791 rows): its dump takes about
+35 ms on 2 vCPUs, where formatting every value takes 75 ms.  A spectrum
+without repeats, such as a random set's, pays the sort and the gather for
+nothing: its dump is about 12% slower than formatting every value.  The
+rows are joined and written with one call per block.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ _CSV_BLOCK = 1 << 16  # spectrum rows formatted and written at a time
 @lru_cache(maxsize=64)
 def _character_matrix(p: int) -> np.ndarray:
     j = np.arange(p)
-    return np.exp(-2j * np.pi * np.outer(j, j) / p)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / p)
+    F.flags.writeable = False  # shared by every transform in the process
+    return F
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,9 @@ def dft(E: PointSet) -> Spectrum:
     p, n = space.p, space.n
     check_spectrum_budget(space)
     F = _character_matrix(p)
-    # axis k of the (p,)*n view is coordinate k+1 under the little-endian codec
-    arr = E.mask.astype(np.complex128).reshape((p,) * n, order="F")
+    # axis k of the (p,)*n view is coordinate k+1 under the little-endian codec;
+    # cast into C order, the layout tensordot would copy axis 0 into
+    arr = E.mask.reshape((p,) * n, order="F").astype(np.complex128, order="C")
     for axis in range(n):
         arr = np.moveaxis(np.tensordot(F, np.moveaxis(arr, axis, 0), axes=(1, 0)), 0, axis)
     values = arr.reshape(-1, order="F")
@@ -425,6 +435,45 @@ def projection_bound_report(
     )
 
 
+def _first_seen(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each distinct bit pattern in a float64 column, and each row's index among them.
+
+    Keyed on ``view(np.uint64)``, so 0.0 and -0.0 stay apart.  One
+    ``argsort`` groups equal patterns; the first row of each group is the
+    smallest index in it.
+    """
+    bits = column.view(np.uint64)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    head = np.r_[True, ordered[1:] != ordered[:-1]]
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    is_first = np.zeros(len(bits), dtype=bool)
+    is_first[first] = True
+    rank = np.empty(len(bits), dtype=np.intp)
+    rank[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(head) - 1]
+    return np.flatnonzero(is_first), rank
+
+
+def _float_strings(columns) -> list[list[str]]:
+    """``repr`` of every float of each float64 column, one ``repr`` per distinct bit pattern.
+
+    The distinct patterns are formatted in the order of the rows where they
+    first occur, and each row's index among them gathers its string.  So the
+    row join reads strings in about the order they were allocated; in sorted
+    pattern order the F_31^3 paraboloid's dump took 43-49 ms instead of 35,
+    and a repeat-free one about 35% longer than formatting every value.
+    Every column's floats are listed before the first is formatted, so each
+    column's strings are allocated together; formatting a column before
+    listing the next scattered them and slowed the row join by about a third.
+    """
+    plans = [(column, *_first_seen(column)) for column in columns]
+    floats = [column[firsts].tolist() for column, firsts, _ in plans]
+    return [
+        np.array(repr(listed)[1:-1].split(", "), dtype=object)[rank].tolist()
+        for listed, (_, _, rank) in zip(floats, plans)
+    ]
+
+
 def save_spectrum_csv(S: Spectrum, path) -> None:
     """Dump (xi coordinates, real, imag, modulus) rows ordered by point index."""
     space = S.space
@@ -433,20 +482,14 @@ def save_spectrum_csv(S: Spectrum, path) -> None:
         header = [f"xi{i + 1}" for i in range(space.n)] + ["real", "imag", "modulus"]
         fh.write(",".join(header) + "\r\n")
         # the bytes csv.writer gives these rows (no field needs quoting), built
-        # column by column: each float column is one repr of a Python list, the
-        # modulus is Python's abs(complex), which matches numpy's scalar abs
-        # where np.abs on an array can differ in the last ulp, and coordinates
-        # are residue strings gathered by the digit matrix
+        # column by column: the float columns are formatted by _float_strings,
+        # the modulus is Python's abs(complex), which matches numpy's scalar
+        # abs where np.abs on an array can differ in the last ulp, and
+        # coordinates are residue strings gathered by the digit matrix
         for start in range(0, space.point_count, _CSV_BLOCK):
             values = S.values[start : start + _CSV_BLOCK]
             digits = digits_of(space, np.arange(start, start + len(values)))
             columns = [column.tolist() for column in residues[digits.T]]
-            columns += [
-                repr(floats)[1:-1].split(", ")
-                for floats in (
-                    values.real.tolist(),
-                    values.imag.tolist(),
-                    list(map(abs, values.tolist())),
-                )
-            ]
+            moduli = np.fromiter(map(abs, values.tolist()), dtype=np.float64, count=len(values))
+            columns += _float_strings((values.real, values.imag, moduli))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

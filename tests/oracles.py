@@ -4,9 +4,11 @@ Everything here works on tuples and frozensets of tuples, never on RREF
 bases, coset labels, or the axis-wise transform, so agreement with the
 library is a genuine cross-check.  The exceptions are
 :func:`int64_coset_labels`, the library's label convention computed by an
-int64 formula of its own rather than by the float64 label maps, and
+int64 formula of its own rather than by the float64 label maps,
 :func:`digit_loop_norms`, the built-in sets' x.x mod p in index order,
-computed digit by digit rather than from a table of squares.
+computed digit by digit rather than from a table of squares, and
+:func:`tensordot_dft`, the axis-wise transform as first written, which pins
+the bytes of ``dft`` rather than cross-checking its values.
 """
 
 import itertools
@@ -156,3 +158,17 @@ def digit_loop_norms(p, width):
         total += digit * digit
         rem //= p
     return total % p
+
+
+def tensordot_dft(mask, p, n):
+    """The axis-wise transform as first written: cast, then one tensordot per axis.
+
+    Every change to the transform's arithmetic must reproduce these bytes;
+    BLAS results depend on operand layout, so a faster order need not.
+    """
+    j = np.arange(p)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / p)
+    arr = mask.astype(np.complex128).reshape((p,) * n, order="F")
+    for axis in range(n):
+        arr = np.moveaxis(np.tensordot(F, np.moveaxis(arr, axis, 0), axes=(1, 0)), 0, axis)
+    return arr.reshape(-1, order="F")

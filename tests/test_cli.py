@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,28 @@ def test_spectrum_over_cap_is_refused_before_the_set_is_built(
                      *builtin[1:]])
     assert code == 2
     assert "full-spectrum budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["energy", "--m", "1"]], ids=lambda c: c[0])
+def test_over_cap_point_file_is_refused_before_its_body_is_parsed(
+    workdir, monkeypatch, capsys, command
+):
+    # 2^25 points fit the point budget, so only the header says the spectrum is over its cap
+    (workdir / "big.pts").write_text("ffpointset 1 p=2 n=25\n" + ",".join(["0"] * 25) + "\n")
+    monkeypatch.chdir(workdir)
+    cli.build_parser()  # cached, so the parser is not counted below
+    tracemalloc.start()
+    try:
+        code = cli.main([command[0], "--pointset", "big.pts", *command[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "budget error: p^n = 33554432 exceeds the full-spectrum budget 4194304; "
+        "use pointwise_coefficient for single xi\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_config_file_merge(workdir):

@@ -10,6 +10,7 @@ from ffproj.core import (
     encode,
     is_prime,
     load_point_set,
+    point_set_space,
     save_point_set,
 )
 
@@ -125,7 +126,7 @@ def test_point_set_file_roundtrip(tmp_path):
     save_point_set(E, path)
     back = load_point_set(path)
     assert back == E
-    assert back.space == space
+    assert back.space == space == point_set_space(path)
 
 
 def test_point_set_file_format(tmp_path):
@@ -138,8 +139,9 @@ def test_point_set_file_format(tmp_path):
 def test_point_set_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.pts"
     bad.write_text("ffpointset 2 p=3 n=2\n0,0\n")
-    with pytest.raises(ValueError, match="bad ffpointset header"):
-        load_point_set(bad)
+    for read in (load_point_set, point_set_space):
+        with pytest.raises(ValueError, match="bad ffpointset header"):
+            read(bad)
     # the first bad line decides the message, whatever follows it
     for body, message in [
         ("0,0\n0,0,0\n1,x\n", "vector has 3 coordinates, expected 2"),
@@ -154,6 +156,7 @@ def test_point_set_file_rejects_garbage(tmp_path):
         with pytest.raises(ValueError) as info:
             load_point_set(bad)
         assert str(info.value) == message
+        assert point_set_space(bad) == AmbientSpace(3, 2)  # the header alone is read
 
 
 def test_point_set_file_reads_what_int_reads(tmp_path):

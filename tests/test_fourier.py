@@ -23,7 +23,7 @@ from ffproj.fourier import (
 )
 from ffproj.subspaces import Subspace, enumerate_grassmannian, perp
 
-from oracles import all_vectors, brute_dft, brute_perp, digit_loop_norms
+from oracles import all_vectors, brute_dft, brute_perp, digit_loop_norms, tensordot_dft
 
 
 def test_dft_singleton_and_full():
@@ -90,6 +90,26 @@ def test_dft_budget_refusal():
     assert space.point_count > FULL_SPECTRUM_BUDGET
     with pytest.raises(BudgetError):
         dft(PointSet.empty(space))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 31])
+def test_dft_keeps_the_bytes_of_the_tensordot_transform(p):
+    rng = np.random.default_rng(p)
+    for n in range(2, 7):
+        space = AmbientSpace(p, n)
+        if space.point_count > 31**3:
+            break
+        random_set = PointSet(space, rng.random(space.point_count) < 0.3)
+        for E in (paraboloid(space), sphere(space, 1), random_set):
+            expected = tensordot_dft(E.mask, p, n)
+            assert dft(E).values.tobytes() == expected.tobytes(), (p, n, E)
+
+
+def test_character_matrix_is_read_only():
+    F = fourier._character_matrix(5)
+    with pytest.raises(ValueError):
+        F[0, 0] = 0
+    assert F[0, 0] == 1
 
 
 def test_moduli_are_computed_once_and_read_only():
@@ -407,8 +427,26 @@ def test_spectrum_csv_bytes_match_row_by_row_writer(tmp_path, monkeypatch, p, n,
     space = AmbientSpace(p, n)
     rng = np.random.default_rng(p)
     random_set = PointSet(space, rng.random(space.point_count) < 0.3)
-    for E in (paraboloid(space), sphere(space, 1), random_set):
-        S = dft(E)
+    spectra = [dft(E) for E in (paraboloid(space), sphere(space, 1), random_set)]
+    for S in spectra + [_edge_spectrum(space, rng)]:
         save_spectrum_csv(S, tmp_path / "bulk.csv")
         _row_by_row_spectrum_csv(S, tmp_path / "rows.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _edge_spectrum(space, rng):
+    """A spectrum with |E| = 3 at index 0 and two kinds of float column.
+
+    Real parts cycle through 0.0, -0.0, 0.5 and 1e-300 across block
+    boundaries, so a block of 10 rows or more formats each pattern once;
+    imaginary parts never repeat, so every row of that column is a first
+    occurrence.
+    """
+    size = space.point_count
+    values = np.empty(size, dtype=np.complex128)
+    values.real = np.array([0.0, -0.0, 0.5, 1e-300])[np.arange(size) % 4]
+    values.imag = rng.standard_normal(size)
+    values[0] = 3.0
+    assert len(np.unique(values.imag.view(np.uint64))) == size
+    assert [str(x) for x in values.real[1:4]] == ["-0.0", "0.5", "1e-300"]
+    return fourier.Spectrum(space, values, 3)
