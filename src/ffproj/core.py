@@ -253,30 +253,56 @@ def point_set_space(path) -> AmbientSpace:
         return _read_header(fh)
 
 
+def _saved_coords(body: str, n: int) -> np.ndarray | None:
+    """The (N, n) coordinates of a body as :func:`save_point_set` writes it, else None.
+
+    That body is N lines, each ending in a newline and holding n unsigned
+    decimals of 1 to 18 digits (below 2^63) separated by single commas.
+    """
+    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero(chars - np.uint8(ord("0")) >= 10)  # uint8: below "0" wraps
+    if not seps.size or seps.size % n or seps[-1] != chars.size - 1:
+        return None
+    kinds = chars[seps].reshape(-1, n)
+    widths = np.diff(seps, prepend=-1) - 1  # digits before each separator
+    if (
+        (kinds[:, :-1] != ord(",")).any()
+        or (kinds[:, -1] != ord("\n")).any()
+        or (widths < 1).any()
+        or (widths > 18).any()
+    ):
+        return None
+    # a trailing comma ends the last number
+    return np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(-1, n)
+
+
 def load_point_set(path) -> PointSet:
-    """Parse the ``ffpointset v1`` text format; strict round-trip with save."""
+    """Parse the ``ffpointset v1`` text format; strict round-trip with save.
+
+    Each nonblank line, stripped, is one point: n comma-separated integers
+    (as ``int`` reads them) in [0, p).  A body as :func:`save_point_set`
+    writes it is parsed in one pass; any other is read line by line.  The
+    first bad line is named in the ``ValueError``.
+    """
     with open(path, "r", encoding="ascii") as fh:
         space = _read_header(fh)
-        lines = [line.strip() for line in fh.read().split("\n")]
-
-    # fast path: every row has n fields, and one cast parses the whole body
-    rows = [line for line in lines if line]
-    valid = all(row.count(",") == space.n - 1 for row in rows)
-    if valid:
-        try:
-            coords = np.array(",".join(rows).split(",") if rows else [], dtype=np.int64)
-            valid = bool(((coords >= 0) & (coords < space.p)).all())
-        except (ValueError, OverflowError):
-            valid = False
-    if valid:
-        weights = space.p ** np.arange(space.n, dtype=np.int64)
-        return PointSet.from_indices(space, coords.reshape(-1, space.n) @ weights)
-    for lineno, line in enumerate(lines, start=2):  # the first bad line, as a line scan finds it
-        if not line:
-            continue
-        try:
-            coords = tuple(int(c) for c in line.split(","))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad coordinates {line!r}") from exc
-        space.validate_vector(coords)
-    raise IdentityError("no bad line found in a point file that failed to parse")
+        body = fh.read()
+    n = space.n
+    coords = _saved_coords(body, n)
+    if coords is not None and coords.size and coords.max() >= space.p:
+        bad = np.flatnonzero((coords >= space.p).any(axis=1))[0]
+        space.validate_vector(coords[bad].tolist())  # raises for the first bad point
+    if coords is None:
+        rows = []
+        for lineno, line in enumerate(body.split("\n"), start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                point = tuple(int(c) for c in line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad coordinates {line!r}") from exc
+            rows.append(space.validate_vector(point))
+        coords = np.array(rows, dtype=np.int64).reshape(-1, n)
+    weights = space.p ** np.arange(n, dtype=np.int64)
+    return PointSet.from_indices(space, coords @ weights)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import subspaces
-from .core import AmbientSpace, PointSet, digits_of
+from .core import AmbientSpace, PointSet, base_p_digits, digits_of
 from .subspaces import (
     Subspace,
     SubspaceArray,
@@ -96,11 +96,18 @@ def project_onto(E: PointSet, V: Subspace) -> ProjectionImage:
 
 
 def _chunk_bytes(points: int, r: int, ntags: int, p: int) -> int:
-    """Bytes one direction adds to a kernel chunk: labels of every point plus histograms."""
+    """Bytes one direction adds to a kernel chunk, on either route, at most.
+
+    On the stacked product: r float64 label digits and two int64 copies per
+    point, and its ntags p^r histogram bins.  The Grassmannian route keeps
+    one int64 label per point and ntags p^r bins, or, folding, at most as
+    many bins as labels (see :func:`_coset_histograms`).
+    """
     return 8 * (points * (r + 2) + ntags * p**r)
 
 
 def _fits_one_chunk(points: int, r: int, ntags: int, p: int) -> bool:
+    """Whether a chunk of one direction over ``points`` tagged points fits under the cap."""
     return _chunk_bytes(points, r, ntags, p) <= subspaces._KERNEL_BYTES
 
 
@@ -110,19 +117,36 @@ def _coset_histograms(
     """Histograms of tagged points over the cosets of each direction, chunk by chunk.
 
     ``digits`` is the (N, n) coordinate matrix and ``tags`` gives each point
-    a tag in [0, ntags).  Each block of label maps is cut into chunks of as
-    many directions as keep a chunk under the kernel cap
-    (``subspaces._block_rows``).  Yields one int64 block of shape
-    (c, ntags, p^r), r = n - dim, per chunk; the blocks concatenate to the
-    (directions, ntags, p^r) histogram.  Each chunk is one exact float64
-    (r c, n) @ (n, N) product (``subspaces._residue_codes``) and one bincount.
+    a tag in [0, ntags).  Yields one int64 block of shape (c, ntags, p^r),
+    r = n - dim, per chunk; the blocks concatenate to the
+    (directions, ntags, p^r) histogram.  A point's bin within a chunk is its
+    direction, then its tag, then its coset label, and each chunk is one
+    ``bincount``.
+
+    All of G(n, k), as :meth:`SubspaceArray.grassmannian` builds it, is
+    swept pattern by pattern (:func:`_pattern_histograms`), in chunks of as
+    many directions as keep their int64 labels and bins under the kernel
+    cap, unless the whole sweep fits one stacked-product chunk or a chunk
+    would hold fewer than p directions.  A one-digit sweep (r = 1) with no
+    more bins than labels, ntags n p <= N, bins unreduced digit sums and
+    folds them.  Any other array takes the stacked product: each chunk of
+    label maps is one exact float64 (r c, n) @ (n, N) product
+    (``subspaces._residue_codes``), with as many directions as keep
+    :func:`_chunk_bytes` under the cap.  A chunk holds at least one
+    direction, whatever its bytes; the cap is read at each call.
     """
     N, n = digits.shape
     space = directions.space
-    r = n - directions.dim
-    cosets = space.p**r
+    p, r = space.p, n - directions.dim
+    rows = _block_rows(_chunk_bytes(N, r, ntags, p))
+    if directions._grassmannian and len(directions) > rows:
+        fold = r == 1 and ntags * n * p <= N
+        pattern_rows = _block_rows(8 * (N + ntags * (n * p if fold else p**r)))
+        if pattern_rows >= p:  # else every chunk is one direction, and the product is faster
+            yield from _pattern_histograms(digits, tags, ntags, directions, fold, pattern_rows)
+            return
+    cosets = p**r
     per_direction = ntags * cosets
-    rows = _block_rows(_chunk_bytes(N, r, ntags, space.p))
     # a label's bin within a chunk: its direction, then its point's tag, then its coset
     direction_bins = np.arange(min(rows, len(directions)))[:, None] * per_direction
     tag_bins = tags * cosets
@@ -137,6 +161,99 @@ def _coset_histograms(
                 codes += tag_bins
             counts = np.bincount(codes.ravel(), minlength=c * per_direction)
             yield counts.reshape(c, ntags, cosets)
+
+
+def _pattern_histograms(
+    digits: np.ndarray, tags: np.ndarray, ntags: int, directions: SubspaceArray,
+    fold: bool, rows: int,
+) -> Iterator[np.ndarray]:
+    """:func:`_coset_histograms` over all of G(n, k), from per-column residue tables.
+
+    In a pivot pattern with non-pivot columns q_j, digit j of a point's
+    label is (x_{q_j} + sum over free entries (i, q_j) of R_{P_i}[B_{i,q_j}])
+    mod p, where R_t[v] = -v x_t mod p is gathered from one p x p table, so
+    a column's digits depend only on that column's free entries.  A chunk
+    fixes the leading free entries: its directions are the p^f values of
+    the other f, with p^f the largest power of p up to ``rows``.  A column
+    with no fixed entry is summed, reduced and scaled once per pattern,
+    together with the direction and tag bins, into one (p^f, N) base; each
+    chunk adds the other columns to it by broadcasting.
+
+    A digit sum of up to n residues is reduced by a lookup table, or, when
+    ``fold`` (r = 1), binned unreduced in n p bins per (direction, tag) and
+    folded mod p after the ``bincount``.
+    """
+    N, n = digits.shape
+    p, k = directions.space.p, directions.dim
+    bins = n * p if fold else p ** (n - k)
+    x = np.ascontiguousarray(digits.T)  # x[t]: coordinate t of every point
+    luts = None if fold else [np.arange(n * p) % p * p**j for j in range(n - k)]
+    width = 1  # the free entries a chunk leaves open: p^width <= rows (p <= rows)
+    while p ** (width + 1) <= rows:
+        width += 1
+    # R_t[v] = neg[v, x_t]; a chunk of p directions holds at least p^2 bins, so this
+    # table is under the cap
+    neg = -np.outer(np.arange(p), np.arange(p)) % p
+    for pattern in subspaces._pattern_plans(n, k):
+        depth = max(0, len(pattern.rows) - width)  # the fixed leading entries
+        c = p ** (len(pattern.rows) - depth)
+        base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tags * bins, ntags * bins, p)
+        for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
+            # values: big-endian, like the bases; the labels are dropped once binned
+            labels = _chunk_labels(base, fixed, values, x, p).reshape(-1)
+            counts = np.bincount(labels, minlength=c * ntags * bins)
+            del labels
+            if fold:
+                yield counts.reshape(c, ntags, n, p).sum(axis=2)
+            else:
+                yield counts.reshape(c, ntags, bins)
+
+
+def _pattern_tables(x, neg, luts, pattern, depth, tag_bins, direction_bins, p):
+    """The base of a pattern's chunks, and the columns summed per chunk.
+
+    The base, on the chunk's open entries, holds each direction's bins, each
+    point's tag bins and every column with no fixed entry (all of them, left
+    unreduced, when ``luts`` is None: the fold).  Each other column is
+    returned as (its lookup table or None, its open part, its fixed
+    entries as (entry, pivot) pairs).  A column's open part is x_q plus the
+    R tables of its open entries, each on its own chunk axis.
+    """
+    N = x.shape[1]
+    free = len(pattern.rows)
+    shape = (p,) * (free - depth)
+    base = np.arange(p ** (free - depth)).reshape(shape + (1,)) * direction_bins + tag_bins
+    fixed = []
+    for j, q in enumerate(pattern.nonpivots):
+        column = np.flatnonzero(pattern.cols == q)  # its free entries, row by row
+        part = None
+        for e in column[column >= depth]:
+            R = neg[:, x[pattern.pivots[pattern.rows[e]]]]
+            R = R.reshape((1,) * (e - depth) + (p,) + (1,) * (free - e - 1) + (N,))
+            part = R if part is None else part + R
+        part = x[q] if part is None else np.add(part, x[q], out=part)
+        entries = [(e, pattern.pivots[pattern.rows[e]]) for e in column[column < depth]]
+        if luts is None:
+            base += part
+            if entries:
+                fixed.append((None, 0, entries))
+        elif entries:
+            fixed.append((luts[j], part, entries))
+        else:
+            base += luts[j][part]
+    return base, fixed
+
+
+def _chunk_labels(base, fixed, values, x, p):
+    """A chunk's labels: the base plus each fixed column, its fixed entries set to ``values``."""
+    labels = base
+    for lut, part, entries in fixed:
+        # the fixed entries' R tables at their values, reduced once; with the open part
+        # unreduced, a column's sum stays below n p, inside the bins or the table
+        shift = -sum(values[e] * x[t] for e, t in entries) % p
+        term = shift if lut is None else lut[part + shift]
+        labels = base + term if labels is base else np.add(labels, term, out=labels)
+    return labels
 
 
 def _histogram_blocks(

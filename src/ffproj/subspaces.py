@@ -20,12 +20,13 @@ Per(W) may intersect nontrivially (span{(1,1)} in F_2^2 is self-dual).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,6 +183,25 @@ def _pivot_columns(bases: np.ndarray) -> np.ndarray:
     return (bases != 0).argmax(axis=-1)
 
 
+def _rref_fault(bases: np.ndarray, p: int) -> str | None:
+    """Why a (G, k, n) stack is not made of RREF bases mod p, or None if it is.
+
+    RREF: residues in [0, p), no zero row, pivots (first nonzero entries)
+    strictly increasing, and each pivot column a unit column.
+    """
+    if ((bases < 0) | (bases >= p)).any():
+        return f"basis entries must be residues in [0, {p})"
+    if not bases.any(axis=2).all():
+        return "a basis has a zero row"
+    pivots = _pivot_columns(bases)
+    if (np.diff(pivots, axis=1) <= 0).any():
+        return "pivot columns must strictly increase"
+    at_pivots = np.take_along_axis(bases, pivots[:, None, :], axis=2)
+    if (at_pivots != np.eye(bases.shape[1], dtype=np.int64)).any():
+        return "each pivot column must be a unit column"
+    return None
+
+
 def label_maps(bases: np.ndarray, p: int) -> np.ndarray:
     """Label maps Q_W of a (c, k, n) stack of RREF bases, each with its own pivots.
 
@@ -275,7 +295,7 @@ class Subspace:
                 raise ValueError(f"row width {len(row)} != {n}")
         bases = rref_stack(np.array(mat, dtype=np.int64).reshape(1, len(mat), n), p)
         # a rank-deficient input ends in zero rows: drop them
-        return SubspaceArray(space, bases[:, bases[0].any(axis=1)])[0]
+        return SubspaceArray._unchecked(space, bases[:, bases[0].any(axis=1)])[0]
 
     @classmethod
     def zero(cls, space: AmbientSpace) -> "Subspace":
@@ -301,7 +321,7 @@ class Subspace:
 
     def point_indices(self) -> np.ndarray:
         """Indices of all p^dim points of the subspace: one row of :func:`_point_blocks`."""
-        return next(_point_blocks(SubspaceArray(self.space, self.matrix[None])))[0]
+        return next(_point_blocks(SubspaceArray._unchecked(self.space, self.matrix[None])))[0]
 
     def point_set(self) -> PointSet:
         return PointSet.from_indices(self.space, self.point_indices())
@@ -360,18 +380,34 @@ class SubspaceArray(SequenceABC):
     pivots, so any row slice is again an array.  Sweeps read the array
     (:meth:`label_map_blocks`); a :class:`Subspace` is built only when an
     element is indexed or iterated.  Two arrays are equal when their spaces
-    and bases are.
+    and bases are.  The constructor checks that every basis is canonical
+    and raises ``ValueError`` otherwise.
     """
 
-    __slots__ = ("space", "bases")
+    __slots__ = ("space", "bases", "_grassmannian")
 
     def __init__(self, space: AmbientSpace, bases: np.ndarray):
         bases = np.asarray(bases, dtype=np.int64)
         if bases.ndim != 3 or bases.shape[2] != space.n:
             raise ValueError(f"bases must have shape (G, k, {space.n}), got {bases.shape}")
+        fault = _rref_fault(bases, space.p)
+        if fault:
+            raise ValueError(f"not a stack of RREF bases: {fault}")
+        self._hold(space, bases)
+
+    @classmethod
+    def _unchecked(cls, space: AmbientSpace, bases: np.ndarray) -> "SubspaceArray":
+        """An array of (G, k, n) int64 bases that are canonical by construction."""
+        array = cls.__new__(cls)
+        array._hold(space, bases)
+        return array
+
+    def _hold(self, space: AmbientSpace, bases: np.ndarray) -> None:
         bases = bases.view()  # freeze a view, not the caller's array
         bases.flags.writeable = False
-        self.space, self.bases = space, bases
+        # True only for all of G(n, k) in enumeration order, which the histogram
+        # kernel sweeps pattern by pattern; slices and other arrays are not marked
+        self.space, self.bases, self._grassmannian = space, bases, False
 
     @classmethod
     def of(cls, space: AmbientSpace, subspaces: Iterable[Subspace]) -> "SubspaceArray":
@@ -391,7 +427,7 @@ class SubspaceArray(SequenceABC):
             raise ValueError("direction set mixes dimensions")
         dim = subspaces[0].dim if subspaces else 0
         bases = np.array([W.basis for W in subspaces], dtype=np.int64)
-        return cls(space, bases.reshape(len(subspaces), dim, space.n))
+        return cls._unchecked(space, bases.reshape(len(subspaces), dim, space.n))
 
     @classmethod
     def grassmannian(
@@ -399,7 +435,9 @@ class SubspaceArray(SequenceABC):
     ) -> "SubspaceArray":
         """All of G(n, m), in enumeration order; the budget is checked first."""
         _check_enumeration(space, m, budget)
-        return cls(space, np.concatenate(list(_pattern_blocks(space, m))))
+        array = cls._unchecked(space, np.concatenate(list(_pattern_blocks(space, m))))
+        array._grassmannian = True
+        return array
 
     @property
     def dim(self) -> int:
@@ -415,8 +453,8 @@ class SubspaceArray(SequenceABC):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return SubspaceArray(self.space, self.bases[i])
-        return next(iter(SubspaceArray(self.space, self.bases[i][None])))
+            return SubspaceArray._unchecked(self.space, self.bases[i])
+        return next(iter(SubspaceArray._unchecked(self.space, self.bases[i][None])))
 
     def __iter__(self) -> Iterator[Subspace]:
         for basis, pivots in zip(self.bases.tolist(), self.pivots.tolist()):
@@ -461,7 +499,7 @@ def _dual_bases(directions: SubspaceArray) -> SubspaceArray:
     bases = np.concatenate(bases)
     if not bases.any(axis=2).all():  # rank-nullity; cannot fail
         raise IdentityError("rank-deficient dual basis")
-    return SubspaceArray(space, bases)
+    return SubspaceArray._unchecked(space, bases)
 
 
 def _point_blocks(subspaces: SubspaceArray) -> Iterator[np.ndarray]:
@@ -511,27 +549,55 @@ def enumerate_grassmannian(
     the stream starts.
     """
     _check_enumeration(space, m, budget)
-    return (W for bases in _pattern_blocks(space, m) for W in SubspaceArray(space, bases))
+    return (
+        W for bases in _pattern_blocks(space, m) for W in SubspaceArray._unchecked(space, bases)
+    )
+
+
+class _Pattern(NamedTuple):
+    """One pivot pattern of G(n, m): its pivot and non-pivot columns and its free entries.
+
+    The free entries (rows[e], cols[e]) are listed row by row, left to
+    right; a pattern's subspaces fill them with the big-endian base-p
+    digits of their index within the pattern, so the last entry varies
+    fastest.
+    """
+
+    pivots: tuple[int, ...]
+    nonpivots: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _pattern_plans(n: int, m: int) -> tuple[_Pattern, ...]:
+    """The pivot patterns of G(n, m) in enumeration order (lexicographic pivots)."""
+    plans = []
+    for pivots in itertools.combinations(range(n), m):
+        nonpivots = tuple(j for j in range(n) if j not in pivots)
+        entries = np.array(
+            [(i, j) for i in range(m) for j in nonpivots if j > pivots[i]], dtype=np.int64
+        ).reshape(-1, 2)
+        entries.flags.writeable = False  # shared by every caller of the cache
+        plans.append(_Pattern(pivots, nonpivots, entries[:, 0], entries[:, 1]))
+    return tuple(plans)
 
 
 def _pattern_blocks(space: AmbientSpace, m: int) -> Iterator[np.ndarray]:
     """G(n, m) as (c, m, n) int64 RREF bases, one pivot pattern at a time, in enumeration order."""
     p, n = space.p, space.n
     rows = _block_rows(16 * n * n)  # a basis and its free digits: under 2 n^2 int64 entries
-    for pivots in itertools.combinations(range(n), m):
-        free_i, free_j = np.array(
-            [(i, j) for i in range(m) for j in range(n) if j > pivots[i] and j not in pivots],
-            dtype=np.int64,
-        ).reshape(-1, 2).T
+    for pattern in _pattern_plans(n, m):
         template = np.zeros((m, n), dtype=np.int64)
-        template[np.arange(m), list(pivots)] = 1
-        total = p**free_i.size
+        template[np.arange(m), list(pattern.pivots)] = 1
+        free = len(pattern.rows)
+        total = p**free
         for start in range(0, total, rows):
             count = min(rows, total - start)
             bases = np.repeat(template[None], count, axis=0)
             # the last free entry varies fastest: big-endian digits of the index
-            digits = base_p_digits(np.arange(start, start + count), p, free_i.size)
-            bases[:, free_i, free_j] = digits[:, ::-1]
+            digits = base_p_digits(np.arange(start, start + count), p, free)
+            bases[:, pattern.rows, pattern.cols] = digits[:, ::-1]
             yield bases
 
 
@@ -557,7 +623,7 @@ def enumerate_affine(
 
 def perp(W: Subspace) -> Subspace:
     """Dual complement Per(W) = {x : x.w = 0 for all w in W}: one row of :func:`_dual_bases`."""
-    return _dual_bases(SubspaceArray(W.space, W.matrix[None]))[0]
+    return _dual_bases(SubspaceArray._unchecked(W.space, W.matrix[None]))[0]
 
 
 def coset_of(W: Subspace, x: Sequence[int]) -> AffinePlane:

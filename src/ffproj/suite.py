@@ -25,6 +25,7 @@ from .subspaces import (
     _pivot_columns,
     _point_blocks,
     _residue_codes,
+    _rref_fault,
     gaussian_binomial,
 )
 
@@ -152,9 +153,8 @@ def _cell_checks(cell, binomial, checks) -> None:
 
     for m, G in arrays.items():
         P = duals[m]
-        # a basis is canonical only if it is the identity at its pivots; only then has it a dual
-        at_pivots = np.take_along_axis(P.bases, _pivot_columns(P.bases)[:, None, :], axis=2)
-        canonical = bool((at_pivots == np.eye(n - m, dtype=np.int64)).all())
+        # only canonical bases have a dual
+        canonical = _rref_fault(P.bases, p) is None
         involutive = canonical and bool(np.array_equal(_dual_bases(P).bases, G.bases))
         distinct = len(set(map(tuple, P.bases.reshape(len(P), -1).tolist())))
         bijective = distinct == len(G) and P.dim == n - m

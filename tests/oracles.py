@@ -6,14 +6,18 @@ library is a genuine cross-check.  The exceptions are
 :func:`int64_coset_labels`, the library's label convention computed by an
 int64 formula of its own rather than by the float64 label maps,
 :func:`digit_loop_norms`, the built-in sets' x.x mod p in index order,
-computed digit by digit rather than from a table of squares, and
+computed digit by digit rather than from a table of squares,
 :func:`tensordot_dft`, the axis-wise transform as first written, which pins
-the bytes of ``dft`` rather than cross-checking its values.
+the bytes of ``dft`` rather than cross-checking its values, and
+:func:`token_cast_load_point_set`, the point-file parser as first written,
+whose results and error messages the one-pass parser must reproduce.
 """
 
 import itertools
 
 import numpy as np
+
+from ffproj.core import IdentityError, PointSet, _read_header
 
 
 def all_vectors(p, n):
@@ -172,3 +176,32 @@ def tensordot_dft(mask, p, n):
     for axis in range(n):
         arr = np.moveaxis(np.tensordot(F, np.moveaxis(arr, axis, 0), axes=(1, 0)), 0, axis)
     return arr.reshape(-1, order="F")
+
+
+def token_cast_load_point_set(path):
+    """The ``ffpointset v1`` parser as first written: one token cast, else a line scan."""
+    with open(path, "r", encoding="ascii") as fh:
+        space = _read_header(fh)
+        lines = [line.strip() for line in fh.read().split("\n")]
+
+    # fast path: every row has n fields, and one cast parses the whole body
+    rows = [line for line in lines if line]
+    valid = all(row.count(",") == space.n - 1 for row in rows)
+    if valid:
+        try:
+            coords = np.array(",".join(rows).split(",") if rows else [], dtype=np.int64)
+            valid = bool(((coords >= 0) & (coords < space.p)).all())
+        except (ValueError, OverflowError):
+            valid = False
+    if valid:
+        weights = space.p ** np.arange(space.n, dtype=np.int64)
+        return PointSet.from_indices(space, coords.reshape(-1, space.n) @ weights)
+    for lineno, line in enumerate(lines, start=2):  # the first bad line, as a line scan finds it
+        if not line:
+            continue
+        try:
+            coords = tuple(int(c) for c in line.split(","))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad coordinates {line!r}") from exc
+        space.validate_vector(coords)
+    raise IdentityError("no bad line found in a point file that failed to parse")

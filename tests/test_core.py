@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ffproj.core import (
     AmbientSpace,
@@ -13,6 +15,8 @@ from ffproj.core import (
     point_set_space,
     save_point_set,
 )
+
+from oracles import token_cast_load_point_set
 
 
 def test_encode_examples():
@@ -163,3 +167,46 @@ def test_point_set_file_reads_what_int_reads(tmp_path):
     path = tmp_path / "set.pts"
     path.write_text("ffpointset 1 p=11 n=2\n\n 2 , +1 \n1_0,-0\n\n")
     assert load_point_set(path).vectors() == [(10, 0), (2, 1)]
+
+
+# edits that keep a body readable (blank lines, padding, signs, leading zeros, separators
+# int() accepts) and edits that break it (bad tokens, field counts, ranges, digit runs)
+_EDITS = [
+    "\n", " ", "\t", "\x0c", "\r\n", "+", "-", "0", "_", ",", "x", ".", "9" * 19, "",
+]
+
+
+@st.composite
+def _point_files(draw):
+    p = draw(st.sampled_from([2, 3, 11, 23]))
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=6))
+    text = "".join(",".join(map(str, row)) + "\n" for row in points)
+    for _ in range(draw(st.integers(0, 3))):  # splice an edit in at a random place
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(_EDITS)) + text[at + cut :]
+    return f"ffpointset 1 p={p} n={n}\n" + text
+
+
+def _outcome(read, path):
+    try:
+        E = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return E.space, E.indices().tolist()
+
+
+@given(_point_files())
+@example("ffpointset 1 p=3 n=2\n")  # no points
+@example("ffpointset 1 p=3 n=2\n1,2\n2,0")  # no final newline
+@example("ffpointset 1 p=3 n=2\n1,2\n2,3\n0,9\n")  # the first point out of range decides
+@example("ffpointset 1 p=3 n=2\n1,2\n,0\n")  # an empty field
+@example("ffpointset 1 p=3 n=2\n0000000000000000001,2\n")  # 19 digits
+@example("ffpointset 1 p=2 n=1\n9999999999999999999")  # no separator at all, beyond int64
+@settings(max_examples=300, deadline=None)
+def test_load_point_set_matches_the_token_cast_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("pts") / "set.pts"
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+    assert _outcome(load_point_set, path) == _outcome(token_cast_load_point_set, path)

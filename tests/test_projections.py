@@ -149,6 +149,129 @@ def test_coset_counts_match_brute_force(case):
         assert sorted(counts.tolist()) == oracle
 
 
+def _kernel(digits, tags, ntags, directions):
+    blocks = list(projections._coset_histograms(digits, tags, ntags, directions))
+    cosets = directions.space.p ** (directions.space.n - directions.dim)
+    return np.concatenate(blocks) if blocks else np.zeros((0, ntags, cosets), dtype=np.int64)
+
+
+def _spy_pattern_route(monkeypatch):
+    """Record the fold flag and the chunk rows of every Grassmannian-route sweep."""
+    calls = []
+    real = projections._pattern_histograms
+
+    def spy(digits, tags, ntags, directions, fold, rows):
+        calls.append((fold, rows))
+        return real(digits, tags, ntags, directions, fold, rows)
+
+    monkeypatch.setattr(projections, "_pattern_histograms", spy)
+    return calls
+
+
+@st.composite
+def _tagged_sweeps(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    n = draw(st.sampled_from(range(1, {2: 4, 3: 3, 5: 3, 7: 2, 23: 2}[p] + 1)))
+    k = draw(st.sampled_from(range(n + 1)))
+    ntags = draw(st.integers(1, 4))
+    # distinct points within a tag (the oracle counts a set); a point may carry several
+    # tags.  The first tag has ``size`` points, the others up to as many
+    size = draw(st.integers(0, min(p**n, 40)))
+    seed = draw(st.integers(0, 2**16))
+    # a cap in bytes, or chunks of at least p^w directions on the Grassmannian route
+    cap = draw(st.sampled_from([1, 200, 700, 1 << 20]) | st.tuples(st.integers(1, 3)))
+    return p, n, k, ntags, size, seed, cap
+
+
+@given(_tagged_sweeps())
+@example((7, 2, 1, 1, 40, 2, 700))  # fold: 14 bins per direction, against up to 40 labels
+@example((3, 3, 1, 3, 27, 3, 700))  # lookup over r = 2 digits
+@example((2, 4, 2, 2, 16, 4, 200))  # G(4, 2): patterns of 0 to 4 free entries
+@example((23, 2, 1, 2, 40, 0, 1))  # chunks of one direction: the stacked product
+@example((5, 3, 3, 2, 30, 5, 1))  # r = 0: one direction, one coset
+@example((3, 3, 1, 2, 27, 6, (1,)))  # chunks of 3 directions, 1 or 2 free entries fixed
+@example((2, 4, 3, 1, 16, 7, (2,)))  # fold over F_2: 8 bins per direction, 16 labels
+@settings(max_examples=150, deadline=None)
+def test_grassmannian_route_matches_stacked_product_and_brute_force(case):
+    p, n, k, ntags, size, seed, cap = case
+    space = AmbientSpace(p, n)
+    rng = np.random.default_rng(seed)
+    sizes = [size] + rng.integers(0, size + 1, ntags - 1).tolist()
+    indices = [rng.choice(p**n, size=s, replace=False) for s in sizes]
+    tags = np.repeat(np.arange(ntags), [len(i) for i in indices])
+    digits = np.concatenate(indices)[:, None] // p ** np.arange(n) % p
+    if isinstance(cap, tuple):  # at least a direction's labels and widest bins, p^w times
+        cap = 8 * (len(digits) + ntags * n * p ** max(1, n - k)) * p ** cap[0]
+    G = SubspaceArray.grassmannian(space, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subspaces, "_KERNEL_BYTES", cap)
+        got = _kernel(digits, tags, ntags, G)
+        stacked = _kernel(digits, tags, ntags, G[:])  # a slice is not marked: stacked product
+    assert got.dtype == np.int64 and got.shape == (len(G), ntags, p ** (n - k))
+    assert np.array_equal(got, stacked)
+    for W, h in zip(G, got):
+        points = span_points(W.basis, p, n)
+        for t in range(ntags):
+            vectors = [tuple(v) for v in digits[tags == t].tolist()]
+            assert sorted(h[t].tolist()) == brute_coset_counts(vectors, points, p, n)
+
+
+def test_kernel_routes_are_chosen_by_size(monkeypatch):
+    calls = _spy_pattern_route(monkeypatch)
+    rng = np.random.default_rng(3)
+
+    def sweep(p, n, k, ntags, size):
+        digits = rng.integers(0, p, (size, n))
+        tags = rng.integers(0, ntags, size)
+        G = SubspaceArray.grassmannian(AmbientSpace(p, n), k)
+        got = _kernel(digits, tags, ntags, G)
+        assert np.array_equal(got, _kernel(digits, tags, ntags, G[:]))
+        return got
+
+    sweep(23, 3, 2, 1, 2600)  # the census sweep: many labels, 69 bins each: fold
+    sweep(23, 3, 1, 1, 2600)  # the energy sweep, r = 2: lookup tables
+    sweep(13, 3, 2, 40, 520)  # 40 tagged trials: 1560 bins for 520 labels, lookup
+    assert [fold for fold, _ in calls] == [True, False, False]
+    sweep(3, 2, 1, 6, 30)  # a suite cell: the whole sweep is one stacked chunk
+    sweep(3, 2, 2, 6, 30)  # r = 0: one direction
+    assert len(calls) == 3
+
+    # arrays that are not a whole Grassmannian take the stacked product
+    space = AmbientSpace(23, 3)
+    E = PointSet(space, rng.random(space.point_count) < 0.2)
+    listed = list(enumerate_grassmannian(space, 2))
+    for directions in (listed[::-1], listed + listed, listed[1:]):
+        _, sizes = projection_sizes(E, 1, directions=directions)
+        assert len(sizes) == len(directions)
+    assert len(calls) == 3
+    _, sizes = projection_sizes(E, 1)
+    assert len(calls) == 4
+    shuffled = random.Random(0).sample(range(len(listed)), len(listed))
+    _, reordered = projection_sizes(E, 1, directions=[listed[i] for i in shuffled])
+    assert np.array_equal(reordered, sizes[shuffled])
+
+
+def test_kernel_chunks_stay_under_the_cap(monkeypatch):
+    # a direction of a chunk costs one int64 label per point and 25 int64 bins; a chunk
+    # leaves open as many free entries as fit, one to all four (G(4, 2) has up to four)
+    calls = _spy_pattern_route(monkeypatch)
+    rng = np.random.default_rng(4)
+    digits = rng.integers(0, 5, (300, 4))
+    tags = np.zeros(300, dtype=np.int64)
+    G = SubspaceArray.grassmannian(AmbientSpace(5, 4), 2)
+    expected = _kernel(digits, tags, 1, G[:])
+    for width in range(5):
+        cap = 8 * (300 + 25) * 5**width
+        monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+        blocks = list(projections._coset_histograms(digits, tags, 1, G))
+        assert np.array_equal(np.concatenate(blocks), expected)
+        if width:
+            assert calls.pop() == (False, 5**width)
+            assert max(len(h) for h in blocks) == 5**width
+        else:  # fewer than p directions per chunk: the stacked product, one direction each
+            assert not calls and max(len(h) for h in blocks) == 1
+
+
 @pytest.mark.parametrize("p,n", [(101, 1), (101, 2), (8191, 1), (8191, 2)])
 def test_coset_counts_match_brute_force_at_large_primes(p, n):
     # a few points and explicit directions: all of G(2, 0) over F_8191 needs p^2 bins

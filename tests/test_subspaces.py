@@ -8,6 +8,7 @@ from ffproj.subspaces import (
     AffinePlane,
     Subspace,
     SubspaceArray,
+    _dual_bases,
     affine_count,
     all_cosets,
     check_range_condition,
@@ -291,6 +292,38 @@ def test_subspace_array_freezes_a_view_not_the_callers_array():
     array = SubspaceArray(space, bases)
     assert bases.flags.writeable and not array.bases.flags.writeable
     assert np.shares_memory(array.bases, bases)
+
+
+@pytest.mark.parametrize("bases,message", [
+    ([[[0, 0]]], "zero row"),  # once died in a reshape of the label maps
+    ([[[1, 3]]], "residues"),
+    ([[[1, -1]]], "residues"),
+    ([[[0, 1], [1, 0]]], "strictly increase"),
+    ([[[2, 1]]], "unit column"),
+    ([[[1, 1], [0, 1]]], "unit column"),
+])
+def test_subspace_array_refuses_non_canonical_bases(bases, message):
+    with pytest.raises(ValueError, match=message):
+        SubspaceArray(AmbientSpace(3, 2), np.array(bases))
+
+
+@pytest.mark.parametrize("p,message", [(2, "zero row"), (3, "unit column")])
+def test_subspace_array_refuses_shifted_dual_bases(p, message):
+    # the duals of G(3, 1) with their last column shifted by 1: over F_2 some rows vanish
+    duals = _dual_bases(SubspaceArray.grassmannian(AmbientSpace(p, 3), 1))
+    bases = duals.bases.copy()
+    bases[..., -1] = (bases[..., -1] + 1) % p
+    with pytest.raises(ValueError, match=message):
+        SubspaceArray(duals.space, bases)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2)])
+def test_subspace_array_accepts_every_canonical_stack(p, n):
+    space = AmbientSpace(p, n)
+    for k in range(n + 1):
+        G = SubspaceArray.grassmannian(space, k)
+        assert SubspaceArray(space, G.bases) == G
+        assert SubspaceArray(space, _dual_bases(G).bases) == _dual_bases(G)
 
 
 @st.composite
