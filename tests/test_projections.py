@@ -186,6 +186,7 @@ def _tagged_sweeps(draw):
 @given(_tagged_sweeps())
 @example((7, 2, 1, 1, 40, 2, 700))  # fold: 14 bins per direction, against up to 40 labels
 @example((3, 3, 1, 3, 27, 3, 700))  # lookup over r = 2 digits
+@example((3, 3, 2, 4, 5, 3, (1,)))  # r = 1, more bins than labels: the stacked product
 @example((2, 4, 2, 2, 16, 4, 200))  # G(4, 2): patterns of 0 to 4 free entries
 @example((23, 2, 1, 2, 40, 0, 1))  # chunks of one direction: the stacked product
 @example((5, 3, 3, 2, 30, 5, 1))  # r = 0: one direction, one coset
@@ -230,8 +231,9 @@ def test_kernel_routes_are_chosen_by_size(monkeypatch):
 
     sweep(23, 3, 2, 1, 2600)  # the census sweep: many labels, 69 bins each: fold
     sweep(23, 3, 1, 1, 2600)  # the energy sweep, r = 2: lookup tables
-    sweep(13, 3, 2, 40, 520)  # 40 tagged trials: 1560 bins for 520 labels, lookup
+    sweep(3, 5, 3, 1, 90)  # r = 2 over few points: lookup tables
     assert [fold for fold, _ in calls] == [True, False, False]
+    sweep(13, 3, 2, 40, 520)  # 40 tagged trials: 1560 bins for 520 labels, r = 1: product
     sweep(3, 2, 1, 6, 30)  # a suite cell: the whole sweep is one stacked chunk
     sweep(3, 2, 2, 6, 30)  # r = 0: one direction
     assert len(calls) == 3
