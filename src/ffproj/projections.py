@@ -174,13 +174,12 @@ def _pattern_histograms(
     In a pivot pattern with non-pivot columns q_j, digit j of a point's
     label is (x_{q_j} + sum over free entries (i, q_j) of R_{P_i}[B_{i,q_j}])
     mod p, where R_t[v] = -v x_t mod p is gathered from one p x p table, so
-    a column's digits depend only on that column's free entries.  The
-    leading free entries of a pattern are fixed and the last f left open,
-    with p^f the largest power of p up to ``rows``; a chunk is a run of
-    values of the fixed entries, up to ``rows`` directions in all.  A
-    column with no fixed entry is summed, reduced and scaled once per
-    pattern, together with the direction and tag bins, into one (p^f, N)
-    base; each chunk adds the other columns to it by broadcasting.
+    a column's digits depend only on that column's free entries.  A chunk
+    fixes the leading free entries: its directions are the p^f values of
+    the other f, with p^f the largest power of p up to ``rows``.  A column
+    with no fixed entry is summed, reduced and scaled once per pattern,
+    together with the direction and tag bins, into one (p^f, N) base; each
+    chunk adds the other columns to it by broadcasting.
 
     A digit sum of up to n residues is reduced by a lookup table, or, when
     ``fold`` (r = 1), binned unreduced in n p bins per (direction, tag) and
@@ -201,20 +200,15 @@ def _pattern_histograms(
         depth = max(0, len(pattern.rows) - width)  # the fixed leading entries
         c = p ** (len(pattern.rows) - depth)
         base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tags * bins, ntags * bins, p)
-        # the fixed entries' values, big-endian like the bases; a chunk takes as many
-        # consecutive ones as fit, each with its c directions
-        values = base_p_digits(np.arange(p**depth), p, depth)[:, ::-1]
-        step = rows // c
-        for start in range(0, len(values), step):
-            chunk = values[start : start + step]
-            labels = _chunk_labels(base, fixed, chunk, x, p, c * ntags * bins)
-            m = len(chunk) * c
-            counts = np.bincount(labels.reshape(-1), minlength=m * ntags * bins)
-            del labels  # dropped once binned
+        for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
+            # values: big-endian, like the bases; the labels are dropped once binned
+            labels = _chunk_labels(base, fixed, values, x, p).reshape(-1)
+            counts = np.bincount(labels, minlength=c * ntags * bins)
+            del labels
             if fold:
-                yield counts.reshape(m, ntags, n, p).sum(axis=2)
+                yield counts.reshape(c, ntags, n, p).sum(axis=2)
             else:
-                yield counts.reshape(m, ntags, bins)
+                yield counts.reshape(c, ntags, bins)
 
 
 def _pattern_tables(x, neg, luts, pattern, depth, tag_bins, direction_bins, p):
@@ -252,26 +246,15 @@ def _pattern_tables(x, neg, luts, pattern, depth, tag_bins, direction_bins, p):
     return base, fixed
 
 
-def _chunk_labels(base, fixed, values, x, p, stride):
-    """A chunk's labels: for each row of ``values`` (values of the fixed entries), the base
-    plus each fixed column, with row i's directions binned ``stride`` i bins further."""
-    if not fixed:  # nothing fixed: one row, the base alone
-        return base
-    m, N = len(values), x.shape[1]
-    rows = (m,) + (1,) * base.ndim  # a row's axis in front of the base's
-    labels = None
+def _chunk_labels(base, fixed, values, x, p):
+    """A chunk's labels: the base plus each fixed column, its fixed entries set to ``values``."""
+    labels = base
     for lut, part, entries in fixed:
         # the fixed entries' R tables at their values, reduced once; with the open part
         # unreduced, a column's sum stays below n p, inside the bins or the table
-        shift = -sum(values[:, e, None] * x[t] for e, t in entries) % p
-        shift = shift.reshape(rows[:-1] + (N,))
+        shift = -sum(values[e] * x[t] for e, t in entries) % p
         term = shift if lut is None else lut[part + shift]
-        if labels is None:
-            if m > 1:
-                term += (np.arange(m) * stride).reshape(rows)
-            labels = term + base
-        else:
-            np.add(labels, term, out=labels)
+        labels = base + term if labels is base else np.add(labels, term, out=labels)
     return labels
 
 

@@ -190,7 +190,7 @@ def _tagged_sweeps(draw):
 @example((2, 4, 2, 2, 16, 4, 200))  # G(4, 2): patterns of 0 to 4 free entries
 @example((23, 2, 1, 2, 40, 0, 1))  # chunks of one direction: the stacked product
 @example((5, 3, 3, 2, 30, 5, 1))  # r = 0: one direction, one coset
-@example((3, 3, 1, 2, 27, 6, (1,)))  # chunks of 3 directions, 1 or 2 free entries fixed
+@example((3, 3, 1, 2, 27, 6, (1,)))  # chunks of a few directions, with fixed free entries
 @example((2, 4, 3, 1, 16, 7, (2,)))  # fold over F_2: 8 bins per direction, 16 labels
 @settings(max_examples=150, deadline=None)
 def test_grassmannian_route_matches_stacked_product_and_brute_force(case):
