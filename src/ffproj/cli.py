@@ -16,10 +16,13 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .core import AmbientSpace, BudgetError, IdentityError, load_point_set, point_set_space
@@ -48,6 +51,7 @@ from .random_sets import verify_large_regime, verify_small_regime
 from .subspaces import (
     BUDGET_ENV,
     Subspace,
+    SubspaceArray,
     affine_count,
     enumerate_affine,
     enumerate_grassmannian,
@@ -261,6 +265,25 @@ def _census_reports(E, cfg) -> list:
     raise ValueError(f"unknown census kind {kind!r}")
 
 
+def _save_sizes_csv(path, directions: SubspaceArray, sizes: np.ndarray) -> None:
+    """One line per direction: its index, its basis (rows joined by ";") and its image size.
+
+    The bytes are those of ``csv.writer``: a basis row has n >= 2 entries, so
+    every basis field holds a comma and is quoted, and lines end in "\\r\\n".
+    The lines are formatted from a table of residue strings and written at once.
+    """
+    G, k, n = directions.bases.shape
+    residues = np.array([str(j) for j in range(directions.space.p)], dtype=object)
+    line = '{},"' + ";".join([",".join(["{}"] * n)] * k) + '",{}\r\n'
+    fields = np.empty((G, k * n + 2), dtype=object)
+    fields[:, 0] = np.arange(G)
+    fields[:, 1:-1] = residues[directions.bases.reshape(G, k * n)]
+    fields[:, -1] = sizes
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        fh.write("direction_index,basis,image_size\r\n")
+        fh.write("".join(itertools.starmap(line.format, fields.tolist())))
+
+
 def cmd_census(args) -> int:
     defaults = {
         "pointset": None, "m": None, "kind": None, "N": None, "delta": None,
@@ -272,13 +295,7 @@ def cmd_census(args) -> int:
     E = load_point_set(cfg["pointset"])
     reports = _census_reports(E, cfg)
     if cfg["sizes_csv"]:
-        with open(cfg["sizes_csv"], "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["direction_index", "basis", "image_size"])
-            bases = reports[0].directions.bases.tolist()
-            for i, (rows, sz) in enumerate(zip(bases, reports[0].sizes.tolist())):
-                basis = ";".join(",".join(map(str, row)) for row in rows)
-                writer.writerow([i, basis, sz])
+        _save_sizes_csv(cfg["sizes_csv"], reports[0].directions, reports[0].sizes)
     payload = [r.to_json_dict() for r in reports]
     _emit(_envelope("census", cfg, payload, started), cfg["out"])
     failed = [

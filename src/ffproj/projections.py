@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import subspaces
 from .core import AmbientSpace, PointSet, base_p_digits, digits_of
@@ -123,13 +124,16 @@ def _coset_histograms(
     direction, then its tag, then its coset label, and each chunk is one
     ``bincount``.
 
-    All of G(n, k), as :meth:`SubspaceArray.grassmannian` builds it, is
-    swept pattern by pattern (:func:`_pattern_histograms`), in chunks of as
-    many directions as keep their int64 labels and bins under the kernel
-    cap, when r >= 2 or when a one-digit sweep (r = 1) has no more bins
-    than labels, ntags n p <= N, and so bins unreduced digit sums and folds
-    them; unless the whole sweep fits one stacked-product chunk or a chunk
-    would hold fewer than p directions.  Every other sweep, and any other
+    All of G(n, k), as :meth:`SubspaceArray.grassmannian` builds it, unless
+    the whole sweep fits one stacked-product chunk, is swept by one of two
+    table routes.  A dense one-digit sweep (r = 1, N >= 3/2 ntags p^2)
+    bins each pencil of p directions once and reads their histograms as
+    shears (:func:`_shear_histograms`).  Otherwise the sweep goes pattern
+    by pattern (:func:`_pattern_histograms`), in chunks of as many
+    directions as keep their int64 labels and bins under the kernel cap,
+    when r >= 2 or when a one-digit sweep has no more bins than labels,
+    ntags n p <= N, and so bins unreduced digit sums and folds them; unless
+    a chunk would hold fewer than p directions.  Every other sweep, and any other
     array, takes the stacked product: each chunk of label maps is one exact
     float64 (r c, n) @ (n, N) product (``subspaces._residue_codes``), with
     as many directions as keep :func:`_chunk_bytes` under the cap.  A chunk
@@ -141,6 +145,9 @@ def _coset_histograms(
     p, r = space.p, n - directions.dim
     rows = _block_rows(_chunk_bytes(N, r, ntags, p))
     if directions._grassmannian and len(directions) > rows:
+        if r == 1 and 2 * N >= 3 * ntags * p * p:  # N >= 3/2 ntags p^2: the shear
+            yield from _shear_histograms(digits, tags, ntags, directions)
+            return
         fold = r == 1 and ntags * n * p <= N
         pattern_rows = _block_rows(8 * (N + ntags * (n * p if fold else p**r)))
         # a one-digit product is cheaper than a lookup, and chunks of one direction than tables
@@ -202,7 +209,7 @@ def _pattern_histograms(
         base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tags * bins, ntags * bins, p)
         for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
             # values: big-endian, like the bases; the labels are dropped once binned
-            labels = _chunk_labels(base, fixed, values, x, p).reshape(-1)
+            labels = _chunk_labels(base, fixed, values, x, neg).reshape(-1)
             counts = np.bincount(labels, minlength=c * ntags * bins)
             del labels
             if fold:
@@ -246,16 +253,83 @@ def _pattern_tables(x, neg, luts, pattern, depth, tag_bins, direction_bins, p):
     return base, fixed
 
 
-def _chunk_labels(base, fixed, values, x, p):
+def _chunk_labels(base, fixed, values, x, neg):
     """A chunk's labels: the base plus each fixed column, its fixed entries set to ``values``."""
     labels = base
     for lut, part, entries in fixed:
-        # the fixed entries' R tables at their values, reduced once; with the open part
-        # unreduced, a column's sum stays below n p, inside the bins or the table
-        shift = -sum(values[e] * x[t] for e, t in entries) % p
+        # the fixed entries' R tables at their values, gathered from rows of ``neg``: a
+        # column's sum of x_q and its R entries stays below n p, inside the bins or the table
+        shift = sum(neg[values[e]].take(x[t]) for e, t in entries)
         term = shift if lut is None else lut[part + shift]
         labels = base + term if labels is base else np.add(labels, term, out=labels)
     return labels
+
+
+def _shear_histograms(
+    digits: np.ndarray, tags: np.ndarray, ntags: int, directions: SubspaceArray
+) -> Iterator[np.ndarray]:
+    """:func:`_coset_histograms` over all of G(n, n-1), one pencil of p directions at a time.
+
+    In a pattern with non-pivot column q, a direction's label is
+    (x_q - sum of B_e x_{P_e}) mod p over its free entries e.  A pencil is
+    the p directions that share every free entry but the last, b; with
+    u = (x_q - sum over the other entries of B_e x_{P_e}) mod p and
+    v = x_{P_last}, a point's label is (u - b v) mod p.  So a pencil's
+    points are binned once by (tag, u, v) into ntags p^2 bins H, and its p
+    histograms are read off H as shears: hist_b[t] = sum over v of
+    H[(t + b v) mod p, v] (:func:`_shears`).  Pencils are chunked like
+    directions on the pattern route (:func:`_pattern_tables` builds u, v
+    and the bins; a chunk holds the p^w values of the last w entries but
+    b), each chunk one ``bincount``.  A pattern with no free entry is one
+    direction, labelled x_q.
+    """
+    N, n = digits.shape
+    p = directions.space.p
+    square = p * p
+    x = np.ascontiguousarray(digits.T)
+    neg = -np.outer(np.arange(p), np.arange(p)) % p
+    lut = [np.arange(n * p) % p * p]  # u, reduced, in the bins of its row of H
+    rows = _block_rows(8 * (N + ntags * square))  # a pencil's keys and its bins
+    for pattern in subspaces._pattern_plans(n, n - 1):
+        free = len(pattern.rows)
+        if not free:
+            labels = tags * p + x[pattern.nonpivots[0]]
+            yield np.bincount(labels, minlength=ntags * p).reshape(1, ntags, p)
+            continue
+        lead = pattern._replace(rows=pattern.rows[:-1], cols=pattern.cols[:-1])
+        width = 0  # the leading entries a chunk leaves open: p^width pencils
+        while width < free - 1 and p ** (width + 1) <= rows:
+            width += 1
+        depth = free - 1 - width
+        tag_bins = tags * square + x[pattern.pivots[pattern.rows[-1]]]
+        base, fixed = _pattern_tables(x, neg, lut, lead, depth, tag_bins, ntags * square, p)
+        for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
+            keys = _chunk_labels(base, fixed, values, x, neg).reshape(-1)
+            counts = np.bincount(keys, minlength=p**width * ntags * square)
+            del keys
+            yield from _shears(counts.reshape(-1, ntags, square), p)
+
+
+def _shears(H: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Each pencil's p histograms from its bins H[pencil, tag, u p + v], in (c, ntags, p) blocks.
+
+    hist_b[t] = sum over v of H[(t + b v) mod p, v].  With column v of H
+    repeated to 2p - 1 bins, those p bins are its window of p starting at
+    b v mod p, so each block is one gather of windows and one sum over v.
+    A gather takes as many pencils, or, when one pencil's ntags p^3
+    gathered bins exceed the cap, as many values of b, as keep it under
+    the cap; its start table has p entries per b.
+    """
+    ntags = H.shape[1]
+    rows = _block_rows(8 * ntags * p * p)  # the gathered bins of one direction
+    step, span = max(1, rows // p), min(p, rows)
+    v = np.arange(p)[:, None]
+    for start in range(0, len(H), step):
+        h = H[start : start + step].reshape(-1, ntags, p, p).transpose(0, 1, 3, 2)  # [v, u]
+        windows = sliding_window_view(np.concatenate([h, h[..., : p - 1]], axis=3), p, axis=3)
+        for b in range(0, p, span):
+            counts = windows[:, :, v, v * np.arange(b, min(p, b + span)) % p].sum(axis=2)
+            yield counts.transpose(0, 2, 1, 3).reshape(-1, ntags, p)
 
 
 def _histogram_blocks(

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ffproj import cli, projections, subspaces
@@ -155,6 +156,43 @@ def test_sizes_csv_is_the_census_sweep(workdir, monkeypatch):
         [str(i), ";".join(",".join(map(str, r)) for r in W.basis), str(sz)]
         for i, (W, sz) in enumerate(zip(expected_dirs, expected_sizes))
     ]
+
+
+def _row_by_row_sizes_csv(path, directions, sizes):
+    """The sizes CSV as ``cli.cmd_census`` first wrote it: one ``writerow`` per direction."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["direction_index", "basis", "image_size"])
+        bases = directions.bases.tolist()
+        for i, (rows, sz) in enumerate(zip(bases, sizes.tolist())):
+            basis = ";".join(",".join(map(str, row)) for row in rows)
+            writer.writerow([i, basis, sz])
+
+
+@pytest.mark.parametrize(  # F_101^4 and F_101^5 are over the point budget: no census
+    "p,n", [(p, n) for p in (2, 23, 101) for n in range(2, 6) if p**n <= 1 << 26]
+)
+def test_sizes_csv_bytes_match_row_by_row_writer(tmp_path, p, n):
+    rng = np.random.default_rng(p * n)
+    space = AmbientSpace(p, n)
+    for k in range(1, n):
+        # eight bases of each pivot pattern: free entries all 0, all p - 1, and random
+        bases = []
+        for pattern in subspaces._pattern_plans(n, k):
+            B = np.zeros((8, k, n), dtype=np.int64)
+            B[:, np.arange(k), list(pattern.pivots)] = 1
+            B[:, pattern.rows, pattern.cols] = rng.integers(0, p, (8, len(pattern.rows)))
+            B[0, pattern.rows, pattern.cols], B[1, pattern.rows, pattern.cols] = 0, p - 1
+            bases.append(B)
+        directions = subspaces.SubspaceArray(space, np.concatenate(bases))
+        sizes = rng.integers(0, p ** (n - k) + 1, len(directions))
+        cli._save_sizes_csv(tmp_path / "new.csv", directions, sizes)
+        _row_by_row_sizes_csv(tmp_path / "old.csv", directions, sizes)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    empty = subspaces.SubspaceArray(space, np.zeros((0, 1, n), dtype=np.int64))
+    cli._save_sizes_csv(tmp_path / "new.csv", empty, np.zeros(0, dtype=np.int64))
+    _row_by_row_sizes_csv(tmp_path / "old.csv", empty, np.zeros(0, dtype=np.int64))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_census_failure_exits_one(workdir, monkeypatch, capsys):

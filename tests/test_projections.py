@@ -229,7 +229,7 @@ def test_kernel_routes_are_chosen_by_size(monkeypatch):
         assert np.array_equal(got, _kernel(digits, tags, ntags, G[:]))
         return got
 
-    sweep(23, 3, 2, 1, 2600)  # the census sweep: many labels, 69 bins each: fold
+    sweep(23, 3, 2, 1, 700)  # under 3/2 p^2 labels, 69 bins each: fold
     sweep(23, 3, 1, 1, 2600)  # the energy sweep, r = 2: lookup tables
     sweep(3, 5, 3, 1, 90)  # r = 2 over few points: lookup tables
     assert [fold for fold, _ in calls] == [True, False, False]
@@ -240,7 +240,7 @@ def test_kernel_routes_are_chosen_by_size(monkeypatch):
 
     # arrays that are not a whole Grassmannian take the stacked product
     space = AmbientSpace(23, 3)
-    E = PointSet(space, rng.random(space.point_count) < 0.2)
+    E = PointSet(space, rng.random(space.point_count) < 0.05)  # under 3/2 p^2 points: fold
     listed = list(enumerate_grassmannian(space, 2))
     for directions in (listed[::-1], listed + listed, listed[1:]):
         _, sizes = projection_sizes(E, 1, directions=directions)
@@ -272,6 +272,141 @@ def test_kernel_chunks_stay_under_the_cap(monkeypatch):
             assert max(len(h) for h in blocks) == 5**width
         else:  # fewer than p directions per chunk: the stacked product, one direction each
             assert not calls and max(len(h) for h in blocks) == 1
+
+
+@st.composite
+def _pencil_sweeps(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    n = draw(st.integers(2, {2: 4, 3: 4, 5: 4, 7: 3, 23: 3}[p]))
+    ntags = draw(st.integers(1, 3))
+    size = draw(st.integers(0, min(p**n, 40)))
+    seed = draw(st.integers(0, 2**16))
+    # a cap in bytes (1 byte: one pencil per chunk and one b per gather), or chunks of
+    # p^w pencils
+    cap = draw(st.sampled_from([1, 300, 2000, 1 << 20]) | st.tuples(st.integers(1, 2)))
+    return p, n, ntags, size, seed, cap
+
+
+@given(_pencil_sweeps())
+@example((2, 2, 1, 4, 0, 1))  # patterns of zero and one free entry, one pencil
+@example((3, 4, 2, 30, 1, 1))  # two fixed entries, one pencil and one b at a time
+@example((5, 3, 3, 40, 2, (1,)))  # chunks of 5 pencils, gathers over 2 values of b
+@example((23, 3, 1, 40, 3, 2000))  # 23 pencils with a fixed entry, one b per gather
+@settings(max_examples=80, deadline=None)
+def test_shear_route_matches_stacked_product_and_brute_force(case):
+    p, n, ntags, size, seed, cap = case
+    space = AmbientSpace(p, n)
+    rng = np.random.default_rng(seed)
+    sizes = [size] + rng.integers(0, size + 1, ntags - 1).tolist()
+    indices = [rng.choice(p**n, size=s, replace=False) for s in sizes]
+    tags = np.repeat(np.arange(ntags), [len(i) for i in indices])
+    digits = np.concatenate(indices)[:, None] // p ** np.arange(n) % p
+    if isinstance(cap, tuple):  # p^w pencils' keys and bins
+        cap = 8 * (len(digits) + ntags * p * p) * p ** cap[0]
+    G = SubspaceArray.grassmannian(space, n - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subspaces, "_KERNEL_BYTES", cap)
+        got = np.concatenate(list(projections._shear_histograms(digits, tags, ntags, G)))
+        stacked = _kernel(digits, tags, ntags, G[:])
+    assert got.dtype == np.int64 and got.shape == (len(G), ntags, p)
+    assert np.array_equal(got, stacked)
+    # the oracle on a dozen directions, the last of them the pattern with no free entry
+    for i in np.linspace(0, len(G) - 1, min(len(G), 12)).astype(int).tolist():
+        points = span_points(G[i].basis, p, n)
+        for t in range(ntags):
+            vectors = [tuple(v) for v in digits[tags == t].tolist()]
+            assert sorted(got[i, t].tolist()) == brute_coset_counts(vectors, points, p, n)
+
+
+def test_shear_route_is_chosen_by_size(monkeypatch):
+    from ffproj import random_sets
+    from ffproj.fourier import paraboloid
+    from ffproj.suite import run_identity_suite
+
+    calls = []
+    real = projections._shear_histograms
+
+    def spy(digits, tags, ntags, directions):
+        calls.append((len(digits), ntags))
+        return real(digits, tags, ntags, directions)
+
+    monkeypatch.setattr(projections, "_shear_histograms", spy)
+    rng = np.random.default_rng(5)
+
+    def random_set(p, n, size):
+        return PointSet.from_indices(AmbientSpace(p, n), rng.choice(p**n, size, replace=False))
+
+    # the census sweep of the benchmark's F_23^3 set: about 23^2.5 points, 4.8 p^2
+    E = random_set(23, 3, 2537)
+    _, sizes = projection_sizes(E, 1)
+    assert calls == [(2537, 1)]
+    assert np.array_equal(sizes, projection_sizes(E, 1, directions=list(SubspaceArray.grassmannian(E.space, 2)))[1])
+    # the benchmark's percolate calls: fewer points than ntags p^2 in every group
+    for regime, p, n, s in (("small", 31, 2, 1.0), ("large", 31, 2, 1.7),
+                            ("small", 13, 3, 1.0), ("large", 13, 3, 1.5)):
+        runner = {"small": random_sets.verify_small_regime,
+                  "large": random_sets.verify_large_regime}[regime]
+        runner(p, n, 1, s, 40, seed=0)
+    # the benchmark's verify cells: each sweep fits one stacked-product chunk
+    for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2)):
+        assert run_identity_suite(primes=[p], dims=[n], seed=0)["all_pass"]
+    projection_sizes(paraboloid(AmbientSpace(31, 3)), 1)  # N = p^2
+    projection_sizes(random_set(101, 2, 101**2 // 4), 1)  # N = p^2 / 4
+    projection_sizes(random_set(13, 3, 253), 1)  # N just under 3/2 p^2
+    assert len(calls) == 1
+    projection_sizes(random_set(13, 3, 254), 1)  # 2 N = 3 p^2 + 1
+    assert calls[1:] == [(254, 1)]
+
+
+def test_shear_arrays_stay_under_the_cap(monkeypatch):
+    # 13 pencils of F_13^3 in the pattern with a fixed entry; 300 points, 3/2 p^2 < 300
+    calls = {"keys": [], "bins": [], "doubled": [], "gathered": []}
+    real_labels, real_shears = projections._chunk_labels, projections._shears
+    real_windows = projections.sliding_window_view
+
+    def labels(*args):
+        keys = real_labels(*args)
+        calls["keys"].append(keys.nbytes)
+        return keys
+
+    def shears(H, p):
+        calls["bins"].append((len(H), H.nbytes))
+        for block in real_shears(H, p):
+            calls["gathered"].append((len(block), 8 * p * block.size))  # the summed gather
+            yield block
+
+    def windows(h, *args, **kwargs):
+        calls["doubled"].append(h.nbytes)
+        return real_windows(h, *args, **kwargs)
+
+    monkeypatch.setattr(projections, "_chunk_labels", labels)
+    monkeypatch.setattr(projections, "_shears", shears)
+    monkeypatch.setattr(projections, "sliding_window_view", windows)
+    p, N = 13, 300
+    rng = np.random.default_rng(6)
+    for ntags in (1, 2):
+        digits = rng.integers(0, p, (ntags * N, 3))
+        tags = np.repeat(np.arange(ntags), N)
+        G = SubspaceArray.grassmannian(AmbientSpace(p, 3), 2)
+        expected = _kernel(digits, tags, ntags, G[:])
+        pencil = 8 * (ntags * N + ntags * p * p)  # a pencil's keys and bins
+        # many pencils a chunk; 13, 2 or 1 pencils; one pencil's gather in 5, 2 or 13 parts
+        for cap in (1 << 20, 13 * pencil, 2 * pencil, pencil, 8 * ntags * p**3 // 3,
+                    8 * ntags * p**3 // 6, 8 * ntags * p * p):
+            monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+            for values in calls.values():
+                values.clear()
+            assert np.array_equal(_kernel(digits, tags, ntags, G), expected)
+            assert calls["bins"], cap  # the shear ran
+            one_pencil = pencil > cap  # a chunk holds at least one pencil
+            for keys, (c, bins) in zip(calls["keys"], calls["bins"]):
+                assert keys + bins <= cap or (c == 1 and one_pencil)
+            for doubled in calls["doubled"]:
+                assert doubled <= cap or one_pencil
+            for c, gathered in calls["gathered"]:  # at least one direction a gather
+                assert gathered <= cap or (c == 1 and 8 * ntags * p * p > cap)
+            if 8 * ntags * p**3 > cap:  # gathers split a pencil over b
+                assert max(c for c, _ in calls["gathered"]) < p
 
 
 @pytest.mark.parametrize("p,n", [(101, 1), (101, 2), (8191, 1), (8191, 2)])
