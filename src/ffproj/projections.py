@@ -278,10 +278,11 @@ def _shear_histograms(
     points are binned once by (tag, u, v) into ntags p^2 bins H, and its p
     histograms are read off H as shears: hist_b[t] = sum over v of
     H[(t + b v) mod p, v] (:func:`_shears`).  Pencils are chunked like
-    directions on the pattern route (:func:`_pattern_tables` builds u, v
-    and the bins; a chunk holds the p^w values of the last w entries but
-    b), each chunk one ``bincount``.  A pattern with no free entry is one
-    direction, labelled x_q.
+    directions on the pattern route: a chunk leaves open the w entries just
+    before b, so it holds p^w pencils, and :func:`_pattern_tables` builds
+    their keys (pencil, tag, u, v) from the residue tables, each chunk one
+    ``bincount``.  A pattern with no free entry is one direction, labelled
+    x_q.
     """
     N, n = digits.shape
     p = directions.space.p
@@ -301,7 +302,7 @@ def _shear_histograms(
         while width < free - 1 and p ** (width + 1) <= rows:
             width += 1
         depth = free - 1 - width
-        tag_bins = tags * square + x[pattern.pivots[pattern.rows[-1]]]
+        tag_bins = tags * square + x[pattern.pivots[pattern.rows[-1]]]  # each point's tag and v
         base, fixed = _pattern_tables(x, neg, lut, lead, depth, tag_bins, ntags * square, p)
         for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
             keys = _chunk_labels(base, fixed, values, x, neg).reshape(-1)
