@@ -62,9 +62,10 @@ __all__ = [
 TOLERANCE = 1e-9
 FULL_SPECTRUM_BUDGET = 1 << 22
 _CSV_BLOCK = 1 << 16  # spectrum rows formatted and written at a time
-# Most entries of a dump's table of coordinate strings.  A table of a whole block
-# (29,791 strings for F_31^3) left the spectral benchmark's resident set about
-# 1 MiB larger every other pass; 4096 entries keep it flat.
+# Most entries of a dump's table of its first coordinates (the table of the
+# others has p^n / p^k < 1024 p entries under the full-spectrum cap).  A table of
+# a whole block (29,791 strings for F_31^3) raised the peak resident set of
+# repeated spectral passes by about 3 MiB; one of 961 strings did not measurably.
 _COORDINATE_TABLE = 1 << 12
 
 

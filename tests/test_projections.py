@@ -191,7 +191,8 @@ def _tagged_sweeps(draw):
 @example((23, 2, 1, 2, 40, 0, 1))  # chunks of one direction: the stacked product
 @example((5, 3, 3, 2, 30, 5, 1))  # r = 0: one direction, one coset
 @example((3, 3, 1, 2, 27, 6, (1,)))  # chunks of a few directions, with fixed free entries
-@example((2, 4, 3, 1, 16, 7, (2,)))  # fold over F_2: 8 bins per direction, 16 labels
+@example((2, 4, 3, 1, 16, 7, (2,)))  # 16 labels, at least 3/2 p^2: the shear
+@example((2, 2, 1, 1, 4, 7, (2,)))  # fold over F_2: 4 bins per direction, 4 labels
 @settings(max_examples=150, deadline=None)
 def test_grassmannian_route_matches_stacked_product_and_brute_force(case):
     p, n, k, ntags, size, seed, cap = case
@@ -290,7 +291,8 @@ def _pencil_sweeps(draw):
 @given(_pencil_sweeps())
 @example((2, 2, 1, 4, 0, 1))  # patterns of zero and one free entry, one pencil
 @example((3, 4, 2, 30, 1, 1))  # two fixed entries, one pencil and one b at a time
-@example((5, 3, 3, 40, 2, (1,)))  # chunks of 5 pencils, gathers over 2 values of b
+@example((5, 3, 3, 40, 2, (1,)))  # chunks of 5 pencils, gathers of 2 pencils
+@example((7, 3, 1, 40, 4, 2000))  # gathers over 5 and then 2 values of b
 @example((23, 3, 1, 40, 3, 2000))  # 23 pencils with a fixed entry, one b per gather
 @settings(max_examples=80, deadline=None)
 def test_shear_route_matches_stacked_product_and_brute_force(case):
@@ -340,7 +342,8 @@ def test_shear_route_is_chosen_by_size(monkeypatch):
     E = random_set(23, 3, 2537)
     _, sizes = projection_sizes(E, 1)
     assert calls == [(2537, 1)]
-    assert np.array_equal(sizes, projection_sizes(E, 1, directions=list(SubspaceArray.grassmannian(E.space, 2)))[1])
+    listed = list(SubspaceArray.grassmannian(E.space, 2))  # not marked: the stacked product
+    assert np.array_equal(sizes, projection_sizes(E, 1, directions=listed)[1])
     # the benchmark's percolate calls: fewer points than ntags p^2 in every group
     for regime, p, n, s in (("small", 31, 2, 1.0), ("large", 31, 2, 1.7),
                             ("small", 13, 3, 1.0), ("large", 13, 3, 1.5)):
