@@ -318,8 +318,9 @@ def cmd_energy(args) -> int:
     started = time.time()
     check_spectrum_budget(point_set_space(cfg["pointset"]))  # before the sweep and the parse
     E = load_point_set(cfg["pointset"])
-    lhs, rhs, equal = verify_energy_identity(E, cfg["m"])
-    spectral, rhs2, diff = verify_energy_identity_fourier(E, cfg["m"])
+    directions = SubspaceArray.grassmannian(E.space, cfg["m"])  # both sides sweep it
+    lhs, rhs, equal = verify_energy_identity(E, cfg["m"], directions=directions)
+    spectral, rhs2, diff = verify_energy_identity_fourier(E, cfg["m"], directions=directions)
     spectral_ok = diff <= TOLERANCE * max(1.0, rhs2)
     report = {
         "set_size": E.cardinality,

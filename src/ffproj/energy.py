@@ -87,9 +87,26 @@ def coset_expansion(directions: Iterable[Subspace]) -> list[AffinePlane]:
     return [plane for W in directions for plane in all_cosets(W)]
 
 
-def energy_over_all_planes(E: PointSet, m: int) -> int:
-    """energy(E, A(n,m)) without materializing the planes."""
-    blocks = _histogram_blocks(E, SubspaceArray.grassmannian(E.space, m))
+def _all_directions(
+    space: AmbientSpace, m: int, directions: SubspaceArray | None
+) -> SubspaceArray:
+    """G(n, m), built here or given as ``SubspaceArray.grassmannian(space, m)`` returned it."""
+    if directions is None:
+        return SubspaceArray.grassmannian(space, m)
+    if not (directions._grassmannian and directions.space == space and directions.dim == m):
+        raise ValueError(f"directions must be all of G({space.n},{m}) over F_{space.p}")
+    return directions
+
+
+def energy_over_all_planes(
+    E: PointSet, m: int, directions: SubspaceArray | None = None
+) -> int:
+    """energy(E, A(n,m)) without materializing the planes.
+
+    ``directions`` is G(n, m) from ``SubspaceArray.grassmannian``, for a
+    caller that holds it; by default it is built here.
+    """
+    blocks = _histogram_blocks(E, _all_directions(E.space, m, directions))
     return sum(sum((h * h).sum(axis=1).tolist()) for h in blocks)
 
 
@@ -101,15 +118,21 @@ def energy_identity_closed_form(space: AmbientSpace, size: int, m: int) -> int:
     ) + size**2 * gaussian_binomial_or_zero(n - 1, m - 1, p)
 
 
-def verify_energy_identity(E: PointSet, m: int) -> tuple[int, int, bool]:
-    """Combinatorial energy over A(n,m) against the closed form, exact integers."""
-    lhs = energy_over_all_planes(E, m)
+def verify_energy_identity(
+    E: PointSet, m: int, directions: SubspaceArray | None = None
+) -> tuple[int, int, bool]:
+    """Combinatorial energy over A(n,m) against the closed form, exact integers.
+
+    ``directions`` is as in :func:`energy_over_all_planes`.
+    """
+    lhs = energy_over_all_planes(E, m, directions)
     rhs = energy_identity_closed_form(E.space, E.cardinality, m)
     return lhs, rhs, lhs == rhs
 
 
 def verify_energy_identity_fourier(
-    E: PointSet, m: int, spectrum: Spectrum | None = None
+    E: PointSet, m: int, spectrum: Spectrum | None = None,
+    directions: SubspaceArray | None = None,
 ) -> tuple[float, int, float]:
     """Spectral recomputation of the energy identity.
 
@@ -120,10 +143,10 @@ def verify_energy_identity_fourier(
     Each dual is summed over its points in the order of
     ``perp(V).point_indices()`` (see ``subspaces._point_blocks``), and
     the sums are added in V order, so the float result does not depend on
-    the blocking.
+    the blocking.  ``directions`` is as in :func:`energy_over_all_planes`.
     """
     space, p, n = E.space, E.space.p, E.space.n
-    directions = SubspaceArray.grassmannian(space, m)  # refuses m outside [0, n]
+    directions = _all_directions(space, m, directions)  # refuses m outside [0, n]
     if spectrum is None:
         spectrum = dft(E)
     power = spectrum.moduli() ** 2

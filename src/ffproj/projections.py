@@ -403,11 +403,23 @@ def projection_sizes(
 
 def compare_to_power(value: Fraction, base: int, exponent: Fraction) -> int:
     """Sign of (value - base^exponent), computed exactly for value >= 0."""
-    if value < 0:
+    return _quotient_sign(value.numerator, value.denominator, base, exponent)
+
+
+def _quotient_sign(a: int, b: int, base: int, exponent: Fraction) -> int:
+    """Sign of (a/b - base^exponent) for integers a >= 0 and b > 0, by integer cross-products.
+
+    With exponent = e/q (q > 0), a/b and base^(e/q) are ordered as a^q and
+    b^q base^e, or, for e < 0, as a^q base^(-e) and b^q.
+    """
+    if a < 0:
         raise ValueError("value must be nonnegative")
-    q = exponent.denominator
-    lhs = value**q
-    rhs = Fraction(base) ** exponent.numerator
+    e, q = exponent.numerator, exponent.denominator
+    lhs, rhs = a**q, b**q
+    if e >= 0:
+        rhs *= base**e
+    else:
+        lhs *= base**-e
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -420,7 +432,7 @@ def floor_power_quotient(base: int, exponent: Fraction, divisor: int) -> int:
     # binary search for the largest k with k*divisor <= base^exponent
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if compare_to_power(Fraction(mid * divisor), base, exponent) <= 0:
+        if _quotient_sign(mid * divisor, 1, base, exponent) <= 0:
             lo = mid
         else:
             hi = mid - 1
@@ -436,10 +448,15 @@ class ExactBound:
     exponent: Fraction
 
     def satisfied_by(self, observed: int) -> bool:
-        """observed <= coeff * base^exponent, decided exactly."""
-        if self.coeff <= 0:
-            return observed <= 0 and self.coeff == 0
-        return compare_to_power(Fraction(observed) / self.coeff, self.base, self.exponent) <= 0
+        """observed <= coeff * base^exponent, decided exactly (in integers)."""
+        coeff = self.coeff
+        if coeff <= 0:
+            return observed <= 0 and coeff == 0
+        # observed / coeff is observed d / c for coeff = c / d
+        sign = _quotient_sign(
+            observed * coeff.denominator, coeff.numerator, self.base, self.exponent
+        )
+        return sign <= 0
 
     def as_fraction(self) -> Fraction | None:
         if self.exponent.denominator != 1:

@@ -486,20 +486,62 @@ class SubspaceArray(SequenceABC):
         )
 
 
-def _dual_bases(directions: SubspaceArray) -> SubspaceArray:
+def _dual_generators(bases: np.ndarray, compact: bool) -> np.ndarray:
+    """I - M^T for each basis B of a (c, k, n) stack, M placing each row of B at its pivot row.
+
+    Row q of I - M^T is e_q - sum_i B[i, q] e_{P_i}, P_i the pivot of row
+    i of B.  It is zero when q is a pivot, as B[i', P_i] is 1 for i = i'
+    and 0 otherwise, and orthogonal to every row of B when q is not.  The
+    n - k rows at non-pivot columns are independent (row q alone is
+    non-zero at q), so they span Per(W).  A zero row of B places nothing:
+    bases padded with zero rows give the same generators.  ``compact``
+    keeps only the non-zero rows, in increasing q, when no basis is padded.
+    Entries are not reduced mod p.
+    """
+    c, k, n = bases.shape
+    at_pivot = _pivot_columns(bases)[:, :, None] == np.arange(n)
+    generators = np.eye(n, dtype=np.int64) - bases.transpose(0, 2, 1) @ at_pivot
+    if compact:
+        generators = generators[~at_pivot.any(axis=1)].reshape(c, n - k, n)
+    return generators
+
+
+def _dual_bases(directions):
     """Per(W) for each W of ``directions``, in order; :func:`perp` is one row of it.
 
-    Per(W) is spanned by the n - k independent columns of the label map Q_W,
-    so a map block is dualised with one :func:`rref_stack` of the stacked
-    Q_W^T, and every dual basis must come out with no zero row.
+    ``directions`` is one :class:`SubspaceArray`, whose duals are returned
+    as one, or a sequence of arrays of one space and any dimensions, whose
+    duals are returned as a list.  All bases are stacked, padded with zero
+    rows, and their generators (:func:`_dual_generators`: the n - k
+    non-zero rows when every array has dimension k, else all n rows) are
+    reduced by one :func:`rref_stack`, one per block of rows under the
+    kernel cap.  The RREF of a span is unique, so a dual basis is the first
+    n - k rows of its reduced generators, and none of them may be zero.
     """
-    space = directions.space
-    bases = [np.zeros((0, space.n - directions.dim, space.n), dtype=np.int64)]
-    bases += [rref_stack(Q.transpose(0, 2, 1), space.p) for Q in directions.label_map_blocks()]
-    bases = np.concatenate(bases)
-    if not bases.any(axis=2).all():  # rank-nullity; cannot fail
-        raise IdentityError("rank-deficient dual basis")
-    return SubspaceArray._unchecked(space, bases)
+    if isinstance(directions, SubspaceArray):
+        return _dual_bases([directions])[0]
+    if not directions:
+        return []
+    space = directions[0].space
+    n = space.n
+    dims = [G.dim for G in directions]
+    ends = np.cumsum([len(G) for G in directions]).tolist()
+    bases = np.zeros((ends[-1], max(dims), n), dtype=np.int64)
+    for G, end in zip(directions, ends):
+        bases[end - len(G) : end, : G.dim] = G.bases
+    compact = len(set(dims)) == 1
+    stack = np.empty((len(bases), n - dims[0] if compact else n, n), dtype=np.int64)
+    rows = _block_rows(8 * n * n)  # a block's generators before they are compacted
+    for lo in range(0, len(bases), rows):
+        generators = _dual_generators(bases[lo : lo + rows], compact)
+        stack[lo : lo + rows] = rref_stack(generators, space.p)
+    duals = []
+    for G, end in zip(directions, ends):
+        dual = np.ascontiguousarray(stack[end - len(G) : end, : n - G.dim])
+        if not dual.any(axis=2).all():  # rank-nullity; cannot fail
+            raise IdentityError("rank-deficient dual basis")
+        duals.append(SubspaceArray._unchecked(space, dual))
+    return duals
 
 
 def _point_blocks(subspaces: SubspaceArray) -> Iterator[np.ndarray]:

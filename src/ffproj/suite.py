@@ -21,6 +21,8 @@ from .projections import _coset_histograms, census_fractional_image, census_smal
 from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
     SubspaceArray,
+    _check_budget,
+    _check_enumeration,
     _dual_bases,
     _pivot_columns,
     _point_blocks,
@@ -84,14 +86,15 @@ def run_identity_suite(
 ) -> dict:
     """Run the full identity battery; returns a manifest with per-check results."""
     checks = {name: _Check(name) for name in _CHECKS}
-    for p in primes:
-        for n in dims:
-            space = AmbientSpace(p, n)
-            cell = _cell(space)
-            _cell_checks(cell, binomial, checks)
-            sets = _test_sets(space, seed)
-            for (set_name, E), (spectrum, held) in zip(sets, _sweep_sets(cell, sets)):
-                _per_set_checks(cell, E, set_name, spectrum, held, binomial, checks)
+    spaces = [AmbientSpace(p, n) for p in primes for n in dims]
+    for space in spaces:  # every cell of the grid, before any table is built
+        _check_cell(space)
+    for space in spaces:
+        cell = _cell(space)
+        _cell_checks(cell, binomial, checks)
+        sets = _test_sets(space, seed)
+        for (set_name, E), (spectrum, held) in zip(sets, _sweep_sets(cell, sets)):
+            _per_set_checks(cell, E, set_name, spectrum, held, binomial, checks)
 
     summaries = [c.summary() for c in checks.values()]
     return {
@@ -103,14 +106,30 @@ def run_identity_suite(
     }
 
 
+def _check_cell(space: AmbientSpace) -> None:
+    """Refuse a cell over the enumeration budget: each G(n, d), then its largest table.
+
+    The largest table of a cell is that of its character sums: one entry
+    per subspace V in G(n, k), k < n, and point of F_p^n, held for the
+    largest G(n, k) at once.  Only Gaussian binomials are computed.
+    """
+    p, n = space.p, space.n
+    for d in range(n + 1):
+        _check_enumeration(space, d, None)
+    k = n // 2  # C(n, k)_p is largest at k = n // 2 < n
+    size = gaussian_binomial(n, k, p) * p**n
+    _check_budget(f"the character-sum table of G({n},{k}) x F_{p}^{n}", size, None)
+
+
 def _cell(space: AmbientSpace) -> tuple:
     """What the checks of one (p, n) cell read, held per G(n, d).
 
-    The directions, their duals Per(W) row for row, the points of each, the
-    bases as witnesses and the dual route of :func:`_dual_route`.
+    The directions, their duals Per(W) row for row (all from one
+    :func:`_dual_bases` call), the points of each, the bases as witnesses
+    and the dual route of :func:`_dual_route`.
     """
     arrays = {d: SubspaceArray.grassmannian(space, d) for d in range(space.n + 1)}
-    duals = {d: _dual_bases(G) for d, G in arrays.items()}
+    duals = dict(zip(arrays, _dual_bases(list(arrays.values()))))
     members = {d: np.concatenate(list(_point_blocks(G))) for d, G in arrays.items()}
     dual_points = {d: np.concatenate(list(_point_blocks(P))) for d, P in duals.items()}
     bases = {d: [tuple(map(tuple, W)) for W in G.bases.tolist()] for d, G in arrays.items()}
@@ -151,11 +170,12 @@ def _cell_checks(cell, binomial, checks) -> None:
             first_bad_xi=int(bad[0] + 1) if bad.size else None,
         )
 
+    # only canonical bases have a dual; those of every G(n, m) are dualised at once
+    canonical = [m for m, P in duals.items() if _rref_fault(P.bases, p) is None]
+    back = dict(zip(canonical, _dual_bases([duals[m] for m in canonical])))
     for m, G in arrays.items():
         P = duals[m]
-        # only canonical bases have a dual
-        canonical = _rref_fault(P.bases, p) is None
-        involutive = canonical and bool(np.array_equal(_dual_bases(P).bases, G.bases))
+        involutive = m in back and bool(np.array_equal(back[m].bases, G.bases))
         distinct = len(set(map(tuple, P.bases.reshape(len(P), -1).tolist())))
         bijective = distinct == len(G) and P.dim == n - m
         checks["perp_duality"].record(

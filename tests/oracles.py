@@ -10,10 +10,14 @@ computed digit by digit rather than from a table of squares,
 :func:`tensordot_dft`, the axis-wise transform as first written, which pins
 the bytes of ``dft`` rather than cross-checking its values, and
 :func:`token_cast_load_point_set`, the point-file parser as first written,
-whose results and error messages the one-pass parser must reproduce.
+whose results and error messages the one-pass parser must reproduce, and
+:func:`fraction_compare_to_power` and :func:`fraction_satisfied_by`, the
+exact bound decisions as first written, in ``Fraction`` arithmetic, whose
+signs the integer cross-products must reproduce.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -205,3 +209,21 @@ def token_cast_load_point_set(path):
             raise ValueError(f"line {lineno}: bad coordinates {line!r}") from exc
         space.validate_vector(coords)
     raise IdentityError("no bad line found in a point file that failed to parse")
+
+
+def fraction_compare_to_power(value, base, exponent):
+    """``projections.compare_to_power`` as first written: Fraction powers."""
+    if value < 0:
+        raise ValueError("value must be nonnegative")
+    q = exponent.denominator
+    lhs = value**q
+    rhs = Fraction(base) ** exponent.numerator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def fraction_satisfied_by(bound, observed):
+    """``ExactBound.satisfied_by`` as first written: a Fraction quotient against the power."""
+    if bound.coeff <= 0:
+        return observed <= 0 and bound.coeff == 0
+    quotient = Fraction(observed) / bound.coeff
+    return fraction_compare_to_power(quotient, bound.base, bound.exponent) <= 0

@@ -21,6 +21,7 @@ from ffproj.subspaces import (
     Subspace,
     SubspaceArray,
     _dual_bases,
+    _dual_generators,
     _pivot_columns,
     _point_blocks,
     _residue_codes,
@@ -134,6 +135,35 @@ def test_batched_dual_is_perp(cell, cap, rng):
     assert list(dual_array) == duals
     assert all(b.flags.c_contiguous for b in blocks)
     assert np.concatenate(blocks).tolist() == [ordered_span_indices(P.basis, p, n) for P in duals]
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 4), st.data())
+@example(2, 3, None)  # every G(3, d) over F_2, in one call
+@settings(max_examples=60, deadline=None)
+def test_batched_duals_are_the_per_array_duals_and_perp(p, n, data):
+    space = AmbientSpace(p, n)
+    if data is None:
+        arrays = [SubspaceArray.grassmannian(space, d) for d in range(n + 1)]
+    else:  # random canonical stacks of mixed dimensions, the zero and full subspaces among them
+        arrays = []
+        for d in data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4)):
+            G = SubspaceArray.grassmannian(space, d)
+            picks = data.draw(st.lists(st.integers(0, len(G) - 1), max_size=5))
+            arrays.append(SubspaceArray._unchecked(space, G.bases[picks]))
+    batched = _dual_bases(arrays)
+    assert len(batched) == len(arrays)
+    for G, duals in zip(arrays, batched):
+        alone = _dual_bases(G)
+        assert duals.bases.shape == (len(G), n - G.dim, n)
+        assert np.array_equal(duals.bases, alone.bases)
+        assert SubspaceArray(space, duals.bases) == duals  # every dual basis is canonical
+        assert list(duals) == [perp(W) for W in G]  # row for row
+        if len(G):  # the generators are the rows of Q_W^T
+            generators = _dual_generators(G.bases, True) % p
+            assert np.array_equal(generators, label_maps(G.bases, p).transpose(0, 2, 1))
+        if p**n <= 125:
+            for W, P in zip(G, duals):
+                assert span_points(P.basis, p, n) == brute_perp(W.basis, p, n)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.data())

@@ -11,7 +11,7 @@ import pytest
 
 from ffproj import cli, projections, subspaces
 from ffproj.core import AmbientSpace, load_point_set, save_point_set
-from ffproj.subspaces import Subspace
+from ffproj.subspaces import Subspace, SubspaceArray
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -403,6 +403,54 @@ def test_over_cap_point_file_is_refused_before_its_body_is_parsed(
         "use pointwise_coefficient for single xi\n"
     )
     assert peak < 1 << 20
+
+
+def test_oversized_verify_cell_is_refused_before_its_tables(workdir, monkeypatch, capsys):
+    # 101 is prime, each G(3, d) is under the budget and p^n under the spectrum cap, but the
+    # cell's character sums would take |G(3,1)| x 101^3 entries
+    monkeypatch.delenv("FFPROJ_BUDGET", raising=False)
+    monkeypatch.chdir(workdir)
+    cli.build_parser()  # cached, so the parser is not counted below
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--p", "101", "--n", "3", "--out", "report.json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "budget error: the character-sum table of G(3,1) x F_101^3 has 10615191203 elements, "
+        "over budget 10000000\n"
+    )
+    assert peak < 1 << 20
+    assert not (workdir / "report.json").exists()
+
+
+def test_energy_builds_its_grassmannian_once(workdir, monkeypatch, capsys):
+    from ffproj.energy import verify_energy_identity, verify_energy_identity_fourier
+
+    streams = []
+    real_patterns = subspaces._pattern_blocks
+
+    def counted_patterns(space, m):
+        streams.append(m)
+        return real_patterns(space, m)
+
+    monkeypatch.setattr(subspaces, "_pattern_blocks", counted_patterns)
+    monkeypatch.chdir(workdir)
+    assert cli.main(["energy", "--pointset", "line.pts", "--m", "1"]) == 0
+    assert streams == [1]  # one G(2,1), swept by both sides of the identity
+    report = json.loads(capsys.readouterr().out)["report"]
+    E = load_point_set(workdir / "line.pts")
+    # a call without directions= builds its own, with the same result
+    assert verify_energy_identity(E, 1) == (report["energy"], report["closed_form"], True)
+    assert verify_energy_identity_fourier(E, 1)[0] == report["spectral"]
+    for wrong in (SubspaceArray.grassmannian(E.space, 0),
+                  SubspaceArray.grassmannian(E.space, 1)[:2],
+                  SubspaceArray.grassmannian(AmbientSpace(5, 2), 1)):
+        for check in (verify_energy_identity, verify_energy_identity_fourier):
+            with pytest.raises(ValueError, match=r"directions must be all of G\(2,1\) over F_3"):
+                check(E, 1, directions=wrong)
 
 
 def test_config_file_merge(workdir):

@@ -34,6 +34,8 @@ from oracles import (
     brute_coset_counts,
     brute_cosets_hit,
     brute_energy,
+    fraction_compare_to_power,
+    fraction_satisfied_by,
     int64_coset_labels,
     span_points,
     vec_add,
@@ -667,6 +669,44 @@ def test_compare_to_power_exact():
     assert compare_to_power(Fraction(9), 2, Fraction(3)) > 0
     assert compare_to_power(Fraction(2), 2, Fraction(1, 2)) > 0  # 2 > sqrt(2)
     assert compare_to_power(Fraction(3), 5, Fraction(3, 4)) < 0  # 3 < 5^(3/4)
+
+
+@given(
+    st.fractions(min_value=0, max_value=10**4, max_denominator=60),
+    st.sampled_from([1, 2, 3, 5, 7, 31, 101]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.fractions(min_value=-5, max_value=50, max_denominator=24),
+    st.integers(0, 10**4),
+    st.integers(1, 12),
+)
+@example(Fraction(0), 2, Fraction(3, 2), Fraction(0), 0, 10)  # value 0, coeff 0
+@example(Fraction(0), 5, Fraction(-1, 2), Fraction(-3, 4), 1, 3)  # a negative coeff
+@example(Fraction(1), 7, Fraction(0), Fraction(1, 3), 0, 1)  # exponent 0: a tie
+@example(Fraction(1, 25), 5, Fraction(-2), Fraction(1, 25), 1, 1)  # ties below 1
+@example(Fraction(3, 2), 2, Fraction(-1, 3), Fraction(7, 5), 2, 7)
+@settings(max_examples=300, deadline=None)
+def test_integer_bound_decisions_match_the_fraction_ones(
+    value, base, exponent, coeff, observed, divisor
+):
+    assert compare_to_power(value, base, exponent) == fraction_compare_to_power(
+        value, base, exponent
+    )
+    bound = ExactBound(coeff, base, exponent)
+    assert bound.satisfied_by(observed) == fraction_satisfied_by(bound, observed)
+    # the search finds the largest k with k divisor <= base^exponent, by the old decisions
+    if exponent >= 0 and base > 1 and exponent <= 4:
+        k = floor_power_quotient(base, exponent, divisor)
+        assert fraction_compare_to_power(Fraction(k * divisor), base, exponent) <= 0
+        assert fraction_compare_to_power(Fraction((k + 1) * divisor), base, exponent) > 0
+
+
+def test_exact_bound_decisions_refuse_a_negative_quotient():
+    for decide in (
+        lambda: compare_to_power(Fraction(-1, 3), 3, Fraction(1, 2)),
+        lambda: ExactBound(Fraction(2), 3, Fraction(1)).satisfied_by(-1),
+    ):
+        with pytest.raises(ValueError, match="value must be nonnegative"):
+            decide()
 
 
 def test_exact_bound_irrational_exponent():

@@ -123,16 +123,66 @@ def test_cell_enumerates_each_grassmannian_once(monkeypatch):
     assert sorted(streams) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("p,dims", [(2, (2, 3, 4)), (3, (2, 3)), (11, (2,))])
+def test_each_cell_reduces_its_duals_in_two_eliminations(monkeypatch, p, dims):
+    from ffproj import subspaces
+
+    calls = {"rref_stack": 0, "label_maps": 0}
+
+    def counted(name):
+        real = getattr(subspaces, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(subspaces, name, counted(name))
+    for n in dims:
+        calls.update(rref_stack=0, label_maps=0)
+        cell = suite._cell(AmbientSpace(p, n))
+        assert calls == {"rref_stack": 1, "label_maps": 0}  # every dual of the cell at once
+        checks = {name: suite._Check(name) for name in suite._CHECKS}
+        suite._cell_checks(cell, gaussian_binomial, checks)
+        assert calls == {"rref_stack": 2, "label_maps": 0}  # and the involution check
+    calls.update(rref_stack=0)
+    assert run_identity_suite(primes=(p,), dims=dims)["all_pass"] is True
+    assert calls["rref_stack"] == 2 * len(dims)
+
+
+def test_oversized_cells_are_refused_before_any_table(monkeypatch):
+    from ffproj.core import BudgetError
+
+    monkeypatch.delenv("FFPROJ_BUDGET", raising=False)
+    built = []
+    with monkeypatch.context() as mp:
+        mp.setattr(suite, "_cell", built.append)
+        # the grid's last cell is over budget: no cell runs
+        with pytest.raises(BudgetError, match=r"G\(3,1\) x F_101\^3 has 10615191203 elements"):
+            run_identity_suite(primes=(2, 101), dims=(3,))
+    assert built == []
+    # the benchmark's eight cells, F_3^4 and F_5^3 are under it
+    for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2), (3, 4), (5, 3)]:
+        suite._check_cell(AmbientSpace(p, n))
+    for p, n in [(3, 4), (5, 3)]:
+        assert run_identity_suite(primes=(p,), dims=(n,))["all_pass"] is True
+
+
 real_dual_bases = suite._dual_bases
 
 
 @pytest.mark.parametrize("p", [2, 3])  # over F_2 the shift zeroes some rows: no basis at all
 def test_wrong_dual_basis_fails_projection_duality(monkeypatch, p):
-    def shifted(directions):
-        duals = real_dual_bases(directions)
+    def shift(duals):
         bases = duals.bases.copy()
         bases[..., -1] = (bases[..., -1] + 1) % duals.space.p
         return SubspaceArray._unchecked(duals.space, bases)  # the public constructor refuses them
+
+    def shifted(arrays):  # the suite dualises a cell's Grassmannians in one call
+        assert isinstance(arrays, list)
+        return [shift(duals) for duals in real_dual_bases(arrays)]
 
     monkeypatch.setattr(suite, "_dual_bases", shifted)
     manifest = run_identity_suite(primes=(p,), dims=(3,))
