@@ -236,8 +236,8 @@ def key_lemma_check(
         raise ValueError(f"{len(second_moments)} second moments for {len(directions)} directions")
     total = sum(map(int, second_moments))
     size, theta = E.cardinality, len(directions)
-    bound_pairs = Fraction(size * theta + 2 * size**2 * p ** ((n - m - 1) * m))
-    bound_fourier = 2 * size * p ** ((n - m) * m) + Fraction(size**2 * theta, p**m)
+    pairs, fourier = _key_lemma_bounds(p, n, m, size, theta)
+    bound_pairs, bound_fourier = Fraction(pairs), Fraction(fourier, p**m)
     condition_ok = binom_at_most_twice_power(
         n - 1, n - m - 1, p
     ) and binom_at_most_twice_power(n - 1, m - 1, p)
@@ -254,3 +254,14 @@ def key_lemma_check(
         small_set_regime=size <= p**m,
         ok=total <= min(bound_pairs, bound_fourier),
     )
+
+
+def _key_lemma_bounds(p, n, m, size, theta):
+    """bound_pairs, and bound_fourier times p^m, as integers.
+
+    The arguments may be arrays of Python ints, broadcast against each other,
+    to bound many (set, m, Theta) instances at once.
+    """
+    pairs = size * theta + 2 * size**2 * p ** ((n - m - 1) * m)
+    fourier = 2 * size * p ** ((n - m) * m + m) + size**2 * theta
+    return pairs, fourier

@@ -14,7 +14,6 @@ so satisfaction is decided by integer arithmetic, never by floats.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -542,8 +541,8 @@ def _census_report(
     if len(sizes) != len(directions):
         raise ValueError(f"{len(sizes)} image sizes for {len(directions)} directions")
     p, n = E.space.p, E.space.n
-    threshold = Fraction(threshold)
-    observed = int((sizes <= math.floor(threshold)).sum())
+    threshold = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
+    observed = int((sizes <= threshold.numerator // threshold.denominator).sum())
     return CensusReport(
         kind=kind,
         p=p,
@@ -559,6 +558,19 @@ def _census_report(
         directions=directions,
         sizes=sizes,
     )
+
+
+def _small_image_bound(p: int, n: int, m: int, N: int) -> ExactBound:
+    """The small-image census bound 4 N p^(m(n-m)-m)."""
+    return ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m))
+
+
+def _fractional_image_bound(p: int, n: int, m: int, a: int, b: int, size: int) -> ExactBound:
+    """The fractional-image census bound 2 (delta/(1-delta)) p^(m(n-m)+m) / |E| for delta = a/b.
+
+    Its coefficient is 2a / ((b - a) |E|), built from integers.
+    """
+    return ExactBound(Fraction(2 * a, (b - a) * size), p, Fraction(m * (n - m) + m))
 
 
 def census_small_image(
@@ -579,7 +591,7 @@ def census_small_image(
         E, m, sweep,
         kind="small_image",
         threshold=N,
-        bound=ExactBound(Fraction(4 * N), p, Fraction(m * (n - m) - m)),
+        bound=_small_image_bound(p, n, m, N),
         hypothesis_ok=2 * N < E.cardinality,
         range_k=n - m - 1,
         params={"N": N, "set_size": E.cardinality},
@@ -594,19 +606,16 @@ def census_fractional_image(
     ``sweep`` is as in :func:`census_small_image`.
     """
     p, n = E.space.p, E.space.n
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
+    delta = delta if isinstance(delta, Fraction) else Fraction(delta)
+    a, b = delta.numerator, delta.denominator
+    if not 0 < a < b:
         raise ValueError("delta must lie strictly between 0 and 1")
     size = E.cardinality
     return _census_report(
         E, m, sweep,
         kind="fractional_image",
-        threshold=delta * p**m,
-        bound=(
-            ExactBound(2 * delta / (1 - delta) / size, p, Fraction(m * (n - m) + m))
-            if size > 0
-            else None
-        ),
+        threshold=Fraction(a * p**m, b),
+        bound=_fractional_image_bound(p, n, m, a, b, size) if size > 0 else None,
         hypothesis_ok=size > 0,
         range_k=m - 1,
         params={"delta": delta, "set_size": size},

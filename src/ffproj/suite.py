@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet, base_p_digits, digits_of
-from .energy import energy_identity_closed_form, key_lemma_check
+from .energy import _key_lemma_bounds, energy_identity_closed_form
 from .fourier import TOLERANCE, _character_sum_rows, dft, plancherel_check
-from .projections import _coset_histograms, census_fractional_image, census_small_image
+from .projections import _coset_histograms, _fractional_image_bound, _small_image_bound
 from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
     SubspaceArray,
@@ -28,6 +28,7 @@ from .subspaces import (
     _point_blocks,
     _residue_codes,
     _rref_fault,
+    binom_at_most_twice_power,
     gaussian_binomial,
 )
 
@@ -43,6 +44,8 @@ _CHECKS = (
     "subspace_plancherel", "energy_identity", "energy_identity_spectral",
     "projection_duality", "census_bounds", "energy_bounds",
 )
+_DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))  # of the fractional-image census
+_INT64_BOUND = 2**63  # int64 sums and products are decided only when they stay below it
 
 
 def _test_sets(space: AmbientSpace, seed: int) -> list[tuple[str, PointSet]]:
@@ -63,10 +66,17 @@ class _Check:
         self.instances = 0
         self.failures: list[dict] = []
 
-    def record(self, ok: bool, **witness) -> None:
-        self.instances += 1
-        if not ok:
-            self.failures.append(witness)
+    def record_all(self, ok, witness: Callable[..., dict]) -> None:
+        """Add every entry of ``ok`` as an instance; each failing one's witness is built here.
+
+        ``witness(*index)`` is called on the index of each False entry, in
+        C order, so the failures follow the axes of ``ok``.
+        """
+        ok = np.asarray(ok, dtype=bool)
+        self.instances += ok.size
+        if not ok.all():
+            failing = np.unravel_index(np.flatnonzero(~ok), ok.shape)
+            self.failures.extend(witness(*index) for index in zip(*(i.tolist() for i in failing)))
 
     def summary(self) -> dict:
         return {
@@ -85,6 +95,18 @@ def run_identity_suite(
     binomial: Callable[[int, int, int], int] = gaussian_binomial,
 ) -> dict:
     """Run the full identity battery; returns a manifest with per-check results."""
+    summaries = [c.summary() for c in _run_checks(primes, dims, seed, binomial).values()]
+    return {
+        "primes": list(primes),
+        "dims": list(dims),
+        "seed": seed,
+        "checks": summaries,
+        "all_pass": all(s["pass"] for s in summaries),
+    }
+
+
+def _run_checks(primes, dims, seed, binomial) -> dict[str, _Check]:
+    """Every check of every (p, n) cell of the grid, in manifest order."""
     checks = {name: _Check(name) for name in _CHECKS}
     spaces = [AmbientSpace(p, n) for p in primes for n in dims]
     for space in spaces:  # every cell of the grid, before any table is built
@@ -93,17 +115,8 @@ def run_identity_suite(
         cell = _cell(space)
         _cell_checks(cell, binomial, checks)
         sets = _test_sets(space, seed)
-        for (set_name, E), (spectrum, held) in zip(sets, _sweep_sets(cell, sets)):
-            _per_set_checks(cell, E, set_name, spectrum, held, binomial, checks)
-
-    summaries = [c.summary() for c in checks.values()]
-    return {
-        "primes": list(primes),
-        "dims": list(dims),
-        "seed": seed,
-        "checks": summaries,
-        "all_pass": all(s["pass"] for s in summaries),
-    }
+        _set_checks(cell, sets, *_sweep_sets(cell, sets), binomial, checks)
+    return checks
 
 
 def _check_cell(space: AmbientSpace) -> None:
@@ -125,76 +138,98 @@ def _cell(space: AmbientSpace) -> tuple:
     """What the checks of one (p, n) cell read, held per G(n, d).
 
     The directions, their duals Per(W) row for row (all from one
-    :func:`_dual_bases` call), the points of each, the bases as witnesses
-    and the dual route of :func:`_dual_route`.
+    :func:`_dual_bases` call), the points of each and the dual route of
+    :func:`_dual_route`.
     """
     arrays = {d: SubspaceArray.grassmannian(space, d) for d in range(space.n + 1)}
     duals = dict(zip(arrays, _dual_bases(list(arrays.values()))))
     members = {d: np.concatenate(list(_point_blocks(G))) for d, G in arrays.items()}
     dual_points = {d: np.concatenate(list(_point_blocks(P))) for d, P in duals.items()}
-    bases = {d: [tuple(map(tuple, W)) for W in G.bases.tolist()] for d, G in arrays.items()}
     routes = {d: _dual_route(arrays[d], duals[d]) for d in arrays}
-    return space, arrays, duals, members, dual_points, bases, routes
+    return space, arrays, duals, members, dual_points, routes
+
+
+def _starts(arrays: dict) -> np.ndarray:
+    """Where each G(n, d) starts in the cell's Grassmannians stacked by d, then their end."""
+    return np.cumsum([0] + [len(G) for G in arrays.values()])
+
+
+def _direction(arrays: dict, starts: np.ndarray, j: int) -> tuple[int, tuple]:
+    """Row j of the stacked Grassmannians: its dimension d, and its basis as a witness names it."""
+    d = int(np.searchsorted(starts, j, side="right")) - 1
+    return d, tuple(map(tuple, arrays[d].bases[j - starts[d]].tolist()))
 
 
 def _cell_checks(cell, binomial, checks) -> None:
-    """Counting, containment, duality and character-sum checks of one cell."""
-    space, arrays, duals, members, dual_points, bases, _ = cell
+    """Counting, containment, duality and character-sum checks of one cell, one record each."""
+    space, arrays, duals, members, dual_points, _ = cell
     p, n = space.p, space.n
-    for m in range(n + 1):
-        observed = len(arrays[m])
-        expected = binomial(n, m, p)
-        checks["binomial_vs_enumeration"].record(
-            observed == expected, p=p, n=n, m=m,
-            observed=observed, expected=expected,
-        )
+    observed = [len(G) for G in arrays.values()]
+    expected = [binomial(n, m, p) for m in arrays]
+    checks["binomial_vs_enumeration"].record_all(
+        [o == e for o, e in zip(observed, expected)],
+        lambda m: {"p": p, "n": n, "m": m, "observed": observed[m], "expected": expected[m]},
+    )
 
-    for m in range(1, n):
-        g = binomial(n, m, p)
-        low = binomial(n - 1, m, p) + p ** (n - m) * binomial(n - 1, m - 1, p)
-        high = binomial(n - 1, m - 1, p) + p**m * binomial(n - 1, m, p)
-        sym = binomial(n, n - m, p)
-        checks["pascal_identities"].record(
-            g == low == high and g == sym, p=p, n=n, m=m,
-            value=g, recurrence_low=low, recurrence_high=high, symmetric=sym,
-        )
+    ms = list(range(1, n))
+    g = [binomial(n, m, p) for m in ms]
+    low = [binomial(n - 1, m, p) + p ** (n - m) * binomial(n - 1, m - 1, p) for m in ms]
+    high = [binomial(n - 1, m - 1, p) + p**m * binomial(n - 1, m, p) for m in ms]
+    sym = [binomial(n, n - m, p) for m in ms]
+    checks["pascal_identities"].record_all(
+        [a == b == c and a == d for a, b, c, d in zip(g, low, high, sym)],
+        lambda i: {
+            "p": p, "n": n, "m": ms[i], "value": g[i], "recurrence_low": low[i],
+            "recurrence_high": high[i], "symmetric": sym[i],
+        },
+    )
 
     # each xi != 0 lies in C(n-1, m-1)_p members of G(n,m) and in C(n-1, m)_p of their duals
     cases = [("member", m, members[m], binomial(n - 1, m - 1, p)) for m in range(1, n + 1)]
     cases += [("dual", m, dual_points[m], binomial(n - 1, m, p)) for m in range(n)]
-    for kind, m, points, expected in cases:
-        bad = np.flatnonzero(np.bincount(points.ravel(), minlength=p**n)[1:] != expected)
-        checks["containment_counts"].record(
-            bad.size == 0, p=p, n=n, m=m, kind=kind,
-            expected=expected,
-            first_bad_xi=int(bad[0] + 1) if bad.size else None,
-        )
+    bad = [
+        np.flatnonzero(np.bincount(points.ravel(), minlength=p**n)[1:] != expected)
+        for _, _, points, expected in cases
+    ]
+    checks["containment_counts"].record_all(
+        [b.size == 0 for b in bad],
+        lambda i: {
+            "p": p, "n": n, "m": cases[i][1], "kind": cases[i][0], "expected": cases[i][3],
+            "first_bad_xi": int(bad[i][0] + 1),
+        },
+    )
 
     # only canonical bases have a dual; those of every G(n, m) are dualised at once
     canonical = [m for m, P in duals.items() if _rref_fault(P.bases, p) is None]
     back = dict(zip(canonical, _dual_bases([duals[m] for m in canonical])))
+    involutive, bijective = [], []
     for m, G in arrays.items():
         P = duals[m]
-        involutive = m in back and bool(np.array_equal(back[m].bases, G.bases))
+        involutive.append(m in back and bool(np.array_equal(back[m].bases, G.bases)))
         distinct = len(set(map(tuple, P.bases.reshape(len(P), -1).tolist())))
-        bijective = distinct == len(G) and P.dim == n - m
-        checks["perp_duality"].record(
-            involutive and bijective, p=p, n=n, m=m,
-            involutive=involutive, bijective=bijective,
-        )
+        bijective.append(distinct == len(G) and P.dim == n - m)
+    checks["perp_duality"].record_all(
+        np.logical_and(involutive, bijective),
+        lambda m: {"p": p, "n": n, "m": m, "involutive": involutive[m], "bijective": bijective[m]},
+    )
 
     # the character sum of Per(V) is |Per(V)| on V and vanishes off V
     points = digits_of(space, np.arange(p**n))
+    worst = []
     for k in range(n):
-        dual_size = p ** (n - k)
         sums = _character_sum_rows(space, points, dual_points[k])
         expected = np.zeros(sums.shape)
-        expected[np.arange(len(sums))[:, None], members[k]] = dual_size
-        worst = np.abs(sums - expected).max(axis=1).tolist()
-        for V, w in zip(bases[k], worst):
-            checks["character_sums"].record(
-                w <= TOLERANCE * dual_size, p=p, n=n, dim=k, subspace=V, worst=w,
-            )
+        expected[np.arange(len(sums))[:, None], members[k]] = p ** (n - k)
+        worst.append(np.abs(sums - expected).max(axis=1))
+    worst = np.concatenate(worst)
+    starts = _starts(arrays)
+    dims = np.repeat(np.arange(n), np.diff(starts[: n + 1]))
+
+    def witness(j):
+        d, V = _direction(arrays, starts, j)
+        return {"p": p, "n": n, "dim": d, "subspace": V, "worst": float(worst[j])}
+
+    checks["character_sums"].record_all(worst <= TOLERANCE * p ** (n - dims), witness)
 
 
 def _dual_route(directions: SubspaceArray, duals: SubspaceArray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,99 +274,196 @@ def _direction_reductions(digits, tags, ntags, directions, maps, relabel) -> lis
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _sweep_sets(cell, sets) -> list[tuple]:
-    """Each test set's spectrum and its columns of one tagged sweep per G(n,d), all sets at once.
+def _sweep_sets(cell, sets) -> tuple[list, list[np.ndarray]]:
+    """The test sets' spectra, and the columns of one tagged sweep per G(n,d), all sets at once.
 
-    Per d, the columns of :func:`_direction_reductions`, then the dual sums of subspace
-    Plancherel: sum_j |E n (x_j + W)|^2 = p^(d-n) sum_{xi in Per(W)} |Ehat(xi)|^2.
+    The columns of :func:`_direction_reductions`, then the dual sums of subspace Plancherel,
+    sum_{xi in Per(W)} |Ehat(xi)|^2, each a (directions, sets) array that stacks the
+    directions of G(n, 0), G(n, 1), ..., G(n, n) in order (see :func:`_starts`).
     """
-    space, arrays, _, _, dual_points, _, routes = cell
+    space, arrays, _, _, dual_points, routes = cell
     indices = [E.indices() for _, E in sets]
     digits = digits_of(space, np.concatenate(indices))
     tags = np.repeat(np.arange(len(sets)), [len(i) for i in indices])
     spectra = [dft(E) for _, E in sets]
     power = np.stack([spectrum.moduli() ** 2 for spectrum in spectra])
-    held = {  # np.take keeps each gathered row contiguous: it sums like the library's 1-D sum
-        d: [*_direction_reductions(digits, tags, len(sets), G, *routes[d]),
-            np.take(power, dual_points[d], axis=1).sum(axis=2).T]
+    held = [  # np.take keeps each gathered row contiguous: it sums like the library's 1-D sum
+        [*_direction_reductions(digits, tags, len(sets), G, *routes[d]),
+         np.take(power, dual_points[d], axis=1).sum(axis=2).T]
         for d, G in arrays.items()
-    }
-    return [(s, {d: [c[:, k] for c in held[d]] for d in held}) for k, s in enumerate(spectra)]
+    ]
+    return spectra, [np.concatenate(column) for column in zip(*held)]
 
 
-def _per_set_checks(cell, E, set_name, spectrum, held, binomial, checks) -> None:
-    """Every check on one set, from its spectrum and its columns of the cell's held sweeps."""
-    space, arrays, _, _, _, bases, _ = cell
+def _set_checks(cell, sets, spectra, columns, binomial, checks) -> None:
+    """Every check on the cell's test sets, each decided over all of them at once.
+
+    ``spectra`` and ``columns`` are as :func:`_sweep_sets` returns them.  Each
+    check is one array decision and one record per cell; its failures are
+    listed set by set, then by d or m, then by direction, threshold or Theta.
+    """
+    space, arrays = cell[0], cell[1]
     p, n = space.p, space.n
-    size = E.cardinality
-    lhs, rhs, ok = plancherel_check(spectrum)
-    checks["plancherel"].record(ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
-    for d in range(n + 1):
-        energy, spectral = 0, 0.0  # energy(E, A(n,d)), summed over the directions W
-        n_cosets = p ** (n - d)
-        for W, total, image, lhs, dual_image, same, dual_sum in zip(
-            bases[d], *(column.tolist() for column in held[d])
-        ):
-            where = {"p": p, "n": n, "set": set_name, "subspace": W}
-            checks["coset_decomposition"].record(
-                total == size
-                and image == dual_image
-                and (size == 0 or 1 <= dual_image <= min(size, n_cosets)),
-                **where,
-            )
-            checks["cauchy_schwarz"].record(size**2 <= image * lhs, **where)
-            rhs = dual_sum / n_cosets
-            checks["subspace_plancherel"].record(
-                abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs), **where, lhs=lhs, rhs=rhs
-            )
-            energy += lhs
-            spectral += rhs
-            if 1 <= d <= n - 1:
-                checks["projection_duality"].record(same, **where)
+    names = [name for name, _ in sets]
+    size = np.array([E.cardinality for _, E in sets], dtype=np.int64)  # <= p^n <= 2^22
+    size_py = size.astype(object)  # as Python ints
+    starts = _starts(arrays)
+    total, image, moment, dual_image, same, dual_sum = columns
+    # every product or sum of image sizes and second moments below is at most this
+    if max(int(image.max()), len(moment)) * int(moment.max()) >= _INT64_BOUND:
+        image, moment = image.astype(object), moment.astype(object)
+    cosets = np.repeat(p ** (n - np.arange(n + 1)), np.diff(starts))[:, None]  # p^(n-d)
 
-        rhs = energy_identity_closed_form(space, size, d)
-        rhs_injected = size * p**d * _or_zero(binomial, n - 1, d, p) + (
-            size**2 * _or_zero(binomial, n - 1, d - 1, p)
-        )
-        checks["energy_identity"].record(
-            energy == rhs == rhs_injected, p=p, n=n, m=d, set=set_name,
-            combinatorial=energy, closed_form=rhs_injected,
-        )
-        diff = abs(spectral - rhs)
-        checks["energy_identity_spectral"].record(
-            diff <= TOLERANCE * max(1.0, rhs), p=p, n=n, m=d, set=set_name,
-            spectral=spectral, closed_form=rhs, diff=diff,
-        )
+    plancherel = [plancherel_check(spectrum) for spectrum in spectra]
+    checks["plancherel"].record_all(
+        [ok for *_, ok in plancherel],
+        lambda s: {
+            "p": p, "n": n, "set": names[s], "lhs": plancherel[s][0], "rhs": plancherel[s][1],
+        },
+    )
 
-    for m in range(1, n):
-        directions = arrays[n - m]
-        sweep = (directions, held[n - m][1])
-        if size:
-            for N in sorted({1, size // 4} - {0}):
-                report = census_small_image(E, m, N, sweep=sweep)
-                if report.hypothesis_ok and report.range_condition_ok:
-                    checks["census_bounds"].record(
-                        bool(report.satisfied), p=p, n=n, m=m, set=set_name,
-                        kind="small_image", N=N, observed=report.observed,
-                    )
-            for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                report = census_fractional_image(E, m, delta, sweep=sweep)
-                if report.hypothesis_ok and report.range_condition_ok:
-                    checks["census_bounds"].record(
-                        bool(report.satisfied), p=p, n=n, m=m, set=set_name,
-                        kind="fractional_image", delta=str(delta),
-                        observed=report.observed,
-                    )
-        half = max(1, len(directions) // 2)
-        for theta_name, theta in (("all", directions), ("half", directions[:half])):
-            result = key_lemma_check(E, theta, held[n - m][2][: len(theta)])
-            if result.condition_ok:
-                checks["energy_bounds"].record(
-                    result.ok, p=p, n=n, m=m, set=set_name, theta=theta_name,
-                    energy=result.energy,
-                    bound_pairs=float(result.bound_pairs),
-                    bound_fourier=float(result.bound_fourier),
-                )
+    # per (direction, set), recorded transposed: set, then d, then direction
+    def where(s, j):
+        return {"p": p, "n": n, "set": names[s], "subspace": _direction(arrays, starts, j)[1]}
+
+    in_range = (1 <= dual_image) & (dual_image <= np.minimum(size, cosets))
+    checks["coset_decomposition"].record_all(
+        ((total == size) & (image == dual_image) & ((size == 0) | in_range)).T, where
+    )
+    checks["cauchy_schwarz"].record_all((size**2 <= image * moment).T, where)
+    lhs, rhs = _plancherel_sides(moment, dual_sum, cosets)
+    checks["subspace_plancherel"].record_all(
+        (np.abs(lhs - rhs) <= TOLERANCE * np.maximum(1.0, lhs)).T,
+        lambda s, j: {**where(s, j), "lhs": int(lhs[j, s]), "rhs": float(rhs[j, s])},
+    )
+    checks["projection_duality"].record_all(
+        same[starts[1] : starts[n]].T, lambda s, j: where(s, starts[1] + j)
+    )
+
+    # per (d, set): energy(E, A(n,d)) summed over G(n, d), the spectral side strictly
+    # left to right, as a running sum direction by direction would add it
+    energy = np.add.reduceat(moment, starts[:-1], axis=0)
+    spectral = np.stack([np.add.accumulate(rhs[a:b])[-1] for a, b in zip(starts, starts[1:])])
+    closed = np.stack([energy_identity_closed_form(space, size_py, d) for d in range(n + 1)])
+    injected = np.stack([
+        size_py * p**d * _or_zero(binomial, n - 1, d, p)
+        + size_py**2 * _or_zero(binomial, n - 1, d - 1, p)
+        for d in range(n + 1)
+    ])
+    checks["energy_identity"].record_all(
+        ((energy == closed) & (closed == injected)).T,
+        lambda s, d: {
+            "p": p, "n": n, "m": d, "set": names[s],
+            "combinatorial": int(energy[d, s]), "closed_form": injected[d, s],
+        },
+    )
+    closed_float = closed.astype(np.float64)
+    diff = np.abs(spectral - closed_float)
+    checks["energy_identity_spectral"].record_all(
+        (diff <= TOLERANCE * np.maximum(1.0, closed_float)).T,
+        lambda s, d: {
+            "p": p, "n": n, "m": d, "set": names[s],
+            "spectral": float(spectral[d, s]), "closed_form": closed[d, s],
+            "diff": float(diff[d, s]),
+        },
+    )
+
+    ms = list(range(1, n))
+    # the range conditions of the small-image census and of the fractional one; the key
+    # lemma's condition is both
+    low = [binom_at_most_twice_power(n - 1, n - m - 1, p) for m in ms]
+    high = [binom_at_most_twice_power(n - 1, m - 1, p) for m in ms]
+    _census_checks(p, n, ms, low, high, names, size, image, starts, checks)
+    _energy_bound_checks(p, n, ms, low, high, names, size_py, moment, starts, checks)
+
+
+def _plancherel_sides(moment, dual_sum, cosets):
+    """Both sides of subspace Plancherel per (direction, set).
+
+    The second moment sum_j |E n (x_j + W)|^2, and the dual sum
+    sum_{xi in Per(W)} |Ehat(xi)|^2 over p^(n-d), one float division per entry,
+    as ``fourier.subspace_plancherel`` divides it.
+    """
+    return moment, dual_sum / cosets
+
+
+def _census_checks(p, n, ms, low, high, names, size, image, starts, checks) -> None:
+    """The census bounds of every (set, m, threshold) whose hypothesis and range condition hold.
+
+    Per set, the thresholds are N = 1 and |E| // 4 (if over 1) of the small-image census,
+    then floor(delta p^m) of the fractional one.  The counts of every set and threshold
+    of one m are one comparison of the held image sizes of G(n, n-m); each count is
+    decided against its census's bound by :meth:`ExactBound.satisfied_by`.
+    """
+    if not ms:
+        return
+    quarter = size // 4
+    observed, valid = [], []
+    for m, small_ok, fractional_ok in zip(ms, low, high):
+        fractional = [delta.numerator * p**m // delta.denominator for delta in _DELTAS]
+        thresholds = np.column_stack(
+            [np.ones_like(size), quarter, np.tile(fractional, (len(size), 1))]
+        )
+        images = image[starts[n - m] : starts[n - m + 1], :, None]
+        observed.append((images <= thresholds).sum(axis=0))
+        valid.append(np.column_stack([
+            (2 < size) & small_ok,
+            (quarter > 1) & (2 * quarter < size) & small_ok,
+            np.repeat((size > 0)[:, None] & fractional_ok, len(_DELTAS), axis=1),
+        ]))
+    valid = np.stack(valid, axis=1)  # (sets, m, threshold)
+    chosen = np.flatnonzero(valid)
+    instances = list(zip(*(i.tolist() for i in np.unravel_index(chosen, valid.shape))))
+    counts = np.stack(observed, axis=1).ravel()[chosen].tolist()
+
+    def census(s, i, t):
+        """The bound of one instance, and what its witness names of it."""
+        if t < 2:
+            N = (1, int(quarter[s]))[t]
+            return _small_image_bound(p, n, ms[i], N), {"kind": "small_image", "N": N}
+        delta = _DELTAS[t - 2]
+        a, b = delta.numerator, delta.denominator
+        bound = _fractional_image_bound(p, n, ms[i], a, b, int(size[s]))
+        return bound, {"kind": "fractional_image", "delta": str(delta)}
+
+    def witness(k):
+        s, i, _ = instances[k]
+        named = census(*instances[k])[1]
+        return {"p": p, "n": n, "m": ms[i], "set": names[s], **named, "observed": counts[k]}
+
+    checks["census_bounds"].record_all(
+        [census(*at)[0].satisfied_by(count) for at, count in zip(instances, counts)], witness
+    )
+
+
+def _energy_bound_checks(p, n, ms, low, high, names, size_py, moment, starts, checks) -> None:
+    """The key lemma on every set, m and Theta (all of G(n, n-m), then its first half).
+
+    Only the m whose binomial growth condition holds are checked.  Each Theta's energy
+    is a cumulative sum of the held second moments; the bounds are integer
+    cross-products, for all instances at once.
+    """
+    lemma = [m for m, a, b in zip(ms, low, high) if a and b]
+    if not lemma:
+        return
+    energies, thetas = [], []
+    for m in lemma:
+        moments = moment[starts[n - m] : starts[n - m + 1]]
+        half = max(1, len(moments) // 2)
+        energies.append(np.cumsum(moments, axis=0)[[len(moments) - 1, half - 1]].T)
+        thetas.append([len(moments), half])
+    energy = np.stack(energies, axis=1).astype(object)  # (sets, m, Theta), Python ints
+    m = np.array(lemma, dtype=object)[:, None]
+    theta = np.array(thetas, dtype=object)
+    pairs, fourier = _key_lemma_bounds(p, n, m, size_py[:, None, None], theta)
+    checks["energy_bounds"].record_all(  # energy <= min(bound_pairs, bound_fourier)
+        (energy <= pairs) & (energy * p**m <= fourier),
+        lambda s, i, t: {
+            "p": p, "n": n, "m": lemma[i], "set": names[s], "theta": ("all", "half")[t],
+            "energy": energy[s, i, t], "bound_pairs": float(pairs[s, i, t]),
+            "bound_fourier": fourier[s, i, t] / p ** lemma[i],
+        },
+    )
 
 
 def _or_zero(binomial, n, m, p):

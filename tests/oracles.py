@@ -13,7 +13,10 @@ the bytes of ``dft`` rather than cross-checking its values, and
 whose results and error messages the one-pass parser must reproduce, and
 :func:`fraction_compare_to_power` and :func:`fraction_satisfied_by`, the
 exact bound decisions as first written, in ``Fraction`` arithmetic, whose
-signs the integer cross-products must reproduce.
+signs the integer cross-products must reproduce, and :func:`loop_cell_checks`
+and :func:`loop_set_checks`, the identity suite's checks as first written,
+one record per instance, whose manifests and full failure lists the array
+decisions must reproduce.
 """
 
 import itertools
@@ -227,3 +230,174 @@ def fraction_satisfied_by(bound, observed):
         return observed <= 0 and bound.coeff == 0
     quotient = Fraction(observed) / bound.coeff
     return fraction_compare_to_power(quotient, bound.base, bound.exponent) <= 0
+
+
+def _record(check, ok, **witness):
+    """One instance of a ``suite._Check``, its witness kept if it fails."""
+    check.instances += 1
+    if not ok:
+        check.failures.append(witness)
+
+
+def _bases(arrays):
+    return {d: [tuple(map(tuple, W)) for W in G.bases.tolist()] for d, G in arrays.items()}
+
+
+def loop_cell_checks(cell, binomial, checks):
+    """``suite._cell_checks`` as first written: one record per instance, every witness built."""
+    from ffproj import suite
+    from ffproj.fourier import TOLERANCE, _character_sum_rows
+    from ffproj.core import digits_of
+    from ffproj.subspaces import _rref_fault
+
+    space, arrays, duals, members, dual_points, _ = cell
+    bases = _bases(arrays)
+    p, n = space.p, space.n
+    for m in range(n + 1):
+        observed = len(arrays[m])
+        expected = binomial(n, m, p)
+        _record(
+            checks["binomial_vs_enumeration"], observed == expected, p=p, n=n, m=m,
+            observed=observed, expected=expected,
+        )
+
+    for m in range(1, n):
+        g = binomial(n, m, p)
+        low = binomial(n - 1, m, p) + p ** (n - m) * binomial(n - 1, m - 1, p)
+        high = binomial(n - 1, m - 1, p) + p**m * binomial(n - 1, m, p)
+        sym = binomial(n, n - m, p)
+        _record(
+            checks["pascal_identities"], g == low == high and g == sym, p=p, n=n, m=m,
+            value=g, recurrence_low=low, recurrence_high=high, symmetric=sym,
+        )
+
+    cases = [("member", m, members[m], binomial(n - 1, m - 1, p)) for m in range(1, n + 1)]
+    cases += [("dual", m, dual_points[m], binomial(n - 1, m, p)) for m in range(n)]
+    for kind, m, points, expected in cases:
+        bad = np.flatnonzero(np.bincount(points.ravel(), minlength=p**n)[1:] != expected)
+        _record(
+            checks["containment_counts"], bad.size == 0, p=p, n=n, m=m, kind=kind,
+            expected=expected,
+            first_bad_xi=int(bad[0] + 1) if bad.size else None,
+        )
+
+    canonical = [m for m, P in duals.items() if _rref_fault(P.bases, p) is None]
+    back = dict(zip(canonical, suite._dual_bases([duals[m] for m in canonical])))
+    for m, G in arrays.items():
+        P = duals[m]
+        involutive = m in back and bool(np.array_equal(back[m].bases, G.bases))
+        distinct = len(set(map(tuple, P.bases.reshape(len(P), -1).tolist())))
+        bijective = distinct == len(G) and P.dim == n - m
+        _record(
+            checks["perp_duality"], involutive and bijective, p=p, n=n, m=m,
+            involutive=involutive, bijective=bijective,
+        )
+
+    points = digits_of(space, np.arange(p**n))
+    for k in range(n):
+        dual_size = p ** (n - k)
+        sums = _character_sum_rows(space, points, dual_points[k])
+        expected = np.zeros(sums.shape)
+        expected[np.arange(len(sums))[:, None], members[k]] = dual_size
+        worst = np.abs(sums - expected).max(axis=1).tolist()
+        for V, w in zip(bases[k], worst):
+            _record(
+                checks["character_sums"], w <= TOLERANCE * dual_size,
+                p=p, n=n, dim=k, subspace=V, worst=w,
+            )
+
+
+def loop_set_checks(cell, sets, spectra, columns, binomial, checks):
+    """``suite._set_checks`` as first written: :func:`loop_per_set_checks` set by set."""
+    arrays = cell[1]
+    starts = np.cumsum([0] + [len(G) for G in arrays.values()])
+    bases = _bases(arrays)
+    for k, ((set_name, E), spectrum) in enumerate(zip(sets, spectra)):
+        held = {d: [c[starts[d] : starts[d + 1], k] for c in columns] for d in arrays}
+        loop_per_set_checks(cell, bases, E, set_name, spectrum, held, binomial, checks)
+
+
+def loop_per_set_checks(cell, bases, E, set_name, spectrum, held, binomial, checks):
+    """Every check on one set, direction by direction, from its columns of the held sweeps.
+
+    ``held[d]`` holds the set's column of each of ``suite._sweep_sets``' arrays
+    over G(n, d).  The census and key-lemma instances go through the library's
+    census functions and ``key_lemma_check``, with Fraction bounds.
+    """
+    from ffproj.energy import energy_identity_closed_form, key_lemma_check
+    from ffproj.fourier import TOLERANCE, plancherel_check
+    from ffproj.projections import census_fractional_image, census_small_image
+
+    space, arrays = cell[0], cell[1]
+    p, n = space.p, space.n
+    size = E.cardinality
+    lhs, rhs, ok = plancherel_check(spectrum)
+    _record(checks["plancherel"], ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
+    for d in range(n + 1):
+        energy, spectral = 0, 0.0  # energy(E, A(n,d)), summed over the directions W
+        n_cosets = p ** (n - d)
+        for W, total, image, lhs, dual_image, same, dual_sum in zip(
+            bases[d], *(column.tolist() for column in held[d])
+        ):
+            where = {"p": p, "n": n, "set": set_name, "subspace": W}
+            _record(
+                checks["coset_decomposition"],
+                total == size
+                and image == dual_image
+                and (size == 0 or 1 <= dual_image <= min(size, n_cosets)),
+                **where,
+            )
+            _record(checks["cauchy_schwarz"], size**2 <= image * lhs, **where)
+            rhs = dual_sum / n_cosets
+            _record(
+                checks["subspace_plancherel"],
+                abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs), **where, lhs=lhs, rhs=rhs,
+            )
+            energy += lhs
+            spectral += rhs
+            if 1 <= d <= n - 1:
+                _record(checks["projection_duality"], same, **where)
+
+        rhs = energy_identity_closed_form(space, size, d)
+        low = binomial(n - 1, d, p) if d <= n - 1 else 0
+        high = binomial(n - 1, d - 1, p) if d >= 1 else 0
+        rhs_injected = size * p**d * low + size**2 * high
+        _record(
+            checks["energy_identity"], energy == rhs == rhs_injected, p=p, n=n, m=d,
+            set=set_name, combinatorial=energy, closed_form=rhs_injected,
+        )
+        diff = abs(spectral - rhs)
+        _record(
+            checks["energy_identity_spectral"], diff <= TOLERANCE * max(1.0, rhs),
+            p=p, n=n, m=d, set=set_name, spectral=spectral, closed_form=rhs, diff=diff,
+        )
+
+    for m in range(1, n):
+        directions = arrays[n - m]
+        sweep = (directions, held[n - m][1])
+        if size:
+            for N in sorted({1, size // 4} - {0}):
+                report = census_small_image(E, m, N, sweep=sweep)
+                if report.hypothesis_ok and report.range_condition_ok:
+                    _record(
+                        checks["census_bounds"], bool(report.satisfied), p=p, n=n, m=m,
+                        set=set_name, kind="small_image", N=N, observed=report.observed,
+                    )
+            for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                report = census_fractional_image(E, m, delta, sweep=sweep)
+                if report.hypothesis_ok and report.range_condition_ok:
+                    _record(
+                        checks["census_bounds"], bool(report.satisfied), p=p, n=n, m=m,
+                        set=set_name, kind="fractional_image", delta=str(delta),
+                        observed=report.observed,
+                    )
+        half = max(1, len(directions) // 2)
+        for theta_name, theta in (("all", directions), ("half", directions[:half])):
+            result = key_lemma_check(E, theta, held[n - m][2][: len(theta)])
+            if result.condition_ok:
+                _record(
+                    checks["energy_bounds"], result.ok, p=p, n=n, m=m, set=set_name,
+                    theta=theta_name, energy=result.energy,
+                    bound_pairs=float(result.bound_pairs),
+                    bound_fourier=float(result.bound_fourier),
+                )

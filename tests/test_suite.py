@@ -10,16 +10,89 @@ from ffproj.fourier import TOLERANCE, subspace_plancherel
 from ffproj.subspaces import Subspace, SubspaceArray, gaussian_binomial
 from ffproj.suite import run_identity_suite
 
-from oracles import brute_perp, ordered_span_indices, span_points
+from oracles import (
+    brute_perp,
+    loop_cell_checks,
+    loop_set_checks,
+    ordered_span_indices,
+    span_points,
+)
+
+
+real_dual_bases = suite._dual_bases
+real_coset_histograms = suite._coset_histograms
+real_point_blocks = suite._point_blocks
+real_dft = suite.dft
+
+
+def _off_by_one(n, m, p):
+    return gaussian_binomial(n, m, p) + ((n, m) == (2, 1))
+
+
+def _shift_duals(arrays):
+    # each dual basis with its last column shifted by 1: not canonical, not the dual
+    def shift(duals):
+        bases = duals.bases.copy()
+        bases[..., -1] = (bases[..., -1] + 1) % duals.space.p
+        return SubspaceArray._unchecked(duals.space, bases)  # the public constructor refuses them
+
+    assert isinstance(arrays, list)  # the suite dualises a cell's Grassmannians in one call
+    return [shift(duals) for duals in real_dual_bases(arrays)]
+
+
+def _swap_labels(digits, tags, ntags, directions):
+    for block in real_coset_histograms(digits, tags, ntags, directions):
+        if block.shape[-1] > 1:
+            block = block.copy()
+            block[..., [0, 1]] = block[..., [1, 0]]
+        yield block
+
+
+def _dropped_bin(digits, tags, ntags, directions):
+    # the last coset of every direction loses its points: totals, moments and images shrink
+    for block in real_coset_histograms(digits, tags, ntags, directions):
+        block = block.copy()
+        block[..., -1] = 0
+        yield block
+
+
+def _collapsed_bins(digits, tags, ntags, directions):
+    # every point counted in coset 0: images of 1, past both censuses and the key lemma
+    for block in real_coset_histograms(digits, tags, ntags, directions):
+        collapsed = np.zeros_like(block)
+        collapsed[..., 0] = block.sum(axis=-1)
+        yield collapsed
+
+
+def _origin_twice(subspaces):
+    # the origin is in every dual already: counting it again adds |E|^2 / p^(n-d)
+    # (the containment counts skip the origin, so the members' copy goes unseen)
+    for points in real_point_blocks(subspaces):
+        yield np.concatenate([points, np.zeros((len(points), 1), dtype=np.int64)], axis=1)
+
+
+def _scaled_spectrum(E):
+    spectrum = real_dft(E)  # its own Plancherel check passes; the suite reads the scaled moduli
+    object.__setattr__(spectrum, "_moduli", spectrum.moduli() * (1 + 1e-6))
+    return spectrum
+
+
+FAULTS = {
+    "none": {},
+    "off_by_one_binomial": {},
+    "shifted_duals": {"_dual_bases": _shift_duals},
+    "swapped_kernel_labels": {"_coset_histograms": _swap_labels},
+    "dropped_bin": {"_coset_histograms": _dropped_bin},
+    "collapsed_bins": {"_coset_histograms": _collapsed_bins},
+    "origin_twice": {"_point_blocks": _origin_twice},
+    "scaled_spectrum": {"dft": _scaled_spectrum},
+}
 
 
 def test_injected_binomial_fault_is_caught_with_witnesses():
-    def off_by_one(n, m, p):
-        return gaussian_binomial(n, m, p) + ((n, m) == (2, 1))
-
     # n = 2 compares C(2,1) with enumeration and Pascal's rule; n = 3 feeds
     # C(2,1) into the closed form of the energy identity
-    manifest = run_identity_suite(primes=(3,), dims=(2, 3), binomial=off_by_one)
+    manifest = run_identity_suite(primes=(3,), dims=(2, 3), binomial=_off_by_one)
     assert manifest["all_pass"] is False
     checks = {c["name"]: c for c in manifest["checks"]}
     for name in ("binomial_vs_enumeration", "pascal_identities", "energy_identity"):
@@ -57,15 +130,7 @@ def test_instance_counts_follow_gaussian_binomials(p, n):
 
 
 def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
-    real = suite._point_blocks
-
-    def with_origin_twice(subspaces):
-        # the origin is in every dual already: counting it again adds |E|^2 / p^(n-d)
-        # (the containment counts skip the origin, so the members' copy goes unseen)
-        for points in real(subspaces):
-            yield np.concatenate([points, np.zeros((len(points), 1), dtype=np.int64)], axis=1)
-
-    monkeypatch.setattr(suite, "_point_blocks", with_origin_twice)
+    monkeypatch.setattr(suite, "_point_blocks", _origin_twice)
     manifest = run_identity_suite(primes=(3,), dims=(2,))
     checks = {c["name"]: c for c in manifest["checks"]}
     assert manifest["all_pass"] is False
@@ -87,23 +152,28 @@ def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2)])
 def test_subspace_plancherel_sides_are_those_of_the_library(monkeypatch, p, n):
-    witnesses = []
-    record = suite._Check.record
+    sides = []
+    real = suite._plancherel_sides
 
-    def spy(self, ok, **witness):
-        if self.name == "subspace_plancherel":
-            witnesses.append(witness)
-        record(self, ok, **witness)
+    def spy(*args):  # the (direction, set) arrays the cell's check decides on
+        sides.append(real(*args))
+        return sides[-1]
 
-    monkeypatch.setattr(suite._Check, "record", spy)
-    run_identity_suite(primes=(p,), dims=(n,), seed=3)
+    monkeypatch.setattr(suite, "_plancherel_sides", spy)
+    manifest = run_identity_suite(primes=(p,), dims=(n,), seed=3)
+    [(lhs, rhs)] = sides
     space = AmbientSpace(p, n)
-    sets = dict(suite._test_sets(space, 3))
-    assert len(witnesses) == len(sets) * sum(gaussian_binomial(n, d, p) for d in range(n + 1))
-    for w in witnesses:
-        W = Subspace.from_rows(space, w["subspace"])
-        lhs, rhs, _ = subspace_plancherel(sets[w["set"]], W)
-        assert (w["lhs"], w["rhs"]) == (lhs, rhs)  # the float to the bit, not merely close
+    sets = suite._test_sets(space, 3)
+    directions = [W for d in range(n + 1) for W in SubspaceArray.grassmannian(space, d)]
+    assert lhs.shape == rhs.shape == (len(directions), len(sets))
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert checks["subspace_plancherel"]["instances"] == lhs.size
+    for k, (_, E) in enumerate(sets):
+        for j, W in enumerate(directions):
+            expected_lhs, expected_rhs, _ = subspace_plancherel(E, W)
+            assert type(lhs[j, k].item()) is int and type(rhs[j, k].item()) is float
+            # the float to the bit, not merely close
+            assert (lhs[j, k].item(), rhs[j, k].item()) == (expected_lhs, expected_rhs)
 
 
 def test_cell_enumerates_each_grassmannian_once(monkeypatch):
@@ -170,21 +240,9 @@ def test_oversized_cells_are_refused_before_any_table(monkeypatch):
         assert run_identity_suite(primes=(p,), dims=(n,))["all_pass"] is True
 
 
-real_dual_bases = suite._dual_bases
-
-
 @pytest.mark.parametrize("p", [2, 3])  # over F_2 the shift zeroes some rows: no basis at all
 def test_wrong_dual_basis_fails_projection_duality(monkeypatch, p):
-    def shift(duals):
-        bases = duals.bases.copy()
-        bases[..., -1] = (bases[..., -1] + 1) % duals.space.p
-        return SubspaceArray._unchecked(duals.space, bases)  # the public constructor refuses them
-
-    def shifted(arrays):  # the suite dualises a cell's Grassmannians in one call
-        assert isinstance(arrays, list)
-        return [shift(duals) for duals in real_dual_bases(arrays)]
-
-    monkeypatch.setattr(suite, "_dual_bases", shifted)
+    monkeypatch.setattr(suite, "_dual_bases", _shift_duals)
     manifest = run_identity_suite(primes=(p,), dims=(3,))
     checks = {c["name"]: c for c in manifest["checks"]}
     duality = checks["projection_duality"]
@@ -199,16 +257,7 @@ def test_wrong_dual_basis_fails_projection_duality(monkeypatch, p):
 
 
 def test_swapped_kernel_labels_fail_projection_duality_only(monkeypatch):
-    real = suite._coset_histograms
-
-    def swapped(digits, tags, ntags, directions):
-        for block in real(digits, tags, ntags, directions):
-            if block.shape[-1] > 1:
-                block = block.copy()
-                block[..., [0, 1]] = block[..., [1, 0]]
-            yield block
-
-    monkeypatch.setattr(suite, "_coset_histograms", swapped)
+    monkeypatch.setattr(suite, "_coset_histograms", _swap_labels)
     manifest = run_identity_suite(primes=(3,), dims=(3,))
     checks = {c["name"]: c for c in manifest["checks"]}
     assert not checks["projection_duality"]["pass"]
@@ -250,7 +299,7 @@ def test_suite_calls_no_per_direction_routes(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
 
-    real_key_lemma = suite.key_lemma_check
+    real_key_lemma = suite._key_lemma_bounds
     key_lemma_calls = []
 
     def key_lemma(*args, **kwargs):
@@ -261,13 +310,14 @@ def test_suite_calls_no_per_direction_routes(monkeypatch):
         finally:
             in_key_lemma.pop()
 
-    monkeypatch.setattr(suite, "key_lemma_check", key_lemma)
+    monkeypatch.setattr(suite, "_key_lemma_bounds", key_lemma)
     manifest = run_identity_suite(primes=(3,), dims=(3,))
     assert manifest["all_pass"] is True
     kernel = calls.pop("_coset_histograms")
     assert calls == dict.fromkeys(calls, 0)
     assert kernel == 4  # one tagged sweep of the six sets per G(3, d)
-    assert len(key_lemma_calls) == 6 * 2 * 2 and key_lemma_kernel_calls == []
+    # the key lemma bounds every (set, m, Theta) of the cell at once, from held moments
+    assert len(key_lemma_calls) == 1 and key_lemma_kernel_calls == []
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
@@ -380,3 +430,78 @@ def test_manifests_match_the_golden():
     for expected in golden:
         manifest = run_identity_suite(expected["primes"], expected["dims"], expected["seed"])
         assert json.dumps(manifest) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_array_route_reports_what_the_loop_reports(monkeypatch, fault, seed):
+    binomial = _off_by_one if fault == "off_by_one_binomial" else gaussian_binomial
+    for name, patch in FAULTS[fault].items():
+        monkeypatch.setattr(suite, name, patch)
+    ran = []
+    real_run = suite._run_checks
+
+    def run(*args):
+        ran.append(real_run(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(suite, "_run_checks", run)
+    grids = [((2, 3, 5, 7), (2, 3)), ((2, 3), (4,))]
+    array = [run_identity_suite(primes, dims, seed, binomial) for primes, dims in grids]
+    with monkeypatch.context() as mp:
+        mp.setattr(suite, "_cell_checks", loop_cell_checks)
+        mp.setattr(suite, "_set_checks", loop_set_checks)
+        loop = [run_identity_suite(primes, dims, seed, binomial) for primes, dims in grids]
+    assert json.dumps(array) == json.dumps(loop)
+    counts = []
+    for array_checks, loop_checks in zip(ran[: len(grids)], ran[len(grids) :]):
+        for name in suite._CHECKS:
+            a, b = array_checks[name], loop_checks[name]
+            assert a.instances == b.instances > 0
+            # every failure, in order, with its witness's fields, types and float bits
+            assert a.failures == b.failures and json.dumps(a.failures) == json.dumps(b.failures)
+            counts.append(len(a.failures))
+    assert (max(counts) == 0) == (fault == "none")
+    if fault not in ("none", "shifted_duals", "swapped_kernel_labels"):
+        assert max(counts) > 10  # the manifest's list is cut at 10: the order decides it
+
+
+def test_passing_cells_build_no_witness_and_record_each_check_once(monkeypatch):
+    records, witnesses = [], []
+    real = suite._Check.record_all
+
+    def spy(self, ok, witness):
+        records.append(self.name)
+
+        def counted(*index):
+            witnesses.append((self.name, index))
+            return witness(*index)
+
+        real(self, ok, counted)
+
+    monkeypatch.setattr(suite._Check, "record_all", spy)
+    cells = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2)]
+    for p, n in cells:  # the benchmark's verify cells
+        assert run_identity_suite(primes=(p,), dims=(n,), seed=0)["all_pass"] is True
+    assert witnesses == []
+    assert {name: records.count(name) for name in suite._CHECKS} == dict.fromkeys(
+        suite._CHECKS, len(cells)
+    )
+    # a failing check builds one witness per failure, and no more
+    monkeypatch.setattr(suite, "dft", _scaled_spectrum)
+    manifest = run_identity_suite(primes=(3,), dims=(2,))
+    failures = sum(c["failure_count"] for c in manifest["checks"])
+    assert failures > 0 and len(witnesses) == failures
+
+
+@pytest.mark.parametrize("fault", ["none", "collapsed_bins", "dropped_bin"])
+def test_python_int_decisions_are_the_int64_ones(monkeypatch, fault):
+    for name, patch in FAULTS[fault].items():
+        monkeypatch.setattr(suite, name, patch)
+    grid = ((2, 3, 5), (2, 3), 1, gaussian_binomial)
+    int64 = suite._run_checks(*grid)
+    monkeypatch.setattr(suite, "_INT64_BOUND", 0)  # no cell's counts fit: all in Python ints
+    python = suite._run_checks(*grid)
+    for name in suite._CHECKS:
+        assert int64[name].instances == python[name].instances
+        assert json.dumps(int64[name].failures) == json.dumps(python[name].failures)
