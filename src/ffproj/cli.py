@@ -71,35 +71,42 @@ EXIT_USAGE = 2
 _THREADS_HELP = "recorded in the config only; sweeps run in one thread"
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
+# the flags whose default is not None; a flag's config key is its dest
+_DEFAULTS = {"affine": False, "onto": False, "profile": False,
+             "trials": 200, "seed": 0, "threads": 1}
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """Merge flag values over config-file values over defaults; a null value is not set."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(args.flag_types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    types = getattr(args, "flag_types", {})
     cfg = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = _typed(key, file_cfg[key], types.get(key)) if key in file_cfg else default
-        cfg[key] = value
+    for key, kind in args.flag_types.items():
+        value = getattr(args, key)
+        if value is None and file_cfg.get(key) is not None:
+            value = _typed(key, file_cfg[key], kind)
+        cfg[key] = _DEFAULTS.get(key) if value is None else value
     return cfg
 
 
 def _typed(key: str, value, kind):
-    """A config-file value as its flag's ``type`` parses it: a string is parsed, a number kept."""
-    if kind is None or value is None or type(value) in (int, kind):  # an int also for a float flag
+    """A config-file value as its flag parses it: a string is parsed, an int cast for a float flag.
+
+    An on/off flag (``kind`` bool) takes a bool only.
+    """
+    if kind is None or type(value) is kind:
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and kind is not bool or type(value) is int and kind is float:
         try:
             return kind(value)
-        except ValueError:
+        except (ValueError, OverflowError):  # a JSON int beyond float range
             pass
     raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
@@ -191,11 +198,7 @@ def _subspace_from_cfg(space: AmbientSpace, cfg: dict) -> Subspace:
 
 
 def cmd_enumerate(args) -> int:
-    defaults = {
-        "p": None, "n": None, "m": None, "affine": False,
-        "dump": None, "out": None, "budget": None,
-    }
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     _require(cfg, "p", "n", "m")
     if cfg["budget"] is None:  # read $FFPROJ_BUDGET only when --budget is absent
         cfg["budget"] = enumeration_budget()
@@ -225,11 +228,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_project(args) -> int:
-    defaults = {
-        "pointset": None, "subspace": None, "basis": None, "onto": False,
-        "profile": False, "out": None,
-    }
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     _require(cfg, "pointset")
     started = time.time()
     E = load_point_set(cfg["pointset"])
@@ -285,11 +284,7 @@ def _save_sizes_csv(path, directions: SubspaceArray, sizes: np.ndarray) -> None:
 
 
 def cmd_census(args) -> int:
-    defaults = {
-        "pointset": None, "m": None, "kind": None, "N": None, "delta": None,
-        "s": None, "t": None, "sizes_csv": None, "out": None, "threads": 1,
-    }
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     _require(cfg, "pointset", "m", "kind")
     started = time.time()
     E = load_point_set(cfg["pointset"])
@@ -312,8 +307,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    defaults = {"pointset": None, "m": None, "out": None}
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     _require(cfg, "pointset", "m")
     started = time.time()
     check_spectrum_budget(point_set_space(cfg["pointset"]))  # before the sweep and the parse
@@ -343,11 +337,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    defaults = {
-        "pointset": None, "builtin": None, "p": None, "n": None, "r": None,
-        "C": None, "alpha": None, "m": None, "dump": None, "out": None,
-    }
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     salem = any(cfg[key] is not None for key in ("C", "alpha", "m"))
     if salem:  # the projection-case check needs all three
         _require(cfg, "C", "alpha", "m")
@@ -374,7 +364,7 @@ def cmd_spectrum(args) -> int:
         lo, hi = sphere_size_window(E.space)
         report["sphere_size_window"] = {"low": lo, "high": hi, "observed": E.cardinality}
     if salem:
-        prof = SalemProfile(float(cfg["C"]), float(cfg["alpha"]))
+        prof = SalemProfile(cfg["C"], cfg["alpha"])
         report["projection_cases"] = projection_bound_report(
             E, prof, cfg["m"], spectrum=spectrum
         ).to_json_dict()
@@ -385,11 +375,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_percolate(args) -> int:
-    defaults = {
-        "regime": None, "p": None, "n": None, "m": None, "s": None,
-        "trials": 200, "seed": 0, "threads": 1, "dump": None, "out": None,
-    }
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     _require(cfg, "regime", "p", "n", "m", "s")
     started = time.time()
     runner = {"small": verify_small_regime, "large": verify_large_regime}.get(cfg["regime"])
@@ -412,11 +398,7 @@ def cmd_percolate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    defaults = {
-        "p": None, "n": None, "p_list": None, "n_list": None,
-        "seed": 0, "out": None,
-    }
-    cfg = _resolve_config(args, defaults)
+    cfg = _resolve_config(args)
     started = time.time()
     primes, dims = (  # a single value, else a list, else the default grid
         [cfg[key]] if cfg[key] is not None
@@ -529,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
-    for sp in subs.choices.values():  # config-file values are parsed with the flags' types
-        sp.set_defaults(flag_types={a.dest: a.type for a in sp._actions if a.type is not None})
+    for sp in subs.choices.values():  # the config keys, and the types that parse their values
+        flags = [a for a in sp._actions if a.dest not in ("help", "config")]
+        sp.set_defaults(flag_types={a.dest: bool if a.const is True else a.type for a in flags})
     return parser
 
 

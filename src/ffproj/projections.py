@@ -181,40 +181,59 @@ def _pattern_histograms(
     label is (x_{q_j} + sum over free entries (i, q_j) of R_{P_i}[B_{i,q_j}])
     mod p, where R_t[v] = -v x_t mod p is gathered from one p x p table, so
     a column's digits depend only on that column's free entries.  A chunk
-    fixes the leading free entries: its directions are the p^f values of
-    the other f, with p^f the largest power of p up to ``rows``.  A column
-    with no fixed entry is summed, reduced and scaled once per pattern,
-    together with the direction and tag bins, into one (p^f, N) base; each
-    chunk adds the other columns to it by broadcasting.
+    (:func:`_table_chunks`) holds up to ``rows`` directions.
 
     A digit sum of up to n residues is reduced by a lookup table, or, when
     ``fold`` (r = 1), binned unreduced in n p bins per (direction, tag) and
     folded mod p after the ``bincount``.
     """
-    N, n = digits.shape
+    n = digits.shape[1]
     p, k = directions.space.p, directions.dim
     bins = n * p if fold else p ** (n - k)
-    x = np.ascontiguousarray(digits.T)  # x[t]: coordinate t of every point
     luts = None if fold else [np.arange(n * p) % p * p**j for j in range(n - k)]
-    width = 1  # the free entries a chunk leaves open: p^width <= rows (p <= rows)
-    while p ** (width + 1) <= rows:
-        width += 1
+    for _, counts in _table_chunks(digits, tags, ntags, p, k, luts, bins, rows):
+        if fold:
+            yield counts.reshape(-1, ntags, n, p).sum(axis=2)
+        else:
+            yield counts.reshape(-1, ntags, bins)
+
+
+def _table_chunks(digits, tags, ntags, p, k, luts, bins, rows, pencils=False):
+    """Each chunk's (pattern, ``bincount``) on a table route over G(n, k), in order.
+
+    A chunk fixes a pattern's leading free entries and holds the p^f values
+    of the other f, p^f the largest power of p up to ``rows``.  Each pattern
+    builds one (p^f, N) base (:func:`_pattern_tables`); each chunk adds its
+    fixed columns to it (:func:`_chunk_labels`) and bins the labels, ``bins``
+    per (direction, tag).  With ``pencils`` a pattern's last free entry is
+    left out and each point is binned with its digit at that entry's pivot;
+    a pattern with no free entry is yielded with None.
+    """
+    n = digits.shape[1]
+    x = np.ascontiguousarray(digits.T)  # x[t]: coordinate t of every point
     # R_t[v] = neg[v, x_t]; a chunk of p directions holds at least p^2 bins, so this
     # table is under the cap
     neg = -np.outer(np.arange(p), np.arange(p)) % p
+    width = 0  # the free entries a chunk leaves open: p^width <= rows
+    while p ** (width + 1) <= rows:
+        width += 1
     for pattern in subspaces._pattern_plans(n, k):
+        if pencils and not len(pattern.rows):
+            yield pattern, None
+            continue
+        tag_bins = tags * bins
+        if pencils:
+            tag_bins += x[pattern.pivots[pattern.rows[-1]]]
+            pattern = pattern._replace(rows=pattern.rows[:-1], cols=pattern.cols[:-1])
         depth = max(0, len(pattern.rows) - width)  # the fixed leading entries
         c = p ** (len(pattern.rows) - depth)
-        base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tags * bins, ntags * bins, p)
+        base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tag_bins, ntags * bins, p)
         for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
             # values: big-endian, like the bases; the labels are dropped once binned
             labels = _chunk_labels(base, fixed, values, x, neg).reshape(-1)
             counts = np.bincount(labels, minlength=c * ntags * bins)
             del labels
-            if fold:
-                yield counts.reshape(c, ntags, n, p).sum(axis=2)
-            else:
-                yield counts.reshape(c, ntags, bins)
+            yield pattern, counts
 
 
 def _pattern_tables(x, neg, luts, pattern, depth, tag_bins, direction_bins, p):
@@ -276,37 +295,22 @@ def _shear_histograms(
     v = x_{P_last}, a point's label is (u - b v) mod p.  So a pencil's
     points are binned once by (tag, u, v) into ntags p^2 bins H, and its p
     histograms are read off H as shears: hist_b[t] = sum over v of
-    H[(t + b v) mod p, v] (:func:`_shears`).  Pencils are chunked like
-    directions on the pattern route: a chunk leaves open the w entries just
-    before b, so it holds p^w pencils, and :func:`_pattern_tables` builds
-    their keys (pencil, tag, u, v) from the residue tables, each chunk one
-    ``bincount``.  A pattern with no free entry is one direction, labelled
-    x_q.
+    H[(t + b v) mod p, v] (:func:`_shears`).  :func:`_table_chunks` bins
+    the pencils, chunked like directions on the pattern route, by their
+    keys (pencil, tag, u, v).  A pattern with no free entry is one
+    direction, labelled x_q.
     """
     N, n = digits.shape
     p = directions.space.p
     square = p * p
-    x = np.ascontiguousarray(digits.T)
-    neg = -np.outer(np.arange(p), np.arange(p)) % p
     lut = [np.arange(n * p) % p * p]  # u, reduced, in the bins of its row of H
     rows = _block_rows(8 * (N + ntags * square))  # a pencil's keys and its bins
-    for pattern in subspaces._pattern_plans(n, n - 1):
-        free = len(pattern.rows)
-        if not free:
-            labels = tags * p + x[pattern.nonpivots[0]]
+    chunks = _table_chunks(digits, tags, ntags, p, n - 1, lut, square, rows, pencils=True)
+    for pattern, counts in chunks:
+        if counts is None:
+            labels = tags * p + digits[:, pattern.nonpivots[0]]
             yield np.bincount(labels, minlength=ntags * p).reshape(1, ntags, p)
-            continue
-        lead = pattern._replace(rows=pattern.rows[:-1], cols=pattern.cols[:-1])
-        width = 0  # the leading entries a chunk leaves open: p^width pencils
-        while width < free - 1 and p ** (width + 1) <= rows:
-            width += 1
-        depth = free - 1 - width
-        tag_bins = tags * square + x[pattern.pivots[pattern.rows[-1]]]  # each point's tag and v
-        base, fixed = _pattern_tables(x, neg, lut, lead, depth, tag_bins, ntags * square, p)
-        for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
-            keys = _chunk_labels(base, fixed, values, x, neg).reshape(-1)
-            counts = np.bincount(keys, minlength=p**width * ntags * square)
-            del keys
+        else:
             yield from _shears(counts.reshape(-1, ntags, square), p)
 
 

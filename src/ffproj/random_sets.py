@@ -202,10 +202,6 @@ class PercolationReport:
         return out
 
 
-def _size_window(p: int, s: float, size: int) -> bool:
-    return p**s / 2.0 <= size <= 2.0 * p**s
-
-
 def _trial_groups(
     model: PercolationModel, m: int, trials: int
 ) -> Iterator[list[np.ndarray]]:
@@ -252,24 +248,25 @@ def _sweep(
     return sizes, mins, fulls, empty
 
 
-def verify_small_regime(
-    p: int, n: int, m: int, s: float, trials: int, seed: int = 0
-) -> PercolationReport:
-    """Sample sets of exponent s <= m; success = size window and min image >= |E|/24."""
-    if not 0 < s <= m:
-        raise ValueError(f"small regime needs 0 < s <= m, got s={s}, m={m}")
-    space = AmbientSpace(p, n)
-    model = PercolationModel.from_exponent(space, s, seed)
-    directions = SubspaceArray.grassmannian(space, n - m)
-    sizes, mins, fulls, _ = _sweep(model, m, trials, directions)
-    chain = mu_lower_bound(p, n, m, s)
-    window = [_size_window(p, s, sz) for sz in sizes]
-    success = [
-        w and 24 * mn >= sz for w, mn, sz in zip(window, mins, sizes)
-    ]
-    mu_half = [2 * mn >= chain.mu for mn in mins]
-    return PercolationReport(
-        regime="small",
+def _rate(flags: list[bool]) -> float:
+    return float(np.mean(flags)) if flags else 0.0
+
+
+def _campaign(
+    regime: str, p: int, n: int, m: int, s: float, trials: int, seed: int
+) -> tuple[PercolationReport, list[bool], float]:
+    """Sweep ``trials`` sets of exponent s over G(n, n-m) into the fields every regime reports.
+
+    Returns the report, whose ``success_rate`` the regime sets, each trial's
+    size-window flag, and the share of (trial, direction, coset) triples left empty.
+    """
+    model = PercolationModel.from_exponent(AmbientSpace(p, n), s, seed)
+    directions = SubspaceArray.grassmannian(model.space, n - m)
+    sizes, mins, fulls, empty = _sweep(model, m, trials, directions)
+    window = [p**s / 2.0 <= sz <= 2.0 * p**s for sz in sizes]
+    planes = trials * len(directions) * p**m
+    report = PercolationReport(
+        regime=regime,
         p=p,
         n=n,
         m=m,
@@ -280,11 +277,24 @@ def verify_small_regime(
         sizes=sizes,
         min_images=mins,
         full_flags=fulls,
-        size_window_pass=float(np.mean(window)) if trials else 0.0,
-        success_rate=float(np.mean(success)) if trials else 0.0,
-        mu=chain.mu,
-        mu_half_rate=float(np.mean(mu_half)) if trials else 0.0,
+        size_window_pass=_rate(window),
+        success_rate=0.0,
     )
+    return report, window, empty / planes if planes else 0.0
+
+
+def verify_small_regime(
+    p: int, n: int, m: int, s: float, trials: int, seed: int = 0
+) -> PercolationReport:
+    """Sample sets of exponent s <= m; success = size window and min image >= |E|/24."""
+    if not 0 < s <= m:
+        raise ValueError(f"small regime needs 0 < s <= m, got s={s}, m={m}")
+    report, window, _ = _campaign("small", p, n, m, s, trials, seed)
+    mins, sizes = report.min_images, report.sizes
+    report.success_rate = _rate([w and 24 * mn >= sz for w, mn, sz in zip(window, mins, sizes)])
+    report.mu = mu_lower_bound(p, n, m, s).mu
+    report.mu_half_rate = _rate([2 * mn >= report.mu for mn in mins])
+    return report
 
 
 def verify_large_regime(
@@ -293,30 +303,11 @@ def verify_large_regime(
     """Sample sets of exponent s > m; success = every projection image is full."""
     if not m < s <= n:
         raise ValueError(f"large regime needs m < s <= n, got s={s}, m={m}")
-    space = AmbientSpace(p, n)
-    model = PercolationModel.from_exponent(space, s, seed)
-    directions = SubspaceArray.grassmannian(space, n - m)
-    p_m = p**m
-    sizes, mins, fulls, empty_cosets = _sweep(model, m, trials, directions)
-    window = [_size_window(p, s, sz) for sz in sizes]
-    total_planes = trials * len(directions) * p_m
-    return PercolationReport(
-        regime="large",
-        p=p,
-        n=n,
-        m=m,
-        s=s,
-        delta=model.delta,
-        seed=seed,
-        trials=trials,
-        sizes=sizes,
-        min_images=mins,
-        full_flags=fulls,
-        size_window_pass=float(np.mean(window)) if trials else 0.0,
-        success_rate=float(np.mean(fulls)) if trials else 0.0,
-        plane_miss_rate=empty_cosets / total_planes if total_planes else 0.0,
-        plane_miss_bound=math.exp(-float(p) ** (s - m)),
-    )
+    report, _, miss_rate = _campaign("large", p, n, m, s, trials, seed)
+    report.plane_miss_rate = miss_rate
+    report.success_rate = _rate(report.full_flags)
+    report.plane_miss_bound = math.exp(-float(p) ** (s - m))
+    return report
 
 
 @dataclass

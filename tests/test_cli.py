@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -506,6 +507,72 @@ def test_config_file_values_take_the_flag_types(
         capsys.readouterr()
         assert run(bad, "bad.json") == 2
         assert capsys.readouterr().err == f"error: config key {key!r} must be int, got {bad!r}\n"
+
+
+def _envelope(workdir, args, config=None):
+    """Run ``args`` in-process, with ``config`` as its config file if given: exit code, envelope."""
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        args = [*args, "--config", "cfg.json"]
+    code = cli.main([*args, "--out", "report.json"])
+    return code, json.loads((workdir / "report.json").read_text()) if code == 0 else None
+
+
+@pytest.mark.parametrize("args,key", [
+    (["percolate", "--regime", "small", "--p", "3", "--n", "2", "--m", "1", "--s", "1"], "trials"),
+    (["verify", "--p", "2", "--n", "2"], "seed"),
+], ids=["percolate", "verify"])
+def test_config_file_null_is_not_set(workdir, monkeypatch, args, key):
+    monkeypatch.chdir(workdir)
+    code, null = _envelope(workdir, args, {key: None})
+    assert code == 0
+    _, unset = _envelope(workdir, args)
+    assert null["config"][key] == {"trials": 200, "seed": 0}[key]
+    assert strip_volatile(null) == strip_volatile(unset)  # the same config, hash and report
+
+
+@pytest.mark.parametrize("args,key", [
+    (["enumerate", "--p", "3", "--n", "2", "--m", "1"], "affine"),
+    (["project", "--pointset", "line.pts", "--basis", "1,0"], "onto"),
+    (["project", "--pointset", "line.pts", "--basis", "1,0"], "profile"),
+], ids=["affine", "onto", "profile"])
+def test_config_file_on_off_keys_take_bools_only(workdir, monkeypatch, capsys, args, key):
+    monkeypatch.chdir(workdir)
+    _, flagged = _envelope(workdir, [*args, f"--{key}"])
+    _, unflagged = _envelope(workdir, args)
+    for value, expected in ((True, flagged), (False, unflagged), (None, unflagged)):
+        code, envelope = _envelope(workdir, args, {key: value})
+        assert code == 0 and envelope["config"][key] is bool(value)
+        assert strip_volatile(envelope) == strip_volatile(expected)
+    for bad in ("false", "true", 0, 1, [], {}):
+        capsys.readouterr()
+        assert _envelope(workdir, args, {key: bad})[0] == 2
+        streams = capsys.readouterr()
+        assert streams.out == ""  # refused before anything runs
+        assert streams.err == f"error: config key {key!r} must be bool, got {bad!r}\n"
+
+
+def test_config_file_int_for_a_float_flag_is_recorded_as_a_float(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    args = ["spectrum", "--builtin", "paraboloid", "--p", "5", "--n", "2", "--alpha", "0.5",
+            "--m", "1"]
+    _, flagged = _envelope(workdir, [*args, "--C", "1"])
+    code, from_file = _envelope(workdir, args, {"C": 1})
+    assert code == 0 and type(from_file["config"]["C"]) is float
+    assert from_file["config_hash"] == flagged["config_hash"]
+    assert strip_volatile(from_file) == strip_volatile(flagged)
+    assert _envelope(workdir, args, {"C": 10**400})[0] == 2  # no float that large
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_config_keys_are_the_flag_dests(name, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    code, envelope = _envelope(workdir, GOLDEN_COMMANDS[name])
+    assert code == 0
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for a in commands.choices[name]._actions if a.option_strings]
+    assert set(envelope["config"]) == {a.dest for a in flags} - {"help", "config"}
 
 
 @pytest.mark.parametrize("top", ["[]", "5", '"census"'])
