@@ -103,7 +103,7 @@ def _typed(key: str, value, kind):
     """
     if kind is None or type(value) is kind:
         return value
-    if isinstance(value, str) and kind is not bool or type(value) is int and kind is float:
+    if (isinstance(value, str) and kind is not bool) or (type(value) is int and kind is float):
         try:
             return kind(value)
         except (ValueError, OverflowError):  # a JSON int beyond float range
