@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ffproj import cli, projections, subspaces
-from ffproj.core import AmbientSpace, load_point_set, save_point_set
+from ffproj.core import AmbientSpace, PointSet, load_point_set, save_point_set
 from ffproj.subspaces import Subspace, SubspaceArray
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +76,37 @@ def test_enumerate_affine_and_dump(workdir):
     assert result.stdout.strip() == "12"
     text = (workdir / "planes.txt").read_text()
     assert text.count("plane rep=") == 12
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 2, 1), (2, 3, 2)])
+def test_enumerate_affine_dump_bytes_are_pinned(workdir, monkeypatch, capsys, p, n, m):
+    monkeypatch.chdir(workdir)
+    args = ["--p", str(p), "--n", str(n), "--m", str(m), "--affine", "--dump", "planes.txt"]
+    assert cli.main(["enumerate", *args]) == 0
+    assert capsys.readouterr().out == f"{subspaces.affine_count(AmbientSpace(p, n), m)}\n"
+    expected = (GOLDEN / f"affine_f{p}n{n}m{m}.txt").read_bytes()
+    assert (workdir / "planes.txt").read_bytes() == expected
+
+
+# a set of 7 points in F_3^3, projected along an inner direction (onto a plane), the
+# zero direction and the full one; tests/golden/project_cases.json holds the reports
+PROJECT_CASES = {
+    "onto": ["--basis", "1,0,2;0,1,1", "--onto", "--profile"],
+    "zero": ["--basis", "0,0,0", "--profile"],
+    "full": ["--basis", "1,0,0;0,1,0;0,0,1", "--profile"],
+    "onto_full": ["--basis", "1,0,0;0,1,0;0,0,1", "--onto"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECT_CASES))
+def test_project_reports_are_pinned(workdir, monkeypatch, name):
+    monkeypatch.chdir(workdir)
+    points = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 2, 1), (1, 1, 1), (2, 2, 2), (0, 1, 2)]
+    save_point_set(PointSet.from_vectors(AmbientSpace(3, 3), points), workdir / "set.pts")
+    argv = ["project", "--pointset", "set.pts", *PROJECT_CASES[name], "--out", "report.json"]
+    assert cli.main(argv) == 0
+    produced = strip_volatile(json.loads((workdir / "report.json").read_text()))
+    assert produced == json.loads((GOLDEN / "project_cases.json").read_text())[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
