@@ -15,8 +15,7 @@ from ffproj import (
     PointSet,
     census_fractional_image,
     census_small_image,
-    coset_profile,
-    project,
+    coset_counts,
 )
 from ffproj.projections import census_at_scales, projection_sizes
 from ffproj.subspaces import Subspace, enumerate_grassmannian
@@ -25,10 +24,10 @@ space = AmbientSpace(3, 2)
 line = Subspace.from_rows(space, [(1, 0)]).point_set()
 
 print("Projecting the line E = span{(1,0)} in F_3^2 along each direction:")
-for W in enumerate_grassmannian(space, 1):
-    image = project(line, W)
-    counts = coset_profile(line, W).counts.tolist()
-    print(f"  direction {W.basis[0]}: image size {image.size}, coset counts {counts}")
+directions = list(enumerate_grassmannian(space, 1))
+for W, counts in zip(directions, coset_counts(line, directions)):
+    print(f"  direction {W.basis[0]}: image size {np.count_nonzero(counts)}, "
+          f"coset counts {counts.tolist()}")
 
 print("\nCensus: directions with image <= 1 (E is its own direction's coset):")
 report = census_small_image(line, 1, 1)

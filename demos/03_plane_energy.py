@@ -1,9 +1,10 @@
 """Generalized energy over plane families.
 
-energy(E, A) = sum over planes of |E n plane|^2.  Over the full family
-A(n,m) it collapses to |E| p^m C(n-1,m)_p + |E|^2 C(n-1,m-1)_p, verified
-here combinatorially and through the spectral route.  The additive energy
-of A, B in F_p is the line-family special case.
+energy(E, directions, labels) = sum over planes of |E n plane|^2, for a
+family that names each plane by its direction and its coset label.  Over
+the full family A(n,m) it collapses to |E| p^m C(n-1,m)_p + |E|^2
+C(n-1,m-1)_p, verified here combinatorially and through the spectral route.
+The additive energy of A, B in F_p is the line-family special case.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ print("\nAdditive energy = line-family energy of the product set:")
 p = 7
 A, B = {0, 1, 3}, {0, 2, 5, 6}
 ae = additive_energy(A, B, p)
-le = energy(product_set(A, B, p), sum_lines(p))
+le = energy(product_set(A, B, p), *sum_lines(p))  # p lines, one direction
 print(f"  E(A,B) = {ae} over F_{p}, energy(A x B, lines x+y=k) = {le}")
 
 print("\nEnergy of a random set over the coset expansion of a direction set,")

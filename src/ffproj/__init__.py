@@ -25,8 +25,6 @@ from .core import (
 )
 from .energy import (
     additive_energy,
-    all_planes,
-    coset_expansion,
     energy,
     energy_over_all_planes,
     key_lemma_check,
@@ -52,15 +50,10 @@ from .fourier import (
 )
 from .projections import (
     CensusReport,
-    CosetProfile,
-    ProjectionImage,
     census_at_scales,
     census_fractional_image,
     census_small_image,
     coset_counts,
-    coset_profile,
-    project,
-    project_onto,
     projection_sizes,
 )
 from .random_sets import (
@@ -74,13 +67,10 @@ from .random_sets import (
     verify_small_regime,
 )
 from .subspaces import (
-    AffinePlane,
     Subspace,
     check_range_condition,
-    coset_of,
     count_subspaces_containing,
     count_subspaces_with_perp_containing,
-    enumerate_affine,
     enumerate_grassmannian,
     gaussian_binomial,
     load_subspace,

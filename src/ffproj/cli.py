@@ -39,25 +39,20 @@ from .fourier import (
     sphere,
     sphere_size_window,
 )
-from .projections import (
-    census_at_scales,
-    census_fractional_image,
-    census_small_image,
-    coset_profile,
-    project,
-    project_onto,
-)
+from .projections import census_at_scales, census_fractional_image, census_small_image, coset_counts
 from .random_sets import verify_large_regime, verify_small_regime
 from .subspaces import (
     BUDGET_ENV,
     Subspace,
     SubspaceArray,
+    _check_budget,
+    _pattern_blocks,
+    _plane_reps,
     affine_count,
-    enumerate_affine,
-    enumerate_grassmannian,
     enumeration_budget,
     gaussian_binomial,
     load_subspace,
+    perp,
     serialize_subspace,
 )
 from .suite import DEFAULT_DIMS, DEFAULT_PRIMES, run_identity_suite
@@ -203,28 +198,37 @@ def cmd_enumerate(args) -> int:
     if cfg["budget"] is None:  # read $FFPROJ_BUDGET only when --budget is absent
         cfg["budget"] = enumeration_budget()
     started = time.time()
-    space = AmbientSpace(cfg["p"], cfg["n"])
+    p, n, m = cfg["p"], cfg["n"], cfg["m"]
+    space = AmbientSpace(p, n)
     if cfg["affine"]:
-        count = affine_count(space, cfg["m"])
-        stream = enumerate_affine(space, cfg["m"], budget=cfg["budget"])
+        count, family = affine_count(space, m), "A"
     else:
-        count = gaussian_binomial(cfg["n"], cfg["m"], cfg["p"])
-        stream = enumerate_grassmannian(space, cfg["m"], budget=cfg["budget"])
+        count, family = gaussian_binomial(n, m, p), "G"
+    _check_budget(f"{family}({n},{m}) over F_{p}", count, cfg["budget"])
     if cfg["dump"]:
         with open(cfg["dump"], "w", encoding="ascii") as fh:
-            if cfg["affine"]:
-                for plane in stream:
-                    rep = ",".join(str(c) for c in plane.rep)
-                    fh.write(f"plane rep={rep}\n")
-                    fh.write(serialize_subspace(plane.direction))
-                    fh.write("\n")
-            else:
-                for W in stream:
-                    fh.write(serialize_subspace(W))
-                    fh.write("\n")
+            _dump_family(fh, space, m, cfg["affine"])
     print(count)
     _emit(_envelope("enumerate", cfg, {"count": count}, started), cfg["out"], to_stdout=False)
     return EXIT_OK
+
+
+def _dump_family(fh, space: AmbientSpace, m: int, affine: bool) -> None:
+    """Every subspace of G(n, m), or with ``affine`` every plane of A(n, m), in enumeration order.
+
+    A plane is its "plane rep=" line, then its direction.  Each direction is
+    serialised once, for its p^(n-m) planes in label order.
+    """
+    heads = [""]
+    for bases in _pattern_blocks(space, m):
+        if affine:  # a block holds one pivot pattern, and a representative depends only on it
+            labels = np.arange(space.p ** (space.n - m))
+            first = SubspaceArray._unchecked(space, bases[:1].repeat(len(labels), axis=0))
+            reps = _plane_reps(first, labels).tolist()
+            heads = ["plane rep=" + ",".join(map(str, rep)) + "\n" for rep in reps]
+        for W in SubspaceArray._unchecked(space, bases):
+            text = serialize_subspace(W) + "\n"
+            fh.write("".join(head + text for head in heads))
 
 
 def cmd_project(args) -> int:
@@ -233,18 +237,20 @@ def cmd_project(args) -> int:
     started = time.time()
     E = load_point_set(cfg["pointset"])
     W = _subspace_from_cfg(E.space, cfg)
-    image = project_onto(E, W) if cfg["onto"] else project(E, W)
+    if cfg["onto"]:  # onto V: the cosets of Per(V)
+        W = perp(W)
+    h = next(coset_counts(E, [W]))
+    labels = np.flatnonzero(h)
     report = {
         "set_size": E.cardinality,
-        "direction_dim": image.direction.dim,
-        "size": image.size,
-        "labels": list(image.labels),
-        "degenerate": image.degenerate,
+        "direction_dim": W.dim,
+        "size": len(labels),
+        "labels": labels.tolist(),
+        "degenerate": W.dim in (0, E.space.n),
     }
     if cfg["profile"]:
-        prof = coset_profile(E, image.direction)
-        report["profile_counts"] = [int(c) for c in prof.counts]
-        report["second_moment"] = prof.second_moment()
+        report["profile_counts"] = h.tolist()
+        report["second_moment"] = int(h @ h)
     _emit(_envelope("project", cfg, report, started), cfg["out"])
     return EXIT_OK
 

@@ -1,10 +1,12 @@
 """Generalized energy of a point set over families of affine planes.
 
-For a family A of m-dimensional planes,
+A family A of m-dimensional planes is a pair (directions, labels): plane i
+is the coset labelled labels[i] (see ``subspaces.coset_labels``) of
+directions[i], a :class:`SubspaceArray` with one entry per plane.  Its energy
 
-    energy(E, A) = sum_{P in A} |E n P|^2,
+    energy(E, A) = sum_{P in A} |E n P|^2
 
-the number of (ordered) pairs of E lying in a common plane, counted with
+is the number of (ordered) pairs of E lying in a common plane, counted with
 family multiplicity.  Over the full family A(n,m) the energy has the closed
 form
 
@@ -22,26 +24,22 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import AmbientSpace, PointSet, encode
+import numpy as np
+
+from .core import AmbientSpace, PointSet
 from .fourier import Spectrum, dft
 from .projections import _histogram_blocks, coset_counts
 from .subspaces import (
-    AffinePlane,
     Subspace,
     SubspaceArray,
     _dual_bases,
     _point_blocks,
-    all_cosets,
     binom_at_most_twice_power,
-    coset_labels,
-    enumerate_grassmannian,
     gaussian_binomial_or_zero,
 )
 
 __all__ = [
     "energy",
-    "all_planes",
-    "coset_expansion",
     "energy_over_all_planes",
     "energy_identity_closed_form",
     "verify_energy_identity",
@@ -54,37 +52,28 @@ __all__ = [
 ]
 
 
-def energy(E: PointSet, planes: Sequence[AffinePlane]) -> int:
-    """Exact sum of |E n P|^2 over the given planes.
+def energy(E: PointSet, directions: SubspaceArray, labels: np.ndarray) -> int:
+    """Exact sum of |E n P|^2 over a family of planes: P_i is the coset labels[i] of directions[i].
 
-    Planes are grouped by direction so each direction costs one pass over E
-    and one :func:`coset_labels` call for its planes, not one per plane.
+    The family holds one direction and one coset label (see
+    ``subspaces.coset_labels``) per plane, repeats allowed.  Each distinct
+    direction is swept once, and the planes are read off the histograms by
+    one gather.
     """
-    if not planes:
+    space = E.space
+    directions = SubspaceArray.of(space, directions)  # refuses another space
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(directions),):
+        raise ValueError(f"{labels.size} coset labels for {len(directions)} directions")
+    cosets = space.p ** (space.n - directions.dim)
+    if ((labels < 0) | (labels >= cosets)).any():
+        raise ValueError(f"coset labels must lie in [0, {cosets})")
+    if not len(directions):
         return 0
-    dim = planes[0].dim
-    by_direction: dict[Subspace, list[AffinePlane]] = {}
-    for plane in planes:
-        if plane.space != E.space:
-            raise ValueError("plane family lives in a different space")
-        if plane.dim != dim:
-            raise ValueError("plane family mixes dimensions")
-        by_direction.setdefault(plane.direction, []).append(plane)
-    total = 0
-    for counts, (W, group) in zip(coset_counts(E, by_direction), by_direction.items()):
-        hits = counts[coset_labels(W, [encode(E.space, plane.rep) for plane in group])]
-        total += int(hits @ hits)
-    return total
-
-
-def all_planes(space: AmbientSpace, m: int) -> list[AffinePlane]:
-    """The full family A(n,m), ordered by direction then coset label."""
-    return coset_expansion(enumerate_grassmannian(space, m))
-
-
-def coset_expansion(directions: Iterable[Subspace]) -> list[AffinePlane]:
-    """All cosets of every direction in the given set (the family Theta')."""
-    return [plane for W in directions for plane in all_cosets(W)]
+    bases, which = np.unique(directions.bases, axis=0, return_inverse=True)
+    swept = _histogram_blocks(E, SubspaceArray._unchecked(space, bases))
+    hits = np.concatenate(list(swept))[which.reshape(-1), labels]
+    return sum((hits * hits).tolist())
 
 
 def _all_directions(
@@ -159,11 +148,9 @@ def verify_energy_identity_fourier(
     return lhs, rhs, abs(lhs - rhs)
 
 
-def sum_lines(p: int) -> list[AffinePlane]:
-    """The lines x + y = k in F_p^2, for k = 0..p-1."""
-    space = AmbientSpace(p, 2)
-    direction = Subspace.from_rows(space, [(1, p - 1)])
-    return [AffinePlane(direction, (0, k)) for k in range(p)]
+def sum_lines(p: int) -> tuple[SubspaceArray, np.ndarray]:
+    """The lines x + y = k in F_p^2, k = 0..p-1: line k is the coset labelled k of span{(1, -1)}."""
+    return SubspaceArray(AmbientSpace(p, 2), np.tile([1, p - 1], (p, 1, 1))), np.arange(p)
 
 
 def product_set(A: Iterable[int], B: Iterable[int], p: int) -> PointSet:

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import AmbientSpace, BudgetError, IdentityError, PointSet, decode, digits_of, encode
-from .projections import coset_profile, projection_sizes
+from .projections import coset_counts, projection_sizes
 from .subspaces import Subspace, _block_rows, perp
 
 __all__ = [
@@ -164,7 +164,8 @@ def subspace_plancherel(
     if spectrum is None:
         spectrum = dft(E)
     m = W.space.n - W.dim
-    lhs = coset_profile(E, W).second_moment()
+    h = next(coset_counts(E, [W]))
+    lhs = int(h @ h)
     dual_points = perp(W).point_indices()
     rhs = float((spectrum.moduli()[dual_points] ** 2).sum()) / W.space.p**m
     ok = abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs)

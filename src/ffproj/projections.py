@@ -29,19 +29,12 @@ from .subspaces import (
     _block_rows,
     _residue_codes,
     binom_at_most_twice_power,
-    coset_labels,
-    perp,
 )
 
 __all__ = [
-    "ProjectionImage",
-    "CosetProfile",
     "ExactBound",
     "CensusReport",
-    "project",
-    "project_onto",
     "coset_counts",
-    "coset_profile",
     "projection_sizes",
     "census_small_image",
     "census_fractional_image",
@@ -49,50 +42,6 @@ __all__ = [
     "floor_power_quotient",
     "compare_to_power",
 ]
-
-
-@dataclass(frozen=True)
-class ProjectionImage:
-    """The set of coset labels of W hit by E."""
-
-    direction: Subspace
-    labels: tuple[int, ...]
-    degenerate: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class CosetProfile:
-    """|E n (x_j + W)| for every coset x_j + W, indexed by coset label."""
-
-    direction: Subspace
-    counts: np.ndarray
-    total: int
-
-    @property
-    def image_size(self) -> int:
-        return int(np.count_nonzero(self.counts))
-
-    def second_moment(self) -> int:
-        """Sum of squared coset counts = number of pairs of E in a common coset."""
-        return int(self.counts @ self.counts)
-
-
-def project(E: PointSet, W: Subspace) -> ProjectionImage:
-    """Exact projection image of E along W (any W accepted; trivial ones flagged)."""
-    if E.space != W.space:
-        raise ValueError("point set and direction live in different spaces")
-    labels = np.unique(coset_labels(W, E.indices()))
-    degenerate = W.dim in (0, W.space.n)
-    return ProjectionImage(W, tuple(int(x) for x in labels), degenerate)
-
-
-def project_onto(E: PointSet, V: Subspace) -> ProjectionImage:
-    """Projection onto V: cosets of Per(V) hit by E; equals project(E, perp(V))."""
-    return project(E, perp(V))
 
 
 def _chunk_bytes(points: int, r: int, ntags: int, p: int) -> int:
@@ -368,10 +317,6 @@ def coset_counts(
     reductions are exact.
     """
     return itertools.chain.from_iterable(_histogram_blocks(E, directions))
-
-
-def coset_profile(E: PointSet, W: Subspace) -> CosetProfile:
-    return CosetProfile(W, next(coset_counts(E, [W])), E.cardinality)
 
 
 def _codimension_m(

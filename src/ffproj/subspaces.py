@@ -1,4 +1,4 @@
-"""Linear subspaces of F_p^n, affine planes, and Gaussian binomial counting.
+"""Linear subspaces of F_p^n, their cosets, and Gaussian binomial counting.
 
 A subspace is identified with its reduced-row-echelon basis, which is a
 unique canonical form, so subspace equality is matrix equality and the
@@ -52,16 +52,11 @@ __all__ = [
     "rref_stack",
     "Subspace",
     "SubspaceArray",
-    "AffinePlane",
     "label_maps",
     "enumerate_grassmannian",
-    "enumerate_affine",
     "affine_count",
     "perp",
-    "coset_of",
     "coset_labels",
-    "coset_reps",
-    "all_cosets",
     "count_subspaces_containing",
     "count_subspaces_with_perp_containing",
     "save_subspace",
@@ -332,45 +327,6 @@ class Subspace:
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(c) for c in row) for row in self.basis)
         return f"Subspace(p={self.space.p}, n={self.space.n}, [{rows}])"
-
-
-@dataclass(frozen=True)
-class AffinePlane:
-    """A coset rep + direction, with rep canonicalized to vanish on pivot columns."""
-
-    direction: Subspace
-    rep: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        space = self.direction.space
-        rep = space.validate_vector(self.rep)
-        if any(rep[piv] for piv in self.direction.pivots):
-            raise ValueError("representative must vanish on pivot coordinates")
-
-    @property
-    def space(self) -> AmbientSpace:
-        return self.direction.space
-
-    @property
-    def dim(self) -> int:
-        return self.direction.dim
-
-    def label(self) -> int:
-        """Rank of this coset among the p^(n-dim) cosets of its direction: its coset label."""
-        return int(coset_labels(self.direction, [encode(self.space, self.rep)])[0])
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return int(coset_labels(self.direction, [encode(self.space, v)])[0]) == self.label()
-
-    def point_indices(self) -> np.ndarray:
-        p = self.space.p
-        base = self.direction.point_indices()
-        pts = (digits_of(self.space, base) + np.array(self.rep)) % p
-        weights = p ** np.arange(self.space.n, dtype=np.int64)
-        return pts @ weights
-
-    def __repr__(self) -> str:
-        return f"AffinePlane(rep={self.rep}, direction={self.direction!r})"
 
 
 class SubspaceArray(SequenceABC):
@@ -648,50 +604,9 @@ def affine_count(space: AmbientSpace, m: int) -> int:
     return space.p ** (space.n - m) * gaussian_binomial(space.n, m, space.p)
 
 
-def enumerate_affine(
-    space: AmbientSpace, m: int, budget: int | None = None
-) -> Iterator[AffinePlane]:
-    """Stream all m-dimensional planes (every coset of every direction).
-
-    The budget is checked at the call, as in :func:`enumerate_grassmannian`.
-    """
-    _check_budget(f"A({space.n},{m}) over F_{space.p}", affine_count(space, m), budget)
-    return (
-        AffinePlane(W, rep)
-        for W in enumerate_grassmannian(space, m, budget=budget)
-        for rep in coset_reps(W)
-    )
-
-
 def perp(W: Subspace) -> Subspace:
     """Dual complement Per(W) = {x : x.w = 0 for all w in W}: one row of :func:`_dual_bases`."""
     return _dual_bases(SubspaceArray._unchecked(W.space, W.matrix[None]))[0]
-
-
-def coset_of(W: Subspace, x: Sequence[int]) -> AffinePlane:
-    """The coset x + W with its canonical representative, decoded from its label."""
-    return AffinePlane(W, _coset_rep(W, int(coset_labels(W, [encode(W.space, x)])[0])))
-
-
-def _coset_rep(W: Subspace, label: int) -> tuple[int, ...]:
-    """Canonical representative of the coset of W labelled ``label``.
-
-    The label's base-p digits, first one least significant, fill the
-    non-pivot columns in order (see :func:`coset_labels`); pivot columns are 0.
-    """
-    rep = [0] * W.space.n
-    for col in W.nonpivot_columns():
-        label, rep[col] = divmod(label, W.space.p)
-    return tuple(rep)
-
-
-def coset_reps(W: Subspace) -> Iterator[tuple[int, ...]]:
-    """Canonical representatives of all p^(n-dim) cosets, in label order."""
-    return (_coset_rep(W, label) for label in range(W.space.p ** (W.space.n - W.dim)))
-
-
-def all_cosets(W: Subspace) -> list[AffinePlane]:
-    return [AffinePlane(W, rep) for rep in coset_reps(W)]
 
 
 def coset_labels(W: Subspace, indices: np.ndarray) -> np.ndarray:
@@ -704,6 +619,21 @@ def coset_labels(W: Subspace, indices: np.ndarray) -> np.ndarray:
     digits = digits_of(space, np.asarray(indices, dtype=np.int64)).astype(np.float64)
     maps = label_maps(W.matrix[None], space.p)
     return _residue_codes(space, digits, maps.transpose(2, 0, 1))[0]
+
+
+def _plane_reps(directions: SubspaceArray, labels: np.ndarray) -> np.ndarray:
+    """(G, n) canonical representatives: row i of the coset labelled labels[i] of directions[i].
+
+    The label's base-p digits, first one least significant, fill the
+    non-pivot columns in order and the pivot columns are 0, so
+    :func:`coset_labels` reads each representative's label back.
+    """
+    space = directions.space
+    reps = np.zeros((len(directions), space.n), dtype=np.int64)
+    free = np.ones(reps.shape, dtype=bool)
+    np.put_along_axis(free, directions.pivots, False, axis=1)
+    reps[free] = base_p_digits(labels, space.p, space.n - directions.dim).ravel()
+    return reps
 
 
 def count_subspaces_containing(

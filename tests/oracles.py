@@ -124,6 +124,11 @@ def brute_dft(E_vectors, p, n):
     return out
 
 
+def brute_plane(basis, rep, p, n):
+    """The plane rep + span(basis), as a frozenset of tuples."""
+    return frozenset(vec_add(rep, w, p) for w in span_points(basis, p, n))
+
+
 def brute_energy(E_vectors, plane_pointsets):
     E = set(E_vectors)
     return sum(len(E & set(P)) ** 2 for P in plane_pointsets)

@@ -26,7 +26,7 @@ from ffproj.fourier import (
     salem_deficiency,
     subspace_plancherel,
 )
-from ffproj.projections import ExactBound, coset_profile, projection_sizes
+from ffproj.projections import ExactBound, coset_counts, projection_sizes
 from ffproj.random_sets import verify_large_regime, verify_small_regime
 from ffproj.subspaces import (
     Subspace,
@@ -184,10 +184,9 @@ def test_criterion_6_cauchy_schwarz_and_min_bound():
     directions = list(enumerate_grassmannian(space, 1))
     for bits in range(512):
         E = PointSet(space, (bits >> np.arange(9)) & 1 > 0)
-        for W in directions:
-            prof = coset_profile(E, W)
-            image = prof.image_size
-            assert E.cardinality**2 <= image * prof.second_moment()
+        for counts in coset_counts(E, directions):
+            image = np.count_nonzero(counts)
+            assert E.cardinality**2 <= image * int(counts @ counts)
             if E.cardinality:
                 assert 1 <= image <= min(E.cardinality, 3)
             else:

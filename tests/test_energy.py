@@ -1,11 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from ffproj.core import AmbientSpace, PointSet
+from ffproj.core import AmbientSpace, PointSet, encode
 from ffproj.energy import (
     additive_energy,
-    all_planes,
-    coset_expansion,
     energy,
     energy_identity_closed_form,
     energy_over_all_planes,
@@ -16,15 +16,31 @@ from ffproj.energy import (
     verify_energy_identity_fourier,
 )
 from ffproj.projections import coset_counts
-from ffproj.subspaces import Subspace, enumerate_grassmannian, gaussian_binomial
+from ffproj.subspaces import Subspace, SubspaceArray, enumerate_grassmannian, gaussian_binomial
 
-from oracles import brute_additive_energy, brute_energy
+from oracles import (
+    all_vectors,
+    brute_additive_energy,
+    brute_cosets_hit,
+    brute_energy,
+    brute_plane,
+    int64_coset_labels,
+)
 
 F32 = AmbientSpace(3, 2)
+energy_module = importlib.import_module("ffproj.energy")  # ffproj.energy is the function
+
+
+def full_family(space, m):
+    """A(n, m) as a family: each direction of G(n, m) once per coset label."""
+    G = SubspaceArray.grassmannian(space, m)
+    cosets = space.p ** (space.n - m)
+    return SubspaceArray(space, G.bases.repeat(cosets, axis=0)), np.tile(np.arange(cosets), len(G))
 
 
 def test_energy_empty_set():
-    assert energy(PointSet.empty(F32), all_planes(F32, 1)) == 0
+    assert energy(PointSet.empty(F32), *full_family(F32, 1)) == 0
+    assert energy(PointSet.full(F32), SubspaceArray.of(F32, []), []) == 0
     assert energy_over_all_planes(PointSet.empty(F32), 1) == 0
 
 
@@ -32,40 +48,77 @@ def test_energy_singleton_counts_planes_through_point():
     for p, n, m in [(3, 2, 1), (2, 3, 1), (2, 3, 2)]:
         space = AmbientSpace(p, n)
         E = PointSet.from_indices(space, [0])
-        assert energy(E, all_planes(space, m)) == gaussian_binomial(n, m, p)
+        assert energy(E, *full_family(space, m)) == gaussian_binomial(n, m, p)
 
 
 def test_energy_two_points_f32():
     E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
-    assert energy(E, all_planes(F32, 1)) == 10
+    assert energy(E, *full_family(F32, 1)) == 10
     assert energy_over_all_planes(E, 1) == 10
 
 
 def test_energy_matches_brute_force():
+    """Random families, with repeated directions and repeated planes, for p in {2, 3, 5}, n <= 3."""
     rng = np.random.default_rng(10)
-    planes = all_planes(F32, 1)
-    plane_pointsets = [
-        [tuple(v) for v in PointSet.from_indices(F32, P.point_indices()).vectors()]
-        for P in planes
-    ]
-    for _ in range(25):
-        E = PointSet(F32, rng.random(9) < 0.5)
-        assert energy(E, planes) == brute_energy(E.vectors(), plane_pointsets)
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            space = AmbientSpace(p, n)
+            vectors = all_vectors(p, n)
+            for m in range(n + 1):
+                G = list(enumerate_grassmannian(space, m))
+                for _ in range(3):
+                    # each plane through a drawn point; the last two repeat the first two
+                    picks = rng.integers(len(G), size=rng.integers(2, 10)).tolist()
+                    points = rng.integers(len(vectors), size=len(picks)).tolist()
+                    family = [(G[i], vectors[j]) for i, j in zip(picks, points)]
+                    family += family[:2]
+                    labels = [int(int64_coset_labels(W, [encode(space, x)])[0]) for W, x in family]
+                    planes = [brute_plane(W.basis, x, p, n) for W, x in family]
+                    directions = SubspaceArray.of(space, [W for W, _ in family])
+                    E = PointSet(space, rng.random(space.point_count) < rng.uniform(0, 1))
+                    assert energy(E, directions, labels) == brute_energy(E.vectors(), planes)
+
+
+def test_energy_over_a_full_family_is_the_brute_sum():
+    for p, n in [(2, 3), (3, 2), (3, 3), (5, 2)]:
+        space = AmbientSpace(p, n)
+        E = PointSet(space, np.random.default_rng(p * n).random(space.point_count) < 0.5)
+        for m in range(n + 1):
+            planes = [
+                plane
+                for W in enumerate_grassmannian(space, m)
+                for plane in brute_cosets_hit(all_vectors(p, n), W.point_set().vectors(), p)
+            ]
+            expected = brute_energy(E.vectors(), planes)
+            assert energy(E, *full_family(space, m)) == expected == energy_over_all_planes(E, m)
 
 
 def test_energy_rejects_mixed_dimensions():
-    planes = all_planes(F32, 1) + all_planes(F32, 2)
-    with pytest.raises(ValueError):
-        energy(PointSet.full(F32), planes)
+    mixed = list(enumerate_grassmannian(F32, 1)) + list(enumerate_grassmannian(F32, 2))
+    with pytest.raises(ValueError, match="mixes dimensions"):
+        energy(PointSet.full(F32), mixed, [0] * len(mixed))
+
+
+def test_energy_checks_its_family():
+    E = PointSet.full(F32)
+    directions, labels = full_family(F32, 1)
+    with pytest.raises(ValueError, match="11 coset labels for 12 directions"):
+        energy(E, directions, labels[:11])
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=r"coset labels must lie in \[0, 3\)"):
+            energy(E, directions, np.where(np.arange(12) == 5, bad, labels))
+    with pytest.raises(ValueError, match="different spaces"):
+        energy(PointSet.full(AmbientSpace(5, 2)), directions, labels)
 
 
 def test_energy_monotone_in_family():
     rng = np.random.default_rng(11)
-    planes = all_planes(F32, 1)
+    directions, labels = full_family(F32, 1)
     for _ in range(10):
         E = PointSet(F32, rng.random(9) < 0.6)
-        k = rng.integers(1, len(planes))
-        assert energy(E, planes[: k + 1]) >= energy(E, planes[:k])
+        k = rng.integers(1, len(labels))
+        smaller = energy(E, directions[:k], labels[:k])
+        assert energy(E, directions[: k + 1], labels[: k + 1]) >= smaller
 
 
 def test_identity_exhaustive_f32():
@@ -134,15 +187,21 @@ def test_additive_energy_matches_brute_quadruples():
             assert additive_energy(A, B, p) == brute_additive_energy(A, B, p)
 
 
-def test_additive_energy_equals_line_energy():
+def test_additive_energy_equals_line_energy(monkeypatch):
     rng = np.random.default_rng(15)
+    swept = []
+    real = energy_module._histogram_blocks
+    monkeypatch.setattr(
+        energy_module, "_histogram_blocks", lambda E, G: swept.append(len(G)) or real(E, G)
+    )
     for p in (5, 13):
         lines = sum_lines(p)
-        assert len(lines) == p
+        assert len(lines[0]) == len(lines[1]) == p
         for _ in range(10):
             A = set(rng.choice(p, size=rng.integers(1, p), replace=False).tolist())
             B = set(rng.choice(p, size=rng.integers(1, p), replace=False).tolist())
-            assert additive_energy(A, B, p) == energy(product_set(A, B, p), lines)
+            assert additive_energy(A, B, p) == energy(product_set(A, B, p), *lines)
+    assert swept == [1] * 20  # the p lines of a call share one direction, swept once
 
 
 def test_key_lemma_empty_theta():
@@ -156,7 +215,7 @@ def test_key_lemma_line_over_all_directions():
     directions = list(enumerate_grassmannian(F32, 1))
     result = key_lemma_check(line, directions)
     # coset expansion covers all 12 lines; energy = 9 + 3*3 = 18
-    assert result.energy == energy(line, coset_expansion(directions))
+    assert result.energy == energy(line, *full_family(F32, 1))
     assert result.energy == 18
     assert result.condition_ok and result.ok
     assert result.small_set_regime

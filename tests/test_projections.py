@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ffproj import projections, subspaces
 from ffproj.core import AmbientSpace, BudgetError, PointSet
-from ffproj.energy import all_planes, energy
+from ffproj.energy import energy
 from ffproj.projections import (
     ExactBound,
     census_at_scales,
@@ -17,10 +17,7 @@ from ffproj.projections import (
     census_small_image,
     compare_to_power,
     coset_counts,
-    coset_profile,
     floor_power_quotient,
-    project,
-    project_onto,
     projection_sizes,
 )
 from ffproj.subspaces import (
@@ -34,15 +31,20 @@ from oracles import (
     brute_coset_counts,
     brute_cosets_hit,
     brute_energy,
+    brute_plane,
     fraction_compare_to_power,
     fraction_satisfied_by,
     int64_coset_labels,
     span_points,
-    vec_add,
 )
 
 F32 = AmbientSpace(3, 2)
 F32_DIRECTIONS = list(enumerate_grassmannian(F32, 1))
+
+
+def _image(E, W):
+    """The labels of the cosets of W that E meets, from W's histogram."""
+    return np.flatnonzero(next(coset_counts(E, [W])))
 
 
 def test_project_full_and_singleton():
@@ -50,8 +52,8 @@ def test_project_full_and_singleton():
     full = PointSet.full(space)
     single = PointSet.from_indices(space, [7])
     for W in enumerate_grassmannian(space, 1):
-        assert project(full, W).size == 5
-        assert project(single, W).size == 1
+        assert _image(full, W).size == 5
+        assert _image(single, W).size == 1
 
 
 def test_project_line_directions():
@@ -59,15 +61,13 @@ def test_project_line_directions():
     E = line_dir.point_set()
     for W in F32_DIRECTIONS:
         expected = 1 if W == line_dir else 3
-        assert project(E, W).size == expected
+        assert _image(E, W).size == expected
 
 
 def test_project_degenerate_directions():
     E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
-    img_zero = project(E, Subspace.zero(F32))
-    assert img_zero.degenerate and img_zero.size == E.cardinality
-    img_full = project(E, Subspace.full(F32))
-    assert img_full.degenerate and img_full.size == 1
+    assert _image(E, Subspace.zero(F32)).tolist() == sorted(E.indices().tolist())
+    assert _image(E, Subspace.full(F32)).tolist() == [0]
 
 
 def test_project_matches_brute_cosets_exhaustive():
@@ -77,38 +77,36 @@ def test_project_matches_brute_cosets_exhaustive():
         E = PointSet.from_vectors(F32, E_vectors)
         for W in F32_DIRECTIONS:
             pts = W.point_set().vectors()
-            assert project(E, W).size == len(brute_cosets_hit(E_vectors, pts, 3))
+            assert _image(E, W).size == len(brute_cosets_hit(E_vectors, pts, 3))
 
 
 def test_profile_example():
     E = PointSet.from_vectors(F32, [(0, 0), (1, 0), (0, 1)])
     W = Subspace.from_rows(F32, [(0, 1)])  # cosets are the columns x1 = const
-    prof = coset_profile(E, W)
-    assert sorted(prof.counts.tolist()) == [0, 1, 2]
-    assert prof.total == 3
-    assert prof.image_size == 2
+    counts = next(coset_counts(E, [W]))
+    assert sorted(counts.tolist()) == [0, 1, 2]
+    assert counts.sum() == 3
+    assert np.count_nonzero(counts) == 2
 
 
 def test_profile_full_coset():
     W = Subspace.from_rows(F32, [(1, 2)])
     plane = W.point_set()
-    prof = coset_profile(plane, W)
-    assert sorted(prof.counts.tolist()) == [0, 0, 3]
-    full_prof = coset_profile(PointSet.full(F32), W)
-    assert full_prof.counts.tolist() == [3, 3, 3]
+    assert sorted(next(coset_counts(plane, [W])).tolist()) == [0, 0, 3]
+    assert next(coset_counts(PointSet.full(F32), [W])).tolist() == [3, 3, 3]
 
 
 def test_profile_matches_brute_counts():
     rng = np.random.default_rng(3)
     space = AmbientSpace(5, 2)
+    directions = list(enumerate_grassmannian(space, 1))
     for _ in range(10):
         E = PointSet(space, rng.random(25) < 0.4)
-        for W in enumerate_grassmannian(space, 1):
-            prof = coset_profile(E, W)
+        for W, counts in zip(directions, coset_counts(E, directions)):
             oracle = brute_coset_counts(
                 E.vectors(), W.point_set().vectors(), 5, 2
             )
-            assert sorted(prof.counts.tolist()) == oracle
+            assert sorted(counts.tolist()) == oracle
 
 
 @st.composite
@@ -453,25 +451,21 @@ def test_coset_counts_mixed_dimensions(monkeypatch):
         assert np.array_equal(counts, expected)
 
 
-def _brute_plane(P):
-    p, n = P.space.p, P.space.n
-    return {vec_add(w, P.rep, p) for w in span_points(P.direction.basis, p, n)}
-
-
 def test_energy_spans_several_chunks(monkeypatch):
     space = AmbientSpace(3, 3)
     E = PointSet(space, np.random.default_rng(7).random(27) < 0.4)
-    planes = all_planes(space, 1)
-    expected = brute_energy(E.vectors(), [_brute_plane(P) for P in planes])
-    assert energy(E, planes) == expected
+    G = SubspaceArray.grassmannian(space, 1)
+    directions = SubspaceArray(space, G.bases.repeat(9, axis=0))  # A(3, 1): 9 cosets each
+    labels = np.tile(np.arange(9), len(G))
+    reps = subspaces._plane_reps(directions, labels).tolist()
+    planes = [brute_plane(W.basis, rep, 3, 3) for W, rep in zip(directions, reps)]
+    expected = brute_energy(E.vectors(), planes)
+    assert energy(E, directions, labels) == expected
     # two directions of G(3,1) per chunk: 13 directions make 7 chunks
     cap = 2 * projections._chunk_bytes(E.cardinality, 2, 1, 3)
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
-    assert energy(E, planes) == expected
-    subfamily = planes[::4]
-    assert energy(E, subfamily) == brute_energy(
-        E.vectors(), [_brute_plane(P) for P in subfamily]
-    )
+    assert energy(E, directions, labels) == expected
+    assert energy(E, directions[::4], labels[::4]) == brute_energy(E.vectors(), planes[::4])
 
 
 def test_coset_counts_rejects_foreign_direction():
@@ -486,27 +480,31 @@ def test_exhaustive_f32_invariants():
     for bits in range(512):
         mask = (bits >> np.arange(9)) & 1 > 0
         E = PointSet(F32, mask)
-        for W in F32_DIRECTIONS:
-            prof = coset_profile(E, W)
-            image = project(E, W)
-            assert image.labels == tuple(np.unique(int64_coset_labels(W, E.indices())).tolist())
-            assert int(prof.counts.sum()) == E.cardinality
-            assert prof.image_size == image.size
+        for W, counts in zip(F32_DIRECTIONS, coset_counts(E, F32_DIRECTIONS)):
+            image = np.flatnonzero(counts)
+            assert image.tolist() == np.unique(int64_coset_labels(W, E.indices())).tolist()
+            assert int(counts.sum()) == E.cardinality
             if E.cardinality:
                 assert 1 <= image.size <= min(E.cardinality, 3)
             else:
                 assert image.size == 0
-            assert E.cardinality**2 <= prof.image_size * prof.second_moment()  # Cauchy-Schwarz
+            assert E.cardinality**2 <= image.size * int(counts @ counts)  # Cauchy-Schwarz
             if image.size > 3 - 1:
                 assert image.size == 3
 
 
 def test_projection_duality_exhaustive():
+    """The image along Per(V) has as many cosets as E has values of x -> (x.v) over V's basis."""
+    duals = [perp(V) for V in F32_DIRECTIONS]
     for bits in range(0, 512, 5):
         mask = (bits >> np.arange(9)) & 1 > 0
         E = PointSet(F32, mask)
-        for V in F32_DIRECTIONS:
-            assert project_onto(E, V).size == project(E, perp(V)).size
+        along = [np.count_nonzero(h) for h in coset_counts(E, duals)]
+        onto = [
+            len({tuple(sum(a * b for a, b in zip(x, v)) % 3 for v in V.basis) for x in E.vectors()})
+            for V in F32_DIRECTIONS
+        ]
+        assert along == onto
 
 
 def test_census_small_line_example():

@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffproj.core import AmbientSpace, BudgetError, digits_of, encode
+from ffproj.core import AmbientSpace, BudgetError, PointSet, digits_of, encode
+from ffproj.projections import coset_counts
 from ffproj.subspaces import (
-    AffinePlane,
     Subspace,
     SubspaceArray,
     _dual_bases,
+    _plane_reps,
     affine_count,
-    all_cosets,
     check_range_condition,
     coset_labels,
-    coset_of,
-    coset_reps,
     count_subspaces_containing,
     count_subspaces_with_perp_containing,
-    enumerate_affine,
     enumerate_grassmannian,
     gaussian_binomial,
     label_maps,
@@ -31,7 +28,9 @@ from ffproj.subspaces import (
 
 from oracles import (
     all_vectors,
+    brute_cosets_hit,
     brute_perp,
+    brute_plane,
     brute_subspace_pointsets,
     int64_coset_labels,
     span_points,
@@ -94,9 +93,6 @@ def test_enumeration_budget_is_checked_at_the_call():
     # no next(): the call itself refuses, so a lazy caller cannot slip past
     with pytest.raises(BudgetError, match=r"G\(2,1\) over F_3 has 4 elements, over budget 3"):
         enumerate_grassmannian(space, 1, budget=3)
-    with pytest.raises(BudgetError, match=r"A\(2,1\) over F_3 has 12 elements, over budget 5"):
-        enumerate_affine(space, 1, budget=5)
-    assert len(list(enumerate_affine(space, 1, budget=12))) == 12
 
 
 def test_range_condition_examples():
@@ -116,28 +112,38 @@ def test_pascal_identities_examples():
 
 
 def test_affine_enumeration_counts():
-    assert len(list(enumerate_affine(AmbientSpace(3, 2), 1))) == 12
-    assert len(list(enumerate_affine(AmbientSpace(2, 2), 2))) == 1
-    assert len(list(enumerate_affine(AmbientSpace(2, 3), 2))) == 14
-    assert affine_count(AmbientSpace(2, 3), 2) == 14
+    for p, n, m, count in [(3, 2, 1, 12), (2, 2, 2, 1), (2, 3, 2, 14), (3, 3, 1, 117)]:
+        space = AmbientSpace(p, n)
+        cosets = [
+            plane
+            for W in enumerate_grassmannian(space, m)
+            for plane in brute_cosets_hit(all_vectors(p, n), W.point_set().vectors(), p)
+        ]
+        assert affine_count(space, m) == len(set(cosets)) == count
+
+
+def _planes_through_each_point(p, n, m):
+    """Per point x of F_p^n, the planes of A(n, m) through it: the nonzero bins of {x}'s histograms.
+
+    Every histogram of a singleton must have a single nonzero bin, equal to 1.
+    """
+    space = AmbientSpace(p, n)
+    G = SubspaceArray.grassmannian(space, m)
+    for index in range(space.point_count):
+        histograms = np.array(list(coset_counts(PointSet.from_indices(space, [index]), G)))
+        assert (np.count_nonzero(histograms, axis=1) == 1).all()
+        assert (histograms.max(axis=1) == 1).all()
+        yield int(histograms.sum())
 
 
 def test_each_point_on_constant_number_of_lines():
-    space = AmbientSpace(3, 2)
-    lines = list(enumerate_affine(space, 1))
-    for x in all_vectors(3, 2):
-        assert sum(1 for line in lines if line.contains(x)) == 4
+    assert list(_planes_through_each_point(3, 2, 1)) == [4] * 9
 
 
 def test_each_point_on_gaussian_binomial_planes():
     # one coset of each direction passes through any fixed point
     for p, n, m in [(3, 2, 1), (2, 3, 1), (2, 3, 2)]:
-        space = AmbientSpace(p, n)
-        planes = list(enumerate_affine(space, m))
-        for x in [(0,) * n, tuple(range(1, n + 1))]:
-            x = tuple(c % p for c in x)
-            hits = sum(1 for plane in planes if plane.contains(x))
-            assert hits == gaussian_binomial(n, m, p)
+        assert set(_planes_through_each_point(p, n, m)) == {gaussian_binomial(n, m, p)}
 
 
 def test_perp_examples():
@@ -175,39 +181,43 @@ def test_perp_involution_and_bijection(p, n):
         assert set(perps) == set(enumerate_grassmannian(space, n - m))
 
 
-def test_coset_of_examples():
+def _reps(W, labels):
+    """Canonical representatives of the cosets ``labels`` of one ``Subspace`` W, as tuples."""
+    directions = SubspaceArray.of(W.space, [W] * len(labels))
+    return [tuple(rep) for rep in _plane_reps(directions, np.array(labels)).tolist()]
+
+
+def test_plane_reps_examples():
     space = AmbientSpace(3, 2)
     W = Subspace.from_rows(space, [(1, 0)])
-    assert coset_of(W, (2, 0)).rep == (0, 0)
-    assert coset_of(W, (2, 1)) == coset_of(W, (0, 1))
+    vectors = [(2, 0), (2, 1), (0, 1)]
+    label_20, label_21, label_01 = coset_labels(W, [encode(space, v) for v in vectors])
+    assert _reps(W, [label_20]) == [(0, 0)]
+    assert label_21 == label_01 and _reps(W, [label_21]) == [(0, 1)]
     zero = Subspace.zero(space)
-    reps = {coset_of(zero, v).rep for v in space.iter_vectors()}
-    assert len(reps) == 9
+    assert _reps(zero, list(range(9))) == all_vectors(3, 2)  # labels are the point indices
+    assert _plane_reps(SubspaceArray.of(space, []), np.zeros(0, dtype=np.int64)).shape == (0, 2)
 
 
 def test_cosets_partition_space():
     space = AmbientSpace(3, 2)
     for m in range(3):
         for W in enumerate_grassmannian(space, m):
-            planes = all_cosets(W)
-            assert len(planes) == 3 ** (2 - m)
-            seen = set()
-            for plane in planes:
-                pts = frozenset(int(i) for i in plane.point_indices())
-                assert len(pts) == 3**m
-                seen |= pts
-            assert seen == set(range(9))
+            planes = [brute_plane(W.basis, rep, 3, 2) for rep in _reps(W, range(3 ** (2 - m)))]
+            assert all(len(P) == 3**m for P in planes)
+            assert frozenset().union(*planes) == frozenset(all_vectors(3, 2))
+            assert sum(map(len, planes)) == 9  # disjoint
 
 
 def test_same_coset_iff_difference_in_subspace():
     space = AmbientSpace(3, 2)
     vectors = all_vectors(3, 2)
     for W in enumerate_grassmannian(space, 1):
-        for u in vectors:
-            for v in vectors:
+        labels = coset_labels(W, [encode(space, v) for v in vectors]).tolist()
+        for u, lu in zip(vectors, labels):
+            for v, lv in zip(vectors, labels):
                 diff = tuple((a - b) % 3 for a, b in zip(u, v))
-                same = coset_of(W, u) == coset_of(W, v)
-                assert same == W.contains(diff)
+                assert (lu == lv) == W.contains(diff)
 
 
 def test_coset_labels_consistent_with_plane_labels():
@@ -217,22 +227,25 @@ def test_coset_labels_consistent_with_plane_labels():
     labels = coset_labels(W, idx)
     assert np.array_equal(labels, int64_coset_labels(W, idx))
     assert sorted(set(labels.tolist())) == list(range(5))
-    for plane in all_cosets(W):
-        for i in plane.point_indices():
-            assert labels[int(i)] == plane.label()
+    for label, rep in enumerate(_reps(W, range(5))):
+        for x in brute_plane(W.basis, rep, 5, 2):
+            assert labels[encode(space, x)] == label
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
-def test_coset_of_decodes_the_oracle_label(p, n):
+def test_plane_reps_decode_the_oracle_label(p, n):
     space = AmbientSpace(p, n)
+    vectors = all_vectors(p, n)
+    indices = [encode(space, x) for x in vectors]
     for k in range(n + 1):
         for W in enumerate_grassmannian(space, k):
-            reps = list(coset_reps(W))
-            for x in all_vectors(p, n):
-                label = int(int64_coset_labels(W, [encode(space, x)])[0])
-                plane = coset_of(W, x)
-                assert plane.rep == reps[label] and plane.label() == label
-                assert plane.contains(x) and W.contains(x) == (label == 0)
+            labels = int64_coset_labels(W, indices).tolist()
+            reps = _reps(W, labels)
+            assert coset_labels(W, [encode(space, rep) for rep in reps]).tolist() == labels
+            for x, label, rep in zip(vectors, labels, reps):
+                assert not any(rep[t] for t in W.pivots)  # canonical: 0 on the pivots
+                assert x in brute_plane(W.basis, rep, p, n)
+                assert W.contains(x) == (label == 0)
 
 
 def test_from_rows_reduces_entries_beyond_int64_and_negative_ones():
@@ -410,13 +423,6 @@ def test_subspace_parse_rejects_non_canonical():
     text = "subspace p=3 n=2 m=1\n2,0\n"  # leading entry not 1
     with pytest.raises(ValueError):
         parse_subspace(text)
-
-
-def test_affine_plane_rejects_bad_rep():
-    space = AmbientSpace(3, 2)
-    W = Subspace.from_rows(space, [(1, 0)])
-    with pytest.raises(ValueError):
-        AffinePlane(W, (1, 0))  # nonzero at pivot column
 
 
 def test_enumeration_order_deterministic():

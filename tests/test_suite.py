@@ -271,14 +271,10 @@ def test_suite_calls_no_per_direction_routes(monkeypatch):
 
     from ffproj import fourier, projections, subspaces
 
-    calls = dict.fromkeys(
-        ["project", "project_onto", "perp", "character_sum", "coset_labels", "_coset_histograms"], 0
-    )
+    calls = dict.fromkeys(["perp", "character_sum", "coset_labels", "_coset_histograms"], 0)
     in_key_lemma = []
     key_lemma_kernel_calls = []
     originals = {
-        "project": projections.project,
-        "project_onto": projections.project_onto,
         "perp": subspaces.perp,
         "character_sum": fourier.character_sum,
         "coset_labels": subspaces.coset_labels,
@@ -325,7 +321,7 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
     from ffproj import subspaces
     from ffproj.core import PointSet, digits_of
     from ffproj.fourier import _character_sum_rows, character_sum
-    from ffproj.projections import coset_profile, project
+    from ffproj.projections import coset_counts
 
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 700)  # blocks of a few rows at most
     space = AmbientSpace(p, n)
@@ -357,9 +353,10 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
         assert same.all()
         for k, F in enumerate([E, complement]):
             assert totals[:, k].tolist() == [F.cardinality] * len(G)
-            sizes = [project(F, W).size for W in listed]
+            histograms = [next(coset_counts(F, [W])) for W in listed]  # one direction per call
+            sizes = [np.count_nonzero(h) for h in histograms]
             assert images[:, k].tolist() == dual_images[:, k].tolist() == sizes
-            assert moments[:, k].tolist() == [coset_profile(F, W).second_moment() for W in listed]
+            assert moments[:, k].tolist() == [int(h @ h) for h in histograms]
 
 
 @pytest.mark.parametrize("cap", [300, 2000, 1 << 20])
