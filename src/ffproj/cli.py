@@ -18,6 +18,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -87,6 +88,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is None and file_cfg.get(key) is not None:
             value = _typed(key, file_cfg[key], kind)
+        if type(value) is float and not math.isfinite(value):  # "1e400" parses to inf
+            raise ValueError(f"--{key} must be a finite number, got {value}")
         cfg[key] = _DEFAULTS.get(key) if value is None else value
     return cfg
 
@@ -94,7 +97,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 def _typed(key: str, value, kind):
     """A config-file value as its flag parses it: a string is parsed, an int cast for a float flag.
 
-    An on/off flag (``kind`` bool) takes a bool only.
+    An on/off flag (``kind`` bool) takes a bool only.  A flag with no type
+    (delta, s, t, p_list, n_list) keeps its value as given; the parse where
+    it is used checks it.
     """
     if kind is None or type(value) is kind:
         return value
@@ -430,8 +435,8 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; explicit flags win")
-    sub.add_argument("--out", help="write the JSON report to this path")
+    sub.add_argument("--config", type=str, help="JSON config file; explicit flags win")
+    sub.add_argument("--out", type=str, help="write the JSON report to this path")
 
 
 @functools.cache  # built at the first call; later in-process calls reuse it
@@ -448,15 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--affine", action="store_true", default=None)
-    sp.add_argument("--dump", help="write the enumerated objects to this file")
+    sp.add_argument("--dump", type=str, help="write the enumerated objects to this file")
     sp.add_argument("--budget", type=int, help=f"enumeration budget (env {BUDGET_ENV})")
     _add_common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = subs.add_parser("project", help="project a point set along a direction")
-    sp.add_argument("--pointset", help="ffpointset v1 file")
-    sp.add_argument("--subspace", help="subspace file for the direction")
-    sp.add_argument("--basis", help="inline basis rows, e.g. '1,0;0,1'")
+    sp.add_argument("--pointset", type=str, help="ffpointset v1 file")
+    sp.add_argument("--subspace", type=str, help="subspace file for the direction")
+    sp.add_argument("--basis", type=str, help="inline basis rows, e.g. '1,0;0,1'")
     sp.add_argument("--onto", action="store_true", default=None,
                     help="treat the subspace as the target V (cosets of Per(V))")
     sp.add_argument("--profile", action="store_true", default=None)
@@ -464,39 +469,39 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_project)
 
     sp = subs.add_parser("census", help="exceptional-direction censuses")
-    sp.add_argument("--pointset")
+    sp.add_argument("--pointset", type=str)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--kind", choices=["small", "large", "scales"])
+    sp.add_argument("--kind", type=str, choices=["small", "large", "scales"])
     sp.add_argument("--N", type=int, help="image threshold for kind=small")
     sp.add_argument("--delta", help="fraction in (0,1) for kind=large, e.g. 1/2")
     sp.add_argument("--s", help="declared size exponent for kind=scales")
     sp.add_argument("--t", help="scale exponent for kind=scales")
-    sp.add_argument("--sizes-csv", dest="sizes_csv", help="dump per-direction sizes")
+    sp.add_argument("--sizes-csv", dest="sizes_csv", type=str, help="dump per-direction sizes")
     sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(sp)
     sp.set_defaults(func=cmd_census)
 
     sp = subs.add_parser("energy", help="energy identity over all m-planes")
-    sp.add_argument("--pointset")
+    sp.add_argument("--pointset", type=str)
     sp.add_argument("--m", type=int)
     _add_common(sp)
     sp.set_defaults(func=cmd_energy)
 
     sp = subs.add_parser("spectrum", help="Fourier decay report")
-    sp.add_argument("--pointset")
-    sp.add_argument("--builtin", choices=["paraboloid", "sphere"])
+    sp.add_argument("--pointset", type=str)
+    sp.add_argument("--builtin", type=str, choices=["paraboloid", "sphere"])
     sp.add_argument("--p", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--r", type=int, help="sphere radius parameter")
     sp.add_argument("--C", type=float, help="decay profile constant")
     sp.add_argument("--alpha", type=float, help="decay profile exponent")
     sp.add_argument("--m", type=int, help="codimension for the projection-case check")
-    sp.add_argument("--dump", help="write the full spectrum as CSV")
+    sp.add_argument("--dump", type=str, help="write the full spectrum as CSV")
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = subs.add_parser("percolate", help="random-set projection campaigns")
-    sp.add_argument("--regime", choices=["small", "large"])
+    sp.add_argument("--regime", type=str, choices=["small", "large"])
     sp.add_argument("--p", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--threads", type=int, help=_THREADS_HELP)
-    sp.add_argument("--dump", help="write per-trial results as CSV")
+    sp.add_argument("--dump", type=str, help="write per-trial results as CSV")
     _add_common(sp)
     sp.set_defaults(func=cmd_percolate)
 

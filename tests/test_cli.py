@@ -595,6 +595,46 @@ def test_config_file_int_for_a_float_flag_is_recorded_as_a_float(workdir, monkey
     assert _envelope(workdir, args, {"C": 10**400})[0] == 2  # no float that large
 
 
+_SPECTRUM = ["spectrum", "--builtin", "paraboloid", "--p", "5", "--n", "2", "--alpha", "0.5",
+             "--m", "1"]
+_LARGE_CENSUS = ["census", "--pointset", "line.pts", "--m", "1", "--kind", "large"]
+
+
+@pytest.mark.parametrize("args,config,message", [
+    (["energy"], '{"pointset": ["a"], "m": 1}', "config key 'pointset' must be str, got ['a']"),
+    (["energy"], '{"pointset": 5, "m": 1}', "config key 'pointset' must be str, got 5"),
+    (_SPECTRUM, '{"C": 1e400}', "--C must be a finite number, got inf"),
+    ([*_SPECTRUM, "--C", "1e400"], None, "--C must be a finite number, got inf"),
+    ([*_SPECTRUM[:-4], "--C", "1", "--m", "1"], '{"alpha": NaN}',
+     "--alpha must be a finite number, got nan"),
+    (_LARGE_CENSUS, '{"delta": 1e400}', "--delta must be a finite number, got inf"),
+], ids=["path-list", "path-number", "float-config", "float-flag", "nan-config", "rational-config"])
+def test_config_shapes_are_refused_naming_the_key(
+    workdir, monkeypatch, capsys, args, config, message
+):
+    monkeypatch.chdir(workdir)
+    if config is not None:
+        (workdir / "cfg.json").write_text(config)
+        args = [*args, "--config", "cfg.json"]
+    assert cli.main(args) == 2
+    streams = capsys.readouterr()
+    assert streams.out == "" and streams.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,config,config_hash", [  # the hashes these configs had before
+    (_LARGE_CENSUS, {"delta": 0.5},
+     "25791b94ccb23d640c83475fc663d782d2c4dc2f65f35b09f15f51281d926755"),
+    (["census", "--pointset", "line.pts"], {"s": 1, "t": 0.5, "kind": "scales", "m": 1},
+     "931e91cfdff6b07c52b0ea37a6a1f8c3d1056641c3b4b27912389421371406c3"),
+    (["spectrum"], {"builtin": "paraboloid", "p": 5, "n": 2, "C": 1, "alpha": 0.5, "m": 1},
+     "0ffe89dae50930549cd9d07c898d0b87f8d150b70d787b510c01db1e46c1de4d"),
+], ids=["delta", "s-t", "spectrum"])
+def test_config_file_numbers_keep_their_hash(workdir, monkeypatch, args, config, config_hash):
+    monkeypatch.chdir(workdir)
+    code, envelope = _envelope(workdir, args, config)
+    assert code == 0 and envelope["config_hash"] == config_hash
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_config_keys_are_the_flag_dests(name, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
