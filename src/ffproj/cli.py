@@ -224,10 +224,9 @@ def _dump_family(fh, space: AmbientSpace, m: int, affine: bool) -> None:
     A plane is its "plane rep=" line, then its direction.  Each direction is
     serialised once, for its p^(n-m) planes in label order.
     """
-    heads = [""]
+    heads, labels = [""], np.arange(space.p ** (space.n - m) if affine else 0)
     for bases in _pattern_blocks(space, m):
         if affine:  # a block holds one pivot pattern, and a representative depends only on it
-            labels = np.arange(space.p ** (space.n - m))
             first = SubspaceArray._unchecked(space, bases[:1].repeat(len(labels), axis=0))
             reps = _plane_reps(first, labels).tolist()
             heads = ["plane rep=" + ",".join(map(str, rep)) + "\n" for rep in reps]

@@ -73,7 +73,7 @@ def energy(E: PointSet, directions: SubspaceArray, labels: np.ndarray) -> int:
     bases, which = np.unique(directions.bases, axis=0, return_inverse=True)
     swept = _histogram_blocks(E, SubspaceArray._unchecked(space, bases))
     hits = np.concatenate(list(swept))[which.reshape(-1), labels]
-    return sum((hits * hits).tolist())
+    return sum((hits * hits).tolist())  # in Python ints: a family may repeat a plane without bound
 
 
 def _all_directions(

@@ -15,7 +15,9 @@ which is always an exact integer.  The dual complement
     Per(W) = {x : x.w = 0 for all w in W}
 
 satisfies dim W + dim Per(W) = n and Per(Per(W)) = W, although W and
-Per(W) may intersect nontrivially (span{(1,1)} in F_2^2 is self-dual).
+Per(W) may intersect nontrivially (span{(1,1)} in F_2^2 is self-dual).  An
+affine plane x + W is named by its direction W and its coset label
+(:func:`coset_labels`), not by an object of its own.
 """
 
 from __future__ import annotations
