@@ -117,12 +117,20 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ValueError(f"missing required option(s): {', '.join('--' + k for k in missing)}")
 
 
-def _fraction(cfg: dict, key: str) -> Fraction:
-    """The option ``key`` as an exact rational; a bad value is a usage error naming it."""
+def _fraction(cfg: dict, key: str, dim: int | None = None) -> Fraction:
+    """The option ``key`` as an exact rational; a bad value is a usage error naming it.
+
+    An exponent of p passes ``dim``, the ambient dimension n: a value outside
+    [-n, n] is refused here, before any power of it is computed or any float
+    taken (``--s 1e30`` would ask for p^(10^30)).
+    """
     try:
-        return Fraction(cfg[key])
+        value = Fraction(cfg[key])
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"--{key} must be a rational number, got {cfg[key]!r}") from None
+    if dim is not None and abs(value) > dim:
+        raise ValueError(f"--{key} must lie in [-n, n] for n = {dim}, got {cfg[key]!r}")
+    return value
 
 
 def _int_list(cfg: dict, key: str) -> list[int]:
@@ -269,7 +277,8 @@ def _census_reports(E, cfg) -> list:
         return [census_fractional_image(E, cfg["m"], _fraction(cfg, "delta"))]
     if kind == "scales":
         _require(cfg, "s", "t")
-        reports = census_at_scales(E, cfg["m"], _fraction(cfg, "s"), _fraction(cfg, "t"))
+        s, t = (_fraction(cfg, key, E.space.n) for key in ("s", "t"))
+        reports = census_at_scales(E, cfg["m"], s, t)
         return [reports["scale_t"], reports["scale_m"], reports["full_image"]]
     raise ValueError(f"unknown census kind {kind!r}")
 
@@ -392,7 +401,7 @@ def cmd_percolate(args) -> int:
     if runner is None:
         raise ValueError(f"unknown regime {cfg['regime']!r}")
     report = runner(
-        cfg["p"], cfg["n"], cfg["m"], float(_fraction(cfg, "s")),
+        cfg["p"], cfg["n"], cfg["m"], float(_fraction(cfg, "s", cfg["n"])),
         trials=cfg["trials"], seed=cfg["seed"],
     )
     if cfg["dump"]:

@@ -199,6 +199,31 @@ def _rref_fault(bases: np.ndarray, p: int) -> str | None:
     return None
 
 
+def _canonical_arrays(arrays) -> list[bool]:
+    """Whether each array of one space holds RREF bases only, for all arrays at once.
+
+    An array passes exactly when :func:`_rref_fault` finds no fault in its
+    bases.  The bases are stacked and padded with zero rows
+    (:func:`_padded_stack`), and three reductions over the stack decide:
+    every entry is a residue, the pivots of a basis's rows strictly
+    increase, and each pivot column sums to 1.  With residues, a column
+    summing to 1 is a unit column, and a zero row fails one of the other two.
+    """
+    bases, ends = _padded_stack(arrays)
+    real = np.zeros(bases.shape[:2], dtype=bool)  # the rows of each basis, not its padding
+    for G, end in zip(arrays, ends):
+        real[end - len(G) : end, : G.dim] = True
+    pivots = _pivot_columns(bases)
+    unit = np.take_along_axis(bases.sum(axis=1), pivots, axis=1) == 1
+    ok = (
+        (bases % arrays[0].space.p == bases).all(axis=(1, 2))
+        & ((np.diff(pivots, axis=1) > 0) | ~real[:, 1:]).all(axis=1)
+        & (unit | ~real).all(axis=1)
+    )
+    faults = np.concatenate([[0], np.cumsum(~ok)])  # an empty array has none
+    return (faults[ends] == faults[[0, *ends[:-1]]]).tolist()
+
+
 def label_maps(bases: np.ndarray, p: int) -> np.ndarray:
     """Label maps Q_W of a (c, k, n) stack of RREF bases, each with its own pivots.
 
@@ -464,6 +489,19 @@ def _dual_generators(bases: np.ndarray, compact: bool) -> np.ndarray:
     return generators
 
 
+def _padded_stack(arrays) -> tuple[np.ndarray, list[int]]:
+    """The bases of a non-empty sequence of arrays of one space, stacked and padded with zero rows.
+
+    Returns the (sum of lengths, largest dimension, n) int64 stack and where
+    each array's bases end in it.
+    """
+    ends = np.cumsum([len(G) for G in arrays]).tolist()
+    bases = np.zeros((ends[-1], max(G.dim for G in arrays), arrays[0].space.n), dtype=np.int64)
+    for G, end in zip(arrays, ends):
+        bases[end - len(G) : end, : G.dim] = G.bases
+    return bases, ends
+
+
 def _dual_bases(directions):
     """Per(W) for each W of ``directions``, in order; :func:`perp` is one row of it.
 
@@ -483,10 +521,7 @@ def _dual_bases(directions):
     space = directions[0].space
     n = space.n
     dims = [G.dim for G in directions]
-    ends = np.cumsum([len(G) for G in directions]).tolist()
-    bases = np.zeros((ends[-1], max(dims), n), dtype=np.int64)
-    for G, end in zip(directions, ends):
-        bases[end - len(G) : end, : G.dim] = G.bases
+    bases, ends = _padded_stack(directions)
     compact = len(set(dims)) == 1
     stack = np.empty((len(bases), n - dims[0] if compact else n, n), dtype=np.int64)
     rows = _block_rows(8 * n * n)  # a block's generators before they are compacted

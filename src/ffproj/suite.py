@@ -1,8 +1,10 @@
 """Grid runner that checks every exact identity of the library on small spaces.
 
 A run sweeps (p, n) instances and, per instance, a deterministic battery of
-point sets (edge sets plus seeded percolation samples).  Integer identities
-must hold exactly; spectral recomputations must agree within the Fourier
+point sets (edge sets plus seeded percolation samples).  Every identity and
+bound is decided exactly, in integers: the spectral sides of Plancherel
+are read from the hyperplane second moments the sweep already holds, with
+no transform, and only the character sums are compared within the Fourier
 tolerance.  Every failure is recorded with a witness so a nonzero exit can
 name the counterexample instance.
 """
@@ -16,18 +18,18 @@ import numpy as np
 
 from .core import AmbientSpace, PointSet, base_p_digits, digits_of
 from .energy import _key_lemma_bounds, energy_identity_closed_form
-from .fourier import TOLERANCE, _character_sum_rows, dft, plancherel_check
-from .projections import _coset_histograms, _fractional_image_bound, _small_image_bound
+from .fourier import TOLERANCE, _character_sum_rows
+from .projections import _coset_histograms
 from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
     SubspaceArray,
+    _canonical_arrays,
     _check_budget,
     _check_enumeration,
     _dual_bases,
     _pivot_columns,
     _point_blocks,
     _residue_codes,
-    _rref_fault,
     binom_at_most_twice_power,
     gaussian_binomial,
 )
@@ -115,7 +117,7 @@ def _run_checks(primes, dims, seed, binomial) -> dict[str, _Check]:
         cell = _cell(space)
         _cell_checks(cell, binomial, checks)
         sets = _test_sets(space, seed)
-        _set_checks(cell, sets, *_sweep_sets(cell, sets), binomial, checks)
+        _set_checks(cell, sets, _sweep_sets(cell, sets), binomial, checks)
     return checks
 
 
@@ -199,8 +201,8 @@ def _cell_checks(cell, binomial, checks) -> None:
         },
     )
 
-    # only canonical bases have a dual; those of every G(n, m) are dualised at once
-    canonical = [m for m, P in duals.items() if _rref_fault(P.bases, p) is None]
+    # only canonical bases have a dual; those of every G(n, m) are checked and dualised at once
+    canonical = [m for m, ok in zip(duals, _canonical_arrays(list(duals.values()))) if ok]
     back = dict(zip(canonical, _dual_bases([duals[m] for m in canonical])))
     involutive, bijective = [], []
     for m, G in arrays.items():
@@ -274,33 +276,72 @@ def _direction_reductions(digits, tags, ntags, directions, maps, relabel) -> lis
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _sweep_sets(cell, sets) -> tuple[list, list[np.ndarray]]:
-    """The test sets' spectra, and the columns of one tagged sweep per G(n,d), all sets at once.
+def _sweep_sets(cell, sets) -> list[np.ndarray]:
+    """The columns of one tagged sweep per G(n, d), all test sets at once.
 
     The columns of :func:`_direction_reductions`, then the dual sums of subspace Plancherel,
-    sum_{xi in Per(W)} |Ehat(xi)|^2, each a (directions, sets) array that stacks the
-    directions of G(n, 0), G(n, 1), ..., G(n, n) in order (see :func:`_starts`).
+    sum_{xi in Per(W)} u(xi) over the table u of :func:`_power_table`, which is exactly
+    (p - 1) sum_{xi in Per(W)} |Ehat(xi)|^2.  Each column is a (directions, sets) array that
+    stacks the directions of G(n, 0), G(n, 1), ..., G(n, n) in order (see :func:`_starts`).
     """
     space, arrays, _, _, dual_points, routes = cell
     indices = [E.indices() for _, E in sets]
     digits = digits_of(space, np.concatenate(indices))
     tags = np.repeat(np.arange(len(sets)), [len(i) for i in indices])
-    spectra = [dft(E) for _, E in sets]
-    power = np.stack([spectrum.moduli() ** 2 for spectrum in spectra])
-    held = [  # np.take keeps each gathered row contiguous: it sums like the library's 1-D sum
-        [*_direction_reductions(digits, tags, len(sets), G, *routes[d]),
-         np.take(power, dual_points[d], axis=1).sum(axis=2).T]
-        for d, G in arrays.items()
+    held = [
+        _direction_reductions(digits, tags, len(sets), G, *routes[d]) for d, G in arrays.items()
     ]
-    return spectra, [np.concatenate(column) for column in zip(*held)]
+    size = np.array([len(i) for i in indices], dtype=np.int64)
+    hyperplane_moments = held[space.n - 1][2]  # the second moments over G(n, n-1)
+    powers = _power_table(space, size, hyperplane_moments, dual_points)
+    dual_sums = [np.take(powers, points, axis=0).sum(axis=1) for points in dual_points.values()]
+    return [np.concatenate(column) for column in zip(*held)] + [np.concatenate(dual_sums)]
 
 
-def _set_checks(cell, sets, spectra, columns, binomial, checks) -> None:
+def _line_powers(p, size, moments):
+    """sum_{t != 0} |Ehat(t xi)|^2 on the line of each xi != 0: p M(xi^perp) - |E|^2.
+
+    ``moments`` holds M(xi^perp) = sum_j c_j^2, c_j = |{x in E : x.xi = j}|, per hyperplane
+    (and set), ``size`` holds |E|.  Since Ehat(t xi) = sum_j c_j e(-tj), the sum of
+    |Ehat(t xi)|^2 over every t is p sum_j c_j^2, and t = 0 adds |E|^2 of it.
+    """
+    return p * moments - size * size
+
+
+def _power_table(space, size, moments, dual_points) -> np.ndarray:
+    """A (p^n, sets) table u whose sum over any Per(W) is (p - 1) sum_{xi in Per(W)} |Ehat(xi)|^2.
+
+    u(0) = (p - 1) |E|^2, and the non-zero points of each hyperplane's dual line (the rows
+    of ``dual_points[n - 1]``, ``moments`` their second moments) take that line's power
+    from :func:`_line_powers`, so each line of Per(W) adds p - 1 times its Fourier mass.
+    With true duals each non-zero point lies on one line; a point on none reads 0, and a
+    point on several the power of the last.  The table holds Python ints when a sum of it
+    over the duals of a Grassmannian could reach ``_INT64_BOUND``.
+    """
+    p, n = space.p, space.n
+    lines = dual_points[n - 1]
+    widest = max(points.shape[1] for points in dual_points.values())
+    count = sum(len(points) for points in dual_points.values())
+    if p * (int(moments.max()) + int(size.max()) ** 2) * widest * count >= _INT64_BOUND:
+        size, moments = size.astype(object), moments.astype(object)
+    rows = np.concatenate([  # a row per line, then a zero row and the origin's
+        _line_powers(p, size, moments), np.zeros_like(size)[None], (p - 1) * size[None] ** 2
+    ])
+    owner = np.full(p**n, -1)
+    np.maximum.at(owner, lines.ravel(), np.repeat(np.arange(len(lines)), lines.shape[1]))
+    owner[owner < 0] = len(lines)
+    owner[0] = len(lines) + 1
+    return rows[owner]
+
+
+def _set_checks(cell, sets, columns, binomial, checks) -> None:
     """Every check on the cell's test sets, each decided over all of them at once.
 
-    ``spectra`` and ``columns`` are as :func:`_sweep_sets` returns them.  Each
-    check is one array decision and one record per cell; its failures are
-    listed set by set, then by d or m, then by direction, threshold or Theta.
+    ``columns`` are as :func:`_sweep_sets` returns them.  Each check is one array
+    decision and one record per cell; its failures are listed set by set, then by d or
+    m, then by direction, threshold or Theta.  A spectral check compares a sum of the
+    power table with its combinatorial side times the scale (p - 1) |Per(W)|, all in
+    integers; its witness carries both sides and the scale.
     """
     space, arrays = cell[0], cell[1]
     p, n = space.p, space.n
@@ -309,16 +350,19 @@ def _set_checks(cell, sets, spectra, columns, binomial, checks) -> None:
     size_py = size.astype(object)  # as Python ints
     starts = _starts(arrays)
     total, image, moment, dual_image, same, dual_sum = columns
-    # every product or sum of image sizes and second moments below is at most this
-    if max(int(image.max()), len(moment)) * int(moment.max()) >= _INT64_BOUND:
+    # every product or sum of image sizes and second moments below, and every moment
+    # times its scale, is at most this
+    if max(int(image.max()), len(moment), p ** (n + 1)) * int(moment.max()) >= _INT64_BOUND:
         image, moment = image.astype(object), moment.astype(object)
     cosets = np.repeat(p ** (n - np.arange(n + 1)), np.diff(starts))[:, None]  # p^(n-d)
+    scale = (p - 1) * cosets
 
-    plancherel = [plancherel_check(spectrum) for spectrum in spectra]
+    # the one direction of G(n, 0) has all of F_p^n as its dual
     checks["plancherel"].record_all(
-        [ok for *_, ok in plancherel],
+        dual_sum[0] == (p - 1) * p**n * size_py,
         lambda s: {
-            "p": p, "n": n, "set": names[s], "lhs": plancherel[s][0], "rhs": plancherel[s][1],
+            "p": p, "n": n, "set": names[s], "lhs": int(dual_sum[0, s]),
+            "rhs": p**n * int(size[s]), "scale": p - 1,
         },
     )
 
@@ -331,19 +375,20 @@ def _set_checks(cell, sets, spectra, columns, binomial, checks) -> None:
         ((total == size) & (image == dual_image) & ((size == 0) | in_range)).T, where
     )
     checks["cauchy_schwarz"].record_all((size**2 <= image * moment).T, where)
-    lhs, rhs = _plancherel_sides(moment, dual_sum, cosets)
     checks["subspace_plancherel"].record_all(
-        (np.abs(lhs - rhs) <= TOLERANCE * np.maximum(1.0, lhs)).T,
-        lambda s, j: {**where(s, j), "lhs": int(lhs[j, s]), "rhs": float(rhs[j, s])},
+        (scale * moment == dual_sum).T,
+        lambda s, j: {
+            **where(s, j), "lhs": int(moment[j, s]), "rhs": int(dual_sum[j, s]),
+            "scale": int(scale[j, 0]),
+        },
     )
     checks["projection_duality"].record_all(
         same[starts[1] : starts[n]].T, lambda s, j: where(s, starts[1] + j)
     )
 
-    # per (d, set): energy(E, A(n,d)) summed over G(n, d), the spectral side strictly
-    # left to right, as a running sum direction by direction would add it
+    # per (d, set): energy(E, A(n,d)) and its spectral side, summed over G(n, d)
     energy = np.add.reduceat(moment, starts[:-1], axis=0)
-    spectral = np.stack([np.add.accumulate(rhs[a:b])[-1] for a, b in zip(starts, starts[1:])])
+    spectral = np.add.reduceat(dual_sum, starts[:-1], axis=0)
     closed = np.stack([energy_identity_closed_form(space, size_py, d) for d in range(n + 1)])
     injected = np.stack([
         size_py * p**d * _or_zero(binomial, n - 1, d, p)
@@ -357,14 +402,12 @@ def _set_checks(cell, sets, spectra, columns, binomial, checks) -> None:
             "combinatorial": int(energy[d, s]), "closed_form": injected[d, s],
         },
     )
-    closed_float = closed.astype(np.float64)
-    diff = np.abs(spectral - closed_float)
+    spectral_scale = scale[starts[:-1]]  # (p - 1) p^(n-d) per d
     checks["energy_identity_spectral"].record_all(
-        (diff <= TOLERANCE * np.maximum(1.0, closed_float)).T,
+        (spectral == spectral_scale * closed).T,
         lambda s, d: {
-            "p": p, "n": n, "m": d, "set": names[s],
-            "spectral": float(spectral[d, s]), "closed_form": closed[d, s],
-            "diff": float(diff[d, s]),
+            "p": p, "n": n, "m": d, "set": names[s], "spectral": int(spectral[d, s]),
+            "closed_form": closed[d, s], "scale": int(spectral_scale[d, 0]),
         },
     )
 
@@ -377,62 +420,55 @@ def _set_checks(cell, sets, spectra, columns, binomial, checks) -> None:
     _energy_bound_checks(p, n, ms, low, high, names, size_py, moment, starts, checks)
 
 
-def _plancherel_sides(moment, dual_sum, cosets):
-    """Both sides of subspace Plancherel per (direction, set).
-
-    The second moment sum_j |E n (x_j + W)|^2, and the dual sum
-    sum_{xi in Per(W)} |Ehat(xi)|^2 over p^(n-d), one float division per entry,
-    as ``fourier.subspace_plancherel`` divides it.
-    """
-    return moment, dual_sum / cosets
-
-
 def _census_checks(p, n, ms, low, high, names, size, image, starts, checks) -> None:
     """The census bounds of every (set, m, threshold) whose hypothesis and range condition hold.
 
     Per set, the thresholds are N = 1 and |E| // 4 (if over 1) of the small-image census,
-    then floor(delta p^m) of the fractional one.  The counts of every set and threshold
-    of one m are one comparison of the held image sizes of G(n, n-m); each count is
-    decided against its census's bound by :meth:`ExactBound.satisfied_by`.
+    then floor(delta p^m) of the fractional one.  The counts of every set, m and threshold
+    are one comparison of the held image sizes of G(n, 1), ..., G(n, n-1).  Every exponent
+    of the bounds is an integer, so all counts are decided at once in Python ints:
+    count <= 4 N p^(m(n-m)-m), and count (b - a) |E| <= 2a p^(m(n-m)+m) for delta = a/b.
     """
     if not ms:
         return
     quarter = size // 4
-    observed, valid = [], []
-    for m, small_ok, fractional_ok in zip(ms, low, high):
-        fractional = [delta.numerator * p**m // delta.denominator for delta in _DELTAS]
-        thresholds = np.column_stack(
-            [np.ones_like(size), quarter, np.tile(fractional, (len(size), 1))]
-        )
-        images = image[starts[n - m] : starts[n - m + 1], :, None]
-        observed.append((images <= thresholds).sum(axis=0))
-        valid.append(np.column_stack([
-            (2 < size) & small_ok,
-            (quarter > 1) & (2 * quarter < size) & small_ok,
-            np.repeat((size > 0)[:, None] & fractional_ok, len(_DELTAS), axis=1),
-        ]))
-    valid = np.stack(valid, axis=1)  # (sets, m, threshold)
+    a = np.array([delta.numerator for delta in _DELTAS], dtype=object)
+    b = np.array([delta.denominator for delta in _DELTAS], dtype=object)
+    thresholds = np.empty((len(ms), len(size), 2 + len(_DELTAS)), dtype=np.int64)  # (m, set, .)
+    thresholds[..., 0] = 1
+    thresholds[..., 1] = quarter
+    thresholds[..., 2:] = np.array([[p**m * a // b] for m in ms], dtype=np.int64)
+    # rows starts[1] to starts[n] are G(n, n-m) for m = n-1 down to 1
+    rows = np.repeat(thresholds[::-1], np.diff(starts[1 : n + 1]), axis=0)
+    hits = image[starts[1] : starts[n], :, None] <= rows
+    by_m = np.add.reduceat(hits, starts[1:n] - starts[1], axis=0, dtype=np.int64)[::-1]
+    observed = by_m.transpose(1, 0, 2).astype(object)  # (set, m, threshold), Python ints
+    small_ok, fractional_ok = np.array(low), np.array(high)
+    valid = np.empty(observed.shape, dtype=bool)
+    valid[..., 0] = (2 < size)[:, None] & small_ok
+    valid[..., 1] = ((quarter > 1) & (2 * quarter < size))[:, None] & small_ok
+    valid[..., 2:] = ((size > 0)[:, None] & fractional_ok)[..., None]
+    N = np.column_stack([np.ones_like(size), quarter]).astype(object)
+    low_power = np.array([[p ** (m * (n - m) - m)] for m in ms], dtype=object)
+    high_power = np.array([[p ** (m * (n - m) + m)] for m in ms], dtype=object)
+    small = observed[..., :2] <= 4 * N[:, None, :] * low_power
+    fractional = observed[..., 2:] * (b - a) * size.astype(object)[:, None, None] <= (
+        2 * a * high_power
+    )
     chosen = np.flatnonzero(valid)
     instances = list(zip(*(i.tolist() for i in np.unravel_index(chosen, valid.shape))))
-    counts = np.stack(observed, axis=1).ravel()[chosen].tolist()
-
-    def census(s, i, t):
-        """The bound of one instance, and what its witness names of it."""
-        if t < 2:
-            N = (1, int(quarter[s]))[t]
-            return _small_image_bound(p, n, ms[i], N), {"kind": "small_image", "N": N}
-        delta = _DELTAS[t - 2]
-        a, b = delta.numerator, delta.denominator
-        bound = _fractional_image_bound(p, n, ms[i], a, b, int(size[s]))
-        return bound, {"kind": "fractional_image", "delta": str(delta)}
+    counts = observed.ravel()[chosen].tolist()
 
     def witness(k):
-        s, i, _ = instances[k]
-        named = census(*instances[k])[1]
+        s, i, t = instances[k]
+        if t < 2:
+            named = {"kind": "small_image", "N": int(N[s, t])}
+        else:
+            named = {"kind": "fractional_image", "delta": str(_DELTAS[t - 2])}
         return {"p": p, "n": n, "m": ms[i], "set": names[s], **named, "observed": counts[k]}
 
     checks["census_bounds"].record_all(
-        [census(*at)[0].satisfied_by(count) for at, count in zip(instances, counts)], witness
+        np.concatenate([small, fractional], axis=2).ravel()[chosen], witness
     )
 
 

@@ -312,37 +312,67 @@ def loop_cell_checks(cell, binomial, checks):
             )
 
 
-def loop_set_checks(cell, sets, spectra, columns, binomial, checks):
-    """``suite._set_checks`` as first written: :func:`loop_per_set_checks` set by set."""
+def loop_set_checks(cell, sets, columns, binomial, checks):
+    """``suite._set_checks`` as first written: :func:`loop_per_set_checks` set by set.
+
+    The array route's dual sums (the last column) are not read: the loop builds
+    each set's spectral sides itself.
+    """
     arrays = cell[1]
     starts = np.cumsum([0] + [len(G) for G in arrays.values()])
     bases = _bases(arrays)
-    for k, ((set_name, E), spectrum) in enumerate(zip(sets, spectra)):
-        held = {d: [c[starts[d] : starts[d + 1], k] for c in columns] for d in arrays}
-        loop_per_set_checks(cell, bases, E, set_name, spectrum, held, binomial, checks)
+    for k, (set_name, E) in enumerate(sets):
+        held = {d: [c[starts[d] : starts[d + 1], k] for c in columns[:-1]] for d in arrays}
+        loop_per_set_checks(cell, bases, E, set_name, held, binomial, checks)
 
 
-def loop_per_set_checks(cell, bases, E, set_name, spectrum, held, binomial, checks):
+def loop_dual_sums(cell, size, hyperplane_moments):
+    """Per G(n, d), the sums over each Per(W) of the power table, built line by line.
+
+    Each non-zero point of a hyperplane's dual line takes that line's power
+    p M(xi^perp) - |E|^2 (from ``suite._line_powers``, one line at a time; a
+    later line overwrites an earlier one), the origin (p - 1) |E|^2, and every
+    other point 0.  All in Python ints.
+    """
+    from ffproj import suite
+
+    space, arrays, dual_points = cell[0], cell[1], cell[4]
+    p, n = space.p, space.n
+    power = [0] * p**n
+    for line, moment in zip(dual_points[n - 1].tolist(), hyperplane_moments.tolist()):
+        line_power = suite._line_powers(p, size, moment)
+        for xi in line:
+            power[xi] = line_power
+    power[0] = (p - 1) * size**2
+    return {d: [sum(power[xi] for xi in points) for points in dual_points[d].tolist()]
+            for d in arrays}
+
+
+def loop_per_set_checks(cell, bases, E, set_name, held, binomial, checks):
     """Every check on one set, direction by direction, from its columns of the held sweeps.
 
-    ``held[d]`` holds the set's column of each of ``suite._sweep_sets``' arrays
-    over G(n, d).  The census and key-lemma instances go through the library's
-    census functions and ``key_lemma_check``, with Fraction bounds.
+    ``held[d]`` holds the set's column of each of ``suite._direction_reductions``'
+    arrays over G(n, d); the spectral sides come from :func:`loop_dual_sums`.
+    The census and key-lemma instances go through the library's census
+    functions and ``key_lemma_check``, with Fraction bounds.
     """
     from ffproj.energy import energy_identity_closed_form, key_lemma_check
-    from ffproj.fourier import TOLERANCE, plancherel_check
     from ffproj.projections import census_fractional_image, census_small_image
 
     space, arrays = cell[0], cell[1]
     p, n = space.p, space.n
     size = E.cardinality
-    lhs, rhs, ok = plancherel_check(spectrum)
-    _record(checks["plancherel"], ok, p=p, n=n, set=set_name, lhs=lhs, rhs=rhs)
+    dual_sums = loop_dual_sums(cell, size, held[n - 1][2])
+    _record(
+        checks["plancherel"], dual_sums[0][0] == (p - 1) * p**n * size, p=p, n=n,
+        set=set_name, lhs=dual_sums[0][0], rhs=p**n * size, scale=p - 1,
+    )
     for d in range(n + 1):
-        energy, spectral = 0, 0.0  # energy(E, A(n,d)), summed over the directions W
+        energy, spectral = 0, 0  # energy(E, A(n,d)) and its spectral side, summed over W
         n_cosets = p ** (n - d)
-        for W, total, image, lhs, dual_image, same, dual_sum in zip(
-            bases[d], *(column.tolist() for column in held[d])
+        scale = (p - 1) * n_cosets
+        for W, total, image, lhs, dual_image, same, rhs in zip(
+            bases[d], *(column.tolist() for column in held[d]), dual_sums[d]
         ):
             where = {"p": p, "n": n, "set": set_name, "subspace": W}
             _record(
@@ -353,10 +383,9 @@ def loop_per_set_checks(cell, bases, E, set_name, spectrum, held, binomial, chec
                 **where,
             )
             _record(checks["cauchy_schwarz"], size**2 <= image * lhs, **where)
-            rhs = dual_sum / n_cosets
             _record(
-                checks["subspace_plancherel"],
-                abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs), **where, lhs=lhs, rhs=rhs,
+                checks["subspace_plancherel"], scale * lhs == rhs,
+                **where, lhs=lhs, rhs=rhs, scale=scale,
             )
             energy += lhs
             spectral += rhs
@@ -371,10 +400,9 @@ def loop_per_set_checks(cell, bases, E, set_name, spectrum, held, binomial, chec
             checks["energy_identity"], energy == rhs == rhs_injected, p=p, n=n, m=d,
             set=set_name, combinatorial=energy, closed_form=rhs_injected,
         )
-        diff = abs(spectral - rhs)
         _record(
-            checks["energy_identity_spectral"], diff <= TOLERANCE * max(1.0, rhs),
-            p=p, n=n, m=d, set=set_name, spectral=spectral, closed_form=rhs, diff=diff,
+            checks["energy_identity_spectral"], spectral == scale * rhs,
+            p=p, n=n, m=d, set=set_name, spectral=spectral, closed_form=rhs, scale=scale,
         )
 
     for m in range(1, n):

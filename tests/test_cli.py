@@ -674,6 +674,34 @@ def test_zero_denominator_is_a_usage_error(workdir, monkeypatch, capsys, key, ar
     assert not (workdir / "report.json").exists()
 
 
+@pytest.mark.parametrize("key,value,args,config", [
+    ("s", "1e30", ["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
+                   "--s", "1e30", "--t", "1"], None),
+    ("t", "-1e30", ["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
+                    "--s", "1", "--t=-1e30"], None),
+    ("s", 1e30, ["census", "--pointset", "line.pts", "--m", "1", "--kind", "scales",
+                 "--t", "1"], {"s": 1e30}),
+    ("s", "1e400", ["percolate", "--regime", "small", "--p", "5", "--n", "2", "--m", "1",
+                    "--s", "1e400"], None),
+    ("s", "3", ["percolate", "--regime", "large", "--p", "5", "--n", "2", "--m", "1",
+                "--s", "3"], None),
+], ids=["census-s", "census-t", "census-config-s", "percolate-s", "percolate-just-over"])
+def test_huge_exponents_are_refused_promptly(workdir, key, value, args, config):
+    # p^(10^30) would never finish, and float(10^400) overflows; both ran before the
+    # exponent was bounded by the ambient dimension (2 here)
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        args = [*args, "--config", "cfg.json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "ffproj", *args, "--out", "report.json"],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: --{key} must lie in [-n, n] for n = 2, got {value!r}\n"
+    assert not (workdir / "report.json").exists()
+
+
 def test_percolate_trial_count_must_be_nonnegative(workdir, monkeypatch, capsys):
     args = ["percolate", "--regime", "small", "--p", "3", "--n", "2", "--m", "1", "--s", "1"]
     monkeypatch.chdir(workdir)

@@ -8,6 +8,7 @@ from ffproj import fourier
 from ffproj.core import AmbientSpace, BudgetError, PointSet, encode
 from ffproj.fourier import (
     FULL_SPECTRUM_BUDGET,
+    TOLERANCE,
     SalemProfile,
     character_sum,
     dft,
@@ -172,6 +173,33 @@ def test_subspace_plancherel_random(p, n):
         for d in range(n + 1):
             for W in enumerate_grassmannian(space, d):
                 assert subspace_plancherel(E, W, spectrum=S)[2]
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7) for n in (2, 3)])
+def test_line_powers_are_exact(p, n):
+    # for xi != 0, sum_{t != 0} |Ehat(t xi)|^2 = p M(xi^perp) - |E|^2 with
+    # M(xi^perp) = sum_j c_j^2, c the histogram of x.xi mod p over E: the integer
+    # the identity suite reads in place of a transform
+    from ffproj.core import decode
+    from ffproj.projections import coset_counts
+    from ffproj.suite import _line_powers
+
+    space = AmbientSpace(p, n)
+    random = PointSet(space, np.random.default_rng(p * n).random(space.point_count) < 0.5)
+    for E in (random, paraboloid(space), sphere(space, 1)):
+        power = dft(E).moduli() ** 2
+        brute = brute_dft(E.vectors(), p, n)
+        size = E.cardinality
+        for line in enumerate_grassmannian(space, 1):
+            h = next(coset_counts(E, [perp(line)]))
+            exact = p * int(h @ h) - size**2
+            assert _line_powers(p, size, int(h @ h)) == exact
+            points = [int(xi) for xi in line.point_indices() if xi]
+            assert len(points) == p - 1
+            fast = float(power[points].sum())
+            slow = sum(abs(brute[decode(space, xi)]) ** 2 for xi in points)
+            for value in (fast, slow):
+                assert abs(value - exact) <= TOLERANCE * max(1, exact)
 
 
 def test_character_sum_examples():

@@ -431,3 +431,31 @@ def test_enumeration_order_deterministic():
     second = [W.basis for W in enumerate_grassmannian(space, 1)]
     assert first == second
     assert first[0] == ((1, 0),)  # pivot pattern (0,) comes first
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2), (2, 4)])
+def test_canonical_arrays_agree_with_rref_fault(p, n):
+    from ffproj import subspaces
+
+    rng = np.random.default_rng(p * 10 + n)
+    space = AmbientSpace(p, n)
+    arrays = [SubspaceArray.grassmannian(space, d) for d in range(n + 1)]
+    assert subspaces._canonical_arrays(arrays) == [True] * (n + 1)
+    for _ in range(200):
+        mutated = []
+        for G in arrays:
+            bases = G.bases.copy()
+            if bases.size and rng.random() < 0.7:
+                g, i, j = (rng.integers(s) for s in bases.shape)
+                change = rng.integers(4)
+                if change == 0:  # any value, a residue or not
+                    bases[g, i, j] = rng.integers(-1, p + 1)
+                elif change == 1:
+                    bases[g, i] = 0
+                elif change == 2:
+                    bases[g] = bases[g, ::-1]
+                else:
+                    bases[g, i] = (bases[g, i] + bases[g, (i + 1) % len(bases[g])]) % p
+            mutated.append(SubspaceArray._unchecked(space, bases))
+        expected = [subspaces._rref_fault(A.bases, p) is None for A in mutated]
+        assert subspaces._canonical_arrays(mutated) == expected

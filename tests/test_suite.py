@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from ffproj import suite
 from ffproj.core import AmbientSpace
-from ffproj.fourier import TOLERANCE, subspace_plancherel
+from ffproj.fourier import TOLERANCE, dft, subspace_plancherel
 from ffproj.subspaces import Subspace, SubspaceArray, gaussian_binomial
 from ffproj.suite import run_identity_suite
 
@@ -22,7 +23,7 @@ from oracles import (
 real_dual_bases = suite._dual_bases
 real_coset_histograms = suite._coset_histograms
 real_point_blocks = suite._point_blocks
-real_dft = suite.dft
+real_line_powers = suite._line_powers
 
 
 def _off_by_one(n, m, p):
@@ -71,10 +72,10 @@ def _origin_twice(subspaces):
         yield np.concatenate([points, np.zeros((len(points), 1), dtype=np.int64)], axis=1)
 
 
-def _scaled_spectrum(E):
-    spectrum = real_dft(E)  # its own Plancherel check passes; the suite reads the scaled moduli
-    object.__setattr__(spectrum, "_moduli", spectrum.moduli() * (1 + 1e-6))
-    return spectrum
+def _scaled_spectrum(p, size, moments):
+    # every line's Fourier mass off the origin doubled; the moments are untouched, so the
+    # spectral sides of every set but the empty and the full one (whose mass is 0) are off
+    return 2 * real_line_powers(p, size, moments)
 
 
 FAULTS = {
@@ -85,7 +86,7 @@ FAULTS = {
     "dropped_bin": {"_coset_histograms": _dropped_bin},
     "collapsed_bins": {"_coset_histograms": _collapsed_bins},
     "origin_twice": {"_point_blocks": _origin_twice},
-    "scaled_spectrum": {"dft": _scaled_spectrum},
+    "scaled_spectrum": {"_line_powers": _scaled_spectrum},
 }
 
 
@@ -134,7 +135,8 @@ def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
     manifest = run_identity_suite(primes=(3,), dims=(2,))
     checks = {c["name"]: c for c in manifest["checks"]}
     assert manifest["all_pass"] is False
-    for name in ("subspace_plancherel", "energy_identity_spectral"):
+    # plancherel is the dual sum of G(2,0), so the fault reaches it too
+    for name in ("plancherel", "subspace_plancherel", "energy_identity_spectral"):
         assert not checks[name]["pass"]
         # the empty set's spectrum vanishes, so no fault in the duals reaches
         # its checks; every instance of the five other sets fails
@@ -143,37 +145,36 @@ def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
         assert all(w["set"] != "empty" for w in checks[name]["failures"])
     witness = checks["energy_identity_spectral"]["failures"][0]
     # G(2,0) is one direction with the whole plane as its dual, so the full
-    # set's spectral side is off by exactly |E|^2 / p^2 = 9
-    assert witness["set"] == "full" and witness["m"] == 0
-    assert witness["diff"] == pytest.approx(9.0)
-    for name in ("energy_identity", "coset_decomposition", "plancherel"):
+    # set's spectral side is off by exactly |E|^2 / p^2 = 9, times the scale (p - 1) p^2
+    assert witness["set"] == "full" and witness["m"] == 0 and witness["scale"] == 18
+    assert witness["spectral"] == witness["scale"] * (witness["closed_form"] + 9)
+    for name in ("energy_identity", "coset_decomposition"):
         assert checks[name]["pass"]
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2)])
-def test_subspace_plancherel_sides_are_those_of_the_library(monkeypatch, p, n):
-    sides = []
-    real = suite._plancherel_sides
-
-    def spy(*args):  # the (direction, set) arrays the cell's check decides on
-        sides.append(real(*args))
-        return sides[-1]
-
-    monkeypatch.setattr(suite, "_plancherel_sides", spy)
-    manifest = run_identity_suite(primes=(p,), dims=(n,), seed=3)
-    [(lhs, rhs)] = sides
+def test_subspace_plancherel_sides_are_those_of_the_library(p, n):
+    # the suite decides (p - 1) p^(n-d) M_W = sum_{Per(W)} u in int64; the library's
+    # float spectral side is within TOLERANCE of the exact one
     space = AmbientSpace(p, n)
     sets = suite._test_sets(space, 3)
+    columns = suite._sweep_sets(suite._cell(space), sets)
+    moment, dual_sum = columns[2], columns[-1]
     directions = [W for d in range(n + 1) for W in SubspaceArray.grassmannian(space, d)]
-    assert lhs.shape == rhs.shape == (len(directions), len(sets))
-    checks = {c["name"]: c for c in manifest["checks"]}
-    assert checks["subspace_plancherel"]["instances"] == lhs.size
+    assert moment.shape == dual_sum.shape == (len(directions), len(sets))
+    assert moment.dtype == dual_sum.dtype == np.int64
     for k, (_, E) in enumerate(sets):
+        spectrum = dft(E)
         for j, W in enumerate(directions):
-            expected_lhs, expected_rhs, _ = subspace_plancherel(E, W)
-            assert type(lhs[j, k].item()) is int and type(rhs[j, k].item()) is float
-            # the float to the bit, not merely close
-            assert (lhs[j, k].item(), rhs[j, k].item()) == (expected_lhs, expected_rhs)
+            scale = (p - 1) * p ** (n - W.dim)
+            expected_lhs, expected_rhs, _ = subspace_plancherel(E, W, spectrum=spectrum)
+            assert moment[j, k] == expected_lhs and dual_sum[j, k] == scale * expected_lhs
+            exact = Fraction(int(dual_sum[j, k]), scale)
+            assert abs(expected_rhs - exact) <= TOLERANCE * max(1, exact)
+    manifest = run_identity_suite(primes=(p,), dims=(n,), seed=3)
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert checks["subspace_plancherel"]["instances"] == moment.size
+    assert checks["subspace_plancherel"]["pass"]
 
 
 def test_cell_enumerates_each_grassmannian_once(monkeypatch):
@@ -314,6 +315,30 @@ def test_suite_calls_no_per_direction_routes(monkeypatch):
     assert kernel == 4  # one tagged sweep of the six sets per G(3, d)
     # the key lemma bounds every (set, m, Theta) of the cell at once, from held moments
     assert len(key_lemma_calls) == 1 and key_lemma_kernel_calls == []
+
+
+def test_verify_makes_no_transform(monkeypatch):
+    import sys
+
+    from ffproj import cli, fourier
+    from ffproj.core import PointSet
+
+    calls = []
+    real = fourier.dft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "ffproj" or key.startswith("ffproj.")) and getattr(module, "dft", None) is real:
+            monkeypatch.setattr(module, "dft", counted)
+    assert not hasattr(suite, "dft") and not hasattr(suite, "plancherel_check")
+    for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2)]:
+        assert cli.main(["verify", "--p", str(p), "--n", str(n)]) == 0
+    assert calls == []
+    fourier.dft(PointSet.full(AmbientSpace(3, 2)))
+    assert len(calls) == 1  # the wrapper counts
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
@@ -485,17 +510,18 @@ def test_passing_cells_build_no_witness_and_record_each_check_once(monkeypatch):
         suite._CHECKS, len(cells)
     )
     # a failing check builds one witness per failure, and no more
-    monkeypatch.setattr(suite, "dft", _scaled_spectrum)
+    monkeypatch.setattr(suite, "_line_powers", _scaled_spectrum)
     manifest = run_identity_suite(primes=(3,), dims=(2,))
     failures = sum(c["failure_count"] for c in manifest["checks"])
     assert failures > 0 and len(witnesses) == failures
 
 
-@pytest.mark.parametrize("fault", ["none", "collapsed_bins", "dropped_bin"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_python_int_decisions_are_the_int64_ones(monkeypatch, fault):
     for name, patch in FAULTS[fault].items():
         monkeypatch.setattr(suite, name, patch)
-    grid = ((2, 3, 5), (2, 3), 1, gaussian_binomial)
+    binomial = _off_by_one if fault == "off_by_one_binomial" else gaussian_binomial
+    grid = ((2, 3, 5), (2, 3), 1, binomial)
     int64 = suite._run_checks(*grid)
     monkeypatch.setattr(suite, "_INT64_BOUND", 0)  # no cell's counts fit: all in Python ints
     python = suite._run_checks(*grid)
