@@ -3,7 +3,8 @@
 energy(E, directions, labels) = sum over planes of |E n plane|^2, for a
 family that names each plane by its direction and its coset label.  Over
 the full family A(n,m) it collapses to |E| p^m C(n-1,m)_p + |E|^2
-C(n-1,m-1)_p, verified here combinatorially and through the spectral route.
+C(n-1,m-1)_p, verified here combinatorially and through the spectral route,
+both in exact arithmetic.
 The additive energy of A, B in F_p is the line-family special case.
 """
 
@@ -30,9 +31,9 @@ for size in (0, 1, 2, 5, 9):
     idx = rng.choice(9, size=size, replace=False)
     E = PointSet.from_indices(space, idx)
     lhs, rhs, equal = verify_energy_identity(E, 1)
-    spectral, _, diff = verify_energy_identity_fourier(E, 1)
+    spectral, _, spectral_equal = verify_energy_identity_fourier(E, 1)
     print(f"  |E|={size}: combinatorial {lhs} = closed form {rhs} "
-          f"(spectral {spectral:.6f}, diff {diff:.1e})")
+          f"(spectral {spectral}, equal: {equal and spectral_equal})")
 
 print("\nAdditive energy = line-family energy of the product set:")
 p = 7

@@ -12,10 +12,12 @@ form
 
     |E| p^m C(n-1, m)_p + |E|^2 C(n-1, m-1)_p,
 
-which this module verifies both combinatorially and through the spectral
-route (coset second moments via the subspace Plancherel identity).  The
-classical additive energy of A, B in F_p is the special case of the family
-of lines x + y = k in F_p^2.
+which this module verifies both combinatorially (a sweep of G(n, m)) and
+through the spectral route (subspace Plancherel summed over G(n, m), read
+off one sweep of the hyperplanes G(n, n-1) by the line powers of
+``fourier._line_powers``), both in exact integers.  The classical additive
+energy of A, B in F_p is the special case of the family of lines x + y = k
+in F_p^2.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet
-from .fourier import Spectrum, dft
+from .fourier import _line_power_sum
 from .projections import _histogram_blocks, coset_counts
 from .subspaces import (
     Subspace,
     SubspaceArray,
-    _dual_bases,
-    _point_blocks,
     binom_at_most_twice_power,
+    gaussian_binomial,
     gaussian_binomial_or_zero,
 )
 
@@ -76,26 +77,9 @@ def energy(E: PointSet, directions: SubspaceArray, labels: np.ndarray) -> int:
     return sum((hits * hits).tolist())  # in Python ints: a family may repeat a plane without bound
 
 
-def _all_directions(
-    space: AmbientSpace, m: int, directions: SubspaceArray | None
-) -> SubspaceArray:
-    """G(n, m), built here or given as ``SubspaceArray.grassmannian(space, m)`` returned it."""
-    if directions is None:
-        return SubspaceArray.grassmannian(space, m)
-    if not (directions._grassmannian and directions.space == space and directions.dim == m):
-        raise ValueError(f"directions must be all of G({space.n},{m}) over F_{space.p}")
-    return directions
-
-
-def energy_over_all_planes(
-    E: PointSet, m: int, directions: SubspaceArray | None = None
-) -> int:
-    """energy(E, A(n,m)) without materializing the planes.
-
-    ``directions`` is G(n, m) from ``SubspaceArray.grassmannian``, for a
-    caller that holds it; by default it is built here.
-    """
-    blocks = _histogram_blocks(E, _all_directions(E.space, m, directions))
+def energy_over_all_planes(E: PointSet, m: int) -> int:
+    """energy(E, A(n,m)) without materializing the planes: one sweep of G(n, m)."""
+    blocks = _histogram_blocks(E, SubspaceArray.grassmannian(E.space, m))
     return sum(sum((h * h).sum(axis=1).tolist()) for h in blocks)
 
 
@@ -107,45 +91,29 @@ def energy_identity_closed_form(space: AmbientSpace, size: int, m: int) -> int:
     ) + size**2 * gaussian_binomial_or_zero(n - 1, m - 1, p)
 
 
-def verify_energy_identity(
-    E: PointSet, m: int, directions: SubspaceArray | None = None
-) -> tuple[int, int, bool]:
-    """Combinatorial energy over A(n,m) against the closed form, exact integers.
-
-    ``directions`` is as in :func:`energy_over_all_planes`.
-    """
-    lhs = energy_over_all_planes(E, m, directions)
+def verify_energy_identity(E: PointSet, m: int) -> tuple[int, int, bool]:
+    """Combinatorial energy over A(n,m) against the closed form, exact integers."""
+    lhs = energy_over_all_planes(E, m)
     rhs = energy_identity_closed_form(E.space, E.cardinality, m)
     return lhs, rhs, lhs == rhs
 
 
-def verify_energy_identity_fourier(
-    E: PointSet, m: int, spectrum: Spectrum | None = None,
-    directions: SubspaceArray | None = None,
-) -> tuple[float, int, float]:
-    """Spectral recomputation of the energy identity.
+def verify_energy_identity_fourier(E: PointSet, m: int) -> tuple[Fraction, int, bool]:
+    """The spectral side of the energy identity, exact: (spectral, closed form, equal).
 
-    Each direction's coset second moment is evaluated as
-    p^(m-n) sum_{xi in Per(V)} |Ehat(xi)|^2 and accumulated over G(n,m);
-    returns (spectral lhs, closed-form rhs, |difference|).
-
-    Each dual is summed over its points in the order of
-    ``perp(V).point_indices()`` (see ``subspaces._point_blocks``), and
-    the sums are added in V order, so the float result does not depend on
-    the blocking.  ``directions`` is as in :func:`energy_over_all_planes`.
+    By subspace Plancherel the energy over A(n,m) is p^(m-n) times the sum over
+    V in G(n,m) of the Fourier mass of Per(V).  The origin lies in every Per(V)
+    and each line <xi> in Per(V) for exactly C(n-1,m)_p of the V (those inside
+    xi^perp), so that is p^(m-n) [C(n,m)_p |E|^2 + C(n-1,m)_p sum_H (p M(H) - |E|^2)]
+    over the hyperplanes H, one sweep of G(n, n-1).  For m = n-1 the bracket
+    is p sum_H M(H): the spectral side is the combinatorial sum itself.
     """
-    space, p, n = E.space, E.space.p, E.space.n
-    directions = _all_directions(space, m, directions)  # refuses m outside [0, n]
-    if spectrum is None:
-        spectrum = dft(E)
-    power = spectrum.moduli() ** 2
-    lhs = 0.0
-    for points in _point_blocks(_dual_bases(directions)):
-        for second_moment in power[points].sum(axis=1).tolist():
-            lhs += second_moment
-    lhs *= float(Fraction(p**m, p**n))
-    rhs = energy_identity_closed_form(space, E.cardinality, m)
-    return lhs, rhs, abs(lhs - rhs)
+    space, p, n, size = E.space, E.space.p, E.space.n, E.cardinality
+    planes = gaussian_binomial(n, m, p)  # refuses m outside [0, n]
+    powers = _line_power_sum(E, SubspaceArray.grassmannian(space, n - 1))
+    bracket = planes * size**2 + gaussian_binomial_or_zero(n - 1, m, p) * powers
+    lhs, rhs = Fraction(p**m * bracket, p**n), energy_identity_closed_form(space, size, m)
+    return lhs, rhs, lhs == rhs
 
 
 def sum_lines(p: int) -> tuple[SubspaceArray, np.ndarray]:

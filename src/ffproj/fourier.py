@@ -6,11 +6,17 @@ The transform of the indicator of E is
 
 computed axis by axis with the explicit p x p character matrix (cost
 O(n p^(n+1)), no prime-length FFT machinery needed at desk scale).
-Amplitudes are double-precision complex; identities with integer left sides
-are additionally checked against nearest integers.  The relative tolerance
-TOLERANCE = 1e-9 is far above the rounding error accumulated under the
-point budget for full spectra.  A spectrum computes its moduli |Ehat| once,
-on first use, and every check and report reads that one read-only array.
+Amplitudes are double-precision complex.  The transform's own Plancherel
+check and the decay reports compare them within the relative tolerance
+TOLERANCE = 1e-9, far above the rounding error accumulated under the point
+budget for full spectra.  A spectrum computes its moduli |Ehat| once, on
+first use, and every check and report reads that one read-only array.
+
+Identities with integer sides take no transform: for xi != 0 the Fourier
+mass of the line through xi is p M(xi^perp) - |E|^2 (:func:`_line_powers`),
+M the coset second moment of E along the hyperplane xi^perp.  So
+``subspace_plancherel`` and ``energy.verify_energy_identity_fourier`` sum
+line powers read off a sweep of hyperplanes, exactly.
 
 The built-in sets (paraboloid, sphere) take x.x mod p from a table of
 squares, one broadcast sum per coordinate.  ``save_spectrum_csv`` builds
@@ -30,13 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .core import AmbientSpace, BudgetError, IdentityError, PointSet, decode, digits_of, encode
-from .projections import coset_counts, projection_sizes
-from .subspaces import Subspace, _block_rows, perp
+from .projections import _histogram_blocks, coset_counts, projection_sizes
+from .subspaces import Subspace, SubspaceArray, _block_rows, _check_budget, _dual_bases, perp
 
 __all__ = [
     "TOLERANCE",
@@ -153,23 +160,43 @@ def plancherel_check(S: Spectrum) -> tuple[float, float, bool]:
     return lhs, rhs, abs(lhs - rhs) <= TOLERANCE * max(1.0, rhs)
 
 
-def subspace_plancherel(
-    E: PointSet, W: Subspace, spectrum: Spectrum | None = None
-) -> tuple[int, float, bool]:
-    """Coset second moment of E along W against its spectral form.
+def _line_powers(p, size, moments):
+    """sum_{t != 0} |Ehat(t xi)|^2 on the line of each xi != 0: p M(xi^perp) - |E|^2.
 
-    Combinatorial side: sum_j |E n (x_j + W)|^2 over the p^m cosets of W.
-    Spectral side:      p^(-m) sum_{xi in Per(W)} |Ehat(xi)|^2.
+    ``moments`` holds M(xi^perp) = sum_j c_j^2, c_j = |{x in E : x.xi = j}|, per hyperplane
+    (and set), ``size`` holds |E|.  Since Ehat(t xi) = sum_j c_j e(-tj), the sum of
+    |Ehat(t xi)|^2 over every t is p sum_j c_j^2, and t = 0 adds |E|^2 of it.
     """
-    if spectrum is None:
-        spectrum = dft(E)
-    m = W.space.n - W.dim
-    h = next(coset_counts(E, [W]))
+    return p * moments - size * size
+
+
+def _line_power_sum(E: PointSet, hyperplanes: SubspaceArray) -> int:
+    """The line powers of the lines dual to the hyperplanes, from one sweep, in Python ints."""
+    blocks = _histogram_blocks(E, hyperplanes)
+    moments = [m for h in blocks for m in (h * h).sum(axis=1).tolist()]  # each <= |E|^2 <= 2^52
+    return sum(_line_powers(E.space.p, E.cardinality, m) for m in moments)
+
+
+def subspace_plancherel(E: PointSet, W: Subspace) -> tuple[int, Fraction, bool]:
+    """Coset second moment of E along W against its spectral form, both exact.
+
+    Combinatorial side: M(W) = sum_j |E n (x_j + W)|^2 over the p^m cosets of W.
+    Spectral side:      p^(-m) sum_{xi in Per(W)} |Ehat(xi)|^2, which is
+    p^(-m) (|E|^2 + sum_H (p M(H) - |E|^2)): xi = 0 adds |E|^2, and each line
+    <xi> of Per(W) its line power, H = xi^perp running over the
+    (p^m - 1)/(p - 1) hyperplanes that contain W.
+    """
+    space = W.space
+    p, m = space.p, space.n - W.dim
+    h = next(coset_counts(E, [W]))  # refuses a W of another space
     lhs = int(h @ h)
-    dual_points = perp(W).point_indices()
-    rhs = float((spectrum.moduli()[dual_points] ** 2).sum()) / W.space.p**m
-    ok = abs(lhs - rhs) <= TOLERANCE * max(1.0, lhs)
-    return lhs, rhs, ok
+    _check_budget("the family of hyperplanes containing W", (p**m - 1) // (p - 1), None)
+    # each line of Per(W) by its point whose first non-zero entry is 1, a canonical basis
+    points = digits_of(space, perp(W).point_indices())
+    lines = points[points[np.arange(len(points)), (points != 0).argmax(axis=1)] == 1]
+    hyperplanes = _dual_bases(SubspaceArray._unchecked(space, lines[:, None, :]))
+    rhs = Fraction(E.cardinality**2 + _line_power_sum(E, hyperplanes), p**m)
+    return lhs, rhs, lhs == rhs
 
 
 def character_sum(V: Subspace, x) -> complex | np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import AmbientSpace, PointSet, base_p_digits, digits_of
 from .energy import _key_lemma_bounds, energy_identity_closed_form
-from .fourier import TOLERANCE, _character_sum_rows
+from .fourier import TOLERANCE, _character_sum_rows, _line_powers
 from .projections import _coset_histograms
 from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
@@ -27,6 +27,7 @@ from .subspaces import (
     _check_budget,
     _check_enumeration,
     _dual_bases,
+    _padded_stack,
     _pivot_columns,
     _point_blocks,
     _residue_codes,
@@ -201,13 +202,17 @@ def _cell_checks(cell, binomial, checks) -> None:
         },
     )
 
-    # only canonical bases have a dual; those of every G(n, m) are checked and dualised at once
-    canonical = [m for m, ok in zip(duals, _canonical_arrays(list(duals.values()))) if ok]
-    back = dict(zip(canonical, _dual_bases([duals[m] for m in canonical])))
+    # the dual U is Per(W), and so Per(U) = W, iff U is canonical, orthogonal to W and of
+    # dimension n - m (a U short of rows passes the other two).  W U^T for every W of the
+    # cell is one product of the stacked bases, whose zero padding rows are harmless.
+    bases, dual_bases = (_padded_stack(list(a.values()))[0] for a in (arrays, duals))
+    products = bases @ dual_bases.transpose(0, 2, 1) % p
+    orthogonal = np.logical_and.reduceat(~products.any(axis=(1, 2)), _starts(arrays)[:-1])
+    canonical = _canonical_arrays(list(duals.values()))
     involutive, bijective = [], []
-    for m, G in arrays.items():
+    for (m, G), ok, perpendicular in zip(arrays.items(), canonical, orthogonal.tolist()):
         P = duals[m]
-        involutive.append(m in back and bool(np.array_equal(back[m].bases, G.bases)))
+        involutive.append(ok and perpendicular and P.dim == n - m)
         distinct = len(set(map(tuple, P.bases.reshape(len(P), -1).tolist())))
         bijective.append(distinct == len(G) and P.dim == n - m)
     checks["perp_duality"].record_all(
@@ -296,16 +301,6 @@ def _sweep_sets(cell, sets) -> list[np.ndarray]:
     powers = _power_table(space, size, hyperplane_moments, dual_points)
     dual_sums = [np.take(powers, points, axis=0).sum(axis=1) for points in dual_points.values()]
     return [np.concatenate(column) for column in zip(*held)] + [np.concatenate(dual_sums)]
-
-
-def _line_powers(p, size, moments):
-    """sum_{t != 0} |Ehat(t xi)|^2 on the line of each xi != 0: p M(xi^perp) - |E|^2.
-
-    ``moments`` holds M(xi^perp) = sum_j c_j^2, c_j = |{x in E : x.xi = j}|, per hyperplane
-    (and set), ``size`` holds |E|.  Since Ehat(t xi) = sum_j c_j e(-tj), the sum of
-    |Ehat(t xi)|^2 over every t is p sum_j c_j^2, and t = 0 adds |E|^2 of it.
-    """
-    return p * moments - size * size
 
 
 def _power_table(space, size, moments, dual_points) -> np.ndarray:

@@ -112,6 +112,30 @@ def brute_coset_counts(E_vectors, subspace_points, p, n):
     return [0] * empty + sorted(hits.values())
 
 
+def loop_spectral_energy(E_vectors, bases, p, n, m):
+    """The spectral side of the energy identity over the m-dimensional subspaces V with ``bases``.
+
+    Each V adds p^(m-n) times the Fourier mass of Per(V), with no transform:
+    |E|^2 at its origin, and p M(xi^perp) - |E|^2 for each line <xi> of
+    Per(V), M the sum of the squared coset counts of E along xi^perp.  Per(V)
+    and xi^perp come from :func:`brute_perp`, M from :func:`brute_coset_counts`.
+    With ``bases`` all of G(n, m) this is the energy over A(n, m), as a Fraction.
+    """
+    size = len(set(E_vectors))
+    powers = {}  # per line, keyed by its point whose first non-zero entry is 1
+    total = 0
+    for basis in bases:
+        total += size**2
+        for xi in brute_perp(basis, p, n):
+            if [x for x in xi if x][:1] != [1]:
+                continue
+            if xi not in powers:
+                counts = brute_coset_counts(E_vectors, brute_perp([xi], p, n), p, n)
+                powers[xi] = p * sum(c * c for c in counts) - size**2
+            total += powers[xi]
+    return Fraction(total * p**m, p**n)
+
+
 def brute_dft(E_vectors, p, n):
     """Direct double-loop transform; returns {xi: coefficient}."""
     out = {}
@@ -250,10 +274,9 @@ def _bases(arrays):
 
 def loop_cell_checks(cell, binomial, checks):
     """``suite._cell_checks`` as first written: one record per instance, every witness built."""
-    from ffproj import suite
     from ffproj.fourier import TOLERANCE, _character_sum_rows
     from ffproj.core import digits_of
-    from ffproj.subspaces import _rref_fault
+    from ffproj.subspaces import _dual_bases, _rref_fault
 
     space, arrays, duals, members, dual_points, _ = cell
     bases = _bases(arrays)
@@ -286,8 +309,10 @@ def loop_cell_checks(cell, binomial, checks):
             first_bad_xi=int(bad[0] + 1) if bad.size else None,
         )
 
+    # the cell's duals, dualised again by the library's elimination (not the suite's name
+    # for it, which a fault may replace: the fault is in the cell's duals, not in this check)
     canonical = [m for m, P in duals.items() if _rref_fault(P.bases, p) is None]
-    back = dict(zip(canonical, suite._dual_bases([duals[m] for m in canonical])))
+    back = dict(zip(canonical, _dual_bases([duals[m] for m in canonical])))
     for m, G in arrays.items():
         P = duals[m]
         involutive = m in back and bool(np.array_equal(back[m].bases, G.bases))

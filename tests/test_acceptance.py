@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Exact identities tolerate nothing; spectral recomputations use the
-library tolerance; the percolation criteria are statistical with seeded
-trials and fixed thresholds.
+lines.  Exact identities, the spectral sides of the energy identity and of
+subspace Plancherel among them, tolerate nothing; the transform's own values
+use the library tolerance; the percolation criteria are statistical with
+seeded trials and fixed thresholds.
 """
 
 import json
@@ -20,7 +21,6 @@ from ffproj.energy import verify_energy_identity, verify_energy_identity_fourier
 from ffproj.fourier import (
     SalemProfile,
     character_sum,
-    dft,
     paraboloid,
     projection_bound_report,
     salem_deficiency,
@@ -86,8 +86,8 @@ def test_criterion_3_energy_identity():
         E = PointSet(space, (bits >> np.arange(9)) & 1 > 0)
         lhs, rhs, equal = verify_energy_identity(E, 1)
         assert equal, (bits, lhs, rhs)
-        spectral, rhs2, diff = verify_energy_identity_fourier(E, 1)
-        assert diff <= 1e-9 * max(1.0, rhs2), (bits, spectral, rhs2)
+        spectral, rhs2, equal = verify_energy_identity_fourier(E, 1)
+        assert equal and spectral == rhs2 == rhs, (bits, spectral, rhs2)
 
     rng = np.random.default_rng(2024)
     randomized = 0
@@ -95,14 +95,11 @@ def test_criterion_3_energy_identity():
         big = AmbientSpace(p, n)
         for _ in range(1000):
             E = _random_set(big, rng)
-            spectrum = dft(E)
             for m in range(n + 1):
                 lhs, rhs, equal = verify_energy_identity(E, m)
                 assert equal, (p, n, m, E.cardinality, lhs, rhs)
-                spectral, rhs2, diff = verify_energy_identity_fourier(
-                    E, m, spectrum=spectrum
-                )
-                assert diff <= 1e-9 * max(1.0, rhs2), (p, n, m, spectral, rhs2)
+                spectral, rhs2, equal = verify_energy_identity_fourier(E, m)
+                assert equal and spectral == rhs2 == rhs, (p, n, m, spectral, rhs2)
             randomized += 1
     _report(3, f"512 exhaustive subsets + {randomized} random sets, both proofs")
 
@@ -126,10 +123,9 @@ def test_criterion_4_subspace_plancherel_and_characters():
                 sets = [PointSet.empty(space), PointSet.full(space)]
                 sets += [_random_set(space, rng) for _ in range(25)]
             for E in sets:
-                spectrum = dft(E)
                 for W in directions:
-                    lhs, rhs, ok = subspace_plancherel(E, W, spectrum=spectrum)
-                    assert ok, (p, n, W.basis, lhs, rhs)
+                    lhs, rhs, ok = subspace_plancherel(E, W)
+                    assert ok and lhs == rhs, (p, n, W.basis, lhs, rhs)
                     plancherel_checked += 1
 
             for k in range(n):

@@ -1,10 +1,8 @@
 """Array-native Grassmannian sweeps: RREF blocks, label-map blocks and the batched dual."""
 
 import itertools
-import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +11,11 @@ from hypothesis import strategies as st
 
 from ffproj import subspaces
 from ffproj.core import AmbientSpace, BudgetError, IdentityError, PointSet, is_prime
-from ffproj.energy import energy_over_all_planes, verify_energy_identity_fourier
-from ffproj.fourier import dft
+from ffproj.energy import (
+    energy_identity_closed_form,
+    energy_over_all_planes,
+    verify_energy_identity_fourier,
+)
 from ffproj.projections import coset_counts, projection_sizes
 from ffproj.random_sets import PercolationModel, percolation_sample
 from ffproj.subspaces import (
@@ -32,7 +33,13 @@ from ffproj.subspaces import (
     rref_stack,
 )
 
-from oracles import brute_coset_counts, brute_perp, ordered_span_indices, span_points
+from oracles import (
+    brute_coset_counts,
+    brute_perp,
+    loop_spectral_energy,
+    ordered_span_indices,
+    span_points,
+)
 
 
 def _template_grassmannian(p, n, k):
@@ -265,37 +272,18 @@ def test_block_fed_sweeps_match_brute_force(case):
         assert sizes.tolist() == listed
 
 
-def _per_direction_spectral(E, m):
-    """The spectral energy summed one dual at a time, as perp(V).point_indices() orders it.
-
-    Also returns whether that float sum rounds: whether it differs from the
-    correctly rounded sum of the same terms.
-    """
-    space, p = E.space, E.space.p
-    power = np.abs(dft(E).values) ** 2
-    lhs, terms = 0.0, []
-    for V in enumerate_grassmannian(space, m):
-        dual = power[perp(V).point_indices()]
-        lhs += float(dual.sum())
-        terms += dual.tolist()
-    return lhs * float(Fraction(p**m, p**space.n)), lhs != math.fsum(terms)
-
-
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (5, 3), (11, 2), (23, 2)])
-def test_spectral_energy_is_bit_identical_to_the_perp_loop(monkeypatch, p, n):
+def test_spectral_energy_equals_the_perp_loop_oracle(monkeypatch, p, n):
     space = AmbientSpace(p, n)
-    rounded = 0
     for trial in range(3):
         E = percolation_sample(PercolationModel(space, 0.4, seed=p * n), trial)
         for m in range(n + 1):
-            expected, rounds = _per_direction_spectral(E, m)
-            rounded += rounds
-            for cap in (1 << 20, 1):  # the default blocks, and one dual per block
+            bases = [W.basis for W in enumerate_grassmannian(space, m)]
+            expected = loop_spectral_energy(E.vectors(), bases, p, n, m)
+            assert expected == energy_identity_closed_form(space, E.cardinality, m)
+            for cap in (1 << 20, 1):  # the default blocks, and one hyperplane per block
                 monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
-                assert verify_energy_identity_fourier(E, m)[0] == expected  # not merely close
-    # over F_2 every character is +-1 and the sums are exact; elsewhere they
-    # round, so the summation order is exercised
-    assert rounded or p == 2
+                assert verify_energy_identity_fourier(E, m) == (expected, expected, True)
 
 
 def test_residue_codes_are_exact_at_the_float64_edge():

@@ -12,7 +12,7 @@ import pytest
 
 from ffproj import cli, projections, subspaces
 from ffproj.core import AmbientSpace, PointSet, load_point_set, save_point_set
-from ffproj.subspaces import Subspace, SubspaceArray
+from ffproj.subspaces import Subspace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -415,12 +415,19 @@ def test_spectrum_over_cap_is_refused_before_the_set_is_built(
     assert "full-spectrum budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["spectrum"], ["energy", "--m", "1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("command,message", [
+    pytest.param(["spectrum"], "p^n = 33554432 exceeds the full-spectrum budget 4194304; "
+                 "use pointwise_coefficient for single xi", id="spectrum"),
+    pytest.param(["energy", "--m", "1"],
+                 "G(25,1) over F_2 has 33554431 elements, over budget 10000000", id="energy"),
+])
 def test_over_cap_point_file_is_refused_before_its_body_is_parsed(
-    workdir, monkeypatch, capsys, command
+    workdir, monkeypatch, capsys, command, message
 ):
     # 2^25 points fit the point budget, so only the header says the spectrum is over its cap
+    # and G(25, 1) over the enumeration budget
     (workdir / "big.pts").write_text("ffpointset 1 p=2 n=25\n" + ",".join(["0"] * 25) + "\n")
+    monkeypatch.delenv("FFPROJ_BUDGET", raising=False)
     monkeypatch.chdir(workdir)
     cli.build_parser()  # cached, so the parser is not counted below
     tracemalloc.start()
@@ -430,10 +437,7 @@ def test_over_cap_point_file_is_refused_before_its_body_is_parsed(
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert capsys.readouterr().err == (
-        "budget error: p^n = 33554432 exceeds the full-spectrum budget 4194304; "
-        "use pointwise_coefficient for single xi\n"
-    )
+    assert capsys.readouterr().err == f"budget error: {message}\n"
     assert peak < 1 << 20
 
 
@@ -471,18 +475,35 @@ def test_energy_builds_its_grassmannian_once(workdir, monkeypatch, capsys):
     monkeypatch.setattr(subspaces, "_pattern_blocks", counted_patterns)
     monkeypatch.chdir(workdir)
     assert cli.main(["energy", "--pointset", "line.pts", "--m", "1"]) == 0
-    assert streams == [1]  # one G(2,1), swept by both sides of the identity
+    # G(2, m) for the combinatorial side, then G(2, n-1) for the spectral one
+    assert streams == [1, 1]
     report = json.loads(capsys.readouterr().out)["report"]
     E = load_point_set(workdir / "line.pts")
-    # a call without directions= builds its own, with the same result
     assert verify_energy_identity(E, 1) == (report["energy"], report["closed_form"], True)
-    assert verify_energy_identity_fourier(E, 1)[0] == report["spectral"]
-    for wrong in (SubspaceArray.grassmannian(E.space, 0),
-                  SubspaceArray.grassmannian(E.space, 1)[:2],
-                  SubspaceArray.grassmannian(AmbientSpace(5, 2), 1)):
-        for check in (verify_energy_identity, verify_energy_identity_fourier):
-            with pytest.raises(ValueError, match=r"directions must be all of G\(2,1\) over F_3"):
-                check(E, 1, directions=wrong)
+    assert verify_energy_identity_fourier(E, 1) == (report["spectral"], report["closed_form"], True)
+
+
+def test_energy_makes_no_transform(workdir, monkeypatch, capsys):
+    from ffproj import energy, fourier
+
+    calls = []
+    real = fourier.dft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "ffproj" or key.startswith("ffproj.")) and getattr(module, "dft", None) is real:
+            monkeypatch.setattr(module, "dft", counted)
+    assert not hasattr(energy, "dft")
+    monkeypatch.chdir(workdir)
+    for m in ("0", "1", "2"):
+        assert cli.main(["energy", "--pointset", "line.pts", "--m", m]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["spectral_ok"] is True
+    assert calls == []
+    assert cli.main(["spectrum", "--pointset", "line.pts"]) == 0
+    assert len(calls) == 1  # the wrapper counts
 
 
 def test_config_file_merge(workdir):

@@ -1,4 +1,5 @@
 import importlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,15 +152,17 @@ def test_identity_closed_form_edges():
 
 def test_identity_fourier_path():
     E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
-    lhs, rhs, diff = verify_energy_identity_fourier(E, 1)
-    assert rhs == 10 and diff <= 1e-9 * 10
+    lhs, rhs, equal = verify_energy_identity_fourier(E, 1)
+    assert equal and lhs == rhs == 10 and isinstance(lhs, Fraction)
 
     space = AmbientSpace(5, 2)
     from ffproj.fourier import paraboloid
 
     P = paraboloid(space)
-    lhs, rhs, diff = verify_energy_identity_fourier(P, 1)
-    assert diff <= 1e-9 * max(1, rhs)
+    lhs, rhs, equal = verify_energy_identity_fourier(P, 1)
+    assert equal and lhs == rhs
+    with pytest.raises(ValueError, match="need 0 <= m <= n"):
+        verify_energy_identity_fourier(P, 3)
 
 
 def test_identity_fourier_random_draws():
@@ -167,9 +170,9 @@ def test_identity_fourier_random_draws():
     space = AmbientSpace(2, 3)
     for _ in range(50):
         E = PointSet(space, rng.random(8) < 0.5)
-        for m in range(1, 3):
-            lhs, rhs, diff = verify_energy_identity_fourier(E, m)
-            assert diff <= 1e-9 * max(1.0, rhs)
+        for m in range(4):
+            lhs, rhs, equal = verify_energy_identity_fourier(E, m)
+            assert equal and lhs == rhs == energy_over_all_planes(E, m)
 
 
 def test_additive_energy_examples():

@@ -145,11 +145,22 @@ def test_subspace_plancherel_edges():
     space = AmbientSpace(3, 2)
     full = PointSet.full(space)
     origin = PointSet.from_indices(space, [0])
-    for W in enumerate_grassmannian(space, 1):
-        lhs, rhs, ok = subspace_plancherel(full, W)
-        assert ok and lhs == 3 * 9  # p^m cosets each of size p^(n-m)
-        lhs, rhs, ok = subspace_plancherel(origin, W)
-        assert ok and lhs == 1
+    for d in range(3):
+        for W in enumerate_grassmannian(space, d):
+            lhs, rhs, ok = subspace_plancherel(full, W)
+            assert ok and lhs == rhs == 3 ** (2 - d) * 9 ** d  # p^m cosets of p^(n-m) points
+            lhs, rhs, ok = subspace_plancherel(origin, W)
+            assert ok and lhs == rhs == 1
+            assert subspace_plancherel(PointSet.empty(space), W) == (0, 0, True)
+
+
+def test_subspace_plancherel_refuses_its_hyperplanes_over_budget(monkeypatch):
+    space = AmbientSpace(3, 2)
+    E = PointSet.full(space)
+    monkeypatch.setenv("FFPROJ_BUDGET", "3")
+    with pytest.raises(BudgetError, match=r"^the family of hyperplanes containing W has 4 "):
+        subspace_plancherel(E, Subspace.zero(space))  # every line of F_3^2
+    assert subspace_plancherel(E, Subspace.from_rows(space, [(1, 0)])) == (27, 27, True)
 
 
 def test_subspace_plancherel_exhaustive_f32():
@@ -157,10 +168,9 @@ def test_subspace_plancherel_exhaustive_f32():
     directions = list(enumerate_grassmannian(space, 1))
     for bits in range(512):
         E = PointSet(space, (bits >> np.arange(9)) & 1 > 0)
-        S = dft(E)
         for W in directions:
-            lhs, rhs, ok = subspace_plancherel(E, W, spectrum=S)
-            assert ok, (bits, W.basis, lhs, rhs)
+            lhs, rhs, ok = subspace_plancherel(E, W)
+            assert ok and lhs == rhs, (bits, W.basis, lhs, rhs)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (5, 2), (3, 3)])
@@ -169,10 +179,10 @@ def test_subspace_plancherel_random(p, n):
     space = AmbientSpace(p, n)
     for _ in range(20):
         E = PointSet(space, rng.random(space.point_count) < rng.uniform(0, 1))
-        S = dft(E)
         for d in range(n + 1):
             for W in enumerate_grassmannian(space, d):
-                assert subspace_plancherel(E, W, spectrum=S)[2]
+                lhs, rhs, ok = subspace_plancherel(E, W)
+                assert ok and lhs == rhs
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7) for n in (2, 3)])
@@ -182,7 +192,7 @@ def test_line_powers_are_exact(p, n):
     # the identity suite reads in place of a transform
     from ffproj.core import decode
     from ffproj.projections import coset_counts
-    from ffproj.suite import _line_powers
+    from ffproj.fourier import _line_powers
 
     space = AmbientSpace(p, n)
     random = PointSet(space, np.random.default_rng(p * n).random(space.point_count) < 0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from ffproj import suite
 from ffproj.core import AmbientSpace
-from ffproj.fourier import TOLERANCE, dft, subspace_plancherel
+from ffproj.fourier import subspace_plancherel
 from ffproj.subspaces import Subspace, SubspaceArray, gaussian_binomial
 from ffproj.suite import run_identity_suite
 
@@ -155,7 +155,7 @@ def test_spectral_side_fault_reaches_both_spectral_checks(monkeypatch):
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2)])
 def test_subspace_plancherel_sides_are_those_of_the_library(p, n):
     # the suite decides (p - 1) p^(n-d) M_W = sum_{Per(W)} u in int64; the library's
-    # float spectral side is within TOLERANCE of the exact one
+    # sides, both exact, are the suite's
     space = AmbientSpace(p, n)
     sets = suite._test_sets(space, 3)
     columns = suite._sweep_sets(suite._cell(space), sets)
@@ -164,13 +164,11 @@ def test_subspace_plancherel_sides_are_those_of_the_library(p, n):
     assert moment.shape == dual_sum.shape == (len(directions), len(sets))
     assert moment.dtype == dual_sum.dtype == np.int64
     for k, (_, E) in enumerate(sets):
-        spectrum = dft(E)
         for j, W in enumerate(directions):
             scale = (p - 1) * p ** (n - W.dim)
-            expected_lhs, expected_rhs, _ = subspace_plancherel(E, W, spectrum=spectrum)
-            assert moment[j, k] == expected_lhs and dual_sum[j, k] == scale * expected_lhs
-            exact = Fraction(int(dual_sum[j, k]), scale)
-            assert abs(expected_rhs - exact) <= TOLERANCE * max(1, exact)
+            lhs, rhs, ok = subspace_plancherel(E, W)
+            assert ok and moment[j, k] == lhs and dual_sum[j, k] == scale * lhs
+            assert Fraction(int(dual_sum[j, k]), scale) == rhs
     manifest = run_identity_suite(primes=(p,), dims=(n,), seed=3)
     checks = {c["name"]: c for c in manifest["checks"]}
     assert checks["subspace_plancherel"]["instances"] == moment.size
@@ -195,7 +193,7 @@ def test_cell_enumerates_each_grassmannian_once(monkeypatch):
 
 
 @pytest.mark.parametrize("p,dims", [(2, (2, 3, 4)), (3, (2, 3)), (11, (2,))])
-def test_each_cell_reduces_its_duals_in_two_eliminations(monkeypatch, p, dims):
+def test_each_cell_reduces_its_duals_in_one_elimination(monkeypatch, p, dims):
     from ffproj import subspaces
 
     calls = {"rref_stack": 0, "label_maps": 0}
@@ -217,10 +215,26 @@ def test_each_cell_reduces_its_duals_in_two_eliminations(monkeypatch, p, dims):
         assert calls == {"rref_stack": 1, "label_maps": 0}  # every dual of the cell at once
         checks = {name: suite._Check(name) for name in suite._CHECKS}
         suite._cell_checks(cell, gaussian_binomial, checks)
-        assert calls == {"rref_stack": 2, "label_maps": 0}  # and the involution check
+        assert calls == {"rref_stack": 1, "label_maps": 0}  # the involution check is a product
     calls.update(rref_stack=0)
     assert run_identity_suite(primes=(p,), dims=dims)["all_pass"] is True
-    assert calls["rref_stack"] == 2 * len(dims)
+    assert calls["rref_stack"] == len(dims)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2)])
+def test_a_dual_short_of_rows_is_not_involutive(p, n):
+    # a canonical basis orthogonal to W of dimension below n - m spans only part of Per(W):
+    # the product passes it, so the dimension test must refuse it, as the elimination does
+    space, arrays, duals, *held = suite._cell(AmbientSpace(p, n))
+    short = {m: SubspaceArray._unchecked(space, P.bases[:, :-1]) if P.dim else P
+             for m, P in duals.items()}  # each basis without its last row, still canonical
+    cell = (space, arrays, short, *held)
+    array, loop = ({name: suite._Check(name) for name in suite._CHECKS} for _ in range(2))
+    suite._cell_checks(cell, gaussian_binomial, array)
+    loop_cell_checks(cell, gaussian_binomial, loop)
+    failures = array["perp_duality"].failures
+    assert failures == loop["perp_duality"].failures
+    assert [(w["m"], w["involutive"]) for w in failures] == [(m, False) for m in range(n)]
 
 
 def test_oversized_cells_are_refused_before_any_table(monkeypatch):
