@@ -154,9 +154,10 @@ def _table_chunks(digits, tags, ntags, p, k, luts, bins, rows, pencils=False):
     of the other f, p^f the largest power of p up to ``rows``.  Each pattern
     builds one (p^f, N) base (:func:`_pattern_tables`); each chunk adds its
     fixed columns to it (:func:`_chunk_labels`) and bins the labels, ``bins``
-    per (direction, tag).  With ``pencils`` a pattern's last free entry is
-    left out and each point is binned with its digit at that entry's pivot;
-    a pattern with no free entry is yielded with None.
+    per (direction, tag).  With ``pencils`` (k = n - 1, ``bins`` = p^2) a
+    pattern's last free entry is left out, each point is binned by its tag,
+    its digit v at that entry's pivot and its u (:func:`_pencil_tables`),
+    u varying fastest; a pattern with no free entry is yielded with None.
     """
     n = digits.shape[1]
     x = np.ascontiguousarray(digits.T)  # x[t]: coordinate t of every point
@@ -172,11 +173,14 @@ def _table_chunks(digits, tags, ntags, p, k, luts, bins, rows, pencils=False):
             continue
         tag_bins = tags * bins
         if pencils:
-            tag_bins += x[pattern.pivots[pattern.rows[-1]]]
+            tag_bins += x[pattern.pivots[pattern.rows[-1]]] * p
             pattern = pattern._replace(rows=pattern.rows[:-1], cols=pattern.cols[:-1])
         depth = max(0, len(pattern.rows) - width)  # the fixed leading entries
         c = p ** (len(pattern.rows) - depth)
-        base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tag_bins, ntags * bins, p)
+        if pencils:
+            base, fixed = _pencil_tables(x, neg, luts[0], pattern, depth, tag_bins, ntags * bins, p)
+        else:
+            base, fixed = _pattern_tables(x, neg, luts, pattern, depth, tag_bins, ntags * bins, p)
         for values in base_p_digits(np.arange(p**depth), p, depth)[:, ::-1].tolist():
             # values: big-endian, like the bases; the labels are dropped once binned
             labels = _chunk_labels(base, fixed, values, x, neg).reshape(-1)
@@ -220,6 +224,45 @@ def _pattern_tables(x, neg, luts, pattern, depth, tag_bins, direction_bins, p):
     return base, fixed
 
 
+def _pencil_tables(x, neg, lut, pattern, depth, tag_bins, pencil_bins, p):
+    """:func:`_pattern_tables` for the pencils of a hyperplane pattern, from a table of pairs.
+
+    The pattern has one non-pivot column q, and a pencil's u is
+    (x_q + sum over its free entries e of R_{P_e}[B_e]) mod p.  The last
+    open entry and x_q are read together, with one gather from the table
+    pairs[b, x_t p + x_q] = (x_q - b x_t) mod p, t = P_e; its p^3 entries
+    are no more than the bins of the chunk of p pencils that reads it.  With
+    that entry alone open and none fixed, each pencil's bins are added to
+    its row of the table, so the gather plus the tag bins is the base: two
+    passes over the keys.  Otherwise the other open entries' R tables are
+    added on their axes and the sum is reduced by ``lut``, in the base, or
+    per chunk when the chunk fixes leading entries.
+    """
+    N = x.shape[1]
+    q = pattern.nonpivots[0]
+    pivots = [pattern.pivots[i] for i in pattern.rows.tolist()]
+    free = len(pivots)
+    part = x[q]
+    if free > depth:
+        pairs = ((neg[:, :, None] + np.arange(p)) % p).reshape(p, p * p)
+        index = x[pivots[-1]] * p + x[q]
+        if free - depth == 1 and not depth:
+            pairs += np.arange(p)[:, None] * pencil_bins
+            base = pairs[:, index]
+            base += tag_bins
+            return base, []
+        part = pairs[:, index]  # on the last open axis
+        for e in range(depth, free - 1):
+            R = neg[:, x[pivots[e]]]
+            part = part + R.reshape((1,) * (e - depth) + (p,) + (1,) * (free - e - 1) + (N,))
+    base = np.arange(p ** (free - depth)).reshape((p,) * (free - depth) + (1,)) * pencil_bins
+    base = base + tag_bins
+    if depth:
+        return base, [(lut, part, [(e, pivots[e]) for e in range(depth)])]
+    base += lut[part] if free - depth > 1 else part  # one residue needs no reduction
+    return base, []
+
+
 def _chunk_labels(base, fixed, values, x, neg):
     """A chunk's labels: the base plus each fixed column, its fixed entries set to ``values``."""
     labels = base
@@ -242,31 +285,37 @@ def _shear_histograms(
     the p directions that share every free entry but the last, b; with
     u = (x_q - sum over the other entries of B_e x_{P_e}) mod p and
     v = x_{P_last}, a point's label is (u - b v) mod p.  So a pencil's
-    points are binned once by (tag, u, v) into ntags p^2 bins H, and its p
+    points are binned once by (tag, v, u) into ntags p^2 bins H, and its p
     histograms are read off H as shears: hist_b[t] = sum over v of
-    H[(t + b v) mod p, v] (:func:`_shears`).  :func:`_table_chunks` bins
+    H[v, (t + b v) mod p] (:func:`_shears`).  :func:`_table_chunks` bins
     the pencils, chunked like directions on the pattern route, by their
-    keys (pencil, tag, u, v).  A pattern with no free entry is one
+    keys (pencil, tag, v, u).  A pattern with no free entry is one
     direction, labelled x_q.
     """
-    N, n = digits.shape
     p = directions.space.p
-    square = p * p
-    lut = [np.arange(n * p) % p * p]  # u, reduced, in the bins of its row of H
-    rows = _block_rows(8 * (N + ntags * square))  # a pencil's keys and its bins
-    chunks = _table_chunks(digits, tags, ntags, p, n - 1, lut, square, rows, pencils=True)
-    for pattern, counts in chunks:
+    for pattern, counts in _pencil_chunks(digits, tags, ntags, p):
         if counts is None:
             labels = tags * p + digits[:, pattern.nonpivots[0]]
             yield np.bincount(labels, minlength=ntags * p).reshape(1, ntags, p)
         else:
-            yield from _shears(counts.reshape(-1, ntags, square), p)
+            yield from _shears(counts.reshape(-1, ntags, p * p), p)
+
+
+def _pencil_chunks(digits, tags, ntags, p):
+    """:func:`_table_chunks` over the pencils of G(n, n-1), ntags p^2 bins a pencil.
+
+    A chunk holds as many pencils as keep their int64 keys and bins under the cap.
+    """
+    N, n = digits.shape
+    lut = [np.arange(n * p) % p]  # a sum of residues, reduced
+    rows = _block_rows(8 * (N + ntags * p * p))  # a pencil's keys and its bins
+    return _table_chunks(digits, tags, ntags, p, n - 1, lut, p * p, rows, pencils=True)
 
 
 def _shears(H: np.ndarray, p: int) -> Iterator[np.ndarray]:
-    """Each pencil's p histograms from its bins H[pencil, tag, u p + v], in (c, ntags, p) blocks.
+    """Each pencil's p histograms from its bins H[pencil, tag, v p + u], in (c, ntags, p) blocks.
 
-    hist_b[t] = sum over v of H[(t + b v) mod p, v].  With column v of H
+    hist_b[t] = sum over v of H[v, (t + b v) mod p].  With row v of H
     repeated to 2p - 1 bins, those p bins are its window of p starting at
     b v mod p, so each block is one gather of windows and one sum over v.
     A gather takes as many pencils, or, when one pencil's ntags p^3
@@ -278,11 +327,65 @@ def _shears(H: np.ndarray, p: int) -> Iterator[np.ndarray]:
     step, span = max(1, rows // p), min(p, rows)
     v = np.arange(p)[:, None]
     for start in range(0, len(H), step):
-        h = H[start : start + step].reshape(-1, ntags, p, p).transpose(0, 1, 3, 2)  # [v, u]
+        h = H[start : start + step].reshape(-1, ntags, p, p)  # [v, u]
         windows = sliding_window_view(np.concatenate([h, h[..., : p - 1]], axis=3), p, axis=3)
         for b in range(0, p, span):
             counts = windows[:, :, v, v * np.arange(b, min(p, b + span)) % p].sum(axis=2)
             yield counts.transpose(0, 2, 1, 3).reshape(-1, ntags, p)
+
+
+def _word_sizes(
+    digits: np.ndarray, tags: np.ndarray, ntags: int, directions: SubspaceArray
+) -> Iterator[np.ndarray]:
+    """Image sizes over all of G(n, n-1) from pencil occupancy words, in (c, ntags) blocks.
+
+    A pencil's points are binned by (tag, v, u) as on the shear route
+    (:func:`_shear_histograms`), and the occupied u of each (pencil, tag, v)
+    are packed into one uint64 word w_v, doubled as w_v | (w_v << p) so that
+    a rotation by s is a right shift.  Direction b of the pencil hits the
+    labels (u - b v) mod p, so its image size is
+    popcount((OR over v of doubled w_v >> (b v mod p)) & (2^p - 1)): ntags p^2
+    word operations a pencil.  Needs 2p <= 64.  The shifted words of a chunk
+    take as many bytes as its bins, with the (pencil, tag) axis innermost.
+    """
+    p = directions.space.p
+    shifts = (np.arange(p)[:, None, None] * np.arange(p)[:, None] % p).astype(np.uint64)
+    bits, mask = 2.0 ** np.arange(p), np.uint64((1 << p) - 1)
+    for pattern, counts in _pencil_chunks(digits, tags, ntags, p):
+        if counts is None:
+            hits = np.bincount(tags * p + digits[:, pattern.nonpivots[0]], minlength=ntags * p)
+            yield np.count_nonzero(hits.reshape(1, ntags, p), axis=2)
+            continue
+        # bit u of a (pencil, tag, v) word: a float64 product, exact below 2^53
+        words = ((counts.reshape(-1, p) != 0).astype(np.float64) @ bits).astype(np.uint64)
+        words = np.ascontiguousarray(words.reshape(-1, p).T)  # [v, pencil tag]
+        words |= words << np.uint64(p)
+        union = np.bitwise_or.reduce(words >> shifts, axis=1)  # [b, pencil tag]
+        sizes = np.bitwise_count(union & mask).reshape(p, -1, ntags)
+        yield sizes.transpose(1, 0, 2).reshape(-1, ntags).astype(np.int64)
+
+
+def _image_sizes(
+    digits: np.ndarray, tags: np.ndarray, ntags: int, directions: SubspaceArray
+) -> np.ndarray:
+    """|image| of each tag's points along each direction, as a (directions, ntags) int64 array.
+
+    A sweep that takes a table route over all of G(n, n-1) (r = 1, more
+    directions than one stacked-product chunk holds) reads the sizes off
+    pencil occupancy words (:func:`_word_sizes`) when 2p <= 64 and
+    N >= 2 ntags p; every other sweep counts the nonempty bins of
+    :func:`_coset_histograms`.
+    """
+    N, n = digits.shape
+    p, r = directions.space.p, n - directions.dim
+    rows = _block_rows(_chunk_bytes(N, r, ntags, p))
+    if (directions._grassmannian and r == 1 and len(directions) > rows
+            and 2 * p <= 64 and N >= 2 * ntags * p):
+        blocks = list(_word_sizes(digits, tags, ntags, directions))
+    else:
+        histograms = _coset_histograms(digits, tags, ntags, directions)
+        blocks = [np.count_nonzero(h, axis=2) for h in histograms]
+    return np.concatenate(blocks) if blocks else np.zeros((0, ntags), dtype=np.int64)
 
 
 def _histogram_blocks(
@@ -344,9 +447,9 @@ def projection_sizes(
     Returns the swept directions, as a :class:`SubspaceArray`, with the sizes.
     """
     directions = _codimension_m(E.space, m, directions)
-    blocks = [np.count_nonzero(h, axis=1) for h in _histogram_blocks(E, directions)]
-    sizes = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-    return directions, sizes.astype(np.int64, copy=False)
+    digits = digits_of(E.space, E.indices())
+    sizes = _image_sizes(digits, np.zeros(len(digits), dtype=np.int64), 1, directions)
+    return directions, sizes[:, 0].astype(np.int64, copy=False)
 
 
 def compare_to_power(value: Fraction, base: int, exponent: Fraction) -> int:

@@ -21,8 +21,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet, digits_of
-from .projections import _coset_histograms, _fits_one_chunk
-from .subspaces import SubspaceArray
+from .projections import _fits_one_chunk, _image_sizes
+from .subspaces import SubspaceArray, _block_rows
 
 __all__ = [
     "PercolationModel",
@@ -73,15 +73,32 @@ def percolation_sample(model: PercolationModel, trial: int = 0) -> PointSet:
 
 
 def _sampler() -> Callable[[PercolationModel, int], np.ndarray]:
-    """A campaign's trial masks from one Philox, reset per draw to a fresh Philox(key=(seed, t))."""
+    """A campaign's trial masks from one Philox, reset per draw to a fresh Philox(key=(seed, t)).
+
+    A trial's p^n uniforms are drawn block by block into one reused buffer
+    of at most ``subspaces._KERNEL_BYTES`` (read at each draw) and compared
+    with delta into the mask.  Each block continues the stream of the one
+    before, so the mask is that of a single draw of p^n uniforms.
+    """
     bits = np.random.Philox(key=0)  # a placeholder: every draw sets the key
     rng, zeros = np.random.Generator(bits), np.zeros(4, dtype=np.uint64)
+    buffer = np.empty(0)
 
     def mask(model: PercolationModel, trial: int) -> np.ndarray:
+        nonlocal buffer
         key = np.array([model.seed, trial], dtype=np.uint64)
         bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return rng.random(model.space.point_count) < model.delta
+        size = model.space.point_count
+        block = min(size, _block_rows(8))  # float64 uniforms
+        if len(buffer) != block:
+            buffer = np.empty(block)
+        out = np.empty(size, dtype=bool)
+        for start in range(0, size, block):
+            draw = buffer[: size - start]
+            rng.random(out=draw)
+            np.less(draw, model.delta, out=out[start : start + len(draw)])
+        return out
 
     return mask
 
@@ -239,8 +256,7 @@ def _sweep(
         counts = [idx.size for idx in group]
         digits = digits_of(space, np.concatenate(group))
         tags = np.repeat(np.arange(len(group), dtype=np.int64), counts)
-        blocks = _coset_histograms(digits, tags, len(group), directions)
-        image = np.concatenate([np.count_nonzero(b, axis=2) for b in blocks])
+        image = _image_sizes(digits, tags, len(group), directions)
         sizes += counts
         mins += image.min(axis=0).tolist()
         fulls += (image == p_m).all(axis=0).tolist()

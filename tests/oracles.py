@@ -16,7 +16,9 @@ exact bound decisions as first written, in ``Fraction`` arithmetic, whose
 signs the integer cross-products must reproduce, and :func:`loop_cell_checks`
 and :func:`loop_set_checks`, the identity suite's checks as first written,
 one record per instance, whose manifests and full failure lists the array
-decisions must reproduce.
+decisions must reproduce, and :func:`one_draw_mask`, the percolation
+sampler as first written, whose masks the block-drawn sampler must
+reproduce bit for bit.
 """
 
 import itertools
@@ -110,6 +112,12 @@ def brute_coset_counts(E_vectors, subspace_points, p, n):
         hits[coset] = hits.get(coset, 0) + 1
     empty = p**n // len(subspace_points) - len(hits)
     return [0] * empty + sorted(hits.values())
+
+
+def one_draw_mask(model, trial):
+    """A percolation trial's mask from one draw of p^n uniforms of a fresh Philox(key=(seed, t))."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([model.seed, trial], dtype=np.uint64)))
+    return rng.random(model.space.point_count) < model.delta
 
 
 def loop_spectral_energy(E_vectors, bases, p, n, m):

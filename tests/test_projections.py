@@ -244,14 +244,13 @@ def test_kernel_routes_are_chosen_by_size(monkeypatch):
     E = PointSet(space, rng.random(space.point_count) < 0.05)  # under 3/2 p^2 points: fold
     listed = list(enumerate_grassmannian(space, 2))
     for directions in (listed[::-1], listed + listed, listed[1:]):
-        _, sizes = projection_sizes(E, 1, directions=directions)
-        assert len(sizes) == len(directions)
+        assert len(list(coset_counts(E, directions))) == len(directions)
     assert len(calls) == 3
-    _, sizes = projection_sizes(E, 1)
+    histograms = np.array(list(coset_counts(E, SubspaceArray.grassmannian(space, 2))))
     assert len(calls) == 4
     shuffled = random.Random(0).sample(range(len(listed)), len(listed))
-    _, reordered = projection_sizes(E, 1, directions=[listed[i] for i in shuffled])
-    assert np.array_equal(reordered, sizes[shuffled])
+    reordered = np.array(list(coset_counts(E, [listed[i] for i in shuffled])))
+    assert np.array_equal(reordered, histograms[shuffled])
 
 
 def test_kernel_chunks_stay_under_the_cap(monkeypatch):
@@ -338,12 +337,17 @@ def test_shear_route_is_chosen_by_size(monkeypatch):
     def random_set(p, n, size):
         return PointSet.from_indices(AmbientSpace(p, n), rng.choice(p**n, size, replace=False))
 
-    # the census sweep of the benchmark's F_23^3 set: about 23^2.5 points, 4.8 p^2
+    def hyperplane_histograms(E, directions=None):
+        if directions is None:
+            directions = SubspaceArray.grassmannian(E.space, E.space.n - 1)
+        return np.array(list(coset_counts(E, directions)))
+
+    # the energy sweep of the benchmark's F_23^3 set: about 23^2.5 points, 4.8 p^2
     E = random_set(23, 3, 2537)
-    _, sizes = projection_sizes(E, 1)
+    histograms = hyperplane_histograms(E)
     assert calls == [(2537, 1)]
     listed = list(SubspaceArray.grassmannian(E.space, 2))  # not marked: the stacked product
-    assert np.array_equal(sizes, projection_sizes(E, 1, directions=listed)[1])
+    assert np.array_equal(histograms, hyperplane_histograms(E, listed))
     # the benchmark's percolate calls: fewer points than ntags p^2 in every group
     for regime, p, n, s in (("small", 31, 2, 1.0), ("large", 31, 2, 1.7),
                             ("small", 13, 3, 1.0), ("large", 13, 3, 1.5)):
@@ -353,11 +357,11 @@ def test_shear_route_is_chosen_by_size(monkeypatch):
     # the benchmark's verify cells: each sweep fits one stacked-product chunk
     for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2)):
         assert run_identity_suite(primes=[p], dims=[n], seed=0)["all_pass"]
-    projection_sizes(paraboloid(AmbientSpace(31, 3)), 1)  # N = p^2
-    projection_sizes(random_set(101, 2, 101**2 // 4), 1)  # N = p^2 / 4
-    projection_sizes(random_set(13, 3, 253), 1)  # N just under 3/2 p^2
+    hyperplane_histograms(paraboloid(AmbientSpace(31, 3)))  # N = p^2
+    hyperplane_histograms(random_set(101, 2, 101**2 // 4))  # N = p^2 / 4
+    hyperplane_histograms(random_set(13, 3, 253))  # N just under 3/2 p^2
     assert len(calls) == 1
-    projection_sizes(random_set(13, 3, 254), 1)  # 2 N = 3 p^2 + 1
+    hyperplane_histograms(random_set(13, 3, 254))  # 2 N = 3 p^2 + 1
     assert calls[1:] == [(254, 1)]
 
 
@@ -410,6 +414,138 @@ def test_shear_arrays_stay_under_the_cap(monkeypatch):
                 assert gathered <= cap or (c == 1 and 8 * ntags * p * p > cap)
             if 8 * ntags * p**3 > cap:  # gathers split a pencil over b
                 assert max(c for c, _ in calls["gathered"]) < p
+
+
+def _histogram_sizes(digits, tags, ntags, directions):
+    blocks = projections._coset_histograms(digits, tags, ntags, directions)
+    return np.concatenate([np.count_nonzero(h, axis=2) for h in blocks])
+
+
+@pytest.mark.parametrize("ntags", [1, 3, 40])
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 13, 31) for n in (2, 3, 4)])
+def test_word_route_matches_the_histograms_and_brute_force(monkeypatch, p, n, ntags):
+    space = AmbientSpace(p, n)
+    rng = np.random.default_rng(100 * p + 10 * n + ntags)
+    sizes = rng.integers(1, min(p**n, 3 * p) + 1, ntags)  # distinct points within a tag
+    sizes[1:2] = 0  # a tag with no points
+    indices = [rng.choice(p**n, size=s, replace=False) for s in sizes.tolist()]
+    tags = np.repeat(np.arange(ntags), sizes)
+    digits = np.concatenate(indices)[:, None] // p ** np.arange(n) % p
+    G = SubspaceArray.grassmannian(space, n - 1)
+    expected = _histogram_sizes(digits, tags, ntags, G)
+    pencil = 8 * (len(digits) + ntags * p * p)  # a pencil's keys and bins
+    # one pencil a chunk, so every free entry is fixed; chunks of p pencils (n = 4: one
+    # entry fixed, one open) and p^2 pencils (two open); the default cap
+    for cap in (1, pencil * p, pencil * p * p, 1 << 20):
+        monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+        got = np.concatenate(list(projections._word_sizes(digits, tags, ntags, G)))
+        assert got.dtype == np.int64 and got.shape == (len(G), ntags)
+        assert np.array_equal(got, expected), cap
+    if p ** (n - 1) > 961:
+        return  # the histograms are checked against the oracle at these sizes elsewhere
+    # the oracle on three directions, the last the pattern with no free entry, and three tags
+    for i in (0, len(G) // 2, len(G) - 1):
+        points = span_points(G[i].basis, p, n)
+        for t in range(min(ntags, 3)):
+            vectors = [tuple(v) for v in digits[tags == t].tolist()]
+            assert got[i, t] == len(brute_cosets_hit(vectors, points, p))
+
+
+def test_word_route_is_chosen_by_size(monkeypatch):
+    from ffproj import random_sets
+    from ffproj.fourier import paraboloid
+
+    calls = []
+    real = projections._word_sizes
+
+    def spy(digits, tags, ntags, directions):
+        calls.append((len(digits), ntags, directions.space.p))
+        return real(digits, tags, ntags, directions)
+
+    monkeypatch.setattr(projections, "_word_sizes", spy)
+    rng = np.random.default_rng(7)
+
+    def sweep(p, n, ntags, per_tag, directions=None):
+        """Image sizes of ntags sets of per_tag points each, against the histograms."""
+        space = AmbientSpace(p, n)
+        digits = np.concatenate(
+            [rng.choice(p**n, per_tag, replace=False) for _ in range(ntags)]
+        )[:, None] // p ** np.arange(n) % p
+        tags = np.repeat(np.arange(ntags), per_tag)
+        G = SubspaceArray.grassmannian(space, n - 1)
+        directions = G if directions is None else directions(G)
+        sizes = projections._image_sizes(digits, tags, ntags, directions)
+        assert np.array_equal(sizes, _histogram_sizes(digits, tags, ntags, G[:])[: len(sizes)])
+        return calls.pop() if calls else None
+
+    # N / (ntags p) about 1 is refused, about 3.5 taken; the rule's edge is N = 2 ntags p
+    assert sweep(13, 3, 40, 13) is None
+    assert sweep(13, 3, 40, 45) == (1800, 40, 13)
+    assert sweep(13, 3, 10, 2 * 13 - 1) is None
+    assert sweep(13, 3, 10, 2 * 13) == (260, 10, 13)
+    assert sweep(23, 3, 1, 80) == (80, 1, 23)
+    assert sweep(31, 3, 1, 100) == (100, 1, 31)  # 2p = 62 bits
+    assert sweep(37, 3, 1, 100) is None  # 2p = 74 bits: the histograms
+    assert sweep(31, 3, 1, 100, lambda G: G[:]) is None  # a slice is not marked
+    assert sweep(31, 3, 1, 100, lambda G: G[:500]) is None
+    assert sweep(5, 3, 1, 40) is None  # the whole sweep is one stacked-product chunk
+    assert sweep(31, 2, 1, 900) is None  # 32 directions, one stacked-product chunk
+    assert sweep(31, 2, 2, 961) == (1922, 2, 31)
+    # other codimensions take the histograms
+    E = PointSet.from_indices(AmbientSpace(13, 3), rng.choice(13**3, 900, replace=False))
+    projection_sizes(E, 2)
+    assert not calls
+    # the benchmark's sweeps: the F_23^3 census set and the F_31^3 paraboloid are taken,
+    # the percolate groups of 40 trials at s = 1 refused, those at s = 1.7 and 1.5 taken
+    projection_sizes(PointSet.from_indices(AmbientSpace(23, 3), np.arange(0, 23**3, 5)), 1)
+    projection_sizes(paraboloid(AmbientSpace(31, 3)), 1)
+    assert [c[:2] for c in calls] == [(2434, 1), (961, 1)]
+    calls.clear()
+    for regime, p, n, s in (("small", 31, 2, 1.0), ("large", 31, 2, 1.7),
+                            ("small", 13, 3, 1.0), ("large", 13, 3, 1.5)):
+        runner = {"small": random_sets.verify_small_regime,
+                  "large": random_sets.verify_large_regime}[regime]
+        runner(p, n, 1, s, 40, seed=0)
+    assert [(ntags, p) for _, ntags, p in calls] == [(40, 31), (40, 13)]
+
+
+def test_word_route_arrays_stay_under_the_cap(monkeypatch):
+    # 13 pencils of F_13^3 in the pattern with an open entry; the shifted words of a chunk
+    # take as many bytes as its bins
+    calls = {"keys": [], "bins": []}
+    real_labels, real_chunks = projections._chunk_labels, projections._table_chunks
+
+    def labels(*args):
+        keys = real_labels(*args)
+        calls["keys"].append(keys.nbytes)
+        return keys
+
+    def chunks(*args, **kwargs):
+        for pattern, counts in real_chunks(*args, **kwargs):
+            if counts is not None:
+                calls["bins"].append(counts.nbytes)
+            yield pattern, counts
+
+    monkeypatch.setattr(projections, "_chunk_labels", labels)
+    monkeypatch.setattr(projections, "_table_chunks", chunks)
+    p, N = 13, 300
+    rng = np.random.default_rng(8)
+    for ntags in (1, 40):
+        digits = rng.integers(0, p, (ntags * N, 3))
+        tags = np.repeat(np.arange(ntags), N)
+        G = SubspaceArray.grassmannian(AmbientSpace(p, 3), 2)
+        expected = _histogram_sizes(digits, tags, ntags, G[:])
+        pencil = 8 * (ntags * N + ntags * p * p)  # a pencil's keys and bins
+        for cap in (1 << 20, 13 * pencil, 2 * pencil, pencil, pencil // 2):
+            monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+            for values in calls.values():
+                values.clear()
+            got = np.concatenate(list(projections._word_sizes(digits, tags, ntags, G)))
+            assert np.array_equal(got, expected)
+            assert calls["bins"], cap
+            for keys, bins in zip(calls["keys"], calls["bins"]):
+                # a chunk holds at least one pencil
+                assert keys + bins <= cap or (bins == 8 * ntags * p * p and pencil > cap)
 
 
 @pytest.mark.parametrize("p,n", [(101, 1), (101, 2), (8191, 1), (8191, 2)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffproj import random_sets, subspaces
-from ffproj.core import AmbientSpace
+from ffproj.core import AmbientSpace, PointSet
 from ffproj.projections import projection_sizes
 from ffproj.random_sets import (
     PercolationModel,
@@ -17,6 +17,8 @@ from ffproj.random_sets import (
     verify_small_regime,
 )
 from ffproj.subspaces import SubspaceArray
+
+from oracles import one_draw_mask
 
 
 def test_sample_determinism_bit_exact():
@@ -31,9 +33,7 @@ def test_sample_determinism_bit_exact():
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_campaign_sampler_draws_the_bits_of_a_fresh_philox_per_trial(seed):
-    def fresh(model, t):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-        return rng.random(model.space.point_count) < model.delta
+    fresh = one_draw_mask
 
     # draws of 13^3 and of 3^2 points each leave a part-used buffer that the next must not read
     large = PercolationModel(AmbientSpace(13, 3), 0.3, seed)
@@ -45,6 +45,21 @@ def test_campaign_sampler_draws_the_bits_of_a_fresh_philox_per_trial(seed):
         assert np.array_equal(percolation_sample(large, t).mask, fresh(large, t))
     mean = chebyshev_size_check(large, 51).mean_size
     assert mean == np.mean([np.count_nonzero(fresh(large, t)) for t in range(51)])
+
+
+@pytest.mark.parametrize("cap", [1, 8, 40, 8 * 13**3 - 8, 8 * 13**3, 1 << 20])
+def test_block_drawn_masks_equal_one_draw_masks(monkeypatch, cap):
+    # blocks of one uniform, of one and of five, one block short of a 13^3 trial (its
+    # last block holds one uniform), one block a trial, and the default cap
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+    models = (PercolationModel(AmbientSpace(13, 3), 0.3, 7),
+              PercolationModel(AmbientSpace(3, 2), 0.5, 2**64 - 1),
+              PercolationModel(AmbientSpace(31, 2), 0.05, 0))
+    sample = random_sets._sampler()
+    for t in range(4):
+        for model in models:
+            assert np.array_equal(sample(model, t), one_draw_mask(model, t))
+    assert percolation_sample(models[0], 5) == PointSet(models[0].space, one_draw_mask(models[0], 5))
 
 
 def test_sample_depends_on_seed():
