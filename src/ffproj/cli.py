@@ -331,7 +331,7 @@ def cmd_energy(args) -> int:
     started = time.time()
     space = point_set_space(cfg["pointset"])
     for d in (cfg["m"], space.n - 1):  # the two sides' sweeps, before the body is parsed
-        _check_enumeration(space, d, None)
+        _check_enumeration(space, d)
     E = load_point_set(cfg["pointset"])
     lhs, rhs, equal = verify_energy_identity(E, cfg["m"])
     spectral, _, spectral_ok = verify_energy_identity_fourier(E, cfg["m"])

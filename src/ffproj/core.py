@@ -158,6 +158,20 @@ def dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
     return sum(int(a) * int(b) for a, b in zip(u, v)) % p
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; ``ValueError`` names an entry that is not an integer.
+
+    Floats of integral value are taken; an int64 cast would truncate 1.5 to 1.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        for i, x in enumerate(array.ravel().tolist()):
+            if not (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()):
+                at = ", ".join(map(str, np.unravel_index(i, array.shape)))
+                raise ValueError(f"{name}[{at}] = {x!r} is not an integer")
+    return array.astype(np.int64, copy=False)
+
+
 class PointSet:
     """Immutable dense subset of F_p^n with exact cached cardinality."""
 

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet
+from .core import AmbientSpace, PointSet, _integer_array
 from .fourier import _line_power_sum
 from .projections import _histogram_blocks, coset_counts
 from .subspaces import (
@@ -63,7 +63,7 @@ def energy(E: PointSet, directions: SubspaceArray, labels: np.ndarray) -> int:
     """
     space = E.space
     directions = SubspaceArray.of(space, directions)  # refuses another space
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_array(labels, "labels")
     if labels.shape != (len(directions),):
         raise ValueError(f"{labels.size} coset labels for {len(directions)} directions")
     cosets = space.p ** (space.n - directions.dim)

@@ -190,7 +190,7 @@ def subspace_plancherel(E: PointSet, W: Subspace) -> tuple[int, Fraction, bool]:
     p, m = space.p, space.n - W.dim
     h = next(coset_counts(E, [W]))  # refuses a W of another space
     lhs = int(h @ h)
-    _check_budget("the family of hyperplanes containing W", (p**m - 1) // (p - 1), None)
+    _check_budget("the family of hyperplanes containing W", (p**m - 1) // (p - 1))
     # each line of Per(W) by its point whose first non-zero entry is 1, a canonical basis
     points = digits_of(space, perp(W).point_indices())
     lines = points[points[np.arange(len(points)), (points != 0).argmax(axis=1)] == 1]

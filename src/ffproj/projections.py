@@ -50,14 +50,42 @@ def _chunk_bytes(points: int, r: int, ntags: int, p: int) -> int:
     On the stacked product: r float64 label digits and two int64 copies per
     point, and its ntags p^r histogram bins.  The Grassmannian route keeps
     one int64 label per point and ntags p^r bins, or, folding, at most as
-    many bins as labels (see :func:`_coset_histograms`).
+    many bins as labels (see :func:`_route`).
     """
     return 8 * (points * (r + 2) + ntags * p**r)
 
 
-def _fits_one_chunk(points: int, r: int, ntags: int, p: int) -> bool:
-    """Whether a chunk of one direction over ``points`` tagged points fits under the cap."""
-    return _chunk_bytes(points, r, ntags, p) <= subspaces._KERNEL_BYTES
+def _route(N: int, ntags: int, directions: SubspaceArray, sizes: bool = False) -> tuple[str, int]:
+    """The route a sweep of N tagged points over ``directions`` takes, and the bytes of its least chunk.
+
+    The route is "shear", "fold", "pattern", "product" or, with ``sizes``
+    (image sizes, not histograms), "word"; the bytes are those of a chunk of
+    one direction, on the shear and word routes of one pencil.  All of
+    G(n, k), as :meth:`SubspaceArray.grassmannian` builds it, takes a table
+    route unless the whole sweep fits one stacked-product chunk.  On it, a
+    one-digit (r = 1) sweep of image sizes reads pencil occupancy words when
+    2p <= 64 and N >= 2 ntags p; a one-digit sweep with N >= ntags p^2 takes
+    the shear.  Otherwise the sweep goes pattern by pattern, when r >= 2
+    ("pattern") or when a one-digit sweep has no more bins than labels,
+    ntags n p <= N ("fold"); unless a chunk would hold fewer than p
+    directions.  Every other sweep, and any other array, takes the product.
+    """
+    space = directions.space
+    p, n, r = space.p, space.n, space.n - directions.dim
+    product = _chunk_bytes(N, r, ntags, p)
+    if not directions._grassmannian or len(directions) <= _block_rows(product):
+        return "product", product
+    pencil = 8 * (N + ntags * p * p)  # a pencil's keys and bins
+    if r == 1 and sizes and 2 * p <= 64 and N >= 2 * ntags * p:
+        return "word", pencil
+    if r == 1 and N >= ntags * p * p:
+        return "shear", pencil
+    fold = r == 1 and ntags * n * p <= N
+    pattern = 8 * (N + ntags * (n * p if fold else p**r))  # a direction's labels and bins
+    # a one-digit product is cheaper than a lookup, and chunks of one direction than tables
+    if (fold or r > 1) and _block_rows(pattern) >= p:
+        return ("fold" if fold else "pattern"), pattern
+    return "product", product
 
 
 def _coset_histograms(
@@ -72,37 +100,24 @@ def _coset_histograms(
     direction, then its tag, then its coset label, and each chunk is one
     ``bincount``.
 
-    All of G(n, k), as :meth:`SubspaceArray.grassmannian` builds it, unless
-    the whole sweep fits one stacked-product chunk, is swept by one of two
-    table routes.  A dense one-digit sweep (r = 1, N >= 3/2 ntags p^2)
-    bins each pencil of p directions once and reads their histograms as
-    shears (:func:`_shear_histograms`).  Otherwise the sweep goes pattern
-    by pattern (:func:`_pattern_histograms`), in chunks of as many
-    directions as keep their int64 labels and bins under the kernel cap,
-    when r >= 2 or when a one-digit sweep has no more bins than labels,
-    ntags n p <= N, and so bins unreduced digit sums and folds them; unless
-    a chunk would hold fewer than p directions.  Every other sweep, and any other
-    array, takes the stacked product: each chunk of label maps is one exact
-    float64 (r c, n) @ (n, N) product (``subspaces._residue_codes``), with
-    as many directions as keep :func:`_chunk_bytes` under the cap.  A chunk
-    holds at least one direction, whatever its bytes; the cap is read at
-    each call.
+    :func:`_route` picks the route: the shear (:func:`_shear_histograms`),
+    the pattern route, folding or not (:func:`_pattern_histograms`), or the
+    stacked product, where each chunk of label maps is one exact float64
+    (r c, n) @ (n, N) product (``subspaces._residue_codes``) of as many
+    directions as keep :func:`_chunk_bytes` under the cap.  A chunk holds
+    at least one direction, whatever its bytes; the cap is read at each call.
     """
     N, n = digits.shape
+    route, chunk = _route(N, ntags, directions)
+    if route == "shear":
+        yield from _shear_histograms(digits, tags, ntags, directions)
+        return
+    rows = _block_rows(chunk)
+    if route != "product":
+        yield from _pattern_histograms(digits, tags, ntags, directions, route == "fold", rows)
+        return
     space = directions.space
-    p, r = space.p, n - directions.dim
-    rows = _block_rows(_chunk_bytes(N, r, ntags, p))
-    if directions._grassmannian and len(directions) > rows:
-        if r == 1 and 2 * N >= 3 * ntags * p * p:  # N >= 3/2 ntags p^2: the shear
-            yield from _shear_histograms(digits, tags, ntags, directions)
-            return
-        fold = r == 1 and ntags * n * p <= N
-        pattern_rows = _block_rows(8 * (N + ntags * (n * p if fold else p**r)))
-        # a one-digit product is cheaper than a lookup, and chunks of one direction than tables
-        if (fold or r > 1) and pattern_rows >= p:
-            yield from _pattern_histograms(digits, tags, ntags, directions, fold, pattern_rows)
-            return
-    cosets = p**r
+    cosets = space.p ** (n - directions.dim)
     per_direction = ntags * cosets
     # a label's bin within a chunk: its direction, then its point's tag, then its coset
     direction_bins = np.arange(min(rows, len(directions)))[:, None] * per_direction
@@ -370,17 +385,11 @@ def _image_sizes(
 ) -> np.ndarray:
     """|image| of each tag's points along each direction, as a (directions, ntags) int64 array.
 
-    A sweep that takes a table route over all of G(n, n-1) (r = 1, more
-    directions than one stacked-product chunk holds) reads the sizes off
-    pencil occupancy words (:func:`_word_sizes`) when 2p <= 64 and
-    N >= 2 ntags p; every other sweep counts the nonempty bins of
-    :func:`_coset_histograms`.
+    A sweep on the word route of :func:`_route` reads the sizes off pencil
+    occupancy words (:func:`_word_sizes`); every other sweep counts the
+    nonempty bins of :func:`_coset_histograms`.
     """
-    N, n = digits.shape
-    p, r = directions.space.p, n - directions.dim
-    rows = _block_rows(_chunk_bytes(N, r, ntags, p))
-    if (directions._grassmannian and r == 1 and len(directions) > rows
-            and 2 * p <= 64 and N >= 2 * ntags * p):
+    if _route(len(digits), ntags, directions, sizes=True)[0] == "word":
         blocks = list(_word_sizes(digits, tags, ntags, directions))
     else:
         histograms = _coset_histograms(digits, tags, ntags, directions)
@@ -393,19 +402,14 @@ def _histogram_blocks(
 ) -> Iterator[np.ndarray]:
     """(c, p^(n - dim W)) histogram blocks of E over the directions, in order.
 
-    Each run of consecutive directions of equal dimension is stacked into
-    one :class:`SubspaceArray` (an array is one run) and swept once.
+    The directions are stacked into one :class:`SubspaceArray`, which
+    refuses mixed dimensions, and swept once.
     """
-    space = E.space
-    digits = digits_of(space, E.indices())
+    directions = SubspaceArray.of(E.space, directions)
+    digits = digits_of(E.space, E.indices())
     tags = np.zeros(len(digits), dtype=np.int64)
-    if isinstance(directions, SubspaceArray):
-        runs = [directions]
-    else:
-        runs = (run for _, run in itertools.groupby(directions, key=lambda W: W.dim))
-    for run in runs:
-        for block in _coset_histograms(digits, tags, 1, SubspaceArray.of(space, run)):
-            yield block[:, 0]
+    for block in _coset_histograms(digits, tags, 1, directions):
+        yield block[:, 0]
 
 
 def coset_counts(
@@ -413,9 +417,9 @@ def coset_counts(
 ) -> Iterator[np.ndarray]:
     """|E n (x_j + W)| for every coset x_j + W of each direction W, in order.
 
-    Each histogram is int64, indexed by coset label, of length p^(n - dim W).
-    The points of E are decoded once; each run of consecutive directions of
-    equal dimension goes through the chunked kernel ``_coset_histograms``.
+    The directions share one dimension.  Each histogram is int64, indexed by
+    coset label, of length p^(n - dim W).  The points of E are decoded once
+    and the directions go through the chunked kernel ``_coset_histograms``.
     A direction's sum of squared counts is at most |E|^2 <= 2^52, so int64
     reductions are exact.
     """
@@ -438,15 +442,12 @@ def _codimension_m(
     return directions
 
 
-def projection_sizes(
-    E: PointSet, m: int, directions: Iterable[Subspace] | None = None
-) -> tuple[SubspaceArray, np.ndarray]:
+def projection_sizes(E: PointSet, m: int) -> tuple[SubspaceArray, np.ndarray]:
     """Image size |image(E, W)| for every W in G(n, n-m), in enumeration order.
 
-    ``directions`` narrows the sweep to given subspaces of dimension n - m.
     Returns the swept directions, as a :class:`SubspaceArray`, with the sizes.
     """
-    directions = _codimension_m(E.space, m, directions)
+    directions = _codimension_m(E.space, m, None)
     digits = digits_of(E.space, E.indices())
     sizes = _image_sizes(digits, np.zeros(len(digits), dtype=np.int64), 1, directions)
     return directions, sizes[:, 0].astype(np.int64, copy=False)

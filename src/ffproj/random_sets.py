@@ -21,7 +21,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import AmbientSpace, PointSet, digits_of
-from .projections import _fits_one_chunk, _image_sizes
+from . import subspaces
+from .projections import _image_sizes, _route
 from .subspaces import SubspaceArray, _block_rows
 
 __all__ = [
@@ -46,25 +47,19 @@ class PercolationModel:
     space: AmbientSpace
     delta: float
     seed: int
-    s: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
-        if self.s is not None:
-            target = float(self.space.p) ** (self.s - self.space.n)
-            if abs(self.delta - target) > 1e-12:
-                raise ValueError(
-                    f"delta={self.delta} does not match p^(s-n)={target}"
-                )
 
     @classmethod
     def from_exponent(
         cls, space: AmbientSpace, s: float, seed: int
     ) -> "PercolationModel":
-        return cls(space, float(space.p) ** (s - space.n), seed, s)
+        """The model of exponent s: delta = p^(s-n), so a sample has about p^s points."""
+        return cls(space, float(space.p) ** (s - space.n), seed)
 
 
 def percolation_sample(model: PercolationModel, trial: int = 0) -> PointSet:
@@ -220,16 +215,22 @@ class PercolationReport:
 
 
 def _trial_groups(
-    model: PercolationModel, m: int, trials: int
+    model: PercolationModel, trials: int, directions: SubspaceArray
 ) -> Iterator[list[np.ndarray]]:
-    """Index arrays of consecutive trials, grouped so that each group fits one kernel chunk."""
-    p = model.space.p
+    """Index arrays of consecutive trials, grouped so that each group's sweep fits its least chunk.
+
+    A group's image sizes take the route :func:`projections._route` picks
+    for its points and trials, and a trial joins the group while that
+    route's chunk of one direction (of one pencil on the word and shear
+    routes) stays under the kernel cap.
+    """
     group: list[np.ndarray] = []
     points = 0
     sample = _sampler()
     for t in range(trials):
         idx = np.flatnonzero(sample(model, t))
-        if group and not _fits_one_chunk(points + idx.size, m, len(group) + 1, p):
+        chunk = _route(points + idx.size, len(group) + 1, directions, sizes=True)[1]
+        if group and chunk > subspaces._KERNEL_BYTES:
             yield group
             group, points = [], 0
         group.append(idx)
@@ -252,7 +253,7 @@ def _sweep(
     space = model.space
     p_m = space.p**m
     sizes, mins, fulls, empty = [], [], [], 0
-    for group in _trial_groups(model, m, trials):
+    for group in _trial_groups(model, trials, directions):
         counts = [idx.size for idx in group]
         digits = digits_of(space, np.concatenate(group))
         tags = np.repeat(np.arange(len(group), dtype=np.int64), counts)

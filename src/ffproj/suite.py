@@ -131,10 +131,10 @@ def _check_cell(space: AmbientSpace) -> None:
     """
     p, n = space.p, space.n
     for d in range(n + 1):
-        _check_enumeration(space, d, None)
+        _check_enumeration(space, d)
     k = n // 2  # C(n, k)_p is largest at k = n // 2 < n
     size = gaussian_binomial(n, k, p) * p**n
-    _check_budget(f"the character-sum table of G({n},{k}) x F_{p}^{n}", size, None)
+    _check_budget(f"the character-sum table of G({n},{k}) x F_{p}^{n}", size)
 
 
 def _cell(space: AmbientSpace) -> tuple:

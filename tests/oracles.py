@@ -21,6 +21,7 @@ sampler as first written, whose masks the block-drawn sampler must
 reproduce bit for bit.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -80,6 +81,22 @@ def brute_subspace_pointsets(p, n, m):
     if m == 0:
         seen = {frozenset({(0,) * n})}
     return seen
+
+
+@functools.lru_cache(maxsize=None)
+def brute_containment_counts(p, n, m):
+    """For each nonzero xi: (|{V : xi in V}|, |{V : xi in Per(V)}|) over the m-dimensional V.
+
+    Keys are coordinate tuples.  The whole space is the one V of dimension n.
+    """
+    vectors = all_vectors(p, n)
+    subspaces = [frozenset(vectors)] if m == n else brute_subspace_pointsets(p, n, m)
+    counts = {}
+    for xi in vectors[1:]:
+        inside = sum(xi in V for V in subspaces)
+        dual = sum(all(sum(a * b for a, b in zip(xi, v)) % p == 0 for v in V) for V in subspaces)
+        counts[xi] = (inside, dual)
+    return counts
 
 
 def brute_perp(subspace_points, p, n):

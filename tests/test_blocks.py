@@ -93,10 +93,11 @@ def test_pattern_blocks_match_enumeration(cell, cap):
     assert [tuple(map(tuple, b)) for b in array.bases.tolist()] == reference
 
 
-def test_grassmannian_checks_the_budget_at_the_call():
+def test_grassmannian_checks_the_budget_at_the_call(monkeypatch):
+    monkeypatch.setenv("FFPROJ_BUDGET", "3")
     space = AmbientSpace(3, 2)
     with pytest.raises(subspaces.BudgetError, match=r"G\(2,1\) over F_3 has 4 elements"):
-        SubspaceArray.grassmannian(space, 1, budget=3)
+        SubspaceArray.grassmannian(space, 1)
     with pytest.raises(ValueError):
         SubspaceArray.grassmannian(space, 3)
 

@@ -112,6 +112,16 @@ def test_energy_checks_its_family():
         energy(PointSet.full(AmbientSpace(5, 2)), directions, labels)
 
 
+def test_energy_refuses_non_integral_labels():
+    E = PointSet.full(F32)
+    G = SubspaceArray.grassmannian(F32, 1)
+    with pytest.raises(ValueError, match=r"labels\[0\] = 1.7 is not an integer"):
+        energy(E, G[:1], [1.7])  # once read plane 1
+    with pytest.raises(ValueError, match=r"labels\[1\] = inf is not an integer"):
+        energy(E, G[:2], np.array([0.0, np.inf]))
+    assert energy(E, G[:1], [1.0]) == energy(E, G[:1], [1]) == 9
+
+
 def test_energy_monotone_in_family():
     rng = np.random.default_rng(11)
     directions, labels = full_family(F32, 1)

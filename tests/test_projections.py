@@ -230,7 +230,7 @@ def test_kernel_routes_are_chosen_by_size(monkeypatch):
         assert np.array_equal(got, _kernel(digits, tags, ntags, G[:]))
         return got
 
-    sweep(23, 3, 2, 1, 700)  # under 3/2 p^2 labels, 69 bins each: fold
+    sweep(23, 3, 2, 1, 500)  # under p^2 labels, 69 bins each: fold
     sweep(23, 3, 1, 1, 2600)  # the energy sweep, r = 2: lookup tables
     sweep(3, 5, 3, 1, 90)  # r = 2 over few points: lookup tables
     assert [fold for fold, _ in calls] == [True, False, False]
@@ -241,7 +241,7 @@ def test_kernel_routes_are_chosen_by_size(monkeypatch):
 
     # arrays that are not a whole Grassmannian take the stacked product
     space = AmbientSpace(23, 3)
-    E = PointSet(space, rng.random(space.point_count) < 0.05)  # under 3/2 p^2 points: fold
+    E = PointSet.from_indices(space, rng.choice(space.point_count, 500, replace=False))  # fold
     listed = list(enumerate_grassmannian(space, 2))
     for directions in (listed[::-1], listed + listed, listed[1:]):
         assert len(list(coset_counts(E, directions))) == len(directions)
@@ -357,12 +357,19 @@ def test_shear_route_is_chosen_by_size(monkeypatch):
     # the benchmark's verify cells: each sweep fits one stacked-product chunk
     for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2)):
         assert run_identity_suite(primes=[p], dims=[n], seed=0)["all_pass"]
-    hyperplane_histograms(paraboloid(AmbientSpace(31, 3)))  # N = p^2
     hyperplane_histograms(random_set(101, 2, 101**2 // 4))  # N = p^2 / 4
-    hyperplane_histograms(random_set(13, 3, 253))  # N just under 3/2 p^2
+    hyperplane_histograms(random_set(23, 3, 528))  # N just under p^2: fold
     assert len(calls) == 1
-    hyperplane_histograms(random_set(13, 3, 254))  # 2 N = 3 p^2 + 1
-    assert calls[1:] == [(254, 1)]
+    hyperplane_histograms(random_set(23, 3, 529))  # N = p^2
+    hyperplane_histograms(paraboloid(AmbientSpace(31, 3)))  # N = p^2
+    assert calls[1:] == [(529, 1), (961, 1)]
+    # with tags the edge is N = ntags p^2
+    G = SubspaceArray.grassmannian(AmbientSpace(23, 3), 2)
+    for N in (3 * 529 - 1, 3 * 529):
+        digits = rng.integers(0, 23, (N, 3))
+        tags = np.arange(N) % 3
+        assert np.array_equal(_kernel(digits, tags, 3, G), _kernel(digits, tags, 3, G[:]))
+    assert calls[3:] == [(3 * 529, 3)]
 
 
 def test_shear_arrays_stay_under_the_cap(monkeypatch):
@@ -561,10 +568,11 @@ def test_coset_counts_match_brute_force_at_large_primes(p, n):
         space, np.concatenate([scattered, np.array(on_a_line) @ p ** np.arange(n)])
     )
     directions = list(dict.fromkeys(Subspace.from_rows(space, [row]) for row in lines))
-    if p**n <= 10**4:
-        directions.insert(0, Subspace.zero(space))
-    idx = E.indices()
     histograms = list(coset_counts(E, directions))
+    if p**n <= 10**4:  # the zero direction, of another dimension: a sweep of its own
+        directions.insert(0, Subspace.zero(space))
+        histograms.insert(0, next(coset_counts(E, directions[:1])))
+    idx = E.indices()
     assert len(histograms) == len(directions)
     assert max(h.max() for h in histograms) >= 4
     for W, counts in zip(directions, histograms):
@@ -574,17 +582,13 @@ def test_coset_counts_match_brute_force_at_large_primes(p, n):
         assert sorted(counts.tolist()) == oracle
 
 
-def test_coset_counts_mixed_dimensions(monkeypatch):
-    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 500)
+def test_coset_counts_mixed_dimensions():
     space = AmbientSpace(3, 3)
-    E = PointSet(space, np.random.default_rng(5).random(27) < 0.5)
+    E = PointSet.full(space)
     G = {d: list(enumerate_grassmannian(space, d)) for d in range(4)}
-    directions = G[1][:5] + G[0] + G[1][5:] + G[2] + G[3] + G[2][:3] + G[0]
-    histograms = list(coset_counts(E, iter(directions)))
-    assert len(histograms) == len(directions)
-    for W, counts in zip(directions, histograms):
-        expected = np.bincount(int64_coset_labels(W, E.indices()), minlength=3 ** (3 - W.dim))
-        assert np.array_equal(counts, expected)
+    for directions in (G[1][:5] + G[0], G[2] + G[3] + G[2][:3]):
+        with pytest.raises(ValueError, match="direction set mixes dimensions"):
+            next(coset_counts(E, iter(directions)))
 
 
 def test_energy_spans_several_chunks(monkeypatch):
@@ -756,8 +760,6 @@ def test_directions_of_the_wrong_dimension_are_refused():
     full = PointSet.full(space)
     lines = SubspaceArray.grassmannian(space, 1)  # m = 1 needs planes, n - m = 2
     for directions in (lines, list(lines)):
-        with pytest.raises(ValueError, match="need n - m = 2"):
-            projection_sizes(full, 1, directions=directions)
         sweep = (directions, np.full(len(lines), 9))
         with pytest.raises(ValueError, match="need n - m = 2"):
             census_small_image(full, 1, 1, sweep=sweep)

@@ -5,7 +5,7 @@ import pytest
 
 from ffproj import random_sets, subspaces
 from ffproj.core import AmbientSpace, PointSet
-from ffproj.projections import projection_sizes
+from ffproj.projections import coset_counts, projection_sizes
 from ffproj.random_sets import (
     PercolationModel,
     chebyshev_size_check,
@@ -81,9 +81,7 @@ def test_model_validation():
         PercolationModel(space, 1.5, seed=0)
     with pytest.raises(ValueError):
         PercolationModel(space, 0.5, seed=-1)
-    with pytest.raises(ValueError):
-        PercolationModel(space, 0.5, seed=0, s=1.0)  # 3^(1-2) != 0.5
-    PercolationModel(space, 3.0 ** (1 - 2), seed=0, s=1.0)
+    assert PercolationModel.from_exponent(space, 1.0, seed=0).delta == 3.0 ** (1 - 2)
 
 
 def test_sample_mean_within_four_sigma():
@@ -265,12 +263,12 @@ def test_small_regime_exists_direction_bound():
 
 
 def _per_trial_sweep(model, m, trials, directions):
-    """Reference for the batched sweep: one projection_sizes call per trial."""
+    """Reference for the batched sweep: each trial's histograms over the directions, one sweep each."""
     p_m = model.space.p**m
     sizes, mins, fulls, empty = [], [], [], 0
     for t in range(trials):
         E = percolation_sample(model, t)
-        _, image_sizes = projection_sizes(E, m, directions=directions)
+        image_sizes = np.array([np.count_nonzero(h) for h in coset_counts(E, directions)])
         sizes.append(E.cardinality)
         mins.append(int(image_sizes.min()))
         fulls.append(bool((image_sizes == p_m).all()))
@@ -291,7 +289,7 @@ def test_batched_sweep_matches_per_trial_loop(monkeypatch, p, n, m, delta, trial
     space = AmbientSpace(p, n)
     model = PercolationModel(space, delta, seed=p * n + m)
     directions = SubspaceArray.grassmannian(space, n - m)
-    groups = list(random_sets._trial_groups(model, m, trials))
+    groups = list(random_sets._trial_groups(model, trials, directions))
     assert sum(len(g) for g in groups) == trials
     if cap == 0:
         assert len(groups) == trials  # a trial that does not fit is a group of its own
@@ -302,3 +300,33 @@ def test_batched_sweep_matches_per_trial_loop(monkeypatch, p, n, m, delta, trial
     if delta == 0.01:
         assert 0 in got[0]
 
+
+
+def test_dense_campaign_groups_keep_every_kernel_array_under_the_cap(monkeypatch):
+    # 200 trials of about 31^1.3 = 87 points: in one group, a pencil's bins alone would
+    # take 8 * 200 * 31^2 bytes.  Every kernel array is a bincount's keys or bins, or no
+    # larger than its bins
+    arrays, groups = [], []
+    real_bincount, real_sizes = np.bincount, random_sets._image_sizes
+
+    def bincount(keys, *args, **kwargs):
+        counts = real_bincount(keys, *args, **kwargs)
+        arrays.extend((keys.nbytes, counts.nbytes))
+        return counts
+
+    def image_sizes(digits, tags, ntags, directions):
+        groups.append(ntags)
+        return real_sizes(digits, tags, ntags, directions)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    monkeypatch.setattr(random_sets, "_image_sizes", image_sizes)
+    report = verify_large_regime(31, 2, 1, 1.3, 200)
+    monkeypatch.undo()
+    assert max(arrays) <= subspaces._KERNEL_BYTES
+    assert len(groups) > 1 and sum(groups) == 200
+    model = PercolationModel.from_exponent(AmbientSpace(31, 2), 1.3, seed=0)
+    sizes, mins, fulls, empty = _per_trial_sweep(
+        model, 1, 200, SubspaceArray.grassmannian(model.space, 1)
+    )
+    assert (report.sizes, report.min_images, report.full_flags) == (sizes, mins, fulls)
+    assert report.plane_miss_rate == empty / (200 * 32 * 31)

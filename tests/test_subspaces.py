@@ -29,6 +29,7 @@ from ffproj.subspaces import (
 from oracles import (
     all_vectors,
     brute_cosets_hit,
+    brute_containment_counts,
     brute_perp,
     brute_plane,
     brute_subspace_pointsets,
@@ -82,17 +83,19 @@ def test_enumerated_pointsets_match_brute():
         assert mine == oracle
 
 
-def test_enumeration_budget_refusal():
+def test_enumeration_budget_refusal(monkeypatch):
+    monkeypatch.setenv("FFPROJ_BUDGET", "10")
     space = AmbientSpace(5, 3)
     with pytest.raises(BudgetError):
-        list(enumerate_grassmannian(space, 1, budget=10))
+        list(enumerate_grassmannian(space, 1))
 
 
-def test_enumeration_budget_is_checked_at_the_call():
+def test_enumeration_budget_is_checked_at_the_call(monkeypatch):
+    monkeypatch.setenv("FFPROJ_BUDGET", "3")
     space = AmbientSpace(3, 2)
     # no next(): the call itself refuses, so a lazy caller cannot slip past
     with pytest.raises(BudgetError, match=r"G\(2,1\) over F_3 has 4 elements, over budget 3"):
-        enumerate_grassmannian(space, 1, budget=3)
+        enumerate_grassmannian(space, 1)
 
 
 def test_range_condition_examples():
@@ -320,6 +323,21 @@ def test_subspace_array_refuses_non_canonical_bases(bases, message):
         SubspaceArray(AmbientSpace(3, 2), np.array(bases))
 
 
+@pytest.mark.parametrize("bases,message", [
+    ([[[1, 1.5]]], r"bases\[0, 0, 1\] = 1.5 is not an integer"),  # once read as span{(1, 1)}
+    ([[[1, 0]], [[float("nan"), 1]]], r"bases\[1, 0, 0\] = nan is not an integer"),
+    ([[[1, "2"]]], r"bases\[0, 0, 0\] = '1' is not an integer"),
+])
+def test_subspace_array_refuses_non_integral_entries(bases, message):
+    with pytest.raises(ValueError, match=message):
+        SubspaceArray(AmbientSpace(3, 2), bases)
+
+
+def test_subspace_array_takes_integral_floats():
+    space = AmbientSpace(3, 2)
+    assert SubspaceArray(space, [[[1.0, 2.0]]]) == SubspaceArray(space, [[[1, 2]]])
+
+
 @pytest.mark.parametrize("p,message", [(2, "zero row"), (3, "unit column")])
 def test_subspace_array_refuses_shifted_dual_bases(p, message):
     # the duals of G(3, 1) with their last column shifted by 1: over F_2 some rows vanish
@@ -373,23 +391,21 @@ def test_perp_matches_brute_force_randomly(case):
 
 def test_containment_count_examples():
     f32 = AmbientSpace(3, 2)
-    assert count_subspaces_containing(f32, (1, 0), 1, verify=True) == 1
-    assert count_subspaces_with_perp_containing(f32, (2, 1), 1, verify=True) == 1
+    assert count_subspaces_containing(f32, (1, 0), 1) == 1
+    assert count_subspaces_with_perp_containing(f32, (2, 1), 1) == 1
     f23 = AmbientSpace(2, 3)
-    assert count_subspaces_containing(f23, (1, 0, 0), 2, verify=True) == 3
+    assert count_subspaces_containing(f23, (1, 0, 0), 2) == 3
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_containment_counts_exhaustive(p, n):
-    from ffproj.core import decode
-
     space = AmbientSpace(p, n)
-    for idx in range(1, space.point_count):
-        xi = decode(space, idx)
+    for xi in all_vectors(p, n)[1:]:
         for m in range(1, n + 1):
-            count_subspaces_containing(space, xi, m, verify=True)
+            assert count_subspaces_containing(space, xi, m) == brute_containment_counts(p, n, m)[xi][0]
         for m in range(n):
-            count_subspaces_with_perp_containing(space, xi, m, verify=True)
+            assert (count_subspaces_with_perp_containing(space, xi, m)
+                    == brute_containment_counts(p, n, m)[xi][1])
 
 
 def test_containment_count_rejects_zero():
