@@ -106,7 +106,7 @@ class AmbientSpace:
             yield decode(self, idx)
 
     def validate_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        v = tuple(int(c) for c in v)
+        v = _integers(v, "vector")
         if len(v) != self.n:
             raise ValueError(f"vector has {len(v)} coordinates, expected {self.n}")
         for c in v:
@@ -158,6 +158,25 @@ def dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
     return sum(int(a) * int(b) for a, b in zip(u, v)) % p
 
 
+def _is_integer(x) -> bool:
+    """True for an int of any size or a float of integral value; 1.5, nan, inf and "1" are not."""
+    if isinstance(x, (int, np.integer, np.bool_)):
+        return True
+    return isinstance(x, (float, np.floating)) and float(x).is_integer()
+
+
+def _integers(values: Iterable, name: str) -> tuple[int, ...]:
+    """``values`` as Python ints; ``ValueError`` names an entry that is not an integer.
+
+    Floats of integral value are taken; ``int`` would truncate 1.5 to 1.
+    """
+    values = tuple(values)
+    for i, x in enumerate(values):
+        if not _is_integer(x):
+            raise ValueError(f"{name}[{i}] = {x!r} is not an integer")
+    return tuple(int(x) for x in values)
+
+
 def _integer_array(values, name: str) -> np.ndarray:
     """``values`` as an int64 array; ``ValueError`` names an entry that is not an integer.
 
@@ -166,7 +185,7 @@ def _integer_array(values, name: str) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind not in "biu":
         for i, x in enumerate(array.ravel().tolist()):
-            if not (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()):
+            if not _is_integer(x):
                 at = ", ".join(map(str, np.unravel_index(i, array.shape)))
                 raise ValueError(f"{name}[{at}] = {x!r} is not an integer")
     return array.astype(np.int64, copy=False)
@@ -204,7 +223,7 @@ class PointSet:
         cls, space: AmbientSpace, indices: np.ndarray | Sequence[int]
     ) -> "PointSet":
         mask = np.zeros(space.point_count, dtype=bool)
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _integer_array(indices, "indices")
         if idx.size:
             if idx.min() < 0 or idx.max() >= space.point_count:
                 raise ValueError("point index out of range")

@@ -12,6 +12,16 @@ TOLERANCE = 1e-9, far above the rounding error accumulated under the point
 budget for full spectra.  A spectrum computes its moduli |Ehat| once, on
 first use, and every check and report reads that one read-only array.
 
+The whole transform lives in two complex128 buffers of p^n entries.  The
+mask is cast into one in C order, so axis 0 leads.  Each axis is copied
+into the free buffer with that axis leading, and ``np.dot(F, B, out=)``
+writes F B, B that buffer as a (p, p^(n-1)) matrix, into the other; the
+codec-order copy at the end goes into whichever buffer is free (for
+n <= 2 the last product is in codec order already).  So at most two p^n
+complex arrays are alive (128 MiB at the cap), and the zgemm operands are
+the ones ``np.tensordot`` passed: BLAS results depend on the column order
+of B, and the values keep their bytes.
+
 Identities with integer sides take no transform: for xi != 0 the Fourier
 mass of the line through xi is p M(xi^perp) - |E|^2 (:func:`_line_powers`),
 M the coset second moment of E along the hyperplane xi^perp.  So
@@ -131,12 +141,25 @@ def dft(E: PointSet) -> Spectrum:
     p, n = space.p, space.n
     check_spectrum_budget(space)
     F = _character_matrix(p)
+    shape = (p,) * n
+    held, free = np.empty(p**n, dtype=np.complex128), np.empty(p**n, dtype=np.complex128)
     # axis k of the (p,)*n view is coordinate k+1 under the little-endian codec;
-    # cast into C order, the layout tensordot would copy axis 0 into
-    arr = E.mask.reshape((p,) * n, order="F").astype(np.complex128, order="C")
+    # cast into C order, so axis 0 already leads
+    np.copyto(held.reshape(shape), E.mask.reshape(shape, order="F"))
+    arr = held.reshape(shape)
     for axis in range(n):
-        arr = np.moveaxis(np.tensordot(F, np.moveaxis(arr, axis, 0), axes=(1, 0)), 0, axis)
-    values = arr.reshape(-1, order="F")
+        if axis:  # bring the axis to the front, C order: the operand tensordot would copy
+            np.copyto(free.reshape(shape), np.moveaxis(arr, axis, 0))
+            held, free = free, held
+        np.dot(F, held.reshape(p, -1), out=free.reshape(p, -1))
+        held, free = free, held
+        arr = np.moveaxis(held.reshape(shape), 0, axis)
+    if arr.flags.f_contiguous:  # n <= 2: the last product is already in codec order
+        values = held
+    else:
+        np.copyto(free.reshape(shape, order="F"), arr)
+        values = free
+    del held, free, arr  # the other buffer goes before the moduli are taken
     values.flags.writeable = False
     spectrum = Spectrum(space, values, E.cardinality)
     lhs, rhs, ok = plancherel_check(spectrum)
@@ -155,7 +178,8 @@ def pointwise_coefficient(E: PointSet, xi) -> complex:
 
 def plancherel_check(S: Spectrum) -> tuple[float, float, bool]:
     """sum_xi |Ehat(xi)|^2 = p^n |E|; returns (lhs, rhs, ok within tolerance)."""
-    lhs = float((S.moduli() ** 2).sum())
+    moduli = S.moduli()
+    lhs = float(np.dot(moduli, moduli))  # no p^n temporary of squares
     rhs = float(S.space.point_count * S.source_cardinality)
     return lhs, rhs, abs(lhs - rhs) <= TOLERANCE * max(1.0, rhs)
 

@@ -38,6 +38,7 @@ from .core import (
     IdentityError,
     PointSet,
     _integer_array,
+    _integers,
     base_p_digits,
     digits_of,
     encode,
@@ -312,7 +313,8 @@ class Subspace:
     def from_rows(cls, space: AmbientSpace, rows: Iterable[Sequence[int]]) -> "Subspace":
         """Span of arbitrary generating rows, canonicalized."""
         p, n = space.p, space.n
-        mat = [[int(c) % p for c in row] for row in rows]  # in Python: entries may exceed int64
+        # in Python: entries may exceed int64
+        mat = [[c % p for c in _integers(row, f"rows[{i}]")] for i, row in enumerate(rows)]
         for row in mat:
             if len(row) != n:
                 raise ValueError(f"row width {len(row)} != {n}")

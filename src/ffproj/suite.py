@@ -95,10 +95,9 @@ def run_identity_suite(
     primes: Sequence[int] = DEFAULT_PRIMES,
     dims: Sequence[int] = DEFAULT_DIMS,
     seed: int = 0,
-    binomial: Callable[[int, int, int], int] = gaussian_binomial,
 ) -> dict:
     """Run the full identity battery; returns a manifest with per-check results."""
-    summaries = [c.summary() for c in _run_checks(primes, dims, seed, binomial).values()]
+    summaries = [c.summary() for c in _run_checks(primes, dims, seed).values()]
     return {
         "primes": list(primes),
         "dims": list(dims),
@@ -108,7 +107,7 @@ def run_identity_suite(
     }
 
 
-def _run_checks(primes, dims, seed, binomial) -> dict[str, _Check]:
+def _run_checks(primes, dims, seed) -> dict[str, _Check]:
     """Every check of every (p, n) cell of the grid, in manifest order."""
     checks = {name: _Check(name) for name in _CHECKS}
     spaces = [AmbientSpace(p, n) for p in primes for n in dims]
@@ -116,9 +115,9 @@ def _run_checks(primes, dims, seed, binomial) -> dict[str, _Check]:
         _check_cell(space)
     for space in spaces:
         cell = _cell(space)
-        _cell_checks(cell, binomial, checks)
+        _cell_checks(cell, checks)
         sets = _test_sets(space, seed)
-        _set_checks(cell, sets, _sweep_sets(cell, sets), binomial, checks)
+        _set_checks(cell, sets, _sweep_sets(cell, sets), checks)
     return checks
 
 
@@ -163,10 +162,11 @@ def _direction(arrays: dict, starts: np.ndarray, j: int) -> tuple[int, tuple]:
     return d, tuple(map(tuple, arrays[d].bases[j - starts[d]].tolist()))
 
 
-def _cell_checks(cell, binomial, checks) -> None:
+def _cell_checks(cell, checks) -> None:
     """Counting, containment, duality and character-sum checks of one cell, one record each."""
     space, arrays, duals, members, dual_points, _ = cell
     p, n = space.p, space.n
+    binomial = gaussian_binomial
     observed = [len(G) for G in arrays.values()]
     expected = [binomial(n, m, p) for m in arrays]
     checks["binomial_vs_enumeration"].record_all(
@@ -329,7 +329,7 @@ def _power_table(space, size, moments, dual_points) -> np.ndarray:
     return rows[owner]
 
 
-def _set_checks(cell, sets, columns, binomial, checks) -> None:
+def _set_checks(cell, sets, columns, checks) -> None:
     """Every check on the cell's test sets, each decided over all of them at once.
 
     ``columns`` are as :func:`_sweep_sets` returns them.  Each check is one array
@@ -386,8 +386,8 @@ def _set_checks(cell, sets, columns, binomial, checks) -> None:
     spectral = np.add.reduceat(dual_sum, starts[:-1], axis=0)
     closed = np.stack([energy_identity_closed_form(space, size_py, d) for d in range(n + 1)])
     injected = np.stack([
-        size_py * p**d * _or_zero(binomial, n - 1, d, p)
-        + size_py**2 * _or_zero(binomial, n - 1, d - 1, p)
+        size_py * p**d * _or_zero(n - 1, d, p)
+        + size_py**2 * _or_zero(n - 1, d - 1, p)
         for d in range(n + 1)
     ])
     checks["energy_identity"].record_all(
@@ -497,5 +497,5 @@ def _energy_bound_checks(p, n, ms, low, high, names, size_py, moment, starts, ch
     )
 
 
-def _or_zero(binomial, n, m, p):
-    return binomial(n, m, p) if 0 <= m <= n else 0
+def _or_zero(n, m, p):
+    return gaussian_binomial(n, m, p) if 0 <= m <= n else 0

@@ -297,12 +297,18 @@ def _bases(arrays):
     return {d: [tuple(map(tuple, W)) for W in G.bases.tolist()] for d, G in arrays.items()}
 
 
-def loop_cell_checks(cell, binomial, checks):
-    """``suite._cell_checks`` as first written: one record per instance, every witness built."""
+def loop_cell_checks(cell, checks):
+    """``suite._cell_checks`` as first written: one record per instance, every witness built.
+
+    Gaussian binomials are read from ``suite.gaussian_binomial`` at call time, so a
+    fault injected there reaches both routes.
+    """
+    from ffproj import suite
     from ffproj.fourier import TOLERANCE, _character_sum_rows
     from ffproj.core import digits_of
     from ffproj.subspaces import _dual_bases, _rref_fault
 
+    binomial = suite.gaussian_binomial
     space, arrays, duals, members, dual_points, _ = cell
     bases = _bases(arrays)
     p, n = space.p, space.n
@@ -362,7 +368,7 @@ def loop_cell_checks(cell, binomial, checks):
             )
 
 
-def loop_set_checks(cell, sets, columns, binomial, checks):
+def loop_set_checks(cell, sets, columns, checks):
     """``suite._set_checks`` as first written: :func:`loop_per_set_checks` set by set.
 
     The array route's dual sums (the last column) are not read: the loop builds
@@ -373,7 +379,7 @@ def loop_set_checks(cell, sets, columns, binomial, checks):
     bases = _bases(arrays)
     for k, (set_name, E) in enumerate(sets):
         held = {d: [c[starts[d] : starts[d + 1], k] for c in columns[:-1]] for d in arrays}
-        loop_per_set_checks(cell, bases, E, set_name, held, binomial, checks)
+        loop_per_set_checks(cell, bases, E, set_name, held, checks)
 
 
 def loop_dual_sums(cell, size, hyperplane_moments):
@@ -398,7 +404,7 @@ def loop_dual_sums(cell, size, hyperplane_moments):
             for d in arrays}
 
 
-def loop_per_set_checks(cell, bases, E, set_name, held, binomial, checks):
+def loop_per_set_checks(cell, bases, E, set_name, held, checks):
     """Every check on one set, direction by direction, from its columns of the held sweeps.
 
     ``held[d]`` holds the set's column of each of ``suite._direction_reductions``'
@@ -406,9 +412,11 @@ def loop_per_set_checks(cell, bases, E, set_name, held, binomial, checks):
     The census and key-lemma instances go through the library's census
     functions and ``key_lemma_check``, with Fraction bounds.
     """
+    from ffproj import suite
     from ffproj.energy import energy_identity_closed_form, key_lemma_check
     from ffproj.projections import census_fractional_image, census_small_image
 
+    binomial = suite.gaussian_binomial  # as in loop_cell_checks
     space, arrays = cell[0], cell[1]
     p, n = space.p, space.n
     size = E.cardinality

@@ -123,6 +123,21 @@ def test_point_set_rejects_outside_points():
         PointSet.from_indices(space, [9])
 
 
+def test_codec_and_point_sets_refuse_non_integral_entries():
+    space = AmbientSpace(3, 2)
+    # int() and an int64 cast would truncate these to (1, 0) and index 1
+    with pytest.raises(ValueError, match=r"vector\[0\] = 1.5 is not an integer"):
+        encode(space, (1.5, 0))
+    with pytest.raises(ValueError, match=r"vector\[1\] = nan is not an integer"):
+        PointSet.from_vectors(space, [(0, 0), (2, float("nan"))])
+    with pytest.raises(ValueError, match=r"indices\[1\] = 1.7 is not an integer"):
+        PointSet.from_indices(space, [0, 1.7])
+    with pytest.raises(ValueError, match=r"indices\[0\] = 1.7 is not an integer"):
+        PointSet.from_indices(space, [1.7])
+    assert encode(space, (1.0, np.float32(2))) == encode(space, (1, 2))
+    assert PointSet.from_indices(space, [1.0, 7]) == PointSet.from_indices(space, [1, 7])
+
+
 def test_point_set_file_roundtrip(tmp_path):
     space = AmbientSpace(5, 2)
     E = PointSet.from_vectors(space, [(0, 0), (4, 3), (2, 2)])

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,17 +94,55 @@ def test_dft_budget_refusal():
         dft(PointSet.empty(space))
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 13, 31])
+# the benchmark's transforms above 31^3 points: five axes, and three of 101 points each
+_LARGE_BUILT_IN_SETS = {
+    13: lambda: paraboloid(AmbientSpace(13, 5)),
+    101: lambda: sphere(AmbientSpace(101, 3), 1),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 31, 101])
 def test_dft_keeps_the_bytes_of_the_tensordot_transform(p):
     rng = np.random.default_rng(p)
-    for n in range(2, 7):
-        space = AmbientSpace(p, n)
-        if space.point_count > 31**3:
+    sets = []
+    for n in range(1, 7):
+        if p**n > 31**3:
             break
-        random_set = PointSet(space, rng.random(space.point_count) < 0.3)
-        for E in (paraboloid(space), sphere(space, 1), random_set):
-            expected = tensordot_dft(E.mask, p, n)
-            assert dft(E).values.tobytes() == expected.tobytes(), (p, n, E)
+        space = AmbientSpace(p, n)
+        sets.append(PointSet(space, rng.random(space.point_count) < 0.3))
+        if n >= 2:
+            sets += [paraboloid(space), sphere(space, 1)]
+    if p in _LARGE_BUILT_IN_SETS:
+        sets.append(_LARGE_BUILT_IN_SETS[p]())
+    for E in sets:
+        expected = tensordot_dft(E.mask, p, E.space.n)
+        assert dft(E).values.tobytes() == expected.tobytes(), E
+
+
+@pytest.mark.parametrize("p, n", [(2, 14), (31, 3)])
+def test_dft_holds_at_most_two_complex_arrays(p, n):
+    space = AmbientSpace(p, n)
+    E = PointSet(space, np.random.default_rng(n).random(space.point_count) < 0.3)
+    fourier._character_matrix(p)  # cached, so the table is not counted below
+    array = 16 * space.point_count  # bytes of one complex128 array of p^n entries
+    bound = 2 * array + array // 8  # the slack covers the small objects of the call
+
+    def peak_of(transform):
+        tracemalloc.start()
+        try:
+            result = transform()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    S, peak = peak_of(lambda: dft(E))
+    assert peak <= bound, (peak, bound)
+    # the transform as first written holds a third array while each axis is multiplied
+    _, tensordot_peak = peak_of(lambda: tensordot_dft(E.mask, p, n))
+    assert tensordot_peak > bound, (tensordot_peak, bound)
+    with pytest.raises(ValueError):  # read-only
+        S.values[0] = 0
+    assert np.array_equal(S.moduli(), np.abs(S.values))
 
 
 def test_character_matrix_is_read_only():
@@ -127,6 +166,16 @@ def test_pointwise_matches_full_dft():
     S = dft(E)
     for xi in [(0, 0), (1, 0), (2, 3), (4, 4)]:
         assert abs(pointwise_coefficient(E, xi) - S.at(xi)) < 1e-10
+
+
+def test_coefficients_refuse_a_non_integral_frequency():
+    space = AmbientSpace(5, 2)
+    E = paraboloid(space)
+    S = dft(E)
+    for coefficient in (S.at, lambda xi: pointwise_coefficient(E, xi)):
+        with pytest.raises(ValueError, match=r"vector\[1\] = 2.5 is not an integer"):
+            coefficient((1, 2.5))  # int() would read the coefficient at (1, 2)
+        assert coefficient((1.0, 2.0)) == coefficient((1, 2))
 
 
 def test_plancherel_trivial_and_random():

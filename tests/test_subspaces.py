@@ -260,6 +260,13 @@ def test_from_rows_reduces_entries_beyond_int64_and_negative_ones():
     assert Subspace.from_rows(space, [(-5, 10**40, 0)]) == Subspace.zero(space)
 
 
+def test_from_rows_refuses_non_integral_entries():
+    space = AmbientSpace(5, 2)
+    with pytest.raises(ValueError, match=r"rows\[1\]\[0\] = 2.5 is not an integer"):
+        Subspace.from_rows(space, [(1, 0), (2.5, 1)])  # int() would read span{(1, 0), (2, 1)}
+    assert Subspace.from_rows(space, [(1.0, 2**70)]) == Subspace.from_rows(space, [(1, 2**70 % 5)])
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2)])
 def test_label_map_gives_coset_labels(p, n):
     space = AmbientSpace(p, n)

@@ -80,7 +80,7 @@ def _scaled_spectrum(p, size, moments):
 
 FAULTS = {
     "none": {},
-    "off_by_one_binomial": {},
+    "off_by_one_binomial": {"gaussian_binomial": _off_by_one},
     "shifted_duals": {"_dual_bases": _shift_duals},
     "swapped_kernel_labels": {"_coset_histograms": _swap_labels},
     "dropped_bin": {"_coset_histograms": _dropped_bin},
@@ -90,10 +90,11 @@ FAULTS = {
 }
 
 
-def test_injected_binomial_fault_is_caught_with_witnesses():
+def test_injected_binomial_fault_is_caught_with_witnesses(monkeypatch):
     # n = 2 compares C(2,1) with enumeration and Pascal's rule; n = 3 feeds
     # C(2,1) into the closed form of the energy identity
-    manifest = run_identity_suite(primes=(3,), dims=(2, 3), binomial=_off_by_one)
+    monkeypatch.setattr(suite, "gaussian_binomial", _off_by_one)
+    manifest = run_identity_suite(primes=(3,), dims=(2, 3))
     assert manifest["all_pass"] is False
     checks = {c["name"]: c for c in manifest["checks"]}
     for name in ("binomial_vs_enumeration", "pascal_identities", "energy_identity"):
@@ -214,7 +215,7 @@ def test_each_cell_reduces_its_duals_in_one_elimination(monkeypatch, p, dims):
         cell = suite._cell(AmbientSpace(p, n))
         assert calls == {"rref_stack": 1, "label_maps": 0}  # every dual of the cell at once
         checks = {name: suite._Check(name) for name in suite._CHECKS}
-        suite._cell_checks(cell, gaussian_binomial, checks)
+        suite._cell_checks(cell, checks)
         assert calls == {"rref_stack": 1, "label_maps": 0}  # the involution check is a product
     calls.update(rref_stack=0)
     assert run_identity_suite(primes=(p,), dims=dims)["all_pass"] is True
@@ -230,8 +231,8 @@ def test_a_dual_short_of_rows_is_not_involutive(p, n):
              for m, P in duals.items()}  # each basis without its last row, still canonical
     cell = (space, arrays, short, *held)
     array, loop = ({name: suite._Check(name) for name in suite._CHECKS} for _ in range(2))
-    suite._cell_checks(cell, gaussian_binomial, array)
-    loop_cell_checks(cell, gaussian_binomial, loop)
+    suite._cell_checks(cell, array)
+    loop_cell_checks(cell, loop)
     failures = array["perp_duality"].failures
     assert failures == loop["perp_duality"].failures
     assert [(w["m"], w["involutive"]) for w in failures] == [(m, False) for m in range(n)]
@@ -471,7 +472,6 @@ def test_manifests_match_the_golden():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_array_route_reports_what_the_loop_reports(monkeypatch, fault, seed):
-    binomial = _off_by_one if fault == "off_by_one_binomial" else gaussian_binomial
     for name, patch in FAULTS[fault].items():
         monkeypatch.setattr(suite, name, patch)
     ran = []
@@ -483,11 +483,11 @@ def test_array_route_reports_what_the_loop_reports(monkeypatch, fault, seed):
 
     monkeypatch.setattr(suite, "_run_checks", run)
     grids = [((2, 3, 5, 7), (2, 3)), ((2, 3), (4,))]
-    array = [run_identity_suite(primes, dims, seed, binomial) for primes, dims in grids]
+    array = [run_identity_suite(primes, dims, seed) for primes, dims in grids]
     with monkeypatch.context() as mp:
         mp.setattr(suite, "_cell_checks", loop_cell_checks)
         mp.setattr(suite, "_set_checks", loop_set_checks)
-        loop = [run_identity_suite(primes, dims, seed, binomial) for primes, dims in grids]
+        loop = [run_identity_suite(primes, dims, seed) for primes, dims in grids]
     assert json.dumps(array) == json.dumps(loop)
     counts = []
     for array_checks, loop_checks in zip(ran[: len(grids)], ran[len(grids) :]):
@@ -534,8 +534,7 @@ def test_passing_cells_build_no_witness_and_record_each_check_once(monkeypatch):
 def test_python_int_decisions_are_the_int64_ones(monkeypatch, fault):
     for name, patch in FAULTS[fault].items():
         monkeypatch.setattr(suite, name, patch)
-    binomial = _off_by_one if fault == "off_by_one_binomial" else gaussian_binomial
-    grid = ((2, 3, 5), (2, 3), 1, binomial)
+    grid = ((2, 3, 5), (2, 3), 1)
     int64 = suite._run_checks(*grid)
     monkeypatch.setattr(suite, "_INT64_BOUND", 0)  # no cell's counts fit: all in Python ints
     python = suite._run_checks(*grid)
