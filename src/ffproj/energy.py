@@ -110,7 +110,7 @@ def verify_energy_identity_fourier(E: PointSet, m: int) -> tuple[Fraction, int, 
     """
     space, p, n, size = E.space, E.space.p, E.space.n, E.cardinality
     planes = gaussian_binomial(n, m, p)  # refuses m outside [0, n]
-    powers = _line_power_sum(E, SubspaceArray.grassmannian(space, n - 1))
+    powers = _line_power_sum(E, _histogram_blocks(E, SubspaceArray.grassmannian(space, n - 1)))
     bracket = planes * size**2 + gaussian_binomial_or_zero(n - 1, m, p) * powers
     lhs, rhs = Fraction(p**m * bracket, p**n), energy_identity_closed_form(space, size, m)
     return lhs, rhs, lhs == rhs

@@ -25,8 +25,8 @@ of B, and the values keep their bytes.
 Identities with integer sides take no transform: for xi != 0 the Fourier
 mass of the line through xi is p M(xi^perp) - |E|^2 (:func:`_line_powers`),
 M the coset second moment of E along the hyperplane xi^perp.  So
-``subspace_plancherel`` and ``energy.verify_energy_identity_fourier`` sum
-line powers read off a sweep of hyperplanes, exactly.
+``energy.verify_energy_identity_fourier`` sums line powers read off a sweep of
+hyperplanes, and ``subspace_plancherel`` off a ``bincount`` of x.xi mod p, exactly.
 
 The built-in sets (paraboloid, sphere) take x.x mod p from a table of
 squares, one broadcast sum per coordinate.  ``save_spectrum_csv`` builds
@@ -52,8 +52,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import AmbientSpace, BudgetError, IdentityError, PointSet, decode, digits_of, encode
-from .projections import _histogram_blocks, coset_counts, projection_sizes
-from .subspaces import Subspace, SubspaceArray, _block_rows, _check_budget, _dual_bases, perp
+from .projections import coset_counts, projection_sizes
+from .subspaces import Subspace, _block_rows, _check_budget, perp
 
 __all__ = [
     "TOLERANCE",
@@ -194,9 +194,8 @@ def _line_powers(p, size, moments):
     return p * moments - size * size
 
 
-def _line_power_sum(E: PointSet, hyperplanes: SubspaceArray) -> int:
-    """The line powers of the lines dual to the hyperplanes, from one sweep, in Python ints."""
-    blocks = _histogram_blocks(E, hyperplanes)
+def _line_power_sum(E: PointSet, blocks) -> int:
+    """The line powers read off (c, p) blocks of hyperplane histograms, in Python ints."""
     moments = [m for h in blocks for m in (h * h).sum(axis=1).tolist()]  # each <= |E|^2 <= 2^52
     return sum(_line_powers(E.space.p, E.cardinality, m) for m in moments)
 
@@ -215,11 +214,13 @@ def subspace_plancherel(E: PointSet, W: Subspace) -> tuple[int, Fraction, bool]:
     h = next(coset_counts(E, [W]))  # refuses a W of another space
     lhs = int(h @ h)
     _check_budget("the family of hyperplanes containing W", (p**m - 1) // (p - 1))
-    # each line of Per(W) by its point whose first non-zero entry is 1, a canonical basis
+    # each line of Per(W) by its point xi whose first non-zero entry is 1, binned by x.xi mod p
     points = digits_of(space, perp(W).point_indices())
     lines = points[points[np.arange(len(points)), (points != 0).argmax(axis=1)] == 1]
-    hyperplanes = _dual_bases(SubspaceArray._unchecked(space, lines[:, None, :]))
-    rhs = Fraction(E.cardinality**2 + _line_power_sum(E, hyperplanes), p**m)
+    x, rows = digits_of(space, E.indices()), _block_rows(8 * max(1, E.cardinality))
+    blocks = (np.bincount((x @ xi.T % p + p * np.arange(len(xi))).ravel(), minlength=len(xi) * p)
+              .reshape(-1, p) for xi in np.split(lines, range(rows, len(lines), rows)))
+    rhs = Fraction(E.cardinality**2 + _line_power_sum(E, blocks), p**m)
     return lhs, rhs, lhs == rhs
 
 

@@ -386,14 +386,14 @@ def _image_sizes(
     """|image| of each tag's points along each direction, as a (directions, ntags) int64 array.
 
     A sweep on the word route of :func:`_route` reads the sizes off pencil
-    occupancy words (:func:`_word_sizes`); every other sweep counts the
-    nonempty bins of :func:`_coset_histograms`.
+    occupancy words (:func:`_word_sizes`); every other sweep overwrites each block of
+    :func:`_coset_histograms` with its float64 occupancy and counts it by one exact matvec.
     """
     if _route(len(digits), ntags, directions, sizes=True)[0] == "word":
         blocks = list(_word_sizes(digits, tags, ntags, directions))
     else:
-        histograms = _coset_histograms(digits, tags, ntags, directions)
-        blocks = [np.count_nonzero(h, axis=2) for h in histograms]
+        blocks = [(np.not_equal(h, 0, out=h.view(float)) @ np.ones(h.shape[2])).astype(np.int64)
+                  for h in _coset_histograms(digits, tags, ntags, directions)]
     return np.concatenate(blocks) if blocks else np.zeros((0, ntags), dtype=np.int64)
 
 

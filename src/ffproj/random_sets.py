@@ -2,8 +2,8 @@
 
 The model Omega(F_p^n, delta) keeps each point independently with
 probability delta.  Sampling is counter-based: trial t of a model with seed
-s draws its per-point uniforms from a Philox stream keyed by (s, t), so any
-trial can be regenerated bit-for-bit without replaying earlier trials.
+s reads one raw word per point from a Philox stream keyed by (s, t) (:func:`_samples`),
+so any trial can be regenerated bit-for-bit without replaying earlier trials.
 
 With delta = p^(s-n) the sample has ~p^s points, and the image of a sample
 along W in G(n, n-m) is binomially distributed over the p^m cosets with
@@ -14,9 +14,11 @@ min_W |image| >= |E|/24 (s <= m) or "every projection full" (s > m).
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from . import subspaces
 from .projections import _image_sizes, _route
 from .subspaces import SubspaceArray, _block_rows
 
+_THREAD = threading.local()  # each thread's Philox, built by :func:`_samples`
 __all__ = [
     "PercolationModel",
     "percolation_sample",
@@ -64,38 +67,52 @@ class PercolationModel:
 
 def percolation_sample(model: PercolationModel, trial: int = 0) -> PointSet:
     """Sample one random subset; reproducible per (seed, trial index)."""
-    return PointSet(model.space, _sampler()(model, trial))
+    mask = np.zeros(model.space.point_count, dtype=bool)
+    mask[next(_samples(model, trial, trial + 1))[1]] = True
+    return PointSet(model.space, mask)
 
 
-def _sampler() -> Callable[[PercolationModel, int], np.ndarray]:
-    """A campaign's trial masks from one Philox, reset per draw to a fresh Philox(key=(seed, t)).
+def _samples(
+    model: PercolationModel, first: int, stop: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """(trial within the run, point, run length) of trials first, ..., stop - 1, run by run.
 
-    A trial's p^n uniforms are drawn block by block into one reused buffer
-    of at most ``subspaces._KERNEL_BYTES`` (read at each draw) and compared
-    with delta into the mask.  Each block continues the stream of the one
-    before, so the mask is that of a single draw of p^n uniforms.
+    A run is the whole trials one reused bool mask of at most the kernel cap holds (a larger
+    trial fills it block by block); one ``flatnonzero`` and ``divmod`` a fill give its pairs,
+    by trial, then point.  Trial t keeps x when the x-th raw word w of a fresh
+    Philox(key=(seed, t)) has (w >> 11) < ceil(delta 2^53), the test (w >> 11) 2^-53 < delta
+    of ``Generator.random``, made as w < ceil(delta 2^53) 2^11.  Words come in blocks of at
+    most the cap.
     """
-    bits = np.random.Philox(key=0)  # a placeholder: every draw sets the key
-    rng, zeros = np.random.Generator(bits), np.zeros(4, dtype=np.uint64)
-    buffer = np.empty(0)
-
-    def mask(model: PercolationModel, trial: int) -> np.ndarray:
-        nonlocal buffer
-        key = np.array([model.seed, trial], dtype=np.uint64)
-        bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        size = model.space.point_count
-        block = min(size, _block_rows(8))  # float64 uniforms
-        if len(buffer) != block:
-            buffer = np.empty(block)
-        out = np.empty(size, dtype=bool)
-        for start in range(0, size, block):
-            draw = buffer[: size - start]
-            rng.random(out=draw)
-            np.less(draw, model.delta, out=out[start : start + len(draw)])
-        return out
-
-    return mask
+    size = model.space.point_count
+    limit = math.ceil(math.ldexp(model.delta, 53)) << 11
+    limit = np.uint64(limit) if limit < 2**64 else limit  # 2^64 at delta = 1: every word
+    words = _block_rows(8)
+    run = max(1, _block_rows(1) // size)  # whole trials a mask holds
+    mask = np.empty(min(_block_rows(1), run * size, (stop - first) * size), dtype=bool)
+    key, zeros = np.array([model.seed, 0], dtype=np.uint64), np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if not hasattr(_THREAD, "philox"):  # one a thread: a Philox costs more than a small trial
+        _THREAD.philox = np.random.Philox(0)
+    bits = _THREAD.philox  # each trial sets its whole state
+    for start in range(first, stop, run):
+        total = min(run, stop - start) * size
+        found = []
+        for lo in range(0, total, len(mask)):  # one fill, or the blocks of a larger trial
+            at, hi = lo, min(total, lo + len(mask))
+            while at < hi:
+                t, offset = divmod(at, size)
+                if not offset:  # a fresh Philox(key=(seed, t))
+                    key[1] = start + t
+                    bits.state = state
+                end = min(hi, at + words, at - offset + size)
+                np.less(bits.random_raw(end - at), limit, out=mask[at - lo : end - lo])
+                at = end
+            found.append(np.flatnonzero(mask[: hi - lo]) + lo)
+        trial, point = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), size)
+        found.clear()  # the run's hits go before it is swept
+        yield trial, point, total // size
 
 
 def chernoff_bound(N: int, delta_prime: float) -> float:
@@ -214,29 +231,21 @@ class PercolationReport:
         return out
 
 
-def _trial_groups(
-    model: PercolationModel, trials: int, directions: SubspaceArray
-) -> Iterator[list[np.ndarray]]:
-    """Index arrays of consecutive trials, grouped so that each group's sweep fits its least chunk.
+def _group_stop(ends: list[int], start: int, count: int, directions: SubspaceArray) -> int:
+    """The end of the group of trials from ``start``, ``ends[t]`` the points of trials before t.
 
-    A group's image sizes take the route :func:`projections._route` picks
-    for its points and trials, and a trial joins the group while that
-    route's chunk of one direction (of one pencil on the word and shear
-    routes) stays under the kernel cap.
+    A group fits when its least chunk on its :func:`projections._route` stays under the cap:
+    the rest of the run when it fits, else a fitting group whose next longer one does not fit,
+    or one trial, by bisection.  So ``_route`` is read ceil(log2(count)) + 1 times at most.
     """
-    group: list[np.ndarray] = []
-    points = 0
-    sample = _sampler()
-    for t in range(trials):
-        idx = np.flatnonzero(sample(model, t))
-        chunk = _route(points + idx.size, len(group) + 1, directions, sizes=True)[1]
-        if group and chunk > subspaces._KERNEL_BYTES:
-            yield group
-            group, points = [], 0
-        group.append(idx)
-        points += idx.size
-    if group:
-        yield group
+
+    def fits(stop: int) -> bool:
+        chunk = _route(ends[stop] - ends[start], stop - start, directions, sizes=True)[1]
+        return chunk <= subspaces._KERNEL_BYTES
+
+    if fits(count):
+        return count
+    return start + 1 + bisect.bisect_left(range(start + 2, count), True, key=lambda t: not fits(t))
 
 
 def _sweep(
@@ -246,22 +255,26 @@ def _sweep(
 
     The trials of a group are labelled together: each point is tagged with
     its trial, and one kernel call over the directions gives the image size
-    of every (direction, trial) pair.
+    of every (direction, trial) pair, groups cut from each run of trials.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     space = model.space
     p_m = space.p**m
     sizes, mins, fulls, empty = [], [], [], 0
-    for group in _trial_groups(model, trials, directions):
-        counts = [idx.size for idx in group]
-        digits = digits_of(space, np.concatenate(group))
-        tags = np.repeat(np.arange(len(group), dtype=np.int64), counts)
-        image = _image_sizes(digits, tags, len(group), directions)
-        sizes += counts
-        mins += image.min(axis=0).tolist()
-        fulls += (image == p_m).all(axis=0).tolist()
-        empty += int((p_m - image).sum())
+    for trial, point, count in _samples(model, 0, trials):
+        counts = np.bincount(trial, minlength=count)
+        ends, start = [0] + np.cumsum(counts).tolist(), 0
+        while start < count:
+            stop = _group_stop(ends, start, count, directions)
+            lo, hi = ends[start], ends[stop]
+            tags = np.subtract(trial[lo:hi], start, out=trial[lo:hi])  # the group's trials from 0
+            image = _image_sizes(digits_of(space, point[lo:hi]), tags, stop - start, directions)
+            mins += image.min(axis=0).tolist()
+            fulls += (image == p_m).all(axis=0).tolist()
+            empty += int((p_m - image).sum())
+            start = stop
+        sizes += counts.tolist()
     return sizes, mins, fulls, empty
 
 
@@ -283,18 +296,8 @@ def _campaign(
     window = [p**s / 2.0 <= sz <= 2.0 * p**s for sz in sizes]
     planes = trials * len(directions) * p**m
     report = PercolationReport(
-        regime=regime,
-        p=p,
-        n=n,
-        m=m,
-        s=s,
-        delta=model.delta,
-        seed=seed,
-        trials=trials,
-        sizes=sizes,
-        min_images=mins,
-        full_flags=fulls,
-        size_window_pass=_rate(window),
+        regime=regime, p=p, n=n, m=m, s=s, delta=model.delta, seed=seed, trials=trials,
+        sizes=sizes, min_images=mins, full_flags=fulls, size_window_pass=_rate(window),
         success_rate=0.0,
     )
     return report, window, empty / planes if planes else 0.0
@@ -354,13 +357,10 @@ def chebyshev_size_check(model: PercolationModel, trials: int) -> SizeConcentrat
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     mean = model.space.point_count * model.delta
-    sample = _sampler()
-    sizes = np.array([np.count_nonzero(sample(model, t)) for t in range(trials)])
+    counts = [np.bincount(trial, minlength=count) for trial, _, count in _samples(model, 0, trials)]
+    sizes = np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
     rate = float((np.abs(sizes - mean) > mean / 2.0).mean()) if trials else 0.0
-    if model.delta == 1.0:
-        bound = 0.0
-    else:
-        bound = 4.0 * (1.0 - model.delta) / mean
+    bound = 4.0 * (1.0 - model.delta) / mean  # 0 at delta = 1
     b = min(bound, 1.0)
     slack = 3.0 * math.sqrt(b * (1.0 - b) / trials) if trials else 0.0
     return SizeConcentration(

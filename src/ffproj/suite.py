@@ -20,7 +20,7 @@ from .core import AmbientSpace, PointSet, base_p_digits, digits_of
 from .energy import _key_lemma_bounds, energy_identity_closed_form
 from .fourier import TOLERANCE, _character_sum_rows, _line_powers
 from .projections import _coset_histograms
-from .random_sets import PercolationModel, _sampler
+from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
     SubspaceArray,
     _canonical_arrays,
@@ -57,9 +57,8 @@ def _test_sets(space: AmbientSpace, seed: int) -> list[tuple[str, PointSet]]:
         ("full", PointSet.full(space)),
         ("origin", PointSet.from_indices(space, [0])),
     ]
-    sample = _sampler()
     for k, density in enumerate((0.2, 0.5, 0.8)):
-        sets.append((f"random{k}", PointSet(space, sample(PercolationModel(space, density, seed), k))))
+        sets.append((f"random{k}", percolation_sample(PercolationModel(space, density, seed), k)))
     return sets
 
 

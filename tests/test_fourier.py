@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffproj import fourier
+from ffproj import fourier, subspaces
 from ffproj.core import AmbientSpace, BudgetError, PointSet, encode
 from ffproj.fourier import (
     FULL_SPECTRUM_BUDGET,
@@ -210,6 +210,22 @@ def test_subspace_plancherel_refuses_its_hyperplanes_over_budget(monkeypatch):
     with pytest.raises(BudgetError, match=r"^the family of hyperplanes containing W has 4 "):
         subspace_plancherel(E, Subspace.zero(space))  # every line of F_3^2
     assert subspace_plancherel(E, Subspace.from_rows(space, [(1, 0)])) == (27, 27, True)
+
+
+@pytest.mark.parametrize("lines", [1, 3, 31])
+def test_subspace_plancherel_reads_its_lines_in_blocks(monkeypatch, lines):
+    # blocks of one line of Per(W), of three, and all of them at once (F_5^3 has 31 lines);
+    # each side is also the Fourier mass of Per(W) over p^m, within the transform's rounding
+    space = AmbientSpace(5, 3)
+    E = PointSet(space, np.random.default_rng(9).random(125) < 0.4)
+    mass = dft(E).moduli() ** 2
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 8 * E.cardinality * lines)
+    for d in range(4):
+        for W in enumerate_grassmannian(space, d):
+            lhs, rhs, ok = subspace_plancherel(E, W)
+            assert ok and lhs == rhs
+            spectral = mass[perp(W).point_indices()].sum() / 5 ** (3 - d)
+            assert abs(spectral - lhs) <= 1e-9 * lhs
 
 
 def test_subspace_plancherel_exhaustive_f32():

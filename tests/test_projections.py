@@ -458,6 +458,44 @@ def test_word_route_matches_the_histograms_and_brute_force(monkeypatch, p, n, nt
             assert got[i, t] == len(brute_cosets_hit(vectors, points, p))
 
 
+@pytest.mark.parametrize("ntags", [1, 40])
+@pytest.mark.parametrize("route,p,n,k,per_tag", [
+    ("product", 5, 3, 2, 10),  # the whole sweep is one stacked-product chunk
+    ("fold", 37, 2, 1, 80),  # 2p > 64 bits: no words, n p <= N / ntags < p^2
+    ("pattern", 3, 4, 2, 30),  # r = 2
+    ("word", 5, 3, 2, 30),  # N >= 2 ntags p
+])
+def test_image_sizes_count_the_occupied_cosets_on_every_route(monkeypatch, route, p, n, k, per_tag, ntags):
+    space = AmbientSpace(p, n)
+    rng = np.random.default_rng(p + n + ntags)
+    # tag 0 has a full image: it holds the whole space when r = 2, else the coordinate
+    # axes, which meet every coset of every hyperplane.  Tag 1 has none
+    axes = np.unique(np.arange(p)[:, None] * p ** np.arange(n))
+    full = np.arange(p**n) if n - k > 1 else axes
+    sizes = rng.integers(per_tag // 2, 3 * per_tag // 2 + 1, ntags).tolist()
+    indices = [rng.choice(p**n, size=s, replace=False) for s in sizes]
+    indices[0] = np.union1d(full, indices[0])
+    if ntags > 1:
+        indices[1] = indices[1][:0]
+    tags = np.repeat(np.arange(ntags), [len(i) for i in indices])
+    digits = np.concatenate(indices)[:, None] // p ** np.arange(n) % p
+    G = SubspaceArray.grassmannian(space, k)
+    if route != "product":  # a chunk of p directions on the route, so not one stacked chunk
+        chunk = 8 * (len(digits) + ntags * (n * p if route == "fold" else p * p))
+        monkeypatch.setattr(subspaces, "_KERNEL_BYTES", chunk * p)
+    assert projections._route(len(digits), ntags, G, sizes=True)[0] == route
+    got = projections._image_sizes(digits, tags, ntags, G)
+    assert got.dtype == np.int64 and got.shape == (len(G), ntags)
+    assert (got[:, 0] == p ** (n - k)).all()
+    if ntags > 1:
+        assert (got[:, 1] == 0).all()
+    for i, W in enumerate(G):
+        points = span_points(W.basis, p, n)
+        for t in range(ntags) if ntags == 1 or len(G) <= 31 else (0, 1, 2, ntags - 1):
+            vectors = [tuple(v) for v in digits[tags == t].tolist()]
+            assert got[i, t] == np.count_nonzero(brute_coset_counts(vectors, points, p, n))
+
+
 def test_word_route_is_chosen_by_size(monkeypatch):
     from ffproj import random_sets
     from ffproj.fourier import paraboloid

@@ -31,35 +31,75 @@ def test_sample_determinism_bit_exact():
     assert not np.array_equal(a.mask, c.mask)
 
 
+def _campaign_masks(model, first, stop):
+    """The masks of trials first, ..., stop - 1 from one campaign of the sampler, as rows."""
+    size = model.space.point_count
+    masks = np.zeros((stop - first, size), dtype=bool)
+    done = 0
+    for trial, point, count in random_sets._samples(model, first, stop):
+        keys = trial * size + point
+        assert np.all(np.diff(keys) > 0)  # by trial, then by point
+        assert trial.min(initial=0) >= 0 and trial.max(initial=0) < count
+        masks[done + trial, point] = True
+        done += count
+    assert done == stop - first
+    return masks
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_campaign_sampler_draws_the_bits_of_a_fresh_philox_per_trial(seed):
     fresh = one_draw_mask
 
-    # draws of 13^3 and of 3^2 points each leave a part-used buffer that the next must not read
+    # one-trial campaigns of 13^3 and of 3^2 points in turn share the thread's Philox, and
+    # each leaves a part-used buffer that the next must not read; then all 51 in one
     large = PercolationModel(AmbientSpace(13, 3), 0.3, seed)
     small = PercolationModel(AmbientSpace(3, 2), 0.5, seed)
-    sample = random_sets._sampler()
     for t in range(51):
         for model in (large, small) if t % 2 else (small, large):
-            assert np.array_equal(sample(model, t), fresh(model, t))
+            assert np.array_equal(_campaign_masks(model, t, t + 1)[0], fresh(model, t))
         assert np.array_equal(percolation_sample(large, t).mask, fresh(large, t))
+    for model in (large, small):
+        masks = _campaign_masks(model, 0, 51)
+        for t in range(51):
+            assert np.array_equal(masks[t], fresh(model, t))
     mean = chebyshev_size_check(large, 51).mean_size
     assert mean == np.mean([np.count_nonzero(fresh(large, t)) for t in range(51)])
 
 
 @pytest.mark.parametrize("cap", [1, 8, 40, 8 * 13**3 - 8, 8 * 13**3, 1 << 20])
 def test_block_drawn_masks_equal_one_draw_masks(monkeypatch, cap):
-    # blocks of one uniform, of one and of five, one block short of a 13^3 trial (its
-    # last block holds one uniform), one block a trial, and the default cap
+    # masks of one point and raw-word blocks of one word; masks of 8 and of 40 points
+    # (several 3^2 trials a mask) and blocks of one and of five words; blocks one word
+    # short of a 13^3 trial (its last block holds one word) and of a trial, 7 and 8 of
+    # its trials a mask; and the default cap
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
     models = (PercolationModel(AmbientSpace(13, 3), 0.3, 7),
               PercolationModel(AmbientSpace(3, 2), 0.5, 2**64 - 1),
               PercolationModel(AmbientSpace(31, 2), 0.05, 0))
-    sample = random_sets._sampler()
-    for t in range(4):
-        for model in models:
-            assert np.array_equal(sample(model, t), one_draw_mask(model, t))
+    for model in models:
+        masks = _campaign_masks(model, 0, 4)
+        for t in range(4):
+            assert np.array_equal(masks[t], one_draw_mask(model, t))
+            assert np.array_equal(_campaign_masks(model, t, t + 1)[0], one_draw_mask(model, t))
     assert percolation_sample(models[0], 5) == PointSet(models[0].space, one_draw_mask(models[0], 5))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("cap", [8, 9, 40, 1 << 20])
+@pytest.mark.parametrize("delta", [
+    0.0, 2.0**-53, 3 * 2.0**-53, 0.5, 1 - 2.0**-53, 1.0,
+    0.625,  # delta 2^53 an integer
+    0.3,  # delta 2^53 not an integer: the ceiling
+])
+def test_integer_threshold_keeps_the_points_of_the_float_test(monkeypatch, seed, cap, delta):
+    # a mask of 8 points (a 3^2 trial goes in blocks), of 9 (one trial) and of 40 (four)
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+    model = PercolationModel(AmbientSpace(3, 2), delta, seed)
+    masks = _campaign_masks(model, 0, 6)
+    for t in range(6):
+        assert np.array_equal(masks[t], one_draw_mask(model, t))
+    if delta in (0.0, 1.0):
+        assert (masks == bool(delta)).all()
 
 
 def test_sample_depends_on_seed():
@@ -289,25 +329,30 @@ def test_batched_sweep_matches_per_trial_loop(monkeypatch, p, n, m, delta, trial
     space = AmbientSpace(p, n)
     model = PercolationModel(space, delta, seed=p * n + m)
     directions = SubspaceArray.grassmannian(space, n - m)
-    groups = list(random_sets._trial_groups(model, trials, directions))
-    assert sum(len(g) for g in groups) == trials
+    groups, real_sizes = [], random_sets._image_sizes
+
+    def image_sizes(digits, tags, ntags, directions):
+        groups.append(ntags)
+        return real_sizes(digits, tags, ntags, directions)
+
+    monkeypatch.setattr(random_sets, "_image_sizes", image_sizes)
+    got = random_sets._sweep(model, m, trials, directions)
+    assert sum(groups) == trials
     if cap == 0:
         assert len(groups) == trials  # a trial that does not fit is a group of its own
     elif trials:
         assert (len(groups) > 1) == (cap == 1000)
-    got = random_sets._sweep(model, m, trials, directions)
     assert got == _per_trial_sweep(model, m, trials, directions)
     if delta == 0.01:
         assert 0 in got[0]
 
 
-
 def test_dense_campaign_groups_keep_every_kernel_array_under_the_cap(monkeypatch):
     # 200 trials of about 31^1.3 = 87 points: in one group, a pencil's bins alone would
     # take 8 * 200 * 31^2 bytes.  Every kernel array is a bincount's keys or bins, or no
-    # larger than its bins
-    arrays, groups = [], []
-    real_bincount, real_sizes = np.bincount, random_sets._image_sizes
+    # larger than its bins.  The sampler's bool mask and raw-word blocks stay under it too
+    arrays, groups, masks, words = [], [], [], []
+    real_bincount, real_sizes, real_flatnonzero = np.bincount, random_sets._image_sizes, np.flatnonzero
 
     def bincount(keys, *args, **kwargs):
         counts = real_bincount(keys, *args, **kwargs)
@@ -318,11 +363,25 @@ def test_dense_campaign_groups_keep_every_kernel_array_under_the_cap(monkeypatch
         groups.append(ntags)
         return real_sizes(digits, tags, ntags, directions)
 
+    def flatnonzero(a):
+        masks.append(a.nbytes if a.base is None else a.base.nbytes)
+        return real_flatnonzero(a)
+
+    class Philox(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            words.append(8 * size)
+            return super().random_raw(size, output)
+
     monkeypatch.setattr(np, "bincount", bincount)
+    monkeypatch.setattr(np, "flatnonzero", flatnonzero)
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    monkeypatch.delattr(random_sets._THREAD, "philox", raising=False)  # built again, as a spy
     monkeypatch.setattr(random_sets, "_image_sizes", image_sizes)
     report = verify_large_regime(31, 2, 1, 1.3, 200)
     monkeypatch.undo()
     assert max(arrays) <= subspaces._KERNEL_BYTES
+    assert len(words) == 200 and max(words) <= subspaces._KERNEL_BYTES
+    assert masks and max(masks) <= subspaces._KERNEL_BYTES
     assert len(groups) > 1 and sum(groups) == 200
     model = PercolationModel.from_exponent(AmbientSpace(31, 2), 1.3, seed=0)
     sizes, mins, fulls, empty = _per_trial_sweep(
@@ -330,3 +389,76 @@ def test_dense_campaign_groups_keep_every_kernel_array_under_the_cap(monkeypatch
     )
     assert (report.sizes, report.min_images, report.full_flags) == (sizes, mins, fulls)
     assert report.plane_miss_rate == empty / (200 * 32 * 31)
+
+
+@pytest.mark.parametrize("s,cap,cut", [(1.0, 1 << 20, False), (1.0, 1 << 16, False), (2.0, 90_000, True)])
+def test_campaign_reads_the_route_per_group_and_the_mask_per_fill(monkeypatch, s, cap, cut):
+    # 40 trials of F_13^3 (2197 points each): the default cap and 90,000 bytes hold them in
+    # one mask, 2^16 bytes 29 a mask.  At s = 2 a group of 40 would take a word-route
+    # chunk of 8 (40 * 169 + 40 * 13^2) bytes, over 90,000, so the run is cut by bisection.
+    # A per-trial sampler would read _route and flatnonzero 40 times
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
+    model = PercolationModel.from_exponent(AmbientSpace(13, 3), s, seed=5)
+    directions = SubspaceArray.grassmannian(model.space, 2)
+    routes, groups, fills = [], [], []
+    real_route, real_sizes, real_flatnonzero = random_sets._route, random_sets._image_sizes, np.flatnonzero
+
+    def route(*args, **kwargs):
+        routes.append(args)
+        return real_route(*args, **kwargs)
+
+    def image_sizes(digits, tags, ntags, directions):
+        groups.append(ntags)
+        return real_sizes(digits, tags, ntags, directions)
+
+    def flatnonzero(a):
+        fills.append(a.size)
+        return real_flatnonzero(a)
+
+    monkeypatch.setattr(random_sets, "_route", route)
+    monkeypatch.setattr(random_sets, "_image_sizes", image_sizes)
+    got = random_sets._sweep(model, 1, 40, directions)
+    assert sum(groups) == 40
+    assert len(routes) <= len(groups) * (math.ceil(math.log2(40)) + 1)
+    monkeypatch.setattr(np, "flatnonzero", flatnonzero)
+    runs = list(random_sets._samples(model, 0, 40))
+    monkeypatch.undo()
+    per_mask = max(1, cap // 13**3)
+    assert len(fills) == len(runs) == math.ceil(40 / per_mask)
+    assert fills[0] == min(40, per_mask) * 13**3
+    assert (len(groups) > len(runs)) == cut
+    assert got == _per_trial_sweep(model, 1, 40, directions)
+
+
+def test_campaigns_in_threads_and_interleaved_draw_their_own_trials(monkeypatch):
+    # each thread builds its own Philox, and every run of a campaign sets its state first,
+    # so campaigns run at once in threads, or interleaved in one, draw the masks of one draw
+    import sys
+    import threading
+
+    models = [PercolationModel(AmbientSpace(13, 3), 0.05 * (k + 1), seed=k) for k in range(6)]
+    expected = [[one_draw_mask(model, t) for t in range(5)] for model in models]
+    results = [None] * len(models)
+
+    def work(k):
+        results[k] = _campaign_masks(models[k], 0, 5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(models))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert np.array_equal(got, want)
+    # a mask of one trial: two campaigns advanced in turn in one thread, run by run
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 13**3)
+    runs = zip(*(random_sets._samples(model, 0, 5) for model in models[:2]))
+    for t, pair in enumerate(runs):
+        for k, (_, points, count) in enumerate(pair):
+            assert count == 1 and np.array_equal(points, np.flatnonzero(expected[k][t]))
