@@ -94,11 +94,11 @@ def _coset_histograms(
     """Histograms of tagged points over the cosets of each direction, chunk by chunk.
 
     ``digits`` is the (N, n) coordinate matrix and ``tags`` gives each point
-    a tag in [0, ntags).  Yields one int64 block of shape (c, ntags, p^r),
-    r = n - dim, per chunk; the blocks concatenate to the
-    (directions, ntags, p^r) histogram.  A point's bin within a chunk is its
-    direction, then its tag, then its coset label, and each chunk is one
-    ``bincount``.
+    a tag in [0, ntags).  Yields one fresh int64 block of shape (c, ntags, p^r),
+    r = n - dim, per chunk, which the caller may overwrite (:func:`_image_sizes`
+    does); the blocks concatenate to the (directions, ntags, p^r) histogram.
+    A point's bin within a chunk is its direction, then its tag, then its
+    coset label, and each chunk is one ``bincount``.
 
     :func:`_route` picks the route: the shear (:func:`_shear_histograms`),
     the pattern route, folding or not (:func:`_pattern_histograms`), or the

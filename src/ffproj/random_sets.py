@@ -75,7 +75,7 @@ def percolation_sample(model: PercolationModel, trial: int = 0) -> PointSet:
 def _samples(
     model: PercolationModel, first: int, stop: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """(trial within the run, point, run length) of trials first, ..., stop - 1, run by run.
+    """(trial within the run, point) pairs and point counts of trials first, ..., stop - 1, by run.
 
     A run is the whole trials one reused bool mask of at most the kernel cap holds (a larger
     trial fills it block by block); one ``flatnonzero`` and ``divmod`` a fill give its pairs,
@@ -112,7 +112,7 @@ def _samples(
             found.append(np.flatnonzero(mask[: hi - lo]) + lo)
         trial, point = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), size)
         found.clear()  # the run's hits go before it is swept
-        yield trial, point, total // size
+        yield trial, point, np.bincount(trial, minlength=total // size)
 
 
 def chernoff_bound(N: int, delta_prime: float) -> float:
@@ -235,8 +235,8 @@ def _group_stop(ends: list[int], start: int, count: int, directions: SubspaceArr
     """The end of the group of trials from ``start``, ``ends[t]`` the points of trials before t.
 
     A group fits when its least chunk on its :func:`projections._route` stays under the cap:
-    the rest of the run when it fits, else a fitting group whose next longer one does not fit,
-    or one trial, by bisection.  So ``_route`` is read ceil(log2(count)) + 1 times at most.
+    trials start, ..., count - 1 when they fit, else a fitting group whose next longer one does
+    not fit, or one trial, by bisection.  So ``_route`` is read ceil(log2(count)) + 1 times at most.
     """
 
     def fits(stop: int) -> bool:
@@ -255,26 +255,36 @@ def _sweep(
 
     The trials of a group are labelled together: each point is tagged with
     its trial, and one kernel call over the directions gives the image size
-    of every (direction, trial) pair, groups cut from each run of trials.
+    of every (direction, trial) pair.  Groups are cut from the campaign's
+    cumulative point counts: a group still open at the end of a run of
+    :func:`_samples` waits for the trials of the next.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     space = model.space
     p_m = space.p**m
     sizes, mins, fulls, empty = [], [], [], 0
-    for trial, point, count in _samples(model, 0, trials):
-        counts = np.bincount(trial, minlength=count)
-        ends, start = [0] + np.cumsum(counts).tolist(), 0
-        while start < count:
-            stop = _group_stop(ends, start, count, directions)
-            lo, hi = ends[start], ends[stop]
+    ends, start = [0], 0  # ends[t]: the points of trials before t; trials from start wait
+    trial = point = np.zeros(0, dtype=np.int64)  # the waiting (trial, point) pairs
+    for run, hits, counts in _samples(model, 0, trials):
+        run += len(sizes)
+        if start < len(sizes):
+            run, hits = np.concatenate([trial, run]), np.concatenate([point, hits])
+        trial, point, base = run, hits, ends[start]  # base: the points before trial[0]
+        sizes += counts.tolist()
+        ends += (ends[-1] + np.cumsum(counts)).tolist()
+        while start < len(sizes):
+            stop = _group_stop(ends, start, len(sizes), directions)
+            if stop == len(sizes) < trials:
+                break  # the group may take trials of the next run
+            lo, hi = ends[start] - base, ends[stop] - base
             tags = np.subtract(trial[lo:hi], start, out=trial[lo:hi])  # the group's trials from 0
             image = _image_sizes(digits_of(space, point[lo:hi]), tags, stop - start, directions)
             mins += image.min(axis=0).tolist()
             fulls += (image == p_m).all(axis=0).tolist()
             empty += int((p_m - image).sum())
             start = stop
-        sizes += counts.tolist()
+        trial, point = trial[ends[start] - base :], point[ends[start] - base :]
     return sizes, mins, fulls, empty
 
 
@@ -296,8 +306,18 @@ def _campaign(
     window = [p**s / 2.0 <= sz <= 2.0 * p**s for sz in sizes]
     planes = trials * len(directions) * p**m
     report = PercolationReport(
-        regime=regime, p=p, n=n, m=m, s=s, delta=model.delta, seed=seed, trials=trials,
-        sizes=sizes, min_images=mins, full_flags=fulls, size_window_pass=_rate(window),
+        regime=regime,
+        p=p,
+        n=n,
+        m=m,
+        s=s,
+        delta=model.delta,
+        seed=seed,
+        trials=trials,
+        sizes=sizes,
+        min_images=mins,
+        full_flags=fulls,
+        size_window_pass=_rate(window),
         success_rate=0.0,
     )
     return report, window, empty / planes if planes else 0.0
@@ -357,8 +377,7 @@ def chebyshev_size_check(model: PercolationModel, trials: int) -> SizeConcentrat
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     mean = model.space.point_count * model.delta
-    counts = [np.bincount(trial, minlength=count) for trial, _, count in _samples(model, 0, trials)]
-    sizes = np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+    sizes = np.concatenate([counts for _, _, counts in _samples(model, 0, trials)] or [[]])
     rate = float((np.abs(sizes - mean) > mean / 2.0).mean()) if trials else 0.0
     bound = 4.0 * (1.0 - model.delta) / mean  # 0 at delta = 1
     b = min(bound, 1.0)

@@ -496,6 +496,29 @@ def test_image_sizes_count_the_occupied_cosets_on_every_route(monkeypatch, route
             assert got[i, t] == np.count_nonzero(brute_coset_counts(vectors, points, p, n))
 
 
+@pytest.mark.parametrize("route,p,n,k,N", [
+    ("product", 5, 3, 2, 50),
+    ("fold", 37, 2, 1, 80),
+    ("pattern", 3, 4, 2, 30),
+    ("shear", 37, 2, 1, 37 * 37),
+])
+def test_every_histogram_route_yields_fresh_writable_blocks(monkeypatch, route, p, n, k, N):
+    # _image_sizes overwrites each block with its occupancy, so no block may be a view of
+    # another, of a buffer a route reuses, or of a table a later sweep reads
+    space = AmbientSpace(p, n)
+    digits = np.random.default_rng(p).choice(p**n, N, replace=False)[:, None] // p ** np.arange(n) % p
+    tags = np.zeros(N, dtype=np.int64)
+    G = SubspaceArray.grassmannian(space, k)
+    if route != "product":  # chunks of about p directions: several blocks a sweep
+        monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 8 * (N + (n * p if route == "fold" else p * p)) * p)
+    assert projections._route(N, 1, G)[0] == route
+    first, second = (list(projections._coset_histograms(digits, tags, 1, G)) for _ in range(2))
+    assert len(first) > (route != "product")
+    for i, h in enumerate(first):
+        assert h.dtype == np.int64 and h.flags.writeable
+        assert not any(np.shares_memory(h, g) for g in first[:i] + second)
+
+
 def test_word_route_is_chosen_by_size(monkeypatch):
     from ffproj import random_sets
     from ffproj.fourier import paraboloid

@@ -36,12 +36,13 @@ def _campaign_masks(model, first, stop):
     size = model.space.point_count
     masks = np.zeros((stop - first, size), dtype=bool)
     done = 0
-    for trial, point, count in random_sets._samples(model, first, stop):
+    for trial, point, counts in random_sets._samples(model, first, stop):
         keys = trial * size + point
         assert np.all(np.diff(keys) > 0)  # by trial, then by point
-        assert trial.min(initial=0) >= 0 and trial.max(initial=0) < count
+        assert np.array_equal(counts, np.bincount(trial, minlength=len(counts)))
+        assert len(counts) >= 1 and trial.max(initial=0) < len(counts)
         masks[done + trial, point] = True
-        done += count
+        done += len(counts)
     assert done == stop - first
     return masks
 
@@ -460,5 +461,27 @@ def test_campaigns_in_threads_and_interleaved_draw_their_own_trials(monkeypatch)
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 13**3)
     runs = zip(*(random_sets._samples(model, 0, 5) for model in models[:2]))
     for t, pair in enumerate(runs):
-        for k, (_, points, count) in enumerate(pair):
-            assert count == 1 and np.array_equal(points, np.flatnonzero(expected[k][t]))
+        for k, (_, points, counts) in enumerate(pair):
+            assert len(counts) == 1 and np.array_equal(points, np.flatnonzero(expected[k][t]))
+
+
+def test_sparse_campaign_of_a_large_space_sweeps_in_one_group(monkeypatch):
+    # a 101^3 trial (1,030,301 points) fills a mask of its own, so each run of the sampler
+    # holds one trial; 40 trials of about 101 points still go in one group, left open from
+    # run to run, as they did when groups were cut trial by trial
+    model = PercolationModel.from_exponent(AmbientSpace(101, 3), 1.0, seed=3)
+    directions = SubspaceArray.grassmannian(model.space, 2)
+    groups, real_sizes = [], random_sets._image_sizes
+
+    def image_sizes(digits, tags, ntags, directions):
+        groups.append(ntags)
+        return real_sizes(digits, tags, ntags, directions)
+
+    monkeypatch.setattr(random_sets, "_image_sizes", image_sizes)
+    sizes, mins, fulls, empty = random_sets._sweep(model, 1, 40, directions)
+    monkeypatch.undo()
+    assert groups == [40]
+    last = PointSet(model.space, one_draw_mask(model, 39))
+    image = np.array([np.count_nonzero(h) for h in coset_counts(last, directions)])
+    assert (sizes[-1], mins[-1], fulls[-1]) == (last.cardinality, image.min(), False)
+    assert sizes[0] == np.count_nonzero(one_draw_mask(model, 0))
