@@ -1,9 +1,10 @@
 """Experiment runner CLI: enumerate, project, census, energy, spectrum, percolate, verify.
 
-Every command resolves its configuration from flags, then an optional JSON
-config file (flags win), then built-in defaults; the resolved config and its
-hash are embedded in every report so runs are reproducible byte-for-byte
-apart from the wall-clock field.
+Each command takes its configuration, resolved from flags, then an optional
+JSON config file (flags win), then built-in defaults, and returns its report
+and exit code.  :func:`main` resolves the config, times the command and
+writes the one envelope, which embeds the config and its hash so runs are
+reproducible byte-for-byte apart from the wall-clock field.
 
 Exit codes: 0 success or statistical report, 1 assertion failure (an exact
 identity or proven bound failed, or an internal self-check did; witness
@@ -179,12 +180,12 @@ def _envelope(command: str, cfg: dict, report, started: float) -> dict:
     }
 
 
-def _emit(envelope: dict, out_path: str | None, to_stdout: bool = True) -> None:
+def _emit(envelope: dict, out_path: str | None, to_stdout: bool) -> None:
     text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if to_stdout and not out_path:
+    elif to_stdout:
         sys.stdout.write(text)
 
 
@@ -205,12 +206,10 @@ def _subspace_from_cfg(space: AmbientSpace, cfg: dict) -> Subspace:
 # subcommands
 
 
-def cmd_enumerate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_enumerate(cfg: dict) -> tuple[dict | list, int]:
     _require(cfg, "p", "n", "m")
     if cfg["budget"] is None:  # read $FFPROJ_BUDGET only when --budget is absent
         cfg["budget"] = enumeration_budget()
-    started = time.time()
     p, n, m = cfg["p"], cfg["n"], cfg["m"]
     space = AmbientSpace(p, n)
     if cfg["affine"]:
@@ -222,8 +221,7 @@ def cmd_enumerate(args) -> int:
         with open(cfg["dump"], "w", encoding="ascii") as fh:
             _dump_family(fh, space, m, cfg["affine"])
     print(count)
-    _emit(_envelope("enumerate", cfg, {"count": count}, started), cfg["out"], to_stdout=False)
-    return EXIT_OK
+    return {"count": count}, EXIT_OK
 
 
 def _dump_family(fh, space: AmbientSpace, m: int, affine: bool) -> None:
@@ -243,10 +241,8 @@ def _dump_family(fh, space: AmbientSpace, m: int, affine: bool) -> None:
             fh.write("".join(head + text for head in heads))
 
 
-def cmd_project(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_project(cfg: dict) -> tuple[dict | list, int]:
     _require(cfg, "pointset")
-    started = time.time()
     E = load_point_set(cfg["pointset"])
     W = _subspace_from_cfg(E.space, cfg)
     if cfg["onto"]:  # onto V: the cosets of Per(V)
@@ -263,8 +259,7 @@ def cmd_project(args) -> int:
     if cfg["profile"]:
         report["profile_counts"] = h.tolist()
         report["second_moment"] = int(h @ h)
-    _emit(_envelope("project", cfg, report, started), cfg["out"])
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _census_reports(E, cfg) -> list:
@@ -302,16 +297,12 @@ def _save_sizes_csv(path, directions: SubspaceArray, sizes: np.ndarray) -> None:
         fh.write("".join(itertools.starmap(line.format, fields.tolist())))
 
 
-def cmd_census(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_census(cfg: dict) -> tuple[dict | list, int]:
     _require(cfg, "pointset", "m", "kind")
-    started = time.time()
     E = load_point_set(cfg["pointset"])
     reports = _census_reports(E, cfg)
     if cfg["sizes_csv"]:
         _save_sizes_csv(cfg["sizes_csv"], reports[0].directions, reports[0].sizes)
-    payload = [r.to_json_dict() for r in reports]
-    _emit(_envelope("census", cfg, payload, started), cfg["out"])
     failed = [
         r for r in reports
         if r.hypothesis_ok and r.range_condition_ok and r.satisfied is False
@@ -322,13 +313,11 @@ def cmd_census(args) -> int:
             f"bound={float(r.bound)} (p={r.p}, n={r.n}, m={r.m})",
             file=sys.stderr,
         )
-    return EXIT_ASSERTION if failed else EXIT_OK
+    return [r.to_json_dict() for r in reports], EXIT_ASSERTION if failed else EXIT_OK
 
 
-def cmd_energy(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_energy(cfg: dict) -> tuple[dict | list, int]:
     _require(cfg, "pointset", "m")
-    started = time.time()
     space = point_set_space(cfg["pointset"])
     for d in (cfg["m"], space.n - 1):  # the two sides' sweeps, before the body is parsed
         _check_enumeration(space, d)
@@ -345,22 +334,19 @@ def cmd_energy(args) -> int:
         "spectral_diff": float(abs(spectral - rhs)),
         "spectral_ok": spectral_ok,
     }
-    _emit(_envelope("energy", cfg, report, started), cfg["out"])
     if not (equal and spectral_ok):
         print(
             f"IDENTITY FAILED: energy={lhs} closed_form={rhs} spectral={spectral}",
             file=sys.stderr,
         )
-        return EXIT_ASSERTION
-    return EXIT_OK
+        return report, EXIT_ASSERTION
+    return report, EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_spectrum(cfg: dict) -> tuple[dict | list, int]:
     salem = any(cfg[key] is not None for key in ("C", "alpha", "m"))
     if salem:  # the projection-case check needs all three
         _require(cfg, "C", "alpha", "m")
-    started = time.time()
     if cfg["builtin"]:
         _require(cfg, "p", "n")
         space = AmbientSpace(cfg["p"], cfg["n"])
@@ -389,14 +375,11 @@ def cmd_spectrum(args) -> int:
         ).to_json_dict()
     if cfg["dump"]:
         save_spectrum_csv(spectrum, cfg["dump"])
-    _emit(_envelope("spectrum", cfg, report, started), cfg["out"])
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_percolate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_percolate(cfg: dict) -> tuple[dict | list, int]:
     _require(cfg, "regime", "p", "n", "m", "s")
-    started = time.time()
     runner = {"small": verify_small_regime, "large": verify_large_regime}.get(cfg["regime"])
     if runner is None:
         raise ValueError(f"unknown regime {cfg['regime']!r}")
@@ -412,13 +395,10 @@ def cmd_percolate(args) -> int:
                 zip(report.sizes, report.min_images, report.full_flags)
             ):
                 writer.writerow([t, sz, mn, int(fl)])
-    _emit(_envelope("percolate", cfg, report.to_json_dict(), started), cfg["out"])
-    return EXIT_OK
+    return report.to_json_dict(), EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
-    started = time.time()
+def cmd_verify(cfg: dict) -> tuple[dict | list, int]:
     primes, dims = (  # a single value, else a list, else the default grid
         [cfg[key]] if cfg[key] is not None
         else _int_list(cfg, key + "_list") if cfg[key + "_list"]
@@ -429,13 +409,9 @@ def cmd_verify(args) -> int:
     for check in manifest["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"CHECK {check['name']}: {status} ({check['instances']} instances)")
-    _emit(_envelope("verify", cfg, manifest, started), cfg["out"], to_stdout=False)
-    if not manifest["all_pass"]:
-        for check in manifest["checks"]:
-            for witness in check["failures"]:
-                print(f"WITNESS {check['name']}: {witness}", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+        for witness in check["failures"]:
+            print(f"WITNESS {check['name']}: {witness}", file=sys.stderr)
+    return manifest, EXIT_OK if manifest["all_pass"] else EXIT_ASSERTION
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +516,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        started = time.time()
+        report, code = args.func(cfg)
+        own_lines = args.command in ("enumerate", "verify")  # their stdout: the count, CHECK lines
+        _emit(_envelope(args.command, cfg, report, started), cfg["out"], not own_lines)
+        return code
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ over the whole mask.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -78,22 +78,22 @@ class AmbientSpace:
     """The vector space F_p^n together with its point-index codec.
 
     Construction rejects composite p (the character-sum machinery needs a
-    prime field) and spaces larger than ``max_points`` (dense masks and
-    exhaustive sweeps stop being desk-scale beyond that).
+    prime field) and spaces of more than ``DEFAULT_POINT_BUDGET`` points,
+    read at construction (dense masks and exhaustive sweeps stop being
+    desk-scale beyond that).
     """
 
     p: int
     n: int
-    max_points: int = field(default=DEFAULT_POINT_BUDGET, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if not is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
-        if self.p ** self.n > self.max_points:
+        if self.p ** self.n > DEFAULT_POINT_BUDGET:
             raise BudgetError(
-                f"p^n = {self.p}^{self.n} exceeds the point budget {self.max_points}"
+                f"p^n = {self.p}^{self.n} exceeds the point budget {DEFAULT_POINT_BUDGET}"
             )
 
     @property

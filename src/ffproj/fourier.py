@@ -51,7 +51,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AmbientSpace, BudgetError, IdentityError, PointSet, decode, digits_of, encode
+from .core import (
+    AmbientSpace, BudgetError, IdentityError, PointSet, _integer_array, decode, digits_of, encode,
+)
 from .projections import coset_counts, projection_sizes
 from .subspaces import Subspace, _block_rows, _check_budget, perp
 
@@ -234,7 +236,7 @@ def character_sum(V: Subspace, x) -> complex | np.ndarray:
     p = space.p
     batch = np.ndim(x) == 2
     if batch:
-        xs = np.asarray(x, dtype=np.int64)
+        xs = _integer_array(x, "x")
         if xs.shape[1] != space.n or ((xs < 0) | (xs >= p)).any():
             raise ValueError(f"expected an (N, {space.n}) array of residues mod {p}")
     else:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbientSpace, PointSet, digits_of
+from .core import AmbientSpace, PointSet, _is_integer, digits_of
 from . import subspaces
 from .projections import _image_sizes, _route
 from .subspaces import SubspaceArray, _block_rows
@@ -54,8 +54,9 @@ class PercolationModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit nonnegative integer")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):  # a uint64 cast truncates
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
     def from_exponent(
@@ -67,6 +68,9 @@ class PercolationModel:
 
 def percolation_sample(model: PercolationModel, trial: int = 0) -> PointSet:
     """Sample one random subset; reproducible per (seed, trial index)."""
+    if not (_is_integer(trial) and 0 <= trial < 2**64):
+        raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
+    trial = int(trial)
     mask = np.zeros(model.space.point_count, dtype=bool)
     mask[next(_samples(model, trial, trial + 1))[1]] = True
     return PointSet(model.space, mask)

@@ -85,6 +85,7 @@ def test_removed_options_are_refused():
         lambda: count_subspaces_with_perp_containing(space, (1, 0), 1, verify=True),
         lambda: projection_sizes(PointSet.full(space), 1, directions=[]),
         lambda: PercolationModel(space, 1 / 3, seed=0, s=1.0),
+        lambda: AmbientSpace(3, 2, max_points=9),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="unexpected keyword argument"):

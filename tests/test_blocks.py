@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffproj import subspaces
+from ffproj import core, subspaces
 from ffproj.core import AmbientSpace, BudgetError, IdentityError, PointSet, is_prime
 from ffproj.energy import (
     energy_identity_closed_form,
@@ -287,11 +287,12 @@ def test_spectral_energy_equals_the_perp_loop_oracle(monkeypatch, p, n):
                 assert verify_energy_identity_fourier(E, m) == (expected, expected, True)
 
 
-def test_residue_codes_are_exact_at_the_float64_edge():
+def test_residue_codes_are_exact_at_the_float64_edge(monkeypatch):
     p = 67108859  # the largest prime <= 2^26 + 1
     assert is_prime(p) and not any(is_prime(q) for q in range(p + 1, 2**26 + 2))
     assert 2 * (p - 1) ** 2 < 2**53 <= 3 * (p - 1) ** 2
-    space = AmbientSpace(p, 2, max_points=p**2)  # a codec only: no point set is built
+    monkeypatch.setattr(core, "DEFAULT_POINT_BUDGET", p**2)
+    space = AmbientSpace(p, 2)  # a codec only: no point set is built
     rng = np.random.default_rng(0)
     rows = np.concatenate([[[p - 1, p - 1], [0, 0], [1, p - 1]], rng.integers(0, p, (40, 2))])
     maps = np.concatenate([[[[p - 1, p - 1]] * 2] * 2, rng.integers(0, p, (2, 5, 2))], axis=1)
@@ -307,9 +308,10 @@ def test_residue_codes_are_exact_at_the_float64_edge():
     assert codes.tolist() == expected
 
 
-def test_residue_codes_refuse_an_inexact_product_before_allocating():
+def test_residue_codes_refuse_an_inexact_product_before_allocating(monkeypatch):
     p = 67108859
-    space = AmbientSpace(p, 3, max_points=p**3)  # 3 (p-1)^2 >= 2^53
+    monkeypatch.setattr(core, "DEFAULT_POINT_BUDGET", p**3)
+    space = AmbientSpace(p, 3)  # 3 (p-1)^2 >= 2^53
     rows = np.ones((4096, 3))
     maps = np.ones((2, 256, 3))  # the product alone would take 16 MiB
     tracemalloc.start()

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffproj import cli, projections, subspaces
+from ffproj import cli, projections, subspaces, suite
 from ffproj.core import AmbientSpace, PointSet, load_point_set, save_point_set
-from ffproj.subspaces import Subspace
+from ffproj.subspaces import Subspace, gaussian_binomial
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -227,7 +227,8 @@ def test_sizes_csv_bytes_match_row_by_row_writer(tmp_path, p, n):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_census_failure_exits_one(workdir, monkeypatch, capsys):
+def _fail_census(monkeypatch):
+    """Every small-image census reports 99 exceptional directions against a bound of 1."""
     from fractions import Fraction
 
     from ffproj.projections import CensusReport, ExactBound
@@ -240,11 +241,55 @@ def test_census_failure_exits_one(workdir, monkeypatch, capsys):
         )
 
     monkeypatch.setattr(cli, "census_small_image", fake_census)
+
+
+def _fail_energy(monkeypatch):
+    """The energy identity's closed form reads one more than the truth."""
+    energy = sys.modules["ffproj.energy"]  # the package's own ``energy`` is the function
+    closed_form = energy.energy_identity_closed_form
+    monkeypatch.setattr(energy, "energy_identity_closed_form", lambda *a: closed_form(*a) + 1)
+
+
+def _fail_verify(monkeypatch):
+    """The suite counts one subspace too many in every Grassmannian."""
+    monkeypatch.setattr(suite, "gaussian_binomial", lambda n, m, p: gaussian_binomial(n, m, p) + 1)
+
+
+def test_census_failure_exits_one(workdir, monkeypatch, capsys):
+    _fail_census(monkeypatch)
     monkeypatch.chdir(workdir)
     code = cli.main(["census", "--pointset", "line.pts", "--m", "1",
                      "--kind", "small", "--N", "1"])
     assert code == 1
     assert "BOUND FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,fail,failing", [
+    ("census", _fail_census, lambda r: r[0]["observed"] == 99 and r[0]["satisfied"] is False),
+    ("energy", _fail_energy,
+     lambda r: r["closed_form"] == r["energy"] + 1 and not (r["equal"] or r["spectral_ok"])),
+    ("verify", _fail_verify,
+     lambda r: not r["all_pass"] and any(c["failure_count"] for c in r["checks"])),
+], ids=["census", "energy", "verify"])
+def test_a_failing_run_still_writes_its_envelope(workdir, monkeypatch, capsys, name, fail, failing):
+    monkeypatch.chdir(workdir)
+    args = GOLDEN_COMMANDS[name]
+    code, passing = _envelope(workdir, args)
+    assert code == 0 and not failing(passing["report"])
+    fail(monkeypatch)
+    assert cli.main([*args, "--out", "failed.json"]) == 1
+    envelope = json.loads((workdir / "failed.json").read_text())
+    assert envelope["command"] == name and failing(envelope["report"])
+    assert envelope["config_hash"] == passing["config_hash"]  # the same experiment, failed
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    out = capsys.readouterr().out
+    if name == "verify":  # its stdout is the CHECK lines; the envelope goes to --out only
+        assert out.startswith("CHECK ") and "FAIL" in out
+    else:
+        printed = json.loads(out)
+        assert printed["config"] == {**envelope["config"], "out": None}
+        assert strip_volatile(printed) == strip_volatile({**envelope, "config": printed["config"]})
 
 
 def test_internal_identity_failure_exits_one(workdir, monkeypatch, capsys):
@@ -484,7 +529,7 @@ def test_energy_builds_its_grassmannian_once(workdir, monkeypatch, capsys):
 
 
 def test_energy_makes_no_transform(workdir, monkeypatch, capsys):
-    from ffproj import energy, fourier
+    from ffproj import fourier
 
     calls = []
     real = fourier.dft
@@ -496,7 +541,7 @@ def test_energy_makes_no_transform(workdir, monkeypatch, capsys):
     for key, module in list(sys.modules.items()):
         if (key == "ffproj" or key.startswith("ffproj.")) and getattr(module, "dft", None) is real:
             monkeypatch.setattr(module, "dft", counted)
-    assert not hasattr(energy, "dft")
+    assert not hasattr(sys.modules["ffproj.energy"], "dft")  # ffproj.energy is the function
     monkeypatch.chdir(workdir)
     for m in ("0", "1", "2"):
         assert cli.main(["energy", "--pointset", "line.pts", "--m", m]) == 0

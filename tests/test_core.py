@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ffproj import core
 from ffproj.core import (
     AmbientSpace,
     BudgetError,
@@ -82,10 +83,11 @@ def test_space_rejects_composite_modulus():
         AmbientSpace(1, 2)
 
 
-def test_space_budget():
+def test_space_budget(monkeypatch):
     with pytest.raises(BudgetError):
         AmbientSpace(2, 27)  # 2^27 over the default 2^26 budget
-    AmbientSpace(2, 27, max_points=1 << 27)  # explicit budget admits it
+    monkeypatch.setattr(core, "DEFAULT_POINT_BUDGET", 1 << 27)
+    AmbientSpace(2, 27)  # the budget is read at construction: a larger one admits it
 
 
 def test_point_set_dedup_and_cardinality():

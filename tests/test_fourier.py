@@ -328,6 +328,8 @@ def test_character_sum_array_validation():
         character_sum(V, [(0, 3)])
     with pytest.raises(ValueError):
         character_sum(V, [(-1, 0)])
+    with pytest.raises(ValueError, match="x\\[0, 0\\] = 1.5 is not an integer"):
+        character_sum(V, np.array([[1.5, 0.0]]))  # an int64 cast would read it as (1, 0)
 
 
 def test_character_sum_over_brute_dual():

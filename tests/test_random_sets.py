@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,29 @@ def test_model_validation():
     with pytest.raises(ValueError):
         PercolationModel(space, 0.5, seed=-1)
     assert PercolationModel.from_exponent(space, 1.0, seed=0).delta == 3.0 ** (1 - 2)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64, float("nan")])
+def test_seeds_outside_the_uint64_integers_are_refused(seed):
+    # a uint64 key would truncate 1.5 to the seed 1 and draw its sets
+    message = f"seed must be an integer in [0, 2^64), got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PercolationModel(AmbientSpace(5, 2), 0.5, seed)
+
+
+def test_an_integral_float_seed_is_the_int_seed():
+    model = PercolationModel(AmbientSpace(5, 2), 0.5, 1.0)
+    assert type(model.seed) is int and model == PercolationModel(AmbientSpace(5, 2), 0.5, 1)
+
+
+@pytest.mark.parametrize("trial", [1.5, -1, 2**64])
+def test_trials_outside_the_uint64_integers_are_refused(trial):
+    model = PercolationModel(AmbientSpace(5, 2), 0.5, 1)
+    message = f"trial must be an integer in [0, 2^64), got {trial!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        percolation_sample(model, trial)
+    last = percolation_sample(model, 2**64 - 1)  # the last trial a uint64 key holds
+    assert last == percolation_sample(model, np.uint64(2**64 - 1))
 
 
 def test_sample_mean_within_four_sigma():
