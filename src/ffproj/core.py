@@ -87,6 +87,10 @@ class AmbientSpace:
     n: int
 
     def __post_init__(self) -> None:
+        for name, value in (("p", self.p), ("n", self.n)):  # an integral float is held as an int
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if not is_prime(self.p):

@@ -26,7 +26,7 @@ Identities with integer sides take no transform: for xi != 0 the Fourier
 mass of the line through xi is p M(xi^perp) - |E|^2 (:func:`_line_powers`),
 M the coset second moment of E along the hyperplane xi^perp.  So
 ``energy.verify_energy_identity_fourier`` sums line powers read off a sweep of
-hyperplanes, and ``subspace_plancherel`` off a ``bincount`` of x.xi mod p, exactly.
+hyperplanes, and ``subspace_plancherel`` off histograms of x.xi mod p, exactly.
 
 The built-in sets (paraboloid, sphere) take x.x mod p from a table of
 squares, one broadcast sum per coordinate.  ``save_spectrum_csv`` builds
@@ -55,7 +55,7 @@ from .core import (
     AmbientSpace, BudgetError, IdentityError, PointSet, _integer_array, decode, digits_of, encode,
 )
 from .projections import coset_counts, projection_sizes
-from .subspaces import Subspace, _block_rows, _check_budget, perp
+from .subspaces import Subspace, _block_rows, _check_budget, _code_histograms, perp
 
 __all__ = [
     "TOLERANCE",
@@ -217,11 +217,11 @@ def subspace_plancherel(E: PointSet, W: Subspace) -> tuple[int, Fraction, bool]:
     lhs = int(h @ h)
     _check_budget("the family of hyperplanes containing W", (p**m - 1) // (p - 1))
     # each line of Per(W) by its point xi whose first non-zero entry is 1, binned by x.xi mod p
-    points = digits_of(space, perp(W).point_indices())
+    points = digits_of(space, perp(W).point_indices()).astype(np.float64)
     lines = points[points[np.arange(len(points)), (points != 0).argmax(axis=1)] == 1]
-    x, rows = digits_of(space, E.indices()), _block_rows(8 * max(1, E.cardinality))
-    blocks = (np.bincount((x @ xi.T % p + p * np.arange(len(xi))).ravel(), minlength=len(xi) * p)
-              .reshape(-1, p) for xi in np.split(lines, range(rows, len(lines), rows)))
+    x, rows = digits_of(space, E.indices()).astype(np.float64), _block_rows(16 * E.cardinality)
+    blocks = (_code_histograms(space, x, 0, 1, xi[None])[:, 0]
+              for xi in np.split(lines, range(rows, len(lines), rows)))
     rhs = Fraction(E.cardinality**2 + _line_power_sum(E, blocks), p**m)
     return lhs, rhs, lhs == rhs
 
@@ -229,42 +229,20 @@ def subspace_plancherel(E: PointSet, W: Subspace) -> tuple[int, Fraction, bool]:
 def character_sum(V: Subspace, x) -> complex | np.ndarray:
     """sum_{y in Per(V)} e(-x.y): equals |Per(V)| for x in V, vanishes for x outside.
 
-    x is one vector, or an (N, n) array of residues for which the N sums are
-    returned as a complex array; Per(V) is computed once either way.
+    x is one vector, or an (N, n) array of residues for which the N sums are returned
+    as a complex array.  Each is sum_j c_j e(-j), c_j = #{y in Per(V) : x.y = j}.
     """
-    space = V.space
-    p = space.p
+    space, p = V.space, V.space.p
     batch = np.ndim(x) == 2
-    if batch:
-        xs = _integer_array(x, "x")
-        if xs.shape[1] != space.n or ((xs < 0) | (xs >= p)).any():
-            raise ValueError(f"expected an (N, {space.n}) array of residues mod {p}")
-    else:
-        xs = np.array([space.validate_vector(x)], dtype=np.int64)
-    sums = _character_sum_rows(space, xs, perp(V).point_indices()[None])[0]
+    xs = _integer_array(x, "x") if batch else np.array([space.validate_vector(x)], dtype=np.int64)
+    if xs.shape[1] != space.n or ((xs < 0) | (xs >= p)).any():
+        raise ValueError(f"expected an (N, {space.n}) array of residues mod {p}")
+    dual = digits_of(space, perp(V).point_indices()).astype(np.float64)
+    step = _block_rows(16 * len(dual))
+    counts = [_code_histograms(space, dual, 0, 1, xi[None].astype(np.float64))[:, 0]
+              for xi in np.split(xs, range(step, len(xs), step))]
+    sums = np.concatenate(counts) @ _character_matrix(p)[1]
     return sums if batch else complex(sums[0])
-
-
-def _character_sum_rows(space: AmbientSpace, xs: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """sum_{y in D} e(-x.y) for each row D of point indices and each x of ``xs`` (columns).
-
-    Each sum runs over its row in order.  Rows, and when one row is too
-    large also points, are taken in blocks whose int64 phases and complex
-    terms stay under the kernel cap.
-    """
-    p = space.p
-    rows, size = duals.shape
-    roots = _character_matrix(p)[1]
-    sums = np.empty((rows, len(xs)), dtype=np.complex128)
-    block = _block_rows(24 * len(xs) * size)
-    for start in range(0, rows, block):
-        dual = digits_of(space, duals[start : start + block].ravel()).T
-        c = dual.shape[1] // size
-        step = _block_rows(24 * c * size)
-        for lo in range(0, len(xs), step):
-            terms = roots[xs[lo : lo + step] @ dual % p].reshape(-1, c, size)
-            sums[start : start + c, lo : lo + step] = terms.sum(axis=2).T
-    return sums
 
 
 def _norms(p: int, width: int) -> np.ndarray:

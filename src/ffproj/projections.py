@@ -27,7 +27,7 @@ from .subspaces import (
     Subspace,
     SubspaceArray,
     _block_rows,
-    _residue_codes,
+    _code_histograms,
     binom_at_most_twice_power,
 )
 
@@ -103,8 +103,8 @@ def _coset_histograms(
     :func:`_route` picks the route: the shear (:func:`_shear_histograms`),
     the pattern route, folding or not (:func:`_pattern_histograms`), or the
     stacked product, where each chunk of label maps is one exact float64
-    (r c, n) @ (n, N) product (``subspaces._residue_codes``) of as many
-    directions as keep :func:`_chunk_bytes` under the cap.  A chunk holds
+    (r c, n) @ (n, N) product binned by ``subspaces._code_histograms``, of as
+    many directions as keep :func:`_chunk_bytes` under the cap.  A chunk holds
     at least one direction, whatever its bytes; the cap is read at each call.
     """
     N, n = digits.shape
@@ -116,23 +116,10 @@ def _coset_histograms(
     if route != "product":
         yield from _pattern_histograms(digits, tags, ntags, directions, route == "fold", rows)
         return
-    space = directions.space
-    cosets = space.p ** (n - directions.dim)
-    per_direction = ntags * cosets
-    # a label's bin within a chunk: its direction, then its point's tag, then its coset
-    direction_bins = np.arange(min(rows, len(directions)))[:, None] * per_direction
-    tag_bins = tags * cosets
     digits = digits.astype(np.float64)
     for maps in directions.label_map_blocks():
-        for start in range(0, len(maps), rows):
-            Q = maps[start : start + rows]
-            c = len(Q)
-            codes = _residue_codes(space, digits, Q.transpose(2, 0, 1))
-            codes += direction_bins[:c]
-            if ntags > 1:
-                codes += tag_bins
-            counts = np.bincount(codes.ravel(), minlength=c * per_direction)
-            yield counts.reshape(c, ntags, cosets)
+        for Q in np.split(maps.transpose(2, 0, 1), range(rows, len(maps), rows), axis=1):
+            yield _code_histograms(directions.space, digits, tags, ntags, Q)
 
 
 def _pattern_histograms(

@@ -285,6 +285,17 @@ def _residue_codes(space: AmbientSpace, rows: np.ndarray, maps: np.ndarray) -> n
     return codes
 
 
+def _code_histograms(space: AmbientSpace, rows, tags, ntags: int, maps) -> np.ndarray:
+    """(c, ntags, p^width) counts of the :func:`_residue_codes` of rows under c maps, by row tag."""
+    width, c, _ = maps.shape
+    bins = space.p**width
+    codes = _residue_codes(space, rows, maps)
+    codes += np.arange(c)[:, None] * (ntags * bins)
+    if ntags > 1:
+        codes += tags * bins
+    return np.bincount(codes.ravel(), minlength=c * ntags * bins).reshape(c, ntags, bins)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace in canonical RREF form; equality is basis equality."""
@@ -295,6 +306,8 @@ class Subspace:
 
     def __post_init__(self) -> None:
         p, n = self.space.p, self.space.n
+        basis = tuple(_integers(row, f"basis[{i}]") for i, row in enumerate(self.basis))
+        object.__setattr__(self, "basis", basis)  # a matrix cast would truncate 0.5 to 0
         if len(self.basis) != len(self.pivots):
             raise ValueError("one pivot per basis row required")
         if any(self.pivots[i] >= self.pivots[i + 1] for i in range(len(self.pivots) - 1)):

@@ -2,15 +2,16 @@
 
 A run sweeps (p, n) instances and, per instance, a deterministic battery of
 point sets (edge sets plus seeded percolation samples).  Every identity and
-bound is decided exactly, in integers: the spectral sides of Plancherel
-are read from the hyperplane second moments the sweep already holds, with
-no transform, and only the character sums are compared within the Fourier
-tolerance.  Every failure is recorded with a witness so a nonzero exit can
+bound is decided exactly, in integers, with no transform: the spectral sides
+of Plancherel are read from the hyperplane second moments the sweep already
+holds, and the character sums from histograms of x.y over each dual, one x
+per line.  Every failure is recorded with a witness so a nonzero exit can
 name the counterexample instance.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -18,14 +19,16 @@ import numpy as np
 
 from .core import AmbientSpace, PointSet, base_p_digits, digits_of
 from .energy import _key_lemma_bounds, energy_identity_closed_form
-from .fourier import TOLERANCE, _character_sum_rows, _line_powers
+from .fourier import _line_powers
 from .projections import _coset_histograms
 from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
     SubspaceArray,
+    _block_rows,
     _canonical_arrays,
     _check_budget,
     _check_enumeration,
+    _code_histograms,
     _dual_bases,
     _padded_stack,
     _pivot_columns,
@@ -123,9 +126,8 @@ def _run_checks(primes, dims, seed) -> dict[str, _Check]:
 def _check_cell(space: AmbientSpace) -> None:
     """Refuse a cell over the enumeration budget: each G(n, d), then its largest table.
 
-    The largest table of a cell is that of its character sums: one entry
-    per subspace V in G(n, k), k < n, and point of F_p^n, held for the
-    largest G(n, k) at once.  Only Gaussian binomials are computed.
+    A cell's character sums hold at most one entry per V in G(n, k), k < n, and point of
+    F_p^n, the most for k = n // 2.  Only Gaussian binomials are computed.
     """
     p, n = space.p, space.n
     for d in range(n + 1):
@@ -219,23 +221,43 @@ def _cell_checks(cell, checks) -> None:
         lambda m: {"p": p, "n": n, "m": m, "involutive": involutive[m], "bijective": bijective[m]},
     )
 
-    # the character sum of Per(V) is |Per(V)| on V and vanishes off V
-    points = digits_of(space, np.arange(p**n))
-    worst = []
+    _character_checks(cell, checks)
+
+
+def _character_checks(cell, checks) -> None:
+    """Per V of G(n, k), k < n, whether sum_{y in D} e(-x.y) = p^(n-k) [x in V] for every x.
+
+    D is V's list in ``dual_points[k]``, x in V is read from ``members[k]``.  The sum is
+    sum_j c_j e(-j), c_j = #{y in D : x.y = j}: as 1, e(1), ..., e(p-2) are independent, it is
+    an integer A iff c_j - A [j = 0] is constant in j.  Scaling x by t != 0 permutes the bins
+    j != 0, so x = 0 and one x per line decide (and the witness counts) the failing x.
+    """
+    space, arrays, _, members, dual_points, _ = cell
+    p, n = space.p, space.n
+    maps = np.concatenate([np.zeros((1, n), dtype=np.int64), arrays[1].bases[:, 0]])  # 0, lines
+    row = np.zeros(p**n, dtype=np.int64)  # each line's row by its point index, else x = 0's
+    row[maps @ p ** np.arange(n)] = np.arange(len(maps))
+    xs, failing = maps.astype(np.float64)[None], []
     for k in range(n):
-        sums = _character_sum_rows(space, points, dual_points[k])
-        expected = np.zeros(sums.shape)
-        expected[np.arange(len(sums))[:, None], members[k]] = p ** (n - k)
-        worst.append(np.abs(sums - expected).max(axis=1))
-    worst = np.concatenate(worst)
-    starts = _starts(arrays)
-    dims = np.repeat(np.arange(n), np.diff(starts[: n + 1]))
+        G, size = dual_points[k].shape
+        bad = np.zeros((len(maps), G), dtype=np.int64)  # the sums expected, then failures
+        bad[row[members[k]], np.arange(G)[:, None]] = p ** (n - k)  # 0 is in V, so 0's row too
+        step = min(len(maps), _block_rows(24 * size))  # a block's maps, then V rows: under the cap
+        block = _block_rows(24 * step * size)
+        for lo, m in itertools.product(range(0, G, block), range(0, len(maps), step)):
+            rows = digits_of(space, dual_points[k][lo : lo + block].ravel()).astype(np.float64)
+            c = len(rows) // size
+            h = _code_histograms(space, rows, np.repeat(np.arange(c), size), c, xs[:, m : m + step])
+            h[..., 0] -= bad[m : m + step, lo : lo + c]
+            bad[m : m + step, lo : lo + c] = (h != h[..., 1:2]).any(axis=2)
+        failing.append(bad[0] + (p - 1) * bad[1:].sum(axis=0))  # a line decides p - 1 x
+    failing = np.concatenate(failing)
 
     def witness(j):
-        d, V = _direction(arrays, starts, j)
-        return {"p": p, "n": n, "dim": d, "subspace": V, "worst": float(worst[j])}
+        d, V = _direction(arrays, _starts(arrays), j)
+        return {"p": p, "n": n, "dim": d, "subspace": V, "failing_x": int(failing[j])}
 
-    checks["character_sums"].record_all(worst <= TOLERANCE * p ** (n - dims), witness)
+    checks["character_sums"].record_all(failing == 0, witness)
 
 
 def _dual_route(directions: SubspaceArray, duals: SubspaceArray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,16 +285,11 @@ def _direction_reductions(digits, tags, ntags, directions, maps, relabel) -> lis
     total, the image size, the second moment, the image size of the dual route x -> U x,
     and whether the dual route's histogram, relabelled, is the kernel's.
     """
-    space = directions.space
-    cosets = space.p ** (space.n - directions.dim)
     points = digits.astype(np.float64)
     blocks, start = [], 0
     for h in _coset_histograms(digits, tags, ntags, directions):
         c = len(h)
-        codes = _residue_codes(space, points, maps[:, start : start + c])
-        codes += np.arange(c)[:, None] * (ntags * cosets)  # binned as in the kernel
-        codes += tags * cosets
-        dual = np.bincount(codes.ravel(), minlength=h.size).reshape(h.shape)
+        dual = _code_histograms(directions.space, points, tags, ntags, maps[:, start : start + c])
         same = (np.take_along_axis(dual, relabel[start : start + c, None], axis=2) == h).all(axis=2)
         image, dual_image = np.count_nonzero(h, axis=2), np.count_nonzero(dual, axis=2)
         blocks.append((h.sum(axis=2), image, (h * h).sum(axis=2), dual_image, same))

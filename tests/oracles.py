@@ -301,11 +301,11 @@ def loop_cell_checks(cell, checks):
     """``suite._cell_checks`` as first written: one record per instance, every witness built.
 
     Gaussian binomials are read from ``suite.gaussian_binomial`` at call time, so a
-    fault injected there reaches both routes.
+    fault injected there reaches both routes.  The character sums are decided at
+    every x of F_p^n from a pure-Python histogram of x.y over the dual list.
     """
     from ffproj import suite
-    from ffproj.fourier import TOLERANCE, _character_sum_rows
-    from ffproj.core import digits_of
+    from ffproj.core import decode
     from ffproj.subspaces import _dual_bases, _rref_fault
 
     binomial = suite.gaussian_binomial
@@ -354,17 +354,22 @@ def loop_cell_checks(cell, checks):
             involutive=involutive, bijective=bijective,
         )
 
-    points = digits_of(space, np.arange(p**n))
+    # x.y mod p for every pair of points, then each x's histogram over each dual list
+    vectors = [decode(space, i) for i in range(p**n)]
+    products = [[sum(a * b for a, b in zip(x, y)) % p for y in vectors] for x in vectors]
     for k in range(n):
         dual_size = p ** (n - k)
-        sums = _character_sum_rows(space, points, dual_points[k])
-        expected = np.zeros(sums.shape)
-        expected[np.arange(len(sums))[:, None], members[k]] = dual_size
-        worst = np.abs(sums - expected).max(axis=1).tolist()
-        for V, w in zip(bases[k], worst):
+        for V, inside, dual in zip(bases[k], members[k].tolist(), dual_points[k].tolist()):
+            inside, failing = set(inside), 0
+            for x, row in enumerate(products):
+                c = [0] * p
+                for y in dual:
+                    c[row[y]] += 1
+                expected = dual_size if x in inside else 0
+                failing += not (c[1:] == [c[1]] * (p - 1) and c[0] - c[1] == expected)
             _record(
-                checks["character_sums"], w <= TOLERANCE * dual_size,
-                p=p, n=n, dim=k, subspace=V, worst=w,
+                checks["character_sums"], failing == 0,
+                p=p, n=n, dim=k, subspace=V, failing_x=failing,
             )
 
 

@@ -83,6 +83,20 @@ def test_space_rejects_composite_modulus():
         AmbientSpace(1, 2)
 
 
+def test_space_holds_integral_floats_as_ints_and_refuses_others():
+    space = AmbientSpace(3.0, np.int64(2))
+    assert space == AmbientSpace(3, 2) and type(space.p) is type(space.n) is int
+    assert PointSet.full(space).cardinality == 9  # a float p^n once broke the mask
+    for p, n, message in [
+        (2.5, 2, r"p must be an integer, got 2\.5"),  # once a TypeError from pow in is_prime
+        (3, 2.5, r"n must be an integer, got 2\.5"),
+        (float("nan"), 2, "p must be an integer, got nan"),
+        ("3", 2, "p must be an integer, got '3'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            AmbientSpace(p, n)
+
+
 def test_space_budget(monkeypatch):
     with pytest.raises(BudgetError):
         AmbientSpace(2, 27)  # 2^27 over the default 2^26 budget

@@ -193,6 +193,8 @@ def _tagged_sweeps(draw):
 @example((3, 3, 1, 2, 27, 6, (1,)))  # chunks of a few directions, with fixed free entries
 @example((2, 4, 3, 1, 16, 7, (2,)))  # 16 labels, at least 3/2 p^2: the shear
 @example((2, 2, 1, 1, 4, 7, (2,)))  # fold over F_2: 4 bins per direction, 4 labels
+@example((3, 2, 2, 1, 9, 8, 700))  # r = 0, one tag
+@example((5, 3, 1, 1, 40, 9, 700))  # r = 2, one tag
 @settings(max_examples=150, deadline=None)
 def test_grassmannian_route_matches_stacked_product_and_brute_force(case):
     p, n, k, ntags, size, seed, cap = case
@@ -211,6 +213,11 @@ def test_grassmannian_route_matches_stacked_product_and_brute_force(case):
         stacked = _kernel(digits, tags, ntags, G[:])  # a slice is not marked: stacked product
     assert got.dtype == np.int64 and got.shape == (len(G), ntags, p ** (n - k))
     assert np.array_equal(got, stacked)
+    # the helper that bins the stacked product, on all label maps at once: r digits wide
+    maps = np.concatenate(list(G.label_map_blocks())).transpose(2, 0, 1)
+    assert maps.shape[0] == n - k
+    direct = subspaces._code_histograms(space, digits.astype(np.float64), tags, ntags, maps)
+    assert np.array_equal(direct, got)
     for W, h in zip(G, got):
         points = span_points(W.basis, p, n)
         for t in range(ntags):

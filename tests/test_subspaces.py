@@ -340,6 +340,15 @@ def test_subspace_array_refuses_non_integral_entries(bases, message):
         SubspaceArray(AmbientSpace(3, 2), bases)
 
 
+def test_subspace_refuses_non_integral_basis_entries():
+    space = AmbientSpace(3, 2)
+    # once kept, its matrix truncated to (1, 0) and its dual taken as span{(0, 1)}
+    with pytest.raises(ValueError, match=r"basis\[0\]\[1\] = 0.5 is not an integer"):
+        Subspace(space, ((1, 0.5),), (0,))
+    W = Subspace(space, ((1.0, 2.0),), (0,))
+    assert W == Subspace(space, ((1, 2),), (0,)) and type(W.basis[0][1]) is int
+
+
 def test_subspace_array_takes_integral_floats():
     space = AmbientSpace(3, 2)
     assert SubspaceArray(space, [[[1.0, 2.0]]]) == SubspaceArray(space, [[[1, 2]]])
