@@ -1,6 +1,6 @@
 """Generalized energy over plane families.
 
-energy(E, directions, labels) = sum over planes of |E n plane|^2, for a
+family_energy(E, directions, labels) = sum over planes of |E n plane|^2, for a
 family that names each plane by its direction and its coset label.  Over
 the full family A(n,m) it collapses to |E| p^m C(n-1,m)_p + |E|^2
 C(n-1,m-1)_p, verified here combinatorially and through the spectral route,
@@ -14,7 +14,7 @@ from ffproj import (
     AmbientSpace,
     PointSet,
     additive_energy,
-    energy,
+    family_energy,
     key_lemma_check,
     product_set,
     sum_lines,
@@ -39,8 +39,8 @@ print("\nAdditive energy = line-family energy of the product set:")
 p = 7
 A, B = {0, 1, 3}, {0, 2, 5, 6}
 ae = additive_energy(A, B, p)
-le = energy(product_set(A, B, p), *sum_lines(p))  # p lines, one direction
-print(f"  E(A,B) = {ae} over F_{p}, energy(A x B, lines x+y=k) = {le}")
+le = family_energy(product_set(A, B, p), *sum_lines(p))  # p lines, one direction
+print(f"  E(A,B) = {ae} over F_{p}, family_energy(A x B, lines x+y=k) = {le}")
 
 print("\nEnergy of a random set over the coset expansion of a direction set,")
 print("against its two exact upper bounds:")

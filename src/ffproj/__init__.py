@@ -25,8 +25,8 @@ from .core import (
 )
 from .energy import (
     additive_energy,
-    energy,
     energy_over_all_planes,
+    family_energy,
     key_lemma_check,
     product_set,
     sum_lines,

@@ -40,7 +40,7 @@ from .subspaces import (
 )
 
 __all__ = [
-    "energy",
+    "family_energy",
     "energy_over_all_planes",
     "energy_identity_closed_form",
     "verify_energy_identity",
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-def energy(E: PointSet, directions: SubspaceArray, labels: np.ndarray) -> int:
+def family_energy(E: PointSet, directions: SubspaceArray, labels: np.ndarray) -> int:
     """Exact sum of |E n P|^2 over a family of planes: P_i is the coset labels[i] of directions[i].
 
     The family holds one direction and one coset label (see

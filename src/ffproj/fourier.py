@@ -536,8 +536,9 @@ def save_spectrum_csv(S: Spectrum, path) -> None:
         fh.write(",".join(header) + "\r\n")
         # the bytes csv.writer gives these rows (no field needs quoting), built
         # column by column: the float columns are formatted by _float_strings,
-        # the modulus is Python's abs(complex), which matches numpy's scalar
-        # abs where np.abs on an array can differ in the last ulp; a row's first
+        # the modulus is libm's hypot, which Python's abs(complex) calls and
+        # np.hypot calls element by element, where np.abs on an array can
+        # differ from it in the last ulp; a row's first
         # k coordinates are gathered from one table for the whole dump, and the
         # others, constant over runs of p^k rows, from a second one, run by run
         for start in range(0, space.point_count, _CSV_BLOCK):
@@ -548,6 +549,6 @@ def save_spectrum_csv(S: Spectrum, path) -> None:
                 runs = np.arange(start // period, (stop - 1) // period + 1)
                 lengths = np.diff(np.append(np.clip(runs * period, start, None), stop))
                 columns.append(np.repeat(high[runs], lengths).tolist())
-            moduli = np.fromiter(map(abs, values.tolist()), dtype=np.float64, count=len(values))
+            moduli = np.hypot(values.real, values.imag)
             columns += _float_strings((values.real, values.imag, moduli))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

@@ -182,48 +182,43 @@ def _pivot_columns(bases: np.ndarray) -> np.ndarray:
     return (bases != 0).argmax(axis=-1)
 
 
-def _rref_fault(bases: np.ndarray, p: int) -> str | None:
-    """Why a (G, k, n) stack is not made of RREF bases mod p, or None if it is.
+_RREF_FAULTS = (  # in the order :func:`_rref_faults` decides them
+    "basis entries must be residues in [0, {p})",
+    "a basis has a zero row",
+    "pivot columns must strictly increase",
+    "each pivot column must be a unit column",
+)
 
-    RREF: residues in [0, p), no zero row, pivots (first nonzero entries)
-    strictly increasing, and each pivot column a unit column.
+
+def _rref_faults(stacks: Sequence[np.ndarray], p: int) -> list[str | None]:
+    """Why each (G, k, n) int64 stack of a non-empty sequence is not made of RREF bases mod p.
+
+    None for RREF bases: residues in [0, p), no zero row, pivots (first
+    nonzero entries) strictly increasing, and unit pivot columns.  Else the
+    first of these, in that order, that one of the stack's bases breaks.
+    The stacks are padded with zero rows into one (:func:`_padded_stack`)
+    and each condition is one reduction over it.  Where the first three
+    hold, a pivot column is a unit column iff it sums to 1.
     """
-    if ((bases < 0) | (bases >= p)).any():
-        return f"basis entries must be residues in [0, {p})"
-    if not bases.any(axis=2).all():
-        return "a basis has a zero row"
-    pivots = _pivot_columns(bases)
-    if (np.diff(pivots, axis=1) <= 0).any():
-        return "pivot columns must strictly increase"
-    at_pivots = np.take_along_axis(bases, pivots[:, None, :], axis=2)
-    if (at_pivots != np.eye(bases.shape[1], dtype=np.int64)).any():
-        return "each pivot column must be a unit column"
-    return None
-
-
-def _canonical_arrays(arrays) -> list[bool]:
-    """Whether each array of one space holds RREF bases only, for all arrays at once.
-
-    An array passes exactly when :func:`_rref_fault` finds no fault in its
-    bases.  The bases are stacked and padded with zero rows
-    (:func:`_padded_stack`), and three reductions over the stack decide:
-    every entry is a residue, the pivots of a basis's rows strictly
-    increase, and each pivot column sums to 1.  With residues, a column
-    summing to 1 is a unit column, and a zero row fails one of the other two.
-    """
-    bases, ends = _padded_stack(arrays)
+    bases, ends = _padded_stack(stacks)
     real = np.zeros(bases.shape[:2], dtype=bool)  # the rows of each basis, not its padding
-    for G, end in zip(arrays, ends):
-        real[end - len(G) : end, : G.dim] = True
+    for stack, end in zip(stacks, ends):
+        real[end - len(stack) : end, : stack.shape[1]] = True
     pivots = _pivot_columns(bases)
-    unit = np.take_along_axis(bases.sum(axis=1), pivots, axis=1) == 1
-    ok = (
-        (bases % arrays[0].space.p == bases).all(axis=(1, 2))
-        & ((np.diff(pivots, axis=1) > 0) | ~real[:, 1:]).all(axis=1)
-        & (unit | ~real).all(axis=1)
-    )
-    faults = np.concatenate([[0], np.cumsum(~ok)])  # an empty array has none
-    return (faults[ends] == faults[[0, *ends[:-1]]]).tolist()
+    at_pivots = np.take_along_axis(bases.sum(axis=1), pivots, axis=1)
+    broken = np.stack([
+        (bases % p != bases).any(axis=(1, 2)),
+        (real & ~bases.any(axis=2)).any(axis=1),
+        (real[:, 1:] & (np.diff(pivots, axis=1) <= 0)).any(axis=1),
+        (real & (at_pivots != 1)).any(axis=1),
+    ])
+    counts = np.zeros((len(broken), len(bases) + 1), dtype=np.int64)  # an empty stack has none
+    np.cumsum(broken, axis=1, out=counts[:, 1:])
+    found = (counts[:, ends] > counts[:, [0, *ends[:-1]]]).T.tolist()  # by stack, then fault
+    return [
+        next((fault.format(p=p) for fault, hit in zip(_RREF_FAULTS, row) if hit), None)
+        for row in found
+    ]
 
 
 def label_maps(bases: np.ndarray, p: int) -> np.ndarray:
@@ -298,29 +293,26 @@ def _code_histograms(space: AmbientSpace, rows, tags, ntags: int, maps) -> np.nd
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace in canonical RREF form; equality is basis equality."""
+    """A linear subspace in canonical RREF form; equality is basis equality.
+
+    The constructor refuses a basis that :func:`_rref_faults` faults with
+    ``ValueError``; a :class:`SubspaceArray` hands out its elements unchecked.
+    """
 
     space: AmbientSpace
     basis: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
 
     def __post_init__(self) -> None:
         p, n = self.space.p, self.space.n
         basis = tuple(_integers(row, f"basis[{i}]") for i, row in enumerate(self.basis))
         object.__setattr__(self, "basis", basis)  # a matrix cast would truncate 0.5 to 0
-        if len(self.basis) != len(self.pivots):
-            raise ValueError("one pivot per basis row required")
-        if any(self.pivots[i] >= self.pivots[i + 1] for i in range(len(self.pivots) - 1)):
-            raise ValueError("pivot columns must strictly increase")
-        for i, row in enumerate(self.basis):
-            if len(row) != n or any(not 0 <= c < p for c in row):
-                raise ValueError("basis row out of range")
-            if row[self.pivots[i]] != 1:
-                raise ValueError("pivot entry must be 1")
-            if any(row[j] for j in range(self.pivots[i])):
-                raise ValueError("entries left of pivot must vanish")
-            if any(row[self.pivots[k]] for k in range(len(self.basis)) if k != i):
-                raise ValueError("pivot columns must be zero in other rows")
+        if any(len(row) != n for row in basis):
+            raise ValueError(f"basis rows must have {n} entries")
+        # an entry beyond int64 is no residue either: clamped, it is still refused as one
+        matrix = np.array([[min(max(c, -1), p) for c in row] for row in basis], dtype=np.int64)
+        fault = _rref_faults([matrix.reshape(1, len(basis), n)], p)[0]
+        if fault:
+            raise ValueError(f"not an RREF basis: {fault}")
 
     @classmethod
     def from_rows(cls, space: AmbientSpace, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -337,18 +329,20 @@ class Subspace:
 
     @classmethod
     def zero(cls, space: AmbientSpace) -> "Subspace":
-        return cls(space, (), ())
+        return SubspaceArray._unchecked(space, np.zeros((1, 0, space.n), dtype=np.int64))[0]
 
     @classmethod
     def full(cls, space: AmbientSpace) -> "Subspace":
-        eye = tuple(
-            tuple(1 if j == i else 0 for j in range(space.n)) for i in range(space.n)
-        )
-        return cls(space, eye, tuple(range(space.n)))
+        return SubspaceArray._unchecked(space, np.eye(space.n, dtype=np.int64)[None])[0]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each basis row, read off the basis."""
+        return tuple(_pivot_columns(self.matrix).tolist())
 
     @property
     def matrix(self) -> np.ndarray:
@@ -380,7 +374,8 @@ class SubspaceArray(SequenceABC):
     (:meth:`label_map_blocks`); a :class:`Subspace` is built only when an
     element is indexed or iterated.  Two arrays are equal when their spaces
     and bases are.  The constructor checks that every entry is an integer
-    and every basis canonical, and raises ``ValueError`` otherwise.
+    and every basis canonical (:func:`_rref_faults`), and raises
+    ``ValueError`` otherwise.
     """
 
     __slots__ = ("space", "bases", "_grassmannian")
@@ -389,7 +384,7 @@ class SubspaceArray(SequenceABC):
         bases = _integer_array(bases, "bases")
         if bases.ndim != 3 or bases.shape[2] != space.n:
             raise ValueError(f"bases must have shape (G, k, {space.n}), got {bases.shape}")
-        fault = _rref_fault(bases, space.p)
+        fault = _rref_faults([bases], space.p)[0]
         if fault:
             raise ValueError(f"not a stack of RREF bases: {fault}")
         self._hold(space, bases)
@@ -454,8 +449,10 @@ class SubspaceArray(SequenceABC):
         return next(iter(SubspaceArray._unchecked(self.space, self.bases[i][None])))
 
     def __iter__(self) -> Iterator[Subspace]:
-        for basis, pivots in zip(self.bases.tolist(), self.pivots.tolist()):
-            yield Subspace(self.space, tuple(map(tuple, basis)), tuple(pivots))
+        for basis in self.bases.tolist():
+            W = Subspace.__new__(Subspace)  # canonical by construction: no second check
+            W.__dict__.update(space=self.space, basis=tuple(map(tuple, basis)))
+            yield W
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SubspaceArray):
@@ -503,16 +500,17 @@ def _dual_generators(bases: np.ndarray, compact: bool) -> np.ndarray:
     return generators
 
 
-def _padded_stack(arrays) -> tuple[np.ndarray, list[int]]:
-    """The bases of a non-empty sequence of arrays of one space, stacked and padded with zero rows.
+def _padded_stack(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """A non-empty sequence of (G, k, n) stacks of bases, one n, stacked and padded with zero rows.
 
-    Returns the (sum of lengths, largest dimension, n) int64 stack and where
-    each array's bases end in it.
+    Returns the (sum of G, largest k, n) int64 stack and where each stack
+    ends in it.
     """
-    ends = np.cumsum([len(G) for G in arrays]).tolist()
-    bases = np.zeros((ends[-1], max(G.dim for G in arrays), arrays[0].space.n), dtype=np.int64)
-    for G, end in zip(arrays, ends):
-        bases[end - len(G) : end, : G.dim] = G.bases
+    ends = np.cumsum([len(stack) for stack in stacks]).tolist()
+    shape = (ends[-1], max(stack.shape[1] for stack in stacks), stacks[0].shape[2])
+    bases = np.zeros(shape, dtype=np.int64)
+    for stack, end in zip(stacks, ends):
+        bases[end - len(stack) : end, : stack.shape[1]] = stack
     return bases, ends
 
 
@@ -535,7 +533,7 @@ def _dual_bases(directions):
     space = directions[0].space
     n = space.n
     dims = [G.dim for G in directions]
-    bases, ends = _padded_stack(directions)
+    bases, ends = _padded_stack([G.bases for G in directions])
     compact = len(set(dims)) == 1
     stack = np.empty((len(bases), n - dims[0] if compact else n, n), dtype=np.int64)
     rows = _block_rows(8 * n * n)  # a block's generators before they are compacted
@@ -741,7 +739,4 @@ def parse_subspace(text: str, space: AmbientSpace | None = None) -> Subspace:
     rows = [tuple(int(c) for c in line.split(",")) for line in lines[1:]]
     if len(rows) != dim:
         raise ValueError(f"expected {dim} rows, got {len(rows)}")
-    W = Subspace.from_rows(space, rows)
-    if W.basis != tuple(rows):
-        raise ValueError("subspace rows are not in canonical RREF form")
-    return W
+    return Subspace(space, tuple(rows))

@@ -11,7 +11,6 @@ name the counterexample instance.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -25,7 +24,6 @@ from .random_sets import PercolationModel, percolation_sample
 from .subspaces import (
     SubspaceArray,
     _block_rows,
-    _canonical_arrays,
     _check_budget,
     _check_enumeration,
     _code_histograms,
@@ -34,6 +32,7 @@ from .subspaces import (
     _pivot_columns,
     _point_blocks,
     _residue_codes,
+    _rref_faults,
     binom_at_most_twice_power,
     gaussian_binomial,
 )
@@ -206,10 +205,10 @@ def _cell_checks(cell, checks) -> None:
     # the dual U is Per(W), and so Per(U) = W, iff U is canonical, orthogonal to W and of
     # dimension n - m (a U short of rows passes the other two).  W U^T for every W of the
     # cell is one product of the stacked bases, whose zero padding rows are harmless.
-    bases, dual_bases = (_padded_stack(list(a.values()))[0] for a in (arrays, duals))
+    bases, dual_bases = (_padded_stack([G.bases for G in a.values()])[0] for a in (arrays, duals))
     products = bases @ dual_bases.transpose(0, 2, 1) % p
     orthogonal = np.logical_and.reduceat(~products.any(axis=(1, 2)), _starts(arrays)[:-1])
-    canonical = _canonical_arrays(list(duals.values()))
+    canonical = [fault is None for fault in _rref_faults([P.bases for P in duals.values()], p)]
     involutive, bijective = [], []
     for (m, G), ok, perpendicular in zip(arrays.items(), canonical, orthogonal.tolist()):
         P = duals[m]
@@ -244,12 +243,14 @@ def _character_checks(cell, checks) -> None:
         bad[row[members[k]], np.arange(G)[:, None]] = p ** (n - k)  # 0 is in V, so 0's row too
         step = min(len(maps), _block_rows(24 * size))  # a block's maps, then V rows: under the cap
         block = _block_rows(24 * step * size)
-        for lo, m in itertools.product(range(0, G, block), range(0, len(maps), step)):
+        for lo in range(0, G, block):
             rows = digits_of(space, dual_points[k][lo : lo + block].ravel()).astype(np.float64)
             c = len(rows) // size
-            h = _code_histograms(space, rows, np.repeat(np.arange(c), size), c, xs[:, m : m + step])
-            h[..., 0] -= bad[m : m + step, lo : lo + c]
-            bad[m : m + step, lo : lo + c] = (h != h[..., 1:2]).any(axis=2)
+            tags = np.repeat(np.arange(c), size)
+            for m in range(0, len(maps), step):
+                h = _code_histograms(space, rows, tags, c, xs[:, m : m + step])
+                h[..., 0] -= bad[m : m + step, lo : lo + c]
+                bad[m : m + step, lo : lo + c] = (h != h[..., 1:2]).any(axis=2)
         failing.append(bad[0] + (p - 1) * bad[1:].sum(axis=0))  # a line decides p - 1 x
     failing = np.concatenate(failing)
 

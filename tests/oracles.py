@@ -2,7 +2,9 @@
 
 Everything here works on tuples and frozensets of tuples, never on RREF
 bases, coset labels, or the axis-wise transform, so agreement with the
-library is a genuine cross-check.  The exceptions are
+library is a genuine cross-check.  The exceptions are :func:`rref_fault`,
+the canonical-form check as first written, one row at a time in Python,
+whose verdicts the batched check must reproduce, and
 :func:`int64_coset_labels`, the library's label convention computed by an
 int64 formula of its own rather than by the float64 label maps,
 :func:`digit_loop_norms`, the built-in sets' x.x mod p in index order,
@@ -194,6 +196,29 @@ def brute_additive_energy(A, B, p):
     return count
 
 
+def rref_fault(bases, p):
+    """The first RREF fault of a (G, k, n) stack of bases mod p, by a word of its message, or None.
+
+    In the library's order, over the whole stack: an entry that is no
+    residue in [0, p), a zero row, pivots (first nonzero entries) that do
+    not strictly increase, a pivot column that is no unit column.
+    """
+    bases = np.asarray(bases).tolist()
+    rows = [row for basis in bases for row in basis]
+    if any(not 0 <= c < p for row in rows for c in row):
+        return "residues"
+    if not all(any(row) for row in rows):
+        return "zero row"
+    pivots = [[next(j for j, c in enumerate(row) if c) for row in basis] for basis in bases]
+    if any(a >= b for piv in pivots for a, b in zip(piv, piv[1:])):
+        return "strictly increase"
+    for basis, piv in zip(bases, pivots):
+        for i in range(len(basis)):
+            if any(row[piv[i]] != (k == i) for k, row in enumerate(basis)):
+                return "unit column"
+    return None
+
+
 def int64_coset_labels(W, indices):
     """Coset labels of point indices under a ``Subspace`` W, in int64 arithmetic.
 
@@ -306,7 +331,7 @@ def loop_cell_checks(cell, checks):
     """
     from ffproj import suite
     from ffproj.core import decode
-    from ffproj.subspaces import _dual_bases, _rref_fault
+    from ffproj.subspaces import _dual_bases
 
     binomial = suite.gaussian_binomial
     space, arrays, duals, members, dual_points, _ = cell
@@ -342,7 +367,7 @@ def loop_cell_checks(cell, checks):
 
     # the cell's duals, dualised again by the library's elimination (not the suite's name
     # for it, which a fault may replace: the fault is in the cell's duals, not in this check)
-    canonical = [m for m, P in duals.items() if _rref_fault(P.bases, p) is None]
+    canonical = [m for m, P in duals.items() if rref_fault(P.bases, p) is None]
     back = dict(zip(canonical, _dual_bases([duals[m] for m in canonical])))
     for m, G in arrays.items():
         P = duals[m]

@@ -63,6 +63,13 @@ def test_every_name_in_all_exists(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_package_attribute_named_after_a_submodule_is_that_submodule(name):
+    # an export named like a submodule would shadow it: ``from ffproj import energy``
+    module = importlib.import_module(f"ffproj.{name}")
+    assert getattr(ffproj, name) is module
+
+
 def test_signatures_match_the_golden():
     assert api_signatures() == json.loads(SIGNATURES.read_text())
 

@@ -38,6 +38,7 @@ from oracles import (
     brute_perp,
     loop_spectral_energy,
     ordered_span_indices,
+    rref_fault,
     span_points,
 )
 
@@ -130,9 +131,8 @@ def test_batched_dual_is_perp(cell, cap, rng):
     assert array.pivots.tolist() == [list(W.pivots) for W in directions]
     dual_bases = rref_stack(label_maps(array.bases, p).transpose(0, 2, 1), p)
     assert dual_bases.shape == (len(directions), n - k, n)
-    # Subspace() checks the canonical RREF form of each dual basis
-    duals = [Subspace(space, tuple(map(tuple, b)), tuple(piv))
-             for b, piv in zip(dual_bases.tolist(), _pivot_columns(dual_bases).tolist())]
+    assert rref_fault(dual_bases, p) is None  # each dual basis is in canonical RREF form
+    duals = [Subspace(space, b) for b in dual_bases.tolist()]
     for W, P in zip(directions, duals):
         # x is orthogonal to W iff it is orthogonal to W's basis rows
         assert span_points(P.basis, p, n) == brute_perp(W.basis, p, n)
@@ -188,9 +188,8 @@ def test_rref_stack_is_the_canonical_basis_of_the_span(p, n, data):
     for m, basis in zip(mats, bases.tolist()):
         rank = sum(map(any, basis))
         assert not any(map(any, basis[rank:]))  # a rank-deficient matrix ends in zero rows
-        rows = tuple(map(tuple, basis[:rank]))
-        pivots = tuple(next(j for j, c in enumerate(row) if c) for row in rows)
-        W = Subspace(space, rows, pivots)  # checks the canonical RREF form
+        assert rref_fault([basis[:rank]], p) is None  # the canonical RREF form
+        W = Subspace(space, basis[:rank])
         residues = [[c % p for c in row] for row in m]
         assert span_points(W.basis, p, n) == span_points(residues, p, n)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffproj import cli, projections, subspaces, suite
+from ffproj import cli, energy, projections, subspaces, suite
 from ffproj.core import AmbientSpace, PointSet, load_point_set, save_point_set
 from ffproj.subspaces import Subspace, gaussian_binomial
 
@@ -245,7 +245,6 @@ def _fail_census(monkeypatch):
 
 def _fail_energy(monkeypatch):
     """The energy identity's closed form reads one more than the truth."""
-    energy = sys.modules["ffproj.energy"]  # the package's own ``energy`` is the function
     closed_form = energy.energy_identity_closed_form
     monkeypatch.setattr(energy, "energy_identity_closed_form", lambda *a: closed_form(*a) + 1)
 
@@ -541,7 +540,7 @@ def test_energy_makes_no_transform(workdir, monkeypatch, capsys):
     for key, module in list(sys.modules.items()):
         if (key == "ffproj" or key.startswith("ffproj.")) and getattr(module, "dft", None) is real:
             monkeypatch.setattr(module, "dft", counted)
-    assert not hasattr(sys.modules["ffproj.energy"], "dft")  # ffproj.energy is the function
+    assert not hasattr(energy, "dft")  # the energy module binds no transform to patch
     monkeypatch.chdir(workdir)
     for m in ("0", "1", "2"):
         assert cli.main(["energy", "--pointset", "line.pts", "--m", m]) == 0

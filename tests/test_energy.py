@@ -1,15 +1,15 @@
-import importlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ffproj.energy as energy_module
 from ffproj.core import AmbientSpace, PointSet, encode
 from ffproj.energy import (
     additive_energy,
-    energy,
     energy_identity_closed_form,
     energy_over_all_planes,
+    family_energy,
     key_lemma_check,
     product_set,
     sum_lines,
@@ -29,7 +29,6 @@ from oracles import (
 )
 
 F32 = AmbientSpace(3, 2)
-energy_module = importlib.import_module("ffproj.energy")  # ffproj.energy is the function
 
 
 def full_family(space, m):
@@ -40,8 +39,8 @@ def full_family(space, m):
 
 
 def test_energy_empty_set():
-    assert energy(PointSet.empty(F32), *full_family(F32, 1)) == 0
-    assert energy(PointSet.full(F32), SubspaceArray.of(F32, []), []) == 0
+    assert family_energy(PointSet.empty(F32), *full_family(F32, 1)) == 0
+    assert family_energy(PointSet.full(F32), SubspaceArray.of(F32, []), []) == 0
     assert energy_over_all_planes(PointSet.empty(F32), 1) == 0
 
 
@@ -49,12 +48,12 @@ def test_energy_singleton_counts_planes_through_point():
     for p, n, m in [(3, 2, 1), (2, 3, 1), (2, 3, 2)]:
         space = AmbientSpace(p, n)
         E = PointSet.from_indices(space, [0])
-        assert energy(E, *full_family(space, m)) == gaussian_binomial(n, m, p)
+        assert family_energy(E, *full_family(space, m)) == gaussian_binomial(n, m, p)
 
 
 def test_energy_two_points_f32():
     E = PointSet.from_vectors(F32, [(0, 0), (1, 2)])
-    assert energy(E, *full_family(F32, 1)) == 10
+    assert family_energy(E, *full_family(F32, 1)) == 10
     assert energy_over_all_planes(E, 1) == 10
 
 
@@ -77,7 +76,7 @@ def test_energy_matches_brute_force():
                     planes = [brute_plane(W.basis, x, p, n) for W, x in family]
                     directions = SubspaceArray.of(space, [W for W, _ in family])
                     E = PointSet(space, rng.random(space.point_count) < rng.uniform(0, 1))
-                    assert energy(E, directions, labels) == brute_energy(E.vectors(), planes)
+                    assert family_energy(E, directions, labels) == brute_energy(E.vectors(), planes)
 
 
 def test_energy_over_a_full_family_is_the_brute_sum():
@@ -91,35 +90,35 @@ def test_energy_over_a_full_family_is_the_brute_sum():
                 for plane in brute_cosets_hit(all_vectors(p, n), W.point_set().vectors(), p)
             ]
             expected = brute_energy(E.vectors(), planes)
-            assert energy(E, *full_family(space, m)) == expected == energy_over_all_planes(E, m)
+            assert family_energy(E, *full_family(space, m)) == expected == energy_over_all_planes(E, m)
 
 
 def test_energy_rejects_mixed_dimensions():
     mixed = list(enumerate_grassmannian(F32, 1)) + list(enumerate_grassmannian(F32, 2))
     with pytest.raises(ValueError, match="mixes dimensions"):
-        energy(PointSet.full(F32), mixed, [0] * len(mixed))
+        family_energy(PointSet.full(F32), mixed, [0] * len(mixed))
 
 
 def test_energy_checks_its_family():
     E = PointSet.full(F32)
     directions, labels = full_family(F32, 1)
     with pytest.raises(ValueError, match="11 coset labels for 12 directions"):
-        energy(E, directions, labels[:11])
+        family_energy(E, directions, labels[:11])
     for bad in (-1, 3):
         with pytest.raises(ValueError, match=r"coset labels must lie in \[0, 3\)"):
-            energy(E, directions, np.where(np.arange(12) == 5, bad, labels))
+            family_energy(E, directions, np.where(np.arange(12) == 5, bad, labels))
     with pytest.raises(ValueError, match="different spaces"):
-        energy(PointSet.full(AmbientSpace(5, 2)), directions, labels)
+        family_energy(PointSet.full(AmbientSpace(5, 2)), directions, labels)
 
 
 def test_energy_refuses_non_integral_labels():
     E = PointSet.full(F32)
     G = SubspaceArray.grassmannian(F32, 1)
     with pytest.raises(ValueError, match=r"labels\[0\] = 1.7 is not an integer"):
-        energy(E, G[:1], [1.7])  # once read plane 1
+        family_energy(E, G[:1], [1.7])  # once read plane 1
     with pytest.raises(ValueError, match=r"labels\[1\] = inf is not an integer"):
-        energy(E, G[:2], np.array([0.0, np.inf]))
-    assert energy(E, G[:1], [1.0]) == energy(E, G[:1], [1]) == 9
+        family_energy(E, G[:2], np.array([0.0, np.inf]))
+    assert family_energy(E, G[:1], [1.0]) == family_energy(E, G[:1], [1]) == 9
 
 
 def test_energy_monotone_in_family():
@@ -128,8 +127,8 @@ def test_energy_monotone_in_family():
     for _ in range(10):
         E = PointSet(F32, rng.random(9) < 0.6)
         k = rng.integers(1, len(labels))
-        smaller = energy(E, directions[:k], labels[:k])
-        assert energy(E, directions[: k + 1], labels[: k + 1]) >= smaller
+        smaller = family_energy(E, directions[:k], labels[:k])
+        assert family_energy(E, directions[: k + 1], labels[: k + 1]) >= smaller
 
 
 def test_identity_exhaustive_f32():
@@ -213,7 +212,7 @@ def test_additive_energy_equals_line_energy(monkeypatch):
         for _ in range(10):
             A = set(rng.choice(p, size=rng.integers(1, p), replace=False).tolist())
             B = set(rng.choice(p, size=rng.integers(1, p), replace=False).tolist())
-            assert additive_energy(A, B, p) == energy(product_set(A, B, p), *lines)
+            assert additive_energy(A, B, p) == family_energy(product_set(A, B, p), *lines)
     assert swept == [1] * 20  # the p lines of a call share one direction, swept once
 
 
@@ -228,7 +227,7 @@ def test_key_lemma_line_over_all_directions():
     directions = list(enumerate_grassmannian(F32, 1))
     result = key_lemma_check(line, directions)
     # coset expansion covers all 12 lines; energy = 9 + 3*3 = 18
-    assert result.energy == energy(line, *full_family(F32, 1))
+    assert result.energy == family_energy(line, *full_family(F32, 1))
     assert result.energy == 18
     assert result.condition_ok and result.ok
     assert result.small_set_regime

@@ -506,6 +506,19 @@ def test_spectrum_csv_roundtrip(tmp_path):
         )
 
 
+@pytest.mark.parametrize("p,n", [(31, 3), (13, 3), (2, 12)])
+def test_spectrum_csv_modulus_is_abs_of_complex_bit_for_bit(tmp_path, p, n):
+    space = AmbientSpace(p, n)
+    random_set = PointSet(space, np.random.default_rng(p).random(space.point_count) < 0.5)
+    for E in (paraboloid(space), sphere(space, 1), random_set):
+        S = dft(E)
+        save_spectrum_csv(S, tmp_path / "spec.csv")
+        with open(tmp_path / "spec.csv", newline="") as fh:
+            dumped = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+        expected = [abs(z) for z in S.values.tolist()]  # np.abs may differ in the last ulp
+        assert np.array_equal(np.array(dumped).view(np.int64), np.array(expected).view(np.int64))
+
+
 def _row_by_row_spectrum_csv(S, path):
     """The former writer: one decode and one numpy-scalar abs per row."""
     from ffproj.core import decode

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ffproj import projections, subspaces
 from ffproj.core import AmbientSpace, BudgetError, PointSet
-from ffproj.energy import energy
+from ffproj.energy import family_energy
 from ffproj.projections import (
     ExactBound,
     census_at_scales,
@@ -668,12 +668,12 @@ def test_energy_spans_several_chunks(monkeypatch):
     reps = subspaces._plane_reps(directions, labels).tolist()
     planes = [brute_plane(W.basis, rep, 3, 3) for W, rep in zip(directions, reps)]
     expected = brute_energy(E.vectors(), planes)
-    assert energy(E, directions, labels) == expected
+    assert family_energy(E, directions, labels) == expected
     # two directions of G(3,1) per chunk: 13 directions make 7 chunks
     cap = 2 * projections._chunk_bytes(E.cardinality, 2, 1, 3)
     monkeypatch.setattr(subspaces, "_KERNEL_BYTES", cap)
-    assert energy(E, directions, labels) == expected
-    assert energy(E, directions[::4], labels[::4]) == brute_energy(E.vectors(), planes[::4])
+    assert family_energy(E, directions, labels) == expected
+    assert family_energy(E, directions[::4], labels[::4]) == brute_energy(E.vectors(), planes[::4])
 
 
 def test_coset_counts_rejects_foreign_direction():

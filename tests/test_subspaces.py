@@ -34,6 +34,7 @@ from oracles import (
     brute_plane,
     brute_subspace_pointsets,
     int64_coset_labels,
+    rref_fault,
     span_points,
 )
 
@@ -317,17 +318,30 @@ def test_subspace_array_freezes_a_view_not_the_callers_array():
     assert np.shares_memory(array.bases, bases)
 
 
-@pytest.mark.parametrize("bases,message", [
+_NON_CANONICAL = [
     ([[[0, 0]]], "zero row"),  # once died in a reshape of the label maps
     ([[[1, 3]]], "residues"),
     ([[[1, -1]]], "residues"),
     ([[[0, 1], [1, 0]]], "strictly increase"),
     ([[[2, 1]]], "unit column"),
     ([[[1, 1], [0, 1]]], "unit column"),
-])
+]
+
+
+@pytest.mark.parametrize("bases,message", _NON_CANONICAL)
 def test_subspace_array_refuses_non_canonical_bases(bases, message):
     with pytest.raises(ValueError, match=message):
         SubspaceArray(AmbientSpace(3, 2), np.array(bases))
+
+
+@pytest.mark.parametrize("bases,message", _NON_CANONICAL + [([[[1, 2**70]]], "residues")])
+def test_subspace_and_its_parser_refuse_what_the_array_refuses(bases, message):
+    space, (basis,) = AmbientSpace(3, 2), bases
+    with pytest.raises(ValueError, match=message):
+        Subspace(space, basis)
+    text = f"subspace p=3 n=2 m={len(basis)}\n" + "".join(f"{a},{b}\n" for a, b in basis)
+    with pytest.raises(ValueError, match=message):
+        parse_subspace(text)
 
 
 @pytest.mark.parametrize("bases,message", [
@@ -344,9 +358,9 @@ def test_subspace_refuses_non_integral_basis_entries():
     space = AmbientSpace(3, 2)
     # once kept, its matrix truncated to (1, 0) and its dual taken as span{(0, 1)}
     with pytest.raises(ValueError, match=r"basis\[0\]\[1\] = 0.5 is not an integer"):
-        Subspace(space, ((1, 0.5),), (0,))
-    W = Subspace(space, ((1.0, 2.0),), (0,))
-    assert W == Subspace(space, ((1, 2),), (0,)) and type(W.basis[0][1]) is int
+        Subspace(space, ((1, 0.5),))
+    W = Subspace(space, ((1.0, 2.0),))
+    assert W == Subspace(space, ((1, 2),)) and type(W.basis[0][1]) is int
 
 
 def test_subspace_array_takes_integral_floats():
@@ -466,13 +480,13 @@ def test_enumeration_order_deterministic():
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2), (2, 4)])
-def test_canonical_arrays_agree_with_rref_fault(p, n):
+def test_rref_faults_agree_with_the_row_by_row_check(p, n):
     from ffproj import subspaces
 
     rng = np.random.default_rng(p * 10 + n)
     space = AmbientSpace(p, n)
     arrays = [SubspaceArray.grassmannian(space, d) for d in range(n + 1)]
-    assert subspaces._canonical_arrays(arrays) == [True] * (n + 1)
+    assert subspaces._rref_faults([G.bases for G in arrays], p) == [None] * (n + 1)
     for _ in range(200):
         mutated = []
         for G in arrays:
@@ -488,6 +502,7 @@ def test_canonical_arrays_agree_with_rref_fault(p, n):
                     bases[g] = bases[g, ::-1]
                 else:
                     bases[g, i] = (bases[g, i] + bases[g, (i + 1) % len(bases[g])]) % p
-            mutated.append(SubspaceArray._unchecked(space, bases))
-        expected = [subspaces._rref_fault(A.bases, p) is None for A in mutated]
-        assert subspaces._canonical_arrays(mutated) == expected
+            mutated.append(bases)
+        for bases, fault in zip(mutated, subspaces._rref_faults(mutated, p)):
+            word = rref_fault(bases, p)
+            assert fault is None if word is None else word in fault

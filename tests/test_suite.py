@@ -16,6 +16,7 @@ from oracles import (
     loop_cell_checks,
     loop_set_checks,
     ordered_span_indices,
+    rref_fault,
     span_points,
 )
 
@@ -381,7 +382,8 @@ def test_cell_routes_match_the_public_functions(monkeypatch, p, n):
         G = SubspaceArray.grassmannian(space, d)
         listed = list(G)
         duals = suite._dual_bases(G)
-        dual_list = list(duals)  # Subspace() checks each dual basis is in canonical RREF form
+        assert rref_fault(duals.bases, p) is None  # each dual basis is in canonical RREF form
+        dual_list = list(duals)
         assert [span_points(P.basis, p, n) for P in dual_list] == [
             brute_perp(W.basis, p, n) for W in listed  # orthogonal to W's basis rows
         ]
@@ -479,6 +481,25 @@ def test_manifests_match_the_golden():
     for expected in golden:
         manifest = run_identity_suite(expected["primes"], expected["dims"], expected["seed"])
         assert json.dumps(manifest) == json.dumps(expected)
+
+
+def test_character_checks_decode_each_block_of_duals_once(monkeypatch):
+    from ffproj import subspaces
+
+    golden = json.loads((Path(__file__).parent / "golden" / "suite_manifests.json").read_text())
+    expected = next(g for g in golden if (g["primes"], g["dims"], g["seed"]) == ([3], [3], 0))
+    monkeypatch.setattr(subspaces, "_KERNEL_BYTES", 2000)  # one V per block, several line blocks
+    cell = suite._cell(AmbientSpace(3, 3))
+    decoded, binned = [], []
+    real_digits, real_bins = suite.digits_of, suite._code_histograms
+    monkeypatch.setattr(suite, "digits_of", lambda s, i: decoded.append(i.size) or real_digits(s, i))
+    monkeypatch.setattr(suite, "_code_histograms", lambda *a: binned.append(1) or real_bins(*a))
+    suite._character_checks(cell, {"character_sums": suite._Check("character_sums")})
+    dual_points = cell[4]
+    assert len(decoded) == sum(map(len, dual_points.values())) - 1  # a V block each, k < n
+    assert sum(decoded) == sum(dual_points[k].size for k in range(3))  # every dual point once
+    assert len(binned) > len(decoded)
+    assert json.dumps(run_identity_suite([3], [3], 0)) == json.dumps(expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
