@@ -182,17 +182,24 @@ def _integers(values: Iterable, name: str) -> tuple[int, ...]:
 
 
 def _integer_array(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array; ``ValueError`` names an entry that is not an integer.
+    """``values`` as an int64 array; ``ValueError`` names an entry that is not an int64 integer.
 
-    Floats of integral value are taken; an int64 cast would truncate 1.5 to 1.
+    Floats of integral value are taken; an int64 cast would truncate 1.5 to 1, and
+    numpy's cast of an entry beyond int64 raises ``OverflowError`` or wraps it.
     """
     array = np.asarray(values)
-    if array.dtype.kind not in "biu":
-        for i, x in enumerate(array.ravel().tolist()):
-            if not _is_integer(x):
-                at = ", ".join(map(str, np.unravel_index(i, array.shape)))
-                raise ValueError(f"{name}[{at}] = {x!r} is not an integer")
-    return array.astype(np.int64, copy=False)
+    if np.can_cast(array.dtype, np.int64):  # bool and every integer dtype but uint64
+        return array.astype(np.int64, copy=False)
+    for i, x in enumerate(array.ravel().tolist()):
+        if not _is_integer(x):
+            fault = "is not an integer"
+        elif not -(2**63) <= x < 2**63:
+            fault = "is outside the int64 range"
+        else:
+            continue
+        at = ", ".join(map(str, np.unravel_index(i, array.shape)))
+        raise ValueError(f"{name}[{at}] = {x!r} {fault}")
+    return array.astype(np.int64)
 
 
 class PointSet:

@@ -12,15 +12,27 @@ TOLERANCE = 1e-9, far above the rounding error accumulated under the point
 budget for full spectra.  A spectrum computes its moduli |Ehat| once, on
 first use, and every check and report reads that one read-only array.
 
-The whole transform lives in two complex128 buffers of p^n entries.  The
-mask is cast into one in C order, so axis 0 leads.  Each axis is copied
-into the free buffer with that axis leading, and ``np.dot(F, B, out=)``
-writes F B, B that buffer as a (p, p^(n-1)) matrix, into the other; the
-codec-order copy at the end goes into whichever buffer is free (for
-n <= 2 the last product is in codec order already).  So at most two p^n
-complex arrays are alive (128 MiB at the cap), and the zgemm operands are
-the ones ``np.tensordot`` passed: BLAS results depend on the column order
-of B, and the values keep their bytes.
+The whole transform lives in two complex128 buffers of p^n entries, and
+no axis is moved.  The mask is cast into one in codec order, the C order of
+(i_{n-1}, ..., i_0).  Before axis k the memory is the C order of
+(i_{k-1}, ..., i_0, i_{n-1}, ..., i_{k+1}, i_k), so i_k is the fastest index,
+and ``np.dot(F, src.reshape(N, p).T, out=dst.reshape(p, N))``, N = p^(n-1),
+writes the C order of (i_k, ..., i_0, i_{n-1}, ..., i_{k+1}) into the other
+buffer: the order before axis k + 1, and codec order after axis n - 1.  So
+at most two p^n complex arrays are alive (128 MiB at the cap), and the cast
+is the only copy.
+
+The values keep the bytes of ``np.tensordot``, whose product is this one
+with its columns permuted and its operand stored C-contiguous.  Under
+OpenBLAS zgemm a column of the product depends only on its values and on
+whether the kernel computes it in a full group of the column unroll or in
+the tail group; the operand's layout does not count, since zgemm packs it
+before the kernel reads it.  So with r = N mod 16 (16 covers any
+power-of-two unroll up to 16), two small products put back the columns whose
+group differs (:func:`_tensordot_tail`): this order's last r columns, in a
+product 16 wide padded with zero columns, and then tensordot's last r
+columns, after 16 zero columns.  n = 1 keeps the single product, numpy's
+gemv path, as tensordot does.
 
 Identities with integer sides take no transform: for xi != 0 the Fourier
 mass of the line through xi is p M(xi^perp) - |E|^2 (:func:`_line_powers`),
@@ -80,6 +92,9 @@ __all__ = [
 
 TOLERANCE = 1e-9
 FULL_SPECTRUM_BUDGET = 1 << 22
+# every power-of-two zgemm column unroll up to 16 divides it: an invariant of the
+# reruns in ``dft`` (see ``_tensordot_tail``), not a tuning knob
+_COLUMN_GROUP = 16
 _CSV_BLOCK = 1 << 16  # spectrum rows formatted and written at a time
 # Most entries of a dump's table of its first coordinates (the table of the
 # others has p^n / p^k < 1024 p entries under the full-spectrum cap).  A table of
@@ -137,31 +152,50 @@ def check_spectrum_budget(space: AmbientSpace) -> None:
         )
 
 
+def _tensordot_tail(F: np.ndarray, columns: np.ndarray, out: np.ndarray, n: int, k: int) -> None:
+    """Give ``out = F columns.T``, axis k of ``dft``, the column bits of tensordot's order.
+
+    Row j of ``columns`` is column j of the operand: the other axes in C order of
+    (i_{k-1}, ..., i_0, i_{n-1}, ..., i_{k+1}), where tensordot takes them in
+    C order of (i_0, ..., i_{k-1}, i_{k+1}, ..., i_{n-1}).  Only the last r =
+    N mod _COLUMN_GROUP columns of either order can sit in a tail group of the
+    kernel: this order's are rerun inside a full group, then tensordot's at the
+    end of a product whose width ends its groups as tensordot's does.
+    """
+    lines, p = columns.shape
+    order = [*range(k - 1, -1, -1), *range(n - 1, k, -1)]  # the other axes, last fastest
+    canonical = sorted(order)
+    r = lines % _COLUMN_GROUP
+    if r == 0 or order == canonical:
+        return
+    group = np.zeros((_COLUMN_GROUP, p), dtype=np.complex128)
+    group[:r] = columns[lines - r:]
+    out[:, lines - r:] = np.dot(F, group.T)[:, :r]
+    # tensordot's last r columns, as columns of this order
+    digits = np.unravel_index(np.arange(lines - r, lines), (p,) * (n - 1))
+    weight = {axis: p ** (n - 2 - i) for i, axis in enumerate(order)}
+    tail = sum(d * weight[axis] for axis, d in zip(canonical, digits))
+    ended = np.zeros((_COLUMN_GROUP + r, p), dtype=np.complex128)
+    ended[_COLUMN_GROUP:] = columns[tail]
+    out[:, tail] = np.dot(F, ended.T)[:, _COLUMN_GROUP:]
+
+
 def dft(E: PointSet) -> Spectrum:
     """Full spectrum of the indicator of E, via n axis-wise length-p transforms."""
     space = E.space
     p, n = space.p, space.n
     check_spectrum_budget(space)
     F = _character_matrix(p)
-    shape = (p,) * n
-    held, free = np.empty(p**n, dtype=np.complex128), np.empty(p**n, dtype=np.complex128)
-    # axis k of the (p,)*n view is coordinate k+1 under the little-endian codec;
-    # cast into C order, so axis 0 already leads
-    np.copyto(held.reshape(shape), E.mask.reshape(shape, order="F"))
-    arr = held.reshape(shape)
-    for axis in range(n):
-        if axis:  # bring the axis to the front, C order: the operand tensordot would copy
-            np.copyto(free.reshape(shape), np.moveaxis(arr, axis, 0))
-            held, free = free, held
-        np.dot(F, held.reshape(p, -1), out=free.reshape(p, -1))
-        held, free = free, held
-        arr = np.moveaxis(held.reshape(shape), 0, axis)
-    if arr.flags.f_contiguous:  # n <= 2: the last product is already in codec order
-        values = held
-    else:
-        np.copyto(free.reshape(shape, order="F"), arr)
-        values = free
-    del held, free, arr  # the other buffer goes before the moduli are taken
+    lines = p ** (n - 1)
+    src, dst = np.empty(p**n, dtype=np.complex128), np.empty(p**n, dtype=np.complex128)
+    np.copyto(src, E.mask)  # codec order: axis 0 is the fastest index
+    for k in range(n):
+        columns, out = src.reshape(lines, p), dst.reshape(p, lines)
+        np.dot(F, columns.T, out=out)
+        _tensordot_tail(F, columns, out, n, k)
+        src, dst = dst, src
+    values = src
+    del src, dst, columns, out  # the other buffer goes before the moduli are taken
     values.flags.writeable = False
     spectrum = Spectrum(space, values, E.cardinality)
     lhs, rhs, ok = plancherel_check(spectrum)

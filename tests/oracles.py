@@ -254,7 +254,7 @@ def tensordot_dft(mask, p, n):
     """The axis-wise transform as first written: cast, then one tensordot per axis.
 
     Every change to the transform's arithmetic must reproduce these bytes;
-    BLAS results depend on operand layout, so a faster order need not.
+    zgemm computes a column by its unroll group, so a faster column order need not.
     """
     j = np.arange(p)
     F = np.exp(-2j * np.pi * np.outer(j, j) / p)

@@ -121,6 +121,15 @@ def test_energy_refuses_non_integral_labels():
     assert family_energy(E, G[:1], [1.0]) == family_energy(E, G[:1], [1]) == 9
 
 
+def test_energy_refuses_labels_beyond_int64():
+    E = PointSet.full(F32)
+    G = SubspaceArray.grassmannian(F32, 1)
+    with pytest.raises(ValueError, match=r"labels\[0\] = 1180591620717411303424 is outside"):
+        family_energy(E, G[:1], [2**70])  # numpy's cast raised OverflowError
+    with pytest.raises(ValueError, match=r"labels\[1\] = 18446744073709551615 is outside"):
+        family_energy(E, G[:2], np.array([0, 2**64 - 1], dtype=np.uint64))
+
+
 def test_energy_monotone_in_family():
     rng = np.random.default_rng(11)
     directions, labels = full_family(F32, 1)

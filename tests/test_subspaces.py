@@ -354,6 +354,17 @@ def test_subspace_array_refuses_non_integral_entries(bases, message):
         SubspaceArray(AmbientSpace(3, 2), bases)
 
 
+@pytest.mark.parametrize("bases,message", [
+    # numpy's cast raised OverflowError
+    ([[[1, 2**70]]], r"bases\[0, 0, 1\] = 1180591620717411303424 is outside the int64 range"),
+    (np.array([[[1, 0]], [[0, 2**64 - 1]]], dtype=np.uint64),  # once wrapped to -1
+     r"bases\[1, 0, 1\] = 18446744073709551615 is outside the int64 range"),
+])
+def test_subspace_array_refuses_entries_beyond_int64(bases, message):
+    with pytest.raises(ValueError, match=message):
+        SubspaceArray(AmbientSpace(3, 2), bases)
+
+
 def test_subspace_refuses_non_integral_basis_entries():
     space = AmbientSpace(3, 2)
     # once kept, its matrix truncated to (1, 0) and its dual taken as span{(0, 1)}
